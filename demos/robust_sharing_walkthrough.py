@@ -32,17 +32,17 @@ print(f"working in GF({gf.q})")
 # A degree-t polynomial with the secret as constant term, evaluated at
 # points 1..n.  Any t+1 shares interpolate back; any t shares are uniform.
 spec = SharingSpec(t=2, n=5, field=gf)
-secret = gf.element(42)
+secret = 42
 shares = shamir_share(spec, secret, rng)
-print("shares:", {i: s.value for i, s in shares.items()})
+print("shares:", shares)
 
 # --- error correction --------------------------------------------------------
 # With n = 5 and t = 2 one corrupted share is tolerated: the decoder finds
 # the unique polynomial agreeing with at least n - 1 of the shares.
 bad = dict(shares)
-bad[3] = gf.element((bad[3].value + 17) % gf.q)
+bad[3] = (bad[3] + 17) % gf.q
 recovered = rs_reconstruct(spec, bad, max_errors=1)
-print("after corrupting share 3, decode gives:", recovered.value)
+print("after corrupting share 3, decode gives:", recovered)
 assert recovered == secret
 
 # --- manipulation detection --------------------------------------------------
@@ -50,10 +50,8 @@ assert recovered == secret
 # offset survive with probability at most (d+1)/q = 2/251.
 amd = AmdSpec(gf, 1)
 cw = amd_encode(amd, [secret], rng)
-print("codeword (s, x, tag):", cw.s[0].value, cw.x.value, cw.tag.value)
-tampered = type(cw)(
-    (gf.element((cw.s[0].value + 1) % gf.q),), cw.x, cw.tag
-)
+print("codeword (s, x, tag):", cw.s[0], cw.x, cw.tag)
+tampered = type(cw)(((cw.s[0] + 1) % gf.q,), cw.x, cw.tag)
 print("shifting s by 1 decodes to:", amd_decode(amd, tampered))
 
 # --- putting it together -----------------------------------------------------
@@ -62,7 +60,7 @@ print("shifting s by 1 decodes to:", amd_decode(amd, tampered))
 rspec = RobustSharingSpec(amd, spec)
 rshares = robust_share(rspec, [secret], rng)
 vec = list(rshares[2])
-vec[0] = gf.element((vec[0].value + 9) % gf.q)
+vec[0] = (vec[0] + 9) % gf.q
 rshares[2] = tuple(vec)
 out = robust_reconstruct(rspec, rshares)
 print("reconstruction from a tampered share set:", out)

@@ -3,7 +3,7 @@ and tamper-evident sharing, a deterministic multi-channel simulator, five
 transmission protocols, and a game-theoretic evaluation harness.
 """
 
-from .field import DEFAULT_BINARY_POLYS, FieldElement, FieldError, FieldSpec, Polynomial, interpolate
+from .field import DEFAULT_BINARY_POLYS, FieldError, FieldSpec, interpolate, poly_eval
 from .hashing import HashFamilySpec, HashFunction, offset_collision_prob_exhaustive
 from .sharing import (
     FAIL,

@@ -435,12 +435,14 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         if name != "verify":
             sp.add_argument("--config", required=True, help="experiment config JSON")
-        sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        sp.add_argument("--trials", type=int, default=None, help="trial count override")
+            sp.add_argument("--seed", type=int, default=None, help="master seed override")
+            sp.add_argument("--trials", type=int, default=None, help="trial count override")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--dump-transcript", default=None, help="write one replayable transcript")
-        sp.add_argument("--allow-underspec", action="store_true",
-                        help="run even when the tag budget is below the required bound")
+        if name == "simulate":
+            sp.add_argument("--dump-transcript", default=None,
+                            help="write one replayable transcript")
+            sp.add_argument("--allow-underspec", action="store_true",
+                            help="run even when the tag budget is below the required bound")
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":

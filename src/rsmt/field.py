@@ -1,5 +1,6 @@
-"""Exact arithmetic over GF(p) and GF(2^m), with polynomial evaluation and
-interpolation.
+"""Exact arithmetic over GF(p) and GF(2^m) on canonical integers in [0, q),
+with polynomial evaluation and interpolation on coefficient lists (lowest
+degree first).
 
 Binary fields use a fixed table of default irreducible polynomials so that
 canonical integer encodings are reproducible across runs and implementations.
@@ -9,8 +10,7 @@ couple of array lookups; larger m (up to 32) falls back to shift-and-reduce.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class FieldError(ValueError):
@@ -140,6 +140,8 @@ class FieldSpec:
 
     @classmethod
     def binary(cls, m: int, poly: int | None = None) -> "FieldSpec":
+        if not 1 <= m <= _MAX_BINARY_M:
+            raise FieldError(f"extension degree m={m} out of range 1..{_MAX_BINARY_M}")
         if poly is None:
             poly = DEFAULT_BINARY_POLYS.get(m)
             if poly is None:
@@ -211,11 +213,6 @@ class FieldSpec:
             return (a - b) % self.p
         return a ^ b
 
-    def neg_int(self, a: int) -> int:
-        if self.kind == "prime":
-            return (-a) % self.p
-        return a
-
     def mul_int(self, a: int, b: int) -> int:
         if self.kind == "prime":
             return (a * b) % self.p
@@ -243,25 +240,6 @@ class FieldSpec:
             base = self.mul_int(base, base)
             e >>= 1
         return result
-
-    # Element construction.
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def random_element(self, rng: random.Random) -> "FieldElement":
-        return FieldElement(self, rng.randrange(self.q))
-
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(self, v) for v in range(self.q))
 
     @property
     def elem_bits(self) -> int:
@@ -297,140 +275,36 @@ class FieldSpec:
         return f"GF(2^{self.m}; {self.poly:#x})"
 
 
-class FieldElement:
-    """Canonical integer in [0, q) tied to its field.  Immutable."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        if not 0 <= value < spec.q:
-            raise FieldError(f"value {value} outside field of size {spec.q}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec is not other.spec:
-            raise FieldError(f"field mismatch: {self.spec} vs {other.spec}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add_int(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub_int(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg_int(self.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul_int(self.value, other.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul_int(self.value, self.spec.inv_int(other.value)))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_int(self.value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow_int(self.value, e))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.spec is other.spec
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.spec), self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}@{self.spec!r}"
+def poly_eval(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
+    """Horner evaluation of a coefficient list at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = spec.add_int(spec.mul_int(acc, x), c)
+    return acc
 
 
-class Polynomial:
-    """Coefficients lowest degree first; trailing zeros permitted."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs: Sequence[FieldElement]):
-        for c in coeffs:
-            if c.spec is not spec:
-                raise FieldError("coefficient from wrong field")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i].value != 0:
-                return i
-        return -1
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        return self.spec.element(self.eval_int(x.value))
-
-    def eval_int(self, x: int) -> int:
-        spec = self.spec
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = spec.add_int(spec.mul_int(acc, x), c.value)
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial) or self.spec is not other.spec:
-            return False
-        a, b = list(self.coeffs), list(other.coeffs)
-        zero = self.spec.zero
-        while len(a) < len(b):
-            a.append(zero)
-        while len(b) < len(a):
-            b.append(zero)
-        return a == b
-
-    def __hash__(self):
-        return hash((id(self.spec), tuple(c.value for c in self.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({[c.value for c in self.coeffs]} over {self.spec!r})"
-
-
-def interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:
-    """Unique polynomial of degree < len(points) through all points (Lagrange)."""
-    if not points:
+def interpolate(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Coefficients of the unique polynomial of degree < len(xs) through the
+    points (xs[i], ys[i]): Newton divided differences, then the Newton form
+    expanded to monomials, O(k^2) field operations."""
+    k = len(xs)
+    if k == 0:
         raise FieldError("interpolation needs at least one point")
-    spec = points[0][0].spec
-    xs = [x.value for x, _ in points]
-    if len(set(xs)) != len(xs):
+    if len(set(xs)) != k:
         raise FieldError("duplicate x values in interpolation")
-    k = len(points)
+    if len(ys) != k:
+        raise FieldError("need one y value per x value")
+    sub, mul, inv = spec.sub_int, spec.mul_int, spec.inv_int
+    c = list(ys)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            c[i] = mul(sub(c[i], c[i - 1]), inv(sub(xs[i], xs[i - j])))
+    # Horner on the Newton form: p <- p * (x - xs[i]) + c[i], top down.
     coeffs = [0] * k
-    for i, (xi, yi) in enumerate(points):
-        # Basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j).
-        basis = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [0] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d + 1] = spec.add_int(new[d + 1], c)
-                new[d] = spec.add_int(new[d], spec.mul_int(c, spec.neg_int(xj.value)))
-            basis = new
-            denom = spec.mul_int(denom, spec.sub_int(xi.value, xj.value))
-        scale = spec.mul_int(yi.value, spec.inv_int(denom))
-        for d, c in enumerate(basis):
-            coeffs[d] = spec.add_int(coeffs[d], spec.mul_int(c, scale))
-    return Polynomial(spec, [spec.element(c) for c in coeffs])
+    coeffs[0] = c[k - 1]
+    for i in range(k - 2, -1, -1):
+        xi = xs[i]
+        for d in range(k - 1 - i, 0, -1):
+            coeffs[d] = sub(coeffs[d - 1], mul(coeffs[d], xi))
+        coeffs[0] = sub(c[i], mul(coeffs[0], xi))
+    return coeffs

@@ -69,11 +69,8 @@ def shamir_privacy_distance(field: FieldSpec, t: int, n: int) -> Fraction:
         for secret in range(q):
             c = Counter()
             for coeffs in itertools.product(range(q), repeat=t):
-                shares = shamir_share(
-                    spec, field.element(secret), _NULL_RNG,
-                    coeffs=[field.element(v) for v in coeffs],
-                )
-                c[tuple(shares[i].value for i in subset)] += 1
+                shares = shamir_share(spec, secret, _NULL_RNG, coeffs=coeffs)
+                c[tuple(shares[i] for i in subset)] += 1
             dists.append(c)
         worst = max(worst, _max_distance(dists, q ** t))
     return worst
@@ -87,24 +84,20 @@ def amd_failure_max(field: FieldSpec, d: int) -> Fraction:
     q = field.q
     _check_size(q ** d * q ** (d + 2) * q)
     worst = Fraction(0)
-    for msg_vals in itertools.product(range(q), repeat=d):
-        msg = [field.element(v) for v in msg_vals]
+    for msg in itertools.product(range(q), repeat=d):
         for delta in itertools.product(range(q), repeat=d + 2):
             if all(v == 0 for v in delta):
                 continue
             accepted = 0
             for x in range(q):
-                cw = amd_encode(spec, msg, _NULL_RNG, x=field.element(x))
+                cw = amd_encode(spec, msg, _NULL_RNG, x=x)
                 tampered = AmdCodeword(
-                    tuple(
-                        field.element(field.add_int(s.value, dv))
-                        for s, dv in zip(cw.s, delta[:d])
-                    ),
-                    field.element(field.add_int(cw.x.value, delta[d])),
-                    field.element(field.add_int(cw.tag.value, delta[d + 1])),
+                    tuple(field.add_int(s, dv) for s, dv in zip(cw.s, delta[:d])),
+                    field.add_int(cw.x, delta[d]),
+                    field.add_int(cw.tag, delta[d + 1]),
                 )
                 out = amd_decode(spec, tampered)
-                if out is not FAIL and out != tuple(msg):
+                if out is not FAIL and out != msg:
                     accepted += 1
             worst = max(worst, Fraction(accepted, q))
     return worst
@@ -114,8 +107,7 @@ def rss_view_distance(spec: RobustSharingSpec, corrupted: frozenset[int]) -> Fra
     """Exact worst-case view distance for one corrupted subset, enumerating
     the full encoding randomness (AMD x and every sharing coefficient)."""
     inner = spec.inner
-    f = inner.field
-    q = f.q
+    q = inner.field.q
     d = spec.amd.d
     width = spec.share_len
     if len(corrupted) > inner.t:
@@ -124,19 +116,13 @@ def rss_view_distance(spec: RobustSharingSpec, corrupted: frozenset[int]) -> Fra
     _check_size(states * q ** d)
     picked = sorted(corrupted)
     dists = []
-    for msg_vals in itertools.product(range(q), repeat=d):
-        msg = [f.element(v) for v in msg_vals]
+    for msg in itertools.product(range(q), repeat=d):
         c = Counter()
         for x in range(q):
             for flat in itertools.product(range(q), repeat=width * inner.t):
-                matrix = [
-                    [f.element(v) for v in flat[k * inner.t:(k + 1) * inner.t]]
-                    for k in range(width)
-                ]
-                shares = robust_share(
-                    spec, msg, _NULL_RNG, coeff_matrix=matrix, x=f.element(x)
-                )
-                c[tuple(tuple(e.value for e in shares[i]) for i in picked)] += 1
+                matrix = [flat[k * inner.t:(k + 1) * inner.t] for k in range(width)]
+                shares = robust_share(spec, msg, _NULL_RNG, coeff_matrix=matrix, x=x)
+                c[tuple(shares[i] for i in picked)] += 1
         dists.append(c)
     return _max_distance(dists, q ** (1 + width * inner.t))
 
@@ -154,7 +140,6 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     if len(corrupted) > spec.t:
         raise ValueError("corrupted set exceeds the sharing threshold")
     n, q, d, t = spec.n, spec.field.q, spec.d, spec.t
-    f = spec.field
     c_set = sorted(corrupted)
     others = [j for j in range(1, n + 1)]
     # masks in the view: r_{i,j} blinds T_{i,j} on corrupted i; r_{j,i} rides
@@ -176,12 +161,11 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
         for flat in itertools.product(range(q), repeat=d * t):
             per_coord = []
             for k in range(d):
-                coeffs = [f.element(v) for v in flat[k * t:(k + 1) * t]]
-                per_coord.append(
-                    shamir_share(spec.sharing, f.element(msg_vals[k]), _NULL_RNG, coeffs=coeffs)
-                )
+                per_coord.append(shamir_share(
+                    spec.sharing, msg_vals[k], _NULL_RNG, coeffs=flat[k * t:(k + 1) * t]
+                ))
             ser = {
-                j: spec.serialize_share(tuple(per_coord[k][j].value for k in range(d)))
+                j: spec.serialize_share(tuple(per_coord[k][j] for k in range(d)))
                 for j in range(1, n + 1)
             }
             for hvals in itertools.product(range(dom), repeat=2 * len(c_set)):

@@ -137,10 +137,8 @@ def ciss_sender_encode(
     per_coord = []
     for k in range(spec.d):
         forced = coeff_matrix[k] if coeff_matrix is not None else None
-        per_coord.append(shamir_share(spec.sharing, f.element(m[k]), rng, coeffs=forced))
-    shares = {
-        i: tuple(per_coord[k][i].value for k in range(spec.d)) for i in range(1, n + 1)
-    }
+        per_coord.append(shamir_share(spec.sharing, m[k], rng, coeffs=forced))
+    shares = {i: tuple(per_coord[k][i] for k in range(spec.d)) for i in range(1, n + 1)}
     if hash_fns is None:
         hash_fns = {i: spec.family.sample(rng) for i in range(1, n + 1)}
     if mask_matrix is None:
@@ -235,13 +233,11 @@ def _majority_list(spec: CissProtocol, lists: dict[int, tuple]):
 
 
 def _reconstruct_plain(spec: CissProtocol, parsed, channels):
-    f = spec.field
     picked = sorted(channels)[: spec.t + 1]
-    out = []
-    for k in range(spec.d):
-        subset = {i: f.element(parsed[i].share[k]) for i in picked}
-        out.append(shamir_reconstruct(spec.sharing, subset).value)
-    return tuple(out)
+    return tuple(
+        shamir_reconstruct(spec.sharing, {i: parsed[i].share[k] for i in picked})
+        for k in range(spec.d)
+    )
 
 
 def ciss_receiver_decode(spec: CissProtocol, payloads):
@@ -271,12 +267,11 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
     # n shares with error correction.
     if majority is None:
         return FAIL, []
-    f = spec.field
     out = []
     for k in range(spec.d):
-        shares = {i: f.element(parsed[i].share[k]) for i in range(1, spec.n + 1)}
+        shares = {i: parsed[i].share[k] for i in range(1, spec.n + 1)}
         got = rs_reconstruct(spec.sharing, shares, max_errors=spec.t)
         if got is FAIL:
             return FAIL, list(majority)
-        out.append(got.value)
+        out.append(got)
     return tuple(out), list(majority)

@@ -64,8 +64,7 @@ def rss_send(spec: RssProtocol, m, rng: random.Random) -> dict[int, tuple[int, .
     f = spec.field
     if not vector_in_field(tuple(m), f.q, spec.d):
         raise ProtocolError(f"message must be a {spec.d}-vector over {f}")
-    shares = robust_share(spec.sharing, [f.element(v) for v in m], rng)
-    return {i: tuple(e.value for e in vec) for i, vec in shares.items()}
+    return robust_share(spec.sharing, m, rng)
 
 
 def rss_receive(spec: RssProtocol, payloads):
@@ -78,8 +77,8 @@ def rss_receive(spec: RssProtocol, payloads):
         if not vector_in_field(p if isinstance(p, tuple) else (), f.q, width):
             # blocked or malformed share: undecodable, treat as detection
             return FAIL, list(range(1, spec.n + 1))
-        parsed[i] = tuple(f.element(v) for v in p)
+        parsed[i] = p
     out = robust_reconstruct(spec.sharing, parsed)
     if out is FAIL:
         return FAIL, list(range(1, spec.n + 1))
-    return tuple(e.value for e in out), []
+    return out, []

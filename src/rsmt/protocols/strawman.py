@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ..field import FieldSpec, interpolate
+from ..field import FieldSpec, interpolate, poly_eval
 from ..sharing import SharingSpec, shamir_share
 from ..transport import SENDER_TO_RECEIVER
 from .base import Protocol, ProtocolError, vector_in_field
@@ -54,8 +54,7 @@ def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, in
     f = spec.field
     if not vector_in_field(tuple(m), f.q, 1):
         raise ProtocolError(f"message must be a 1-vector over {f}")
-    shares = shamir_share(spec.sharing, f.element(m[0]), rng)
-    return {i: shares[i].value for i in shares}
+    return shamir_share(spec.sharing, m[0], rng)
 
 
 def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:
@@ -64,11 +63,11 @@ def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:
     for i in range(1, spec.n + 1):
         v = payloads[i]
         values[i] = v if isinstance(v, int) and 0 <= v < f.q else 0
-    xs = {i: f.element(spec.sharing.point(i)) for i in values}
-    best = None  # (agreement, subset) — maximal agreement, then lex-first
+    xs = {i: spec.sharing.point(i) for i in values}
+    best = None  # (agreement, poly) — maximal agreement, then lex-first
     for subset in itertools.combinations(sorted(values), spec.t + 1):
-        poly = interpolate([(xs[i], f.element(values[i])) for i in subset])
-        agreement = sum(1 for i in values if poly.eval_int(spec.sharing.point(i)) == values[i])
+        poly = interpolate(f, [xs[i] for i in subset], [values[i] for i in subset])
+        agreement = sum(1 for i in values if poly_eval(f, poly, xs[i]) == values[i])
         if best is None or agreement > best[0]:
             best = (agreement, poly)
-    return (best[1].eval_int(0),)
+    return (best[1][0],)

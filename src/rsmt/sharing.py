@@ -1,8 +1,9 @@
 """Threshold secret sharing and tamper-evident encodings.
 
-Three layers:
-  * Shamir sharing with plain and error-correcting reconstruction
-    (Berlekamp-Welch, cross-checked by an exhaustive subset oracle),
+Secrets, shares and codewords are canonical field integers.  Three layers:
+  * Shamir sharing with plain and error-correcting reconstruction (Gao's
+    extended-Euclid Reed-Solomon decoder; an exhaustive subset search is
+    kept as the oracle tests compare it against),
   * an algebraic manipulation detection code (s, x, x^(d+2) + sum s_i x^i),
   * their composition: coordinate-wise Shamir sharing of the AMD codeword,
     which rejects any tampered reconstruction except with probability (d+1)/q.
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-from .field import FieldElement, FieldSpec, Polynomial, interpolate
+from .field import FieldSpec, interpolate, poly_eval
 
 
 class SharingError(ValueError):
@@ -72,184 +73,141 @@ class SharingSpec:
         return self.eval_points[index - 1]
 
 
+def _check_values(f: FieldSpec, values, what: str) -> None:
+    for v in values:
+        if not (isinstance(v, int) and 0 <= v < f.q):
+            raise SharingError(f"{what} {v!r} is not an element of {f}")
+
+
 def shamir_share(
     spec: SharingSpec,
-    secret: FieldElement,
+    secret: int,
     rng: random.Random,
-    coeffs: Sequence[FieldElement] | None = None,
-) -> dict[int, FieldElement]:
+    coeffs: Sequence[int] | None = None,
+) -> dict[int, int]:
     """Shares f(a_i) of f(x) = secret + r_1 x + ... + r_t x^t.
 
     `coeffs` forces the t random coefficients; used by tests and enumeration.
     """
     f = spec.field
-    if secret.spec is not f:
-        raise SharingError("secret from wrong field")
+    _check_values(f, (secret,), "secret")
     if coeffs is None:
-        coeffs = [f.random_element(rng) for _ in range(spec.t)]
+        coeffs = [rng.randrange(f.q) for _ in range(spec.t)]
     elif len(coeffs) != spec.t:
         raise SharingError(f"expected {spec.t} forced coefficients")
-    poly = Polynomial(f, [secret, *coeffs])
-    return {i: f.element(poly.eval_int(spec.point(i))) for i in range(1, spec.n + 1)}
+    else:
+        _check_values(f, coeffs, "coefficient")
+    poly = [secret, *coeffs]
+    return {i: poly_eval(f, poly, spec.point(i)) for i in range(1, spec.n + 1)}
 
 
-def shamir_reconstruct(spec: SharingSpec, subset: Mapping[int, FieldElement]) -> FieldElement:
+def shamir_reconstruct(spec: SharingSpec, subset: Mapping[int, int]) -> int:
     if len(subset) < spec.t + 1:
         raise ThresholdError(f"need at least {spec.t + 1} shares, got {len(subset)}")
     f = spec.field
-    points = [(f.element(spec.point(i)), s) for i, s in subset.items()]
-    return interpolate(points)(f.zero)
+    _check_values(f, subset.values(), "share")
+    return interpolate(f, [spec.point(i) for i in subset], list(subset.values()))[0]
 
 
-def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, FieldElement], max_errors: int):
+def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int):
     """Error-correcting reconstruction tolerating up to `max_errors` bad shares.
 
     Returns the unique secret whose degree-<=t sharing agrees with at least
-    n - max_errors of the given shares, or FAIL if none exists.  Uses
-    Berlekamp-Welch with an exhaustive-subset fallback on singular systems.
+    n - max_errors of the given shares, or FAIL if none exists.  Gao's
+    decoder: interpolate all n shares to g1, run the extended Euclidean
+    algorithm on (prod (x - a_i), g1) until the remainder g has degree
+    < (n + t + 1)/2, with g = u*prod + v*g1; the codeword polynomial is g/v.
     """
     e = max_errors
     n = spec.n
+    k = spec.t + 1
     if len(shares) != n:
         raise SharingError("error-correcting reconstruction needs all n shares")
-    if n < (spec.t + 1) + 2 * e:
+    if n < k + 2 * e:
         raise SharingError(f"n={n} too small for t={spec.t}, e={e}")
-
     f = spec.field
+    _check_values(f, shares.values(), "share")
     xs = [spec.point(i) for i in sorted(shares)]
-    ys = [shares[i].value for i in sorted(shares)]
+    ys = [shares[i] for i in sorted(shares)]
 
-    # Fast path: no errors among the first t+1 shares.  Also covers the
-    # zero-error case where the Berlekamp-Welch system is underdetermined.
-    head = interpolate(
-        [(f.element(x), f.element(y)) for x, y in zip(xs[: spec.t + 1], ys[: spec.t + 1])]
-    )
-    if _agreement_int(f, xs, ys, head) >= n - e:
-        return f.element(head.eval_int(0))
-    if e == 0:
+    r0 = [1]  # prod (x - a_i), built one root at a time
+    for x in xs:
+        r0 = _poly_sub(f, [0, *r0], [f.mul_int(x, c) for c in r0])
+    r1 = _trim(interpolate(f, xs, ys))
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n + k:
+        quot, rem = _poly_divmod(f, r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_sub(f, v0, _poly_mul(f, quot, v1))
+    poly, rem = _poly_divmod(f, r1, v1)
+    if rem or len(poly) > k:
         return FAIL
-
-    solution = _berlekamp_welch(f, xs, ys, spec.t, e)
-    if solution is None:
-        if n <= 12:
-            return rs_reconstruct_bruteforce(spec, shares, e)
-        return FAIL
-    poly = solution
-    if _agreement_int(f, xs, ys, poly) >= n - e:
-        return f.element(poly.eval_int(0))
+    if _agreement(f, xs, ys, poly) >= n - e:
+        return poly[0] if poly else 0
     return FAIL
 
 
-def rs_reconstruct_bruteforce(
-    spec: SharingSpec, shares: Mapping[int, FieldElement], max_errors: int
-):
+def rs_reconstruct_bruteforce(spec: SharingSpec, shares: Mapping[int, int], max_errors: int):
     """Independent oracle: try every (t+1)-subset and look for a polynomial
     consistent with at least n - max_errors shares.  Any two such polynomials
     agree on >= t+1 points and are therefore equal, so the answer is unique."""
     f = spec.field
-    n = spec.n
     indices = sorted(shares)
     xs = [spec.point(i) for i in indices]
-    ys = [shares[i].value for i in indices]
-    for subset in itertools.combinations(range(n), spec.t + 1):
-        points = [(f.element(xs[i]), f.element(ys[i])) for i in subset]
-        poly = interpolate(points)
-        if _agreement_int(f, xs, ys, poly) >= n - max_errors:
-            return f.element(poly.eval_int(0))
+    ys = [shares[i] for i in indices]
+    for subset in itertools.combinations(range(spec.n), spec.t + 1):
+        poly = interpolate(f, [xs[i] for i in subset], [ys[i] for i in subset])
+        if _agreement(f, xs, ys, poly) >= spec.n - max_errors:
+            return poly[0]
     return FAIL
 
 
-def _agreement_int(f: FieldSpec, xs, ys, poly: Polynomial) -> int:
-    return sum(1 for x, y in zip(xs, ys) if poly.eval_int(x) == y)
+def _agreement(f: FieldSpec, xs, ys, poly) -> int:
+    return sum(1 for x, y in zip(xs, ys) if poly_eval(f, poly, x) == y)
 
 
-def _berlekamp_welch(f: FieldSpec, xs, ys, t: int, e: int) -> Polynomial | None:
-    """Solve Q(x_i) = y_i * E(x_i) with deg Q <= e + t, E monic of degree e.
-
-    Returns Q/E if the system is solvable and division is exact, else None.
-    """
-    n = len(xs)
-    nq = e + t + 1  # unknown coefficients of Q
-    ne = e  # unknown non-leading coefficients of E
-    rows = []
-    for x, y in zip(xs, ys):
-        row = []
-        xp = 1
-        for _ in range(nq):
-            row.append(xp)
-            xp = f.mul_int(xp, x)
-        xp = 1
-        for _ in range(ne):
-            row.append(f.neg_int(f.mul_int(y, xp)))
-            xp = f.mul_int(xp, x)
-        # Move the monic x^e term of E to the right-hand side.
-        rhs = f.mul_int(y, f.pow_int(x, e))
-        rows.append((row, rhs))
-    sol = _solve_linear(f, rows, nq + ne)
-    if sol is None:
-        return None
-    q_coeffs = sol[:nq]
-    e_coeffs = sol[nq:] + [1]  # monic
-    quot = _poly_divide_exact(f, q_coeffs, e_coeffs)
-    if quot is None:
-        return None
-    return Polynomial(f, [f.element(c) for c in quot])
+# Polynomials for the decoder: coefficient lists, lowest degree first, with
+# no trailing zeros (the zero polynomial is []).
 
 
-def _solve_linear(f: FieldSpec, rows, ncols: int):
-    """Gaussian elimination; returns one solution or None if inconsistent or
-    underdetermined in a way that leaves no pivot solution."""
-    mat = [list(row) + [rhs] for row, rhs in rows]
-    nrows = len(mat)
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = f.inv_int(mat[r][c])
-        mat[r] = [f.mul_int(v, inv) for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [f.sub_int(v, f.mul_int(factor, w)) for v, w in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if mat[i][ncols] != 0:
-            return None  # inconsistent
-    sol = [0] * ncols
-    for row_idx, c in enumerate(pivot_cols):
-        sol[c] = mat[row_idx][ncols]
-    if len(pivot_cols) < ncols:
-        return None  # underdetermined: caller falls back to the subset oracle
-    return sol
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _poly_divide_exact(f: FieldSpec, num, den):
-    """Exact polynomial division num/den, or None on nonzero remainder."""
-    num = list(num)
+def _poly_sub(f: FieldSpec, a, b) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = f.sub_int(out[i], c)
+    return _trim(out)
+
+
+def _poly_mul(f: FieldSpec, a, b) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = f.add_int(out[i + j], f.mul_int(c, d))
+    return _trim(out)
+
+
+def _poly_divmod(f: FieldSpec, num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by a nonzero den."""
+    rem = list(num)
     dd = len(den) - 1
-    while dd > 0 and den[dd] == 0:
-        dd -= 1
-    nd = len(num) - 1
-    while nd > 0 and num[nd] == 0:
-        nd -= 1
-    if nd < dd:
-        return None if any(c != 0 for c in num) else [0]
-    quot = [0] * (nd - dd + 1)
-    lead_inv = f.inv_int(den[dd])
-    for k in range(nd - dd, -1, -1):
-        coef = f.mul_int(num[k + dd], lead_inv)
+    if len(rem) <= dd:
+        return [], rem
+    quot = [0] * (len(rem) - dd)
+    lead_inv = f.inv_int(den[-1])
+    for k in range(len(quot) - 1, -1, -1):
+        coef = f.mul_int(rem[k + dd], lead_inv)
         quot[k] = coef
-        for j in range(dd + 1):
-            num[k + j] = f.sub_int(num[k + j], f.mul_int(coef, den[j]))
-    if any(c != 0 for c in num):
-        return None
-    return quot
+        if coef:
+            for j in range(dd + 1):
+                rem[k + j] = f.sub_int(rem[k + j], f.mul_int(coef, den[j]))
+    return _trim(quot), _trim(rem[:dd])
 
 
 # --- AMD code ---------------------------------------------------------------
@@ -278,36 +236,41 @@ class AmdSpec:
 
 @dataclass(frozen=True)
 class AmdCodeword:
-    s: tuple[FieldElement, ...]
-    x: FieldElement
-    tag: FieldElement
+    s: tuple[int, ...]
+    x: int
+    tag: int
 
 
-def _amd_tag(spec: AmdSpec, s: Sequence[FieldElement], x: int) -> int:
+def _amd_tag(spec: AmdSpec, s: Sequence[int], x: int) -> int:
     f = spec.field
     tag = f.pow_int(x, spec.d + 2)
     xp = x
     for si in s:
-        tag = f.add_int(tag, f.mul_int(si.value, xp))
+        tag = f.add_int(tag, f.mul_int(si, xp))
         xp = f.mul_int(xp, x)
     return tag
 
 
 def amd_encode(
     spec: AmdSpec,
-    s: Sequence[FieldElement],
+    s: Sequence[int],
     rng: random.Random,
-    x: FieldElement | None = None,
+    x: int | None = None,
 ) -> AmdCodeword:
     if len(s) != spec.d:
         raise SharingError(f"message must have {spec.d} elements")
+    f = spec.field
+    _check_values(f, s, "message element")
     if x is None:
-        x = spec.field.random_element(rng)
-    return AmdCodeword(tuple(s), x, spec.field.element(_amd_tag(spec, s, x.value)))
+        x = rng.randrange(f.q)
+    else:
+        _check_values(f, (x,), "AMD randomness")
+    return AmdCodeword(tuple(s), x, _amd_tag(spec, s, x))
 
 
 def amd_decode(spec: AmdSpec, c: AmdCodeword):
-    if _amd_tag(spec, c.s, c.x.value) == c.tag.value:
+    _check_values(spec.field, (*c.s, c.x, c.tag), "codeword element")
+    if _amd_tag(spec, c.s, c.x) == c.tag:
         return c.s
     return FAIL
 
@@ -335,11 +298,11 @@ class RobustSharingSpec:
 
 def robust_share(
     spec: RobustSharingSpec,
-    secret: Sequence[FieldElement],
+    secret: Sequence[int],
     rng: random.Random,
-    coeff_matrix: Sequence[Sequence[FieldElement]] | None = None,
-    x: FieldElement | None = None,
-) -> dict[int, tuple[FieldElement, ...]]:
+    coeff_matrix: Sequence[Sequence[int]] | None = None,
+    x: int | None = None,
+) -> dict[int, tuple[int, ...]]:
     """AMD-encode, then Shamir-share each of the d+2 codeword coordinates
     with an independent polynomial.  Share i is a (d+2)-vector."""
     cw = amd_encode(spec.amd, secret, rng, x=x)
@@ -354,7 +317,7 @@ def robust_share(
     }
 
 
-def robust_reconstruct(spec: RobustSharingSpec, subset: Mapping[int, Sequence[FieldElement]]):
+def robust_reconstruct(spec: RobustSharingSpec, subset: Mapping[int, Sequence[int]]):
     if len(subset) < spec.inner.t + 1:
         raise ThresholdError(f"need at least {spec.inner.t + 1} shares")
     width = spec.share_len

@@ -185,8 +185,6 @@ def _payload_json(p):
         return p
     if isinstance(p, (list, tuple)):
         return [_payload_json(v) for v in p]
-    if hasattr(p, "value"):  # field elements carry canonical integers
-        return p.value
     raise SimulationFault(f"payload {p!r} is not serializable")
 
 

@@ -210,3 +210,16 @@ def test_verify_passes(tmp_path):
     text = out.read_text()
     assert "all checks passed" in text
     assert "[FAIL]" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "1"],
+    ["verify", "--trials", "10"],
+    ["verify", "--allow-underspec"],
+    ["bounds", "--config", "x.json", "--dump-transcript", "t.json"],
+    ["sweep", "--config", "x.json", "--allow-underspec"],
+])
+def test_flags_without_effect_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -6,9 +7,10 @@ from rsmt.field import (
     DEFAULT_BINARY_POLYS,
     FieldError,
     FieldSpec,
-    Polynomial,
     interpolate,
+    poly_eval,
 )
+from rsmt.protocols import SjstProtocol
 
 GF7 = FieldSpec.prime(7)
 GF8 = FieldSpec.binary(3)  # x^3 + x + 1
@@ -29,6 +31,26 @@ def test_binary_rejects_reducible_poly():
 def test_binary_rejects_large_m():
     with pytest.raises(FieldError):
         FieldSpec.binary(33)
+    with pytest.raises(FieldError):
+        FieldSpec.binary(0)
+
+
+def test_binary_without_default_poly_rejects_m_above_32_at_once():
+    # The range check must run before the irreducible-polynomial search,
+    # which for m = 64 would not finish; the alarm turns a hang into a failure.
+    def hang(signum, frame):
+        raise TimeoutError("FieldSpec.binary(64) did not fail fast")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(FieldError):
+            FieldSpec.binary(64)
+        with pytest.raises(FieldError):
+            SjstProtocol(3, 8, 64)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_default_polys_are_irreducible():
@@ -49,37 +71,33 @@ def test_specs_are_interned():
 
 
 def test_add_examples():
-    assert (GF7.element(5) + GF7.element(4)).value == 2
-    assert (GF8.element(0b101) + GF8.element(0b011)).value == 0b110
-    x = GF7.element(3)
-    assert GF7.zero + x == x
-
-
-def test_add_spec_mismatch():
-    with pytest.raises(FieldError):
-        GF7.element(1) + GF8.element(1)
+    assert GF7.add_int(5, 4) == 2
+    assert GF8.add_int(0b101, 0b011) == 0b110
+    assert GF7.add_int(0, 3) == 3
+    assert GF7.sub_int(2, 4) == 5
 
 
 def test_mul_examples():
-    assert (GF7.element(3) * GF7.element(5)).value == 1
+    assert GF7.mul_int(3, 5) == 1
     # x * x^2 = x^3 = x + 1 under x^3 + x + 1
-    assert (GF8.element(0b010) * GF8.element(0b100)).value == 0b011
-    x = GF8.element(0b110)
-    assert GF8.one * x == x
+    assert GF8.mul_int(0b010, 0b100) == 0b011
+    assert GF8.mul_int(1, 0b110) == 0b110
 
 
 def test_inv_examples():
-    assert GF7.one.inverse() == GF7.one
+    assert GF7.inv_int(1) == 1
     # brute-force oracle scans
     inv3 = next(b for b in range(1, 7) if (3 * b) % 7 == 1)
-    assert GF7.element(3).inverse().value == inv3 == 5
+    assert GF7.inv_int(3) == inv3 == 5
     inv_x = next(b for b in range(1, 8) if GF8.mul_int(0b010, b) == 1)
-    assert GF8.element(0b010).inverse().value == inv_x == 0b101
+    assert GF8.inv_int(0b010) == inv_x == 0b101
 
 
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        GF7.zero.inverse()
+        GF7.inv_int(0)
+    with pytest.raises(ZeroDivisionError):
+        GF8.inv_int(0)
 
 
 @pytest.mark.parametrize("spec", [GF7, GF8, FieldSpec.binary(8), FieldSpec.prime(251)])
@@ -114,58 +132,62 @@ def test_untabled_binary_field_axioms():
 
 
 def test_poly_eval_examples():
-    c = GF7.element(4)
-    assert Polynomial(GF7, [c])(GF7.element(6)) == c
-    f = Polynomial(GF7, [GF7.element(5), GF7.element(3)])
-    assert f(GF7.element(2)).value == 4
-    assert f(GF7.element(3)).value == 0
+    assert poly_eval(GF7, [4], 6) == 4
+    assert poly_eval(GF7, [5, 3], 2) == 4
+    assert poly_eval(GF7, [5, 3], 3) == 0
+    assert poly_eval(GF7, [], 3) == 0
 
 
 def test_poly_degree():
-    z = GF7.zero
-    assert Polynomial(GF7, []).degree == -1
-    assert Polynomial(GF7, [z, z]).degree == -1
-    assert Polynomial(GF7, [z, GF7.one, z]).degree == 1
+    # Points on a polynomial of lower degree interpolate to zero high
+    # coefficients: the result has exactly len(points) entries.
+    assert interpolate(GF7, [1, 2, 3], [4, 4, 4]) == [4, 0, 0]
+    assert interpolate(GF7, [1, 2, 3], [0, 0, 0]) == [0, 0, 0]
+    assert interpolate(GF7, [1, 2, 3], [1, 2, 3]) == [0, 1, 0]
 
 
 def test_interpolate_examples():
-    c = GF7.element(4)
-    p = interpolate([(GF7.zero, c)])
-    assert p(GF7.element(5)) == c
-    p = interpolate([(GF7.element(1), GF7.element(1)), (GF7.element(2), GF7.element(4))])
-    assert [co.value for co in p.coeffs] == [5, 3]
+    p = interpolate(GF7, [0], [4])
+    assert p == [4]
+    assert poly_eval(GF7, p, 5) == 4
+    assert interpolate(GF7, [1, 2], [1, 4]) == [5, 3]
+    # x^2 over GF(8) through x = 1, 2, 3
+    ys = [GF8.mul_int(x, x) for x in (1, 2, 3)]
+    assert interpolate(GF8, [1, 2, 3], ys) == [0, 0, 1]
 
 
 def test_interpolate_duplicate_x_raises():
     with pytest.raises(FieldError):
-        interpolate([(GF7.one, GF7.one), (GF7.one, GF7.element(2))])
+        interpolate(GF7, [1, 1], [1, 2])
+    with pytest.raises(FieldError):
+        interpolate(GF7, [], [])
+    with pytest.raises(FieldError):
+        interpolate(GF7, [1, 2], [1])
 
 
 def test_interpolate_roundtrip_random():
     rng = random.Random(11)
-    for spec in (GF7, FieldSpec.binary(8)):
+    for spec in (GF7, FieldSpec.binary(8), FieldSpec.binary(17), FieldSpec.prime(251)):
         for _ in range(100):
-            k = rng.randrange(1, 5)
-            coeffs = [spec.random_element(rng) for _ in range(k)]
-            f = Polynomial(spec, coeffs)
+            k = rng.randrange(1, 8 if spec.q > 7 else 5)
+            coeffs = [rng.randrange(spec.q) for _ in range(k)]
             xs = rng.sample(range(spec.q), k)
-            pts = [(spec.element(x), f(spec.element(x))) for x in xs]
-            assert interpolate(pts) == f
+            ys = [poly_eval(spec, coeffs, x) for x in xs]
+            assert interpolate(spec, xs, ys) == coeffs
 
 
 def test_interpolate_eval_identity_exhaustive_gf5():
     GF5 = FieldSpec.prime(5)
     for k in (1, 2, 3):
-        xs = [GF5.element(x) for x in range(k)]
+        xs = list(range(k))
         for idx in range(5**k):
             coeffs = []
             v = idx
             for _ in range(k):
-                coeffs.append(GF5.element(v % 5))
+                coeffs.append(v % 5)
                 v //= 5
-            f = Polynomial(GF5, coeffs)
-            pts = [(x, f(x)) for x in xs]
-            assert interpolate(pts) == f
+            ys = [poly_eval(GF5, coeffs, x) for x in xs]
+            assert interpolate(GF5, xs, ys) == coeffs
 
 
 def test_json_roundtrip():
@@ -175,9 +197,3 @@ def test_json_roundtrip():
     assert FieldSpec.from_json({"kind": "prime", "p": 7}) is GF7
     with pytest.raises(FieldError):
         FieldSpec.from_json({"kind": "nope"})
-
-
-def test_elements_are_immutable():
-    x = GF7.element(3)
-    with pytest.raises(AttributeError):
-        x.value = 4

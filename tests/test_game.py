@@ -4,7 +4,7 @@ import pytest
 
 from rsmt.field import FieldSpec
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
-from rsmt.protocols.ciss import P1, P2
+from rsmt.protocols.ciss import P1, P2, P3
 from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import CorruptionProfile
 from rsmt.game import (
@@ -183,6 +183,17 @@ def test_substitution_limit():
     stats = run_trials(PROTO1, prof, {1: SubstituteShares(PROTO1, limit=1)}, TABLE, 100, 5)
     assert stats.detect_rate[1] > 0.9
     assert stats.suc_rate > 0.9  # single error is always corrected via lists
+
+
+def test_p3_wide_substitution_on_one_channel_always_delivers():
+    # n = 13 is past the sizes where a subset search could hide a decoder
+    # that gives up on a bad share among the first t+1.
+    p3 = CissProtocol(P3, 13, FieldSpec.binary(8), 1, 8)
+    for channel in (1, 7, 13):
+        prof = CorruptionProfile({1: frozenset({channel})})
+        stats = run_trials(p3, prof, {1: SubstituteShares(p3)},
+                           witness_table(p3.message_space_size()), 100, channel)
+        assert stats.suc_rate == 1.0
 
 
 def test_length_tamper_always_detected():

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmt.field import FieldSpec
 from rsmt.sharing import (
@@ -56,21 +58,21 @@ def test_default_eval_points():
 def test_shamir_share_frozen_example():
     # f(x) = 5 + 3x over GF(7): f(1)=1, f(2)=4, f(3)=0
     spec = SharingSpec(t=1, n=3, field=GF7)
-    shares = shamir_share(spec, GF7.element(5), random.Random(0), coeffs=[GF7.element(3)])
-    assert {i: s.value for i, s in shares.items()} == {1: 1, 2: 4, 3: 0}
+    shares = shamir_share(spec, 5, random.Random(0), coeffs=[3])
+    assert shares == {1: 1, 2: 4, 3: 0}
 
 
 def test_shamir_reconstruct_from_any_pair():
     spec = SharingSpec(t=1, n=3, field=GF7)
-    shares = shamir_share(spec, GF7.element(5), random.Random(0), coeffs=[GF7.element(3)])
+    shares = shamir_share(spec, 5, random.Random(0), coeffs=[3])
     for pair in itertools.combinations(shares, 2):
         subset = {i: shares[i] for i in pair}
-        assert shamir_reconstruct(spec, subset).value == 5
+        assert shamir_reconstruct(spec, subset) == 5
 
 
 def test_shamir_reconstruct_needs_t_plus_one():
     spec = SharingSpec(t=1, n=3, field=GF7)
-    shares = shamir_share(spec, GF7.element(5), random.Random(0))
+    shares = shamir_share(spec, 5, random.Random(0))
     with pytest.raises(ThresholdError):
         shamir_reconstruct(spec, {1: shares[1]})
 
@@ -82,7 +84,7 @@ def test_shamir_roundtrip_random():
             n = rng.randrange(3, min(9, f.q))
             t = rng.randrange(1, n)
             spec = SharingSpec(t=t, n=n, field=f)
-            secret = f.random_element(rng)
+            secret = rng.randrange(f.q)
             shares = shamir_share(spec, secret, rng)
             picked = rng.sample(sorted(shares), t + 1)
             assert shamir_reconstruct(spec, {i: shares[i] for i in picked}) == secret
@@ -95,10 +97,7 @@ def test_shamir_privacy_exhaustive():
         dists = []
         for secret in range(5):
             c = Counter(
-                shamir_share(
-                    spec, GF5.element(secret), random.Random(0), coeffs=[GF5.element(r)]
-                )[i].value
-                for r in range(5)
+                shamir_share(spec, secret, random.Random(0), coeffs=[r])[i] for r in range(5)
             )
             dists.append(c)
         assert all(d == dists[0] for d in dists)
@@ -110,8 +109,8 @@ def test_shamir_pair_leaks_with_t1():
     spec = SharingSpec(t=1, n=3, field=GF5)
     seen = {
         (
-            shamir_share(spec, GF5.element(s), random.Random(0), coeffs=[GF5.element(r)])[1].value,
-            shamir_share(spec, GF5.element(s), random.Random(0), coeffs=[GF5.element(r)])[2].value,
+            shamir_share(spec, s, random.Random(0), coeffs=[r])[1],
+            shamir_share(spec, s, random.Random(0), coeffs=[r])[2],
         ): s
         for s in range(5)
         for r in range(5)
@@ -122,22 +121,22 @@ def test_shamir_pair_leaks_with_t1():
 def test_rs_reconstruct_frozen_example():
     # f(x) = 5 + 3x over GF(7), n=4: shares (1, 4, 0, 3); corrupt share 3.
     spec = SharingSpec(t=1, n=4, field=GF7)
-    shares = {1: GF7.element(1), 2: GF7.element(4), 3: GF7.element(6), 4: GF7.element(3)}
-    assert rs_reconstruct(spec, shares, max_errors=1).value == 5
-    assert rs_reconstruct_bruteforce(spec, shares, max_errors=1).value == 5
+    shares = {1: 1, 2: 4, 3: 6, 4: 3}
+    assert rs_reconstruct(spec, shares, max_errors=1) == 5
+    assert rs_reconstruct_bruteforce(spec, shares, max_errors=1) == 5
 
 
 def test_rs_reconstruct_zero_errors():
     spec = SharingSpec(t=1, n=3, field=GF7)
-    shares = shamir_share(spec, GF7.element(2), random.Random(1))
-    assert rs_reconstruct(spec, shares, max_errors=0).value == 2
-    shares[2] = GF7.element((shares[2].value + 1) % 7)
+    shares = shamir_share(spec, 2, random.Random(1))
+    assert rs_reconstruct(spec, shares, max_errors=0) == 2
+    shares[2] = (shares[2] + 1) % 7
     assert rs_reconstruct(spec, shares, max_errors=0) is FAIL
 
 
 def test_rs_reconstruct_requires_capacity():
     spec = SharingSpec(t=2, n=4, field=GF7)
-    shares = shamir_share(spec, GF7.element(1), random.Random(0))
+    shares = shamir_share(spec, 1, random.Random(0))
     with pytest.raises(SharingError):
         rs_reconstruct(spec, shares, max_errors=1)  # needs n >= t+1+2e = 5
     with pytest.raises(SharingError):
@@ -148,11 +147,11 @@ def test_rs_reconstruct_corrects_up_to_e_errors():
     rng = random.Random(3)
     spec = SharingSpec(t=2, n=8, field=GF16)
     for _ in range(200):
-        secret = GF16.random_element(rng)
+        secret = rng.randrange(16)
         shares = shamir_share(spec, secret, rng)
         bad = rng.sample(sorted(shares), rng.randrange(0, 3))  # e <= 2
         for i in bad:
-            shares[i] = GF16.element((shares[i].value + rng.randrange(1, 16)) % 16)
+            shares[i] = (shares[i] + rng.randrange(1, 16)) % 16
         assert rs_reconstruct(spec, shares, max_errors=2) == secret
 
 
@@ -161,7 +160,7 @@ def test_rs_reconstruct_matches_bruteforce_on_garbage():
     rng = random.Random(4)
     spec = SharingSpec(t=1, n=5, field=GF7)
     for _ in range(300):
-        shares = {i: GF7.random_element(rng) for i in range(1, 6)}
+        shares = {i: rng.randrange(7) for i in range(1, 6)}
         got = rs_reconstruct(spec, shares, max_errors=1)
         want = rs_reconstruct_bruteforce(spec, shares, max_errors=1)
         assert got is want or got == want
@@ -171,10 +170,98 @@ def test_rs_reconstruct_matches_bruteforce_exhaustive_tiny():
     # GF(5), t=1, n=4, e=1: all 5^4 share vectors.
     spec = SharingSpec(t=1, n=4, field=GF5)
     for vals in itertools.product(range(5), repeat=4):
-        shares = {i + 1: GF5.element(v) for i, v in enumerate(vals)}
+        shares = {i + 1: v for i, v in enumerate(vals)}
         got = rs_reconstruct(spec, shares, max_errors=1)
         want = rs_reconstruct_bruteforce(spec, shares, max_errors=1)
         assert got is want or got == want
+
+
+def test_out_of_range_values_raise():
+    spec = SharingSpec(t=1, n=3, field=GF7)
+    with pytest.raises(SharingError):
+        shamir_share(spec, 7, random.Random(0))
+    with pytest.raises(SharingError):
+        shamir_share(spec, 1, random.Random(0), coeffs=[-1])
+    with pytest.raises(SharingError):
+        shamir_reconstruct(spec, {1: 1, 2: 9})
+    with pytest.raises(SharingError):
+        rs_reconstruct(SharingSpec(t=1, n=4, field=GF7), {1: 1, 2: 4, 3: 0, 4: 7}, 1)
+    with pytest.raises(SharingError):
+        amd_encode(AmdSpec(GF7, 1), [8], random.Random(0))
+    with pytest.raises(SharingError):
+        amd_encode(AmdSpec(GF7, 1), [1], random.Random(0), x=7)
+    with pytest.raises(SharingError):
+        robust_share(RSPEC, [7], random.Random(0))
+    with pytest.raises(SharingError):
+        robust_reconstruct(RSPEC, {1: (0, 0, 7), 2: (0, 0, 0)})
+
+
+@pytest.mark.parametrize("n", [13, 16, 31])
+def test_rs_reconstruct_wide_errors_in_every_position_class(n):
+    # P3's parameters: t = floor((n-1)/3), up to e = t errors, placed among
+    # the first t+1 shares, among the rest, and across both.
+    f = FieldSpec.binary(8)
+    t = (n - 1) // 3
+    spec = SharingSpec(t=t, n=n, field=f)
+    head, rest = list(range(1, t + 2)), list(range(t + 2, n + 1))
+    rng = random.Random(n)
+    for errors in range(t + 1):
+        for where in ("inside", "outside", "mixed"):
+            if where == "mixed" and errors < 2:
+                continue
+            for _ in range(4):
+                if where == "mixed":
+                    k = rng.randrange(1, errors)
+                else:
+                    k = errors if where == "inside" else 0
+                bad = rng.sample(head, k) + rng.sample(rest, errors - k)
+                secret = rng.randrange(f.q)
+                shares = shamir_share(spec, secret, rng)
+                for i in bad:
+                    shares[i] ^= rng.randrange(1, f.q)
+                assert rs_reconstruct(spec, shares, max_errors=t) == secret, (where, bad)
+
+
+_ORACLE_FIELDS = (FieldSpec.prime(11), FieldSpec.prime(13), GF16)
+
+
+@st.composite
+def _decoding_params(draw):
+    f = draw(st.sampled_from(_ORACLE_FIELDS))
+    n = draw(st.integers(2, min(10, f.q - 1)))
+    t = draw(st.integers(1, n - 1))
+    e = draw(st.integers(0, (n - t - 1) // 2))
+    return SharingSpec(t=t, n=n, field=f), e
+
+
+def _assert_matches_oracle(spec, shares, e):
+    got = rs_reconstruct(spec, shares, max_errors=e)
+    want = rs_reconstruct_bruteforce(spec, shares, max_errors=e)
+    assert got is want or got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_decoding_params(), st.data())
+def test_rs_reconstruct_matches_bruteforce_on_random_vectors(params, data):
+    spec, e = params
+    values = st.integers(0, spec.field.q - 1)
+    shares = {i: data.draw(values) for i in range(1, spec.n + 1)}
+    _assert_matches_oracle(spec, shares, e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_decoding_params(), st.data())
+def test_rs_reconstruct_matches_bruteforce_on_codewords_plus_errors(params, data):
+    # Up to e + 2 errors, so both the correctable and the FAIL side show.
+    spec, e = params
+    f = spec.field
+    coeffs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=spec.t + 1,
+                                max_size=spec.t + 1))
+    shares = shamir_share(spec, coeffs[0], random.Random(0), coeffs=coeffs[1:])
+    bad = data.draw(st.sets(st.integers(1, spec.n), max_size=min(spec.n, e + 2)))
+    for i in bad:
+        shares[i] = f.add_int(shares[i], data.draw(st.integers(1, f.q - 1)))
+    _assert_matches_oracle(spec, shares, e)
 
 
 # --- AMD code ---------------------------------------------------------------
@@ -196,9 +283,9 @@ def test_amd_delta_values():
 def test_amd_encode_frozen_example():
     # tag = x^3 + s1*x with s = (3,), x = 2 over GF(7): 8 + 6 = 0
     spec = AmdSpec(GF7, 1)
-    cw = amd_encode(spec, [GF7.element(3)], random.Random(0), x=GF7.element(2))
-    assert cw.tag.value == 0
-    assert amd_decode(spec, cw) == (GF7.element(3),)
+    cw = amd_encode(spec, [3], random.Random(0), x=2)
+    assert cw.tag == 0
+    assert amd_decode(spec, cw) == (3,)
 
 
 def test_amd_roundtrip_random():
@@ -206,13 +293,13 @@ def test_amd_roundtrip_random():
     for f, d in ((GF7, 1), (GF16, 3), (FieldSpec.prime(11), 3)):
         spec = AmdSpec(f, d)
         for _ in range(100):
-            s = [f.random_element(rng) for _ in range(d)]
+            s = [rng.randrange(f.q) for _ in range(d)]
             assert amd_decode(spec, amd_encode(spec, s, rng)) == tuple(s)
 
 
 def test_amd_wrong_length_rejected():
     with pytest.raises(SharingError):
-        amd_encode(AmdSpec(GF7, 2), [GF7.element(1)], random.Random(0))
+        amd_encode(AmdSpec(GF7, 2), [1], random.Random(0))
 
 
 def test_amd_manipulation_bound_exhaustive():
@@ -220,18 +307,13 @@ def test_amd_manipulation_bound_exhaustive():
     # encoding randomness x that leaves the tampered word valid is <= (d+1)/q.
     spec = AmdSpec(GF5, 1)
     for s in range(5):
-        msg = [GF5.element(s)]
         for ds, dx, dt in itertools.product(range(5), repeat=3):
             if (ds, dx, dt) == (0, 0, 0):
                 continue
             accepted = 0
             for x in range(5):
-                cw = amd_encode(spec, msg, random.Random(0), x=GF5.element(x))
-                tampered = AmdCodeword(
-                    (GF5.element((s + ds) % 5),),
-                    GF5.element((x + dx) % 5),
-                    GF5.element((cw.tag.value + dt) % 5),
-                )
+                cw = amd_encode(spec, [s], random.Random(0), x=x)
+                tampered = AmdCodeword(((s + ds) % 5,), (x + dx) % 5, (cw.tag + dt) % 5)
                 if amd_decode(spec, tampered) is not FAIL:
                     accepted += 1
             assert accepted / 5 <= spec.delta
@@ -252,7 +334,7 @@ def test_robust_spec_validation():
 def test_robust_roundtrip():
     rng = random.Random(6)
     for _ in range(100):
-        secret = [GF7.random_element(rng)]
+        secret = [rng.randrange(7)]
         shares = robust_share(RSPEC, secret, rng)
         assert all(len(v) == 3 for v in shares.values())
         picked = rng.sample(sorted(shares), 2)
@@ -260,7 +342,7 @@ def test_robust_roundtrip():
 
 
 def test_robust_reconstruct_needs_t_plus_one():
-    shares = robust_share(RSPEC, [GF7.element(1)], random.Random(0))
+    shares = robust_share(RSPEC, [1], random.Random(0))
     with pytest.raises(ThresholdError):
         robust_reconstruct(RSPEC, {1: shares[1]})
 
@@ -275,15 +357,14 @@ def test_robust_privacy_exhaustive():
             for r0 in range(7):
                 for r1 in range(7):
                     for r2 in range(7):
-                        coeffs = [[GF7.element(r0)], [GF7.element(r1)], [GF7.element(r2)]]
                         shares = robust_share(
                             RSPEC,
-                            [GF7.element(secret)],
+                            [secret],
                             random.Random(0),
-                            coeff_matrix=coeffs,
-                            x=GF7.element(x),
+                            coeff_matrix=[[r0], [r1], [r2]],
+                            x=x,
                         )
-                        c[tuple(e.value for e in shares[2])] += 1
+                        c[shares[2]] += 1
         dists.append(c)
     assert all(d == dists[0] for d in dists)
 
@@ -296,14 +377,12 @@ def test_robust_tamper_detection_rate():
     trials = 2000
     wrong = 0
     for _ in range(trials):
-        secret = [GF7.random_element(rng)]
+        secret = [rng.randrange(7)]
         shares = robust_share(RSPEC, secret, rng)
         offset = [rng.randrange(7) for _ in range(3)]
         if all(o == 0 for o in offset):
             offset[0] = 1 + rng.randrange(6)
-        tampered = tuple(
-            GF7.element((v.value + o) % 7) for v, o in zip(shares[2], offset)
-        )
+        tampered = tuple((v + o) % 7 for v, o in zip(shares[2], offset))
         out = robust_reconstruct(RSPEC, {1: shares[1], 2: tampered})
         if out is not FAIL and out != tuple(secret):
             wrong += 1
