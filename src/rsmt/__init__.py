@@ -28,7 +28,6 @@ from .transport import (
     AdversaryView,
     CorruptionProfile,
     Engine,
-    PassiveStrategy,
     SimulationFault,
     Transcript,
     derive_rng,

@@ -16,31 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .field import FieldError, FieldSpec
-from .game.bounds import (
-    BoundError,
-    required_delta_rss,
-    required_ell_p1,
-    required_ell_p2,
-    required_ell_p3,
-    required_ell_pd,
-    required_ell_pd_multi,
-    required_ell_rss,
-)
+from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, nash_catalog_check
-from .game.play import run_trials
+from .game.play import play_game, run_trials, trial_seed
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
-from .game.attacks import catalog_for
-from .privacy import (
-    EnumerationTooLarge,
-    amd_failure_max,
-    ciss_view_distance,
-    rss_view_distance,
-    shamir_privacy_distance,
-)
-from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
+from .game.attacks import PassiveGuess, catalog_for
+from .privacy import CHECKS, EnumerationTooLarge
 from .protocols import CissProtocol, ProtocolError, RssProtocol, SjstProtocol, StrawmanProtocol
 from .protocols.ciss import P1, P2, P3
 from .sharing import AmdSpec, RobustSharingSpec, SharingError, SharingSpec
@@ -78,9 +61,7 @@ def protocol_from_json(obj: dict):
             )
         if variant == "STRAWMAN":
             return StrawmanProtocol(int(obj["n"]), FieldSpec.from_json(obj["field"]))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad protocol config: {exc}") from exc
-    except (FieldError, SharingError, ProtocolError) as exc:
+    except (KeyError, TypeError, FieldError, SharingError, ProtocolError) as exc:
         raise ConfigError(f"bad protocol config: {exc}") from exc
     raise ConfigError(f"unknown protocol variant {obj.get('variant')!r}")
 
@@ -126,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"utility table not admissible: {exc}") from exc
         self.attacks = obj.get("attacks")
         self.trials = int(obj.get("trials", 1000))
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         self.master_seed = int(obj.get("master_seed", 0))
         self.alpha = obj.get("alpha")
         self.sweep = obj.get("sweep")
@@ -164,54 +147,27 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(obj)
 
 
-def check_tag_budget(config: ExperimentConfig) -> list[str]:
-    """Compare the configured tag length against the matching calculator.
-    Returns a list of violation messages (empty when adequately provisioned)."""
+def _requirements(config: ExperimentConfig) -> dict[str, tuple[str, object]]:
+    ids = config.profile.adversary_ids
+    lam = max(1, len(ids))
+    ts = sorted({len(config.profile.channels_of(j)) for j in ids} - {0}) or [1]
     p = config.protocol
-    lam = max(1, len(config.profile.adversary_ids))
-    u = derive_u_values(config.table, lam=max(2, lam) if lam > 1 else 1)
-    problems = []
-    try:
-        if isinstance(p, SjstProtocol):
-            ts = [len(config.profile.channels_of(j)) for j in config.profile.adversary_ids]
-            ts = [t for t in ts if t > 0] or [1]
-            if lam > 1:
-                need = required_ell_pd_multi(u["u1p"], u["u2p"], u["u3p"], u["u4p"], ts,
-                                             alpha=config.alpha)
-            else:
-                need = required_ell_pd(u["u1"], u["u2"], u["u3"], u["u4"], max(ts),
-                                       alpha=config.alpha)
-            if p.ell < need:
-                problems.append(f"configured ell={p.ell} below required {need}")
-        elif isinstance(p, RssProtocol):
-            delta_max = required_delta_rss(u["u1"], u["u2"], u["u3"])
-            if p.sharing.delta > delta_max:
-                problems.append(
-                    f"sharing failure rate {p.sharing.delta:.4f} above bound {delta_max:.4f}"
-                )
-        elif isinstance(p, CissProtocol) and p.variant == P1:
-            need = required_ell_p1(u["u1"], u["u2"], u["u4"], p.n)
-            if p.ell < need:
-                problems.append(f"configured ell={p.ell} below required {need}")
-        elif isinstance(p, CissProtocol) and p.variant == P2:
-            if lam > 1:
-                need = required_ell_p2(u["u1p"], u["u2p"], u["u3pp"])
-            else:
-                need = required_ell_p2(u["u1"], u["u2"], u["u3"])
-            if p.ell < need:
-                problems.append(f"configured ell={p.ell} below required {need}")
-        elif isinstance(p, CissProtocol) and p.variant == P3:
-            if lam > 1:
-                prime = (u["u1p"], u["u2p"], u["u4p"])
-                dprime = (u["u1pp"], u["u2pp"], u["u4pp"])
-            else:
-                prime = dprime = (u["u1"], u["u2"], u["u4"])
-            need = required_ell_p3(prime, dprime, p.n)
-            if p.ell < need:
-                problems.append(f"configured ell={p.ell} below required {need}")
-    except BoundError as exc:
-        problems.append(f"bound calculator inapplicable: {exc}")
-    return problems
+    return requirement_table(derive_u_values(config.table, lam=lam), lam, p.n,
+                             getattr(p, "d", 1), ts, alpha=config.alpha)
+
+
+def check_tag_budget(config: ExperimentConfig) -> list[str]:
+    """Compare the configuration against the requirement-table row its
+    protocol names.  Returns a list of violation messages (empty when
+    adequately provisioned)."""
+    p = config.protocol
+    if p.bound is None:
+        return []
+    _, need = _requirements(config)[p.bound]
+    if isinstance(need, BoundError):
+        return [f"bound calculator inapplicable: {need}"]
+    problem = p.budget_problem(need)
+    return [] if problem is None else [problem]
 
 
 def _report_header(config: ExperimentConfig) -> list[str]:
@@ -229,51 +185,13 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def cmd_bounds(config: ExperimentConfig, out: str | None) -> int:
-    lam = max(1, len(config.profile.adversary_ids))
-    u = derive_u_values(config.table, lam=max(2, lam) if lam > 1 else 1)
-    p = config.protocol
-    ts = sorted(
-        {len(config.profile.channels_of(j)) for j in config.profile.adversary_ids} - {0}
-    ) or [1]
     rows = []
-
-    def row(name, inputs, value):
+    for name, (inputs, value) in _requirements(config).items():
+        if isinstance(value, BoundError):
+            value = f"N/A ({value})"
+        elif isinstance(value, float):
+            value = f"{value:g}"
         rows.append(f"{name},{inputs},{value}")
-
-    try:
-        row("pd-tag-bits",
-            f"u=({u['u1']:g};{u['u2']:g};{u['u3']:g};{u['u4']:g}) t={max(ts)} alpha={config.alpha}",
-            required_ell_pd(u["u1"], u["u2"], u["u3"], u["u4"], max(ts), alpha=config.alpha))
-    except BoundError as exc:
-        row("pd-tag-bits", "-", f"N/A ({exc})")
-    try:
-        delta = required_delta_rss(u["u1"], u["u2"], u["u3"])
-        row("rss-delta", f"u=({u['u1']:g};{u['u2']:g};{u['u3']:g})", f"{delta:g}")
-        d = p.d if isinstance(p, (RssProtocol, CissProtocol)) else 1
-        row("rss-field-bits", f"d={d}", required_ell_rss(u["u1"], u["u2"], u["u3"], d))
-    except BoundError as exc:
-        row("rss-delta", "-", f"N/A ({exc})")
-    try:
-        row("minority-tag-bits", f"n={p.n}", required_ell_p1(u["u1"], u["u2"], u["u4"], p.n))
-    except BoundError as exc:
-        row("minority-tag-bits", "-", f"N/A ({exc})")
-    try:
-        if lam > 1:
-            row("unanimous-tag-bits", "multi", required_ell_p2(u["u1p"], u["u2p"], u["u3pp"]))
-        else:
-            row("unanimous-tag-bits", "single", required_ell_p2(u["u1"], u["u2"], u["u3"]))
-    except BoundError as exc:
-        row("unanimous-tag-bits", "-", f"N/A ({exc})")
-    try:
-        if lam > 1:
-            prime = (u["u1p"], u["u2p"], u["u4p"])
-            dprime = (u["u1pp"], u["u2pp"], u["u4pp"])
-        else:
-            prime = dprime = (u["u1"], u["u2"], u["u4"])
-        row("robust-tag-bits", f"n={p.n}", required_ell_p3(prime, dprime, p.n))
-    except BoundError as exc:
-        row("robust-tag-bits", "-", f"N/A ({exc})")
-
     lines = _report_header(config) + ["bound,inputs,value"] + rows
     _write_lines(out, lines)
     return EXIT_OK
@@ -295,8 +213,6 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
     lines += [",".join(r.as_csv_fields()) for r in rows]
     _write_lines(out, lines)
     if dump_transcript is not None:
-        from .game.attacks import PassiveGuess
-        from .game.play import play_game, trial_seed
         strategies = {j: PassiveGuess(config.protocol) for j in config.profile.adversary_ids}
         _, _, transcript = play_game(
             config.protocol, config.profile, strategies, config.table,
@@ -311,91 +227,33 @@ def cmd_verify(out: str | None) -> int:
     """Exhaustive checks at fixed tiny parameters; exact counts vs bounds."""
     lines = []
     failures = 0
-
-    def check(name, observed, bound, ok):
-        nonlocal failures
-        status = "pass" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        lines.append(f"{name}: observed={observed} bound={bound} [{status}]")
-
-    # Hash family: exact pair counts and offset collisions at m=3.
-    for ell in (1, 2, 3):
-        fam = HashFamilySpec(3, ell)
-        expected = 2 ** (6 - 2 * ell)
-        ok = True
-        for x1 in range(8):
-            for x2 in range(8):
-                if x1 == x2:
-                    continue
-                counts = {}
-                for h in fam.members():
-                    key = (h.evaluate(x1), h.evaluate(x2))
-                    counts[key] = counts.get(key, 0) + 1
-                if set(counts.values()) != {expected}:
-                    ok = False
-        check(f"hash-pair-counts(m=3,l={ell})", "uniform" if ok else "nonuniform",
-              f"{expected} per pair", ok)
-        worst = 0.0
-        for x1 in range(8):
-            for x2 in range(8):
-                for c1 in range(1 << ell):
-                    for c2 in range(1 << ell):
-                        if (x1, c1) == (x2, c2):
-                            continue
-                        worst = max(worst, offset_collision_prob_exhaustive(fam, x1, c1, x2, c2))
-        check(f"hash-offset-collision(m=3,l={ell})", worst, 2.0 ** (1 - ell),
-              worst <= 2.0 ** (1 - ell))
-
-    # Tamper-evident encoding at (q,d) = (5,1) and (7,1).
-    for q in (5, 7):
-        f = FieldSpec.prime(q)
-        observed = amd_failure_max(f, 1)
-        bound = Fraction(2, q)
-        check(f"amd-failure(q={q},d=1)", observed, bound, observed <= bound)
-
-    # Threshold sharing privacy, GF(5), t=2, n=4.
-    dist = shamir_privacy_distance(FieldSpec.prime(5), 2, 4)
-    check("shamir-privacy(GF5,t=2,n=4)", dist, 0, dist == 0)
-
-    # Protocol views: robust sharing (n=3, GF(4), d=1, t=2) and the minority
-    # list protocol (n=3, GF(5), d=1, l=2).
-    gf4 = FieldSpec.binary(2)
-    rspec = RobustSharingSpec(AmdSpec(gf4, 1), SharingSpec(t=2, n=3, field=gf4))
-    worst_rss = max(
-        rss_view_distance(rspec, frozenset(c))
-        for c in [(1, 2), (1, 3), (2, 3)]
-    )
-    check("rss-view(n=3,GF4,t=2)", worst_rss, 0, worst_rss == 0)
-    p1 = CissProtocol(P1, 3, FieldSpec.prime(5), 1, 2)
-    worst_p1 = max(ciss_view_distance(p1, frozenset({c})) for c in (1, 2, 3))
-    check("minority-view(n=3,GF5,l=2)", worst_p1, 0, worst_p1 == 0)
-
-    lines.append(f"{'FAILURES: %d' % failures if failures else 'all checks passed'}")
+    for name, bound, run in CHECKS:
+        observed, ok = run()
+        failures += not ok
+        lines.append(f"{name}: observed={observed} bound={bound} [{'pass' if ok else 'FAIL'}]")
+    lines.append(f"FAILURES: {failures}" if failures else "all checks passed")
     _write_lines(out, lines)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
 def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
     if not config.sweep or not config.sweep.get("axis") or not config.sweep.get("values"):
-        print("config error: sweep requires {'axis': ..., 'values': [...]} in config",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep requires {'axis': ..., 'values': [...]} in config")
     axis = config.sweep["axis"]
     values = config.sweep["values"]
     if axis not in ("ell", "n", "t", "trials"):
-        print(f"config error: unknown sweep axis {axis!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown sweep axis {axis!r}")
     attack_names = config.attacks or ["share-substitution"]
     lines = _report_header(config) + [
         "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
     ]
-    from .game.attacks import PassiveGuess
     for value in values:
         proto_obj = dict(config.raw["protocol"])
         trials = config.trials
         if axis == "trials":
             trials = int(value)
+            if trials < 1:
+                raise ConfigError(f"sweep trials must be >= 1, got {trials}")
         else:
             proto_obj[axis] = int(value)
         try:

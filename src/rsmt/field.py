@@ -248,10 +248,6 @@ class FieldSpec:
             return self.m
         return (self.p - 1).bit_length()
 
-    @property
-    def elem_bytes(self) -> int:
-        return (self.elem_bits + 7) // 8
-
     def to_json(self) -> dict:
         if self.kind == "prime":
             return {"kind": "prime", "p": self.p}

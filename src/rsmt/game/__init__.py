@@ -11,7 +11,6 @@ from .attacks import (
     SwapHalf,
     TagFraming,
     catalog_for,
-    simulate_sender,
 )
 from .bounds import (
     BoundError,
@@ -22,11 +21,11 @@ from .bounds import (
     required_ell_pd,
     required_ell_pd_multi,
     required_ell_rss,
+    requirement_table,
 )
 from .nash import CSV_COLUMNS, ReportRow, nash_catalog_check
 from .play import (
     GameStats,
-    estimate_utility,
     outcome_of,
     play_game,
     run_trials,

@@ -13,10 +13,8 @@ from typing import Callable, Sequence
 
 from ..transport import EMPTY, AdversaryStrategy
 from ..protocols.base import Protocol
-from ..protocols.ciss import CissProtocol, ciss_sender_encode
-from ..protocols.rss import RssProtocol, rss_send
-from ..protocols.sjst import SjstProtocol
-from ..protocols.strawman import StrawmanProtocol, strawman_send
+
+LIST_VARIANTS = ("P1", "P2", "P3")
 
 
 class RandomGuessStrategy(AdversaryStrategy):
@@ -55,53 +53,30 @@ class SubstituteShares(RandomGuessStrategy):
         channels = sorted(own_payloads)
         if self.limit is not None:
             channels = channels[: self.limit]
-        out = {}
-        for c in channels:
-            payload = own_payloads[c]
-            if isinstance(p, SjstProtocol):
-                out[c] = (rng.getrandbits(p.ell), rng.getrandbits(p.k))
-            elif isinstance(p, RssProtocol):
-                out[c] = tuple(
-                    rng.randrange(p.field.q) for _ in range(p.sharing.share_len)
-                )
-            elif isinstance(p, CissProtocol):
-                share, hcoef, tags, masks = payload
-                fresh = tuple(rng.randrange(p.field.q) for _ in range(p.d))
-                out[c] = (fresh, hcoef, tags, masks)
-            elif isinstance(p, StrawmanProtocol):
-                out[c] = rng.randrange(p.field.q)
-            else:
-                raise TypeError(f"no substitution rule for {type(p).__name__}")
-        return out
+        return {c: p.substitute(own_payloads[c], rng) for c in channels}
 
 
 class TagFraming(RandomGuessStrategy):
     """Randomizes the cross-tags on owned channels, trying to make honest
     channels look tampered (list protocols only)."""
 
+    component = 2  # position of the tags in a list-protocol payload
+
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         p = self.protocol
-        if not isinstance(p, CissProtocol) or round_index != 0:
+        if p.variant not in LIST_VARIANTS or round_index != 0:
             return {}
-        out = {}
-        for c, payload in own_payloads.items():
-            share, hcoef, tags, masks = payload
-            out[c] = (share, hcoef, tuple(rng.getrandbits(p.ell) for _ in tags), masks)
-        return out
+        k = self.component
+        return {
+            c: (*payload[:k], tuple(rng.getrandbits(p.ell) for _ in payload[k]), *payload[k + 1:])
+            for c, payload in own_payloads.items()
+        }
 
 
-class MaskFraming(RandomGuessStrategy):
+class MaskFraming(TagFraming):
     """Randomizes the masks on owned channels — the dual framing attempt."""
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
-        p = self.protocol
-        if not isinstance(p, CissProtocol) or round_index != 0:
-            return {}
-        out = {}
-        for c, payload in own_payloads.items():
-            share, hcoef, tags, masks = payload
-            out[c] = (share, hcoef, tags, tuple(rng.getrandbits(p.ell) for _ in masks))
-        return out
+    component = 3
 
 
 class LengthTamper(RandomGuessStrategy):
@@ -110,25 +85,13 @@ class LengthTamper(RandomGuessStrategy):
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         p = self.protocol
-        if not isinstance(p, SjstProtocol) or round_index != 0:
+        if p.variant != "SJST" or round_index != 0:
             return {}
         # One extra bit on each component violates |r|=l, |R|=k.
         return {
             c: ((1 << p.ell) | rng.getrandbits(p.ell), (1 << p.k) | rng.getrandbits(p.k))
             for c in own_payloads
         }
-
-
-def simulate_sender(protocol: Protocol, m, rng):
-    """The sender's first-round payloads for message m — what a simulating
-    adversary substitutes on its channels."""
-    if isinstance(protocol, RssProtocol):
-        return rss_send(protocol, m, rng)
-    if isinstance(protocol, CissProtocol):
-        return ciss_sender_encode(protocol, m, rng)
-    if isinstance(protocol, StrawmanProtocol):
-        return strawman_send(protocol, m, rng)
-    raise TypeError(f"cannot simulate the sender of {type(protocol).__name__}")
 
 
 class SwapHalf(RandomGuessStrategy):
@@ -142,7 +105,7 @@ class SwapHalf(RandomGuessStrategy):
         p = self.protocol
         if round_index != 0 or p.uses_public:
             return {}
-        fake = simulate_sender(p, p.sample_message(rng), rng)
+        fake = p.encode(p.sample_message(rng), rng)
         out = {c: fake[c] for c in own_payloads}
         t = len(own_payloads)
         if p.n == 2 * t - 1 and p.n in own_payloads:
@@ -168,10 +131,10 @@ CATALOG: tuple[AttackCatalogEntry, ...] = (
         lambda p: SubstituteShares(p, limit=1),
         ALL_VARIANTS,
     ),
-    AttackCatalogEntry("tag-framing", TagFraming, ("P1", "P2", "P3")),
-    AttackCatalogEntry("mask-framing", MaskFraming, ("P1", "P2", "P3")),
+    AttackCatalogEntry("tag-framing", TagFraming, LIST_VARIANTS),
+    AttackCatalogEntry("mask-framing", MaskFraming, LIST_VARIANTS),
     AttackCatalogEntry("length-tamper", LengthTamper, ("SJST",)),
-    AttackCatalogEntry("swap-half", SwapHalf, ("RSS", "P1", "P2", "P3", "STRAWMAN")),
+    AttackCatalogEntry("swap-half", SwapHalf, ("RSS", *LIST_VARIANTS, "STRAWMAN")),
 )
 
 

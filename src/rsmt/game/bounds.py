@@ -3,7 +3,9 @@ make the passive profile an equilibrium, one per protocol family.
 
 Each function takes the derived u values (see game.utility) and returns the
 minimal integer tag length l (at least 1), or the maximal admissible
-detection-failure probability delta.
+detection-failure probability delta.  `requirement_table` evaluates all of
+them for one configuration; `rsmt bounds` prints it and each protocol names
+the row (`Protocol.bound`) that `rsmt simulate` checks it against.
 """
 
 from __future__ import annotations
@@ -95,3 +97,34 @@ def required_ell_p3(u_prime: tuple[float, float, float],
     return max(
         required_ell_p1(u1, u2, u4, n) for (u1, u2, u4) in (u_prime, u_dprime)
     )
+
+
+def requirement_table(u: dict[str, float], lam: int, n: int, d: int, ts: list[int],
+                      alpha: float | None = None) -> dict[str, tuple[str, object]]:
+    """Every family's requirement as row name -> (inputs, value); value is
+    the calculator's result, or the BoundError it raised (inputs "-").
+
+    `u` is `derive_u_values(table, lam)` and `ts` holds each adversary's
+    corruption budget.  The primed values equal the plain ones; with lam = 1
+    the double-primed ones do too."""
+    u1, u2, u3, u4 = (u[f"u{i}"] for i in range(1, 5))
+    pp = "pp" if lam > 1 else ""
+    u1pp, u2pp, u3pp, u4pp = (u[f"u{i}{pp}"] for i in range(1, 5))
+    rows: dict[str, tuple[str, object]] = {}
+
+    def row(name, inputs, calc, *args):
+        try:
+            rows[name] = (inputs, calc(*args))
+        except BoundError as exc:
+            rows[name] = ("-", exc)
+
+    row("pd-tag-bits", f"u=({u1:g};{u2:g};{u3:g};{u4:g}) t={';'.join(map(str, ts))} alpha={alpha}",
+        required_ell_pd_multi, u1, u2, u3, u4, ts, alpha)
+    row("rss-delta", f"u=({u1:g};{u2:g};{u3:g})", required_delta_rss, u1, u2, u3)
+    row("rss-field-bits", f"d={d}", required_ell_rss, u1, u2, u3, d)
+    row("minority-tag-bits", f"n={n}", required_ell_p1, u1, u2, u4, n)
+    row("unanimous-tag-bits", "multi" if lam > 1 else "single",
+        required_ell_p2, u1, u2, u3pp)
+    row("robust-tag-bits", f"n={n}",
+        required_ell_p3, (u1, u2, u4), (u1pp, u2pp, u4pp), n)
+    return rows

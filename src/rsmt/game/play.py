@@ -81,6 +81,8 @@ def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
     `on_transcript(index, outcome, transcript)` lets callers dump transcripts
     of interest (e.g. failed deliveries) without rerunning.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     ids = None
     sums: dict[int, float] = {}
     sq_sums: dict[int, float] = {}
@@ -119,11 +121,3 @@ def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
         detect_rate={j: detect_counts[j] / trials for j in ids},
     )
 
-
-def estimate_utility(protocol, profile, strategies, table: UtilityTable, j: int,
-                     trials: int, master_seed: int) -> tuple[float, float]:
-    """(sample mean, 95% confidence half-width) of adversary j's utility."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    stats = run_trials(protocol, profile, strategies, table, trials, master_seed)
-    return stats.utility_mean[j], stats.utility_ci95[j]

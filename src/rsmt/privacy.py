@@ -3,8 +3,9 @@
 Every function enumerates ALL randomness relevant to the quantity under test
 and returns an exact worst-case figure (statistical distance or failure
 probability) as a fraction of integer counts — no sampling, no tolerance.
-Used by the verification CLI and the acceptance suite; the parameter regimes
-are deliberately tiny so each check finishes in seconds.
+`CHECKS` fixes the parameters: it is the one table that `rsmt verify` prints
+and the acceptance suite asserts.  The regimes are deliberately tiny so each
+check finishes in seconds.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .field import FieldSpec
-from .hashing import HashFunction
-from .protocols.ciss import CissProtocol
+from .hashing import HashFamilySpec, HashFunction, offset_collision_prob_exhaustive
+from .protocols.ciss import P1, CissProtocol
 from .protocols.sjst import SjstProtocol
 from .sharing import (
     FAIL,
@@ -55,6 +57,26 @@ def _max_distance(dists: list[Counter], total: int) -> Fraction:
         tv = Fraction(sum(abs(a[k] - b[k]) for k in keys), 2 * total)
         worst = max(worst, tv)
     return worst
+
+
+def hash_pairs_uniform(family: HashFamilySpec) -> bool:
+    """Whether every pair of distinct inputs is mapped onto each of the
+    4^l tag pairs by exactly 2^(2m-2l) members of the family."""
+    m, ell = family.domain_bits, family.range_bits
+    for x1, x2 in itertools.permutations(range(1 << m), 2):
+        counts = Counter((h.evaluate(x1), h.evaluate(x2)) for h in family.members())
+        if len(counts) != 4 ** ell or set(counts.values()) != {1 << (2 * (m - ell))}:
+            return False
+    return True
+
+
+def hash_offset_collision_max(family: HashFamilySpec) -> float:
+    """Worst exact Pr[c1 ^ h(x1) == c2 ^ h(x2)] over distinct (x, c) pairs."""
+    pairs = itertools.product(range(1 << family.domain_bits), range(1 << family.range_bits))
+    return max(
+        offset_collision_prob_exhaustive(family, x1, c1, x2, c2)
+        for (x1, c1), (x2, c2) in itertools.permutations(pairs, 2)
+    )
 
 
 def shamir_privacy_distance(field: FieldSpec, t: int, n: int) -> Fraction:
@@ -230,3 +252,50 @@ def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fractio
                 counts[view] += 1
         dists.append(counts)
     return _max_distance(dists, total)
+
+
+class Check(NamedTuple):
+    name: str
+    bound: object  # as printed by `rsmt verify`
+    run: Callable[[], tuple[object, bool]]  # -> (observed, ok)
+
+
+def _at_most(name: str, bound, measure: Callable[[], object]) -> Check:
+    def run():
+        observed = measure()
+        return observed, observed <= bound
+    return Check(name, bound, run)
+
+
+def _hash_checks(ell: int) -> tuple[Check, Check]:
+    def pairs():
+        ok = hash_pairs_uniform(HashFamilySpec(3, ell))
+        return "uniform" if ok else "nonuniform", ok
+    return (
+        Check(f"hash-pair-counts(m=3,l={ell})", f"{2 ** (6 - 2 * ell)} per pair", pairs),
+        _at_most(f"hash-offset-collision(m=3,l={ell})", 2.0 ** (1 - ell),
+                 lambda: hash_offset_collision_max(HashFamilySpec(3, ell))),
+    )
+
+
+def _rss_view_worst() -> Fraction:
+    gf4 = FieldSpec.binary(2)
+    spec = RobustSharingSpec(AmdSpec(gf4, 1), SharingSpec(t=2, n=3, field=gf4))
+    return max(rss_view_distance(spec, frozenset(c))
+               for c in itertools.combinations((1, 2, 3), 2))
+
+
+def _minority_view_worst() -> Fraction:
+    spec = CissProtocol(P1, 3, FieldSpec.prime(5), 1, 2)
+    return max(ciss_view_distance(spec, frozenset({c})) for c in (1, 2, 3))
+
+
+CHECKS: tuple[Check, ...] = (
+    *_hash_checks(1), *_hash_checks(2), *_hash_checks(3),
+    *(_at_most(f"amd-failure(q={q},d=1)", Fraction(2, q),
+               lambda q=q: amd_failure_max(FieldSpec.prime(q), 1)) for q in (5, 7)),
+    _at_most("shamir-privacy(GF5,t=2,n=4)", 0,
+             lambda: shamir_privacy_distance(FieldSpec.prime(5), 2, 4)),
+    _at_most("rss-view(n=3,GF4,t=2)", 0, _rss_view_worst),
+    _at_most("minority-view(n=3,GF5,l=2)", 0, _minority_view_worst),
+)

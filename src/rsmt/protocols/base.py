@@ -2,13 +2,21 @@
 
 A protocol instance is a fixed configuration (n, field, lengths, thresholds).
 `run` drives one execution through a transport engine; everything else is a
-pure helper so rounds can be unit-tested without a transport.
+pure helper so rounds can be unit-tested without a transport.  Behaviour the
+game layer and the CLI need per protocol is a hook here, not type dispatch at
+the call site: `substitute` for substituting adversaries, and `bound` (the
+`game.bounds.requirement_table` row that provisions the protocol) with
+`budget_problem`.  `OneRoundProtocol` is the base of RSS, P1/P2/P3 and
+STRAWMAN: the sender's `encode` fills one sender-to-receiver round and the
+receiver's `decode` returns the output and the channels it detects.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Any
+
+from ..transport import SENDER_TO_RECEIVER
 
 
 class ProtocolError(ValueError):
@@ -21,6 +29,7 @@ class Protocol:
     variant: str
     n: int
     uses_public: bool
+    bound: str | None = None  # requirement-table row; None: nothing to provision
 
     def message_space_size(self) -> int:
         raise NotImplementedError
@@ -32,8 +41,51 @@ class Protocol:
         """Execute on message m; returns the receiver's output (or FAIL)."""
         raise NotImplementedError
 
+    def substitute(self, payload, rng: random.Random):
+        """A first-round payload with the share-bearing part replaced by
+        fresh uniform values, everything else kept."""
+        raise NotImplementedError
+
+    def budget_problem(self, need) -> str | None:
+        """Why the configured tag length misses the required one, or None."""
+        if self.ell < need:
+            return f"configured ell={self.ell} below required {need}"
+        return None
+
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+class OneRoundProtocol(Protocol):
+    """One sender-to-receiver round carrying a d-vector over `field`."""
+
+    uses_public = False
+
+    def message_space_size(self) -> int:
+        return self.field.q ** self.d
+
+    def sample_message(self, rng: random.Random) -> tuple[int, ...]:
+        return tuple(rng.randrange(self.field.q) for _ in range(self.d))
+
+    def check_message(self, m) -> None:
+        """Raise ProtocolError unless m is a d-vector over the field."""
+        if not vector_in_field(tuple(m), self.field.q, self.d):
+            raise ProtocolError(f"message must be a {self.d}-vector over {self.field}")
+
+    def encode(self, m, rng: random.Random) -> dict[int, Any]:
+        """The sender's payload for every channel."""
+        raise NotImplementedError
+
+    def decode(self, payloads) -> tuple[Any, list[int]]:
+        """(message or FAIL, channels declared detected)."""
+        raise NotImplementedError
+
+    def run(self, engine, m):
+        delivered = engine.send_round(SENDER_TO_RECEIVER, self.encode(m, engine.sender_rng))
+        output, detects = self.decode(delivered)
+        for i in detects:
+            engine.emit_detect(i)
+        return output
 
 
 def int_in_range(v, width_bits: int) -> bool:

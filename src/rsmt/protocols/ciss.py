@@ -30,22 +30,19 @@ from dataclasses import dataclass
 from ..field import FieldSpec
 from ..hashing import HashFamilySpec, HashFunction
 from ..sharing import FAIL, SharingSpec, rs_reconstruct, shamir_reconstruct, shamir_share
-from ..transport import SENDER_TO_RECEIVER
-from .base import Protocol, ProtocolError, int_in_range, vector_in_field
+from .base import OneRoundProtocol, ProtocolError, int_in_range, vector_in_field
 
 P1 = "P1"
 P2 = "P2"
 P3 = "P3"
 
 
-def _threshold(variant: str, n: int) -> int:
-    if variant == P1:
-        return (n - 1) // 2
-    if variant == P2:
-        return n - 1
-    if variant == P3:
-        return (n - 1) // 3
-    raise ProtocolError(f"unknown variant {variant!r}")
+# variant -> (threshold t for n channels, requirement-table row)
+_VARIANTS = {
+    P1: (lambda n: (n - 1) // 2, "minority-tag-bits"),
+    P2: (lambda n: n - 1, "unanimous-tag-bits"),
+    P3: (lambda n: (n - 1) // 3, "robust-tag-bits"),
+}
 
 
 @dataclass(frozen=True)
@@ -58,15 +55,16 @@ class ChannelPayload:
     masks: dict[int, int]  # j -> r_{j,i}
 
 
-class CissProtocol(Protocol):
+class CissProtocol(OneRoundProtocol):
     """Shared configuration of the three list-checking variants."""
 
-    uses_public = False
-
-    __slots__ = ("variant", "n", "field", "d", "ell", "t", "sharing", "family")
+    __slots__ = ("variant", "n", "field", "d", "ell", "t", "sharing", "family", "bound")
 
     def __init__(self, variant: str, n: int, field: FieldSpec, d: int, ell: int):
-        t = _threshold(variant, n)
+        if variant not in _VARIANTS:
+            raise ProtocolError(f"unknown variant {variant!r}")
+        threshold, self.bound = _VARIANTS[variant]
+        t = threshold(n)
         if t < 1:
             raise ProtocolError(f"{variant} with n={n} leaves no tolerable corruption")
         if d < 1:
@@ -85,12 +83,6 @@ class CissProtocol(Protocol):
         self.sharing = SharingSpec(t=t, n=n, field=field)
         self.family = HashFamilySpec(domain_bits, ell)
 
-    def message_space_size(self) -> int:
-        return self.field.q ** self.d
-
-    def sample_message(self, rng: random.Random) -> tuple[int, ...]:
-        return tuple(rng.randrange(self.field.q) for _ in range(self.d))
-
     def serialize_share(self, share: tuple[int, ...]) -> int:
         bits = self.field.elem_bits
         acc = 0
@@ -98,13 +90,15 @@ class CissProtocol(Protocol):
             acc |= v << (idx * bits)
         return acc
 
-    def run(self, engine, m):
-        payloads = ciss_sender_encode(self, m, engine.sender_rng)
-        delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
-        output, detects = ciss_receiver_decode(self, delivered)
-        for i in detects:
-            engine.emit_detect(i)
-        return output
+    def encode(self, m, rng: random.Random) -> dict[int, tuple]:
+        return ciss_sender_encode(self, m, rng)
+
+    def decode(self, payloads):
+        return ciss_receiver_decode(self, payloads)
+
+    def substitute(self, payload, rng: random.Random):
+        _share, hcoef, tags, masks = payload
+        return (tuple(rng.randrange(self.field.q) for _ in range(self.d)), hcoef, tags, masks)
 
     def to_json(self) -> dict:
         return {
@@ -130,9 +124,7 @@ def ciss_sender_encode(
     functions, and the mask matrix r_{i,j}; tests and the exhaustive privacy
     harness use them to enumerate all protocol randomness.
     """
-    f = spec.field
-    if not vector_in_field(tuple(m), f.q, spec.d):
-        raise ProtocolError(f"message must be a {spec.d}-vector over {f}")
+    spec.check_message(m)
     n = spec.n
     per_coord = []
     for k in range(spec.d):
@@ -255,9 +247,9 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
         return _reconstruct_plain(spec, parsed, range(1, spec.n + 1)), []
 
     majority = _majority_list(spec, lists)
+    if majority is None:
+        return FAIL, []
     if spec.variant == P1:
-        if majority is None:
-            return FAIL, []
         good = [i for i in range(1, spec.n + 1) if i not in majority]
         if len(good) <= spec.t:
             return FAIL, list(majority)
@@ -265,8 +257,6 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
 
     # ROBUST variant: the list only drives detection; reconstruction uses all
     # n shares with error correction.
-    if majority is None:
-        return FAIL, []
     out = []
     for k in range(spec.d):
         shares = {i: parsed[i].share[k] for i in range(1, spec.n + 1)}

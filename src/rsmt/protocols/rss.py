@@ -12,43 +12,37 @@ from __future__ import annotations
 import random
 
 from ..sharing import FAIL, RobustSharingSpec, robust_reconstruct, robust_share
-from ..transport import SENDER_TO_RECEIVER
-from .base import Protocol, ProtocolError, vector_in_field
+from .base import OneRoundProtocol, vector_in_field
 
 
-class RssProtocol(Protocol):
+class RssProtocol(OneRoundProtocol):
     """Messages are d-vectors over the field; share i is a (d+2)-vector."""
 
     variant = "RSS"
-    uses_public = False
+    bound = "rss-delta"
 
-    __slots__ = ("n", "sharing")
+    __slots__ = ("n", "field", "d", "sharing")
 
     def __init__(self, sharing: RobustSharingSpec):
         self.sharing = sharing
         self.n = sharing.inner.n
+        self.field = sharing.inner.field
+        self.d = sharing.amd.d
 
-    @property
-    def field(self):
-        return self.sharing.inner.field
+    def encode(self, m, rng: random.Random) -> dict[int, tuple[int, ...]]:
+        return rss_send(self, m, rng)
 
-    @property
-    def d(self) -> int:
-        return self.sharing.amd.d
+    def decode(self, payloads):
+        return rss_receive(self, payloads)
 
-    def message_space_size(self) -> int:
-        return self.field.q ** self.d
+    def substitute(self, payload, rng: random.Random) -> tuple[int, ...]:
+        return tuple(rng.randrange(self.field.q) for _ in range(self.sharing.share_len))
 
-    def sample_message(self, rng: random.Random) -> tuple[int, ...]:
-        return tuple(rng.randrange(self.field.q) for _ in range(self.d))
-
-    def run(self, engine, m):
-        payloads = rss_send(self, m, engine.sender_rng)
-        delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
-        output, detects = rss_receive(self, delivered)
-        for i in detects:
-            engine.emit_detect(i)
-        return output
+    def budget_problem(self, need: float) -> str | None:
+        """`need` is the largest admissible detection-failure probability."""
+        if self.sharing.delta > need:
+            return f"sharing failure rate {self.sharing.delta:.4f} above bound {need:.4f}"
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -61,9 +55,7 @@ class RssProtocol(Protocol):
 
 
 def rss_send(spec: RssProtocol, m, rng: random.Random) -> dict[int, tuple[int, ...]]:
-    f = spec.field
-    if not vector_in_field(tuple(m), f.q, spec.d):
-        raise ProtocolError(f"message must be a {spec.d}-vector over {f}")
+    spec.check_message(m)
     return robust_share(spec.sharing, m, rng)
 
 

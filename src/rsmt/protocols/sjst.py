@@ -41,6 +41,7 @@ class SjstProtocol(Protocol):
 
     variant = "SJST"
     uses_public = True
+    bound = "pd-tag-bits"
 
     __slots__ = ("n", "ell", "k", "family")
 
@@ -74,6 +75,9 @@ class SjstProtocol(Protocol):
         for i in detects3:
             engine.emit_detect(i)
         return sjst_finalize_receiver(self, state_r, pub3)
+
+    def substitute(self, payload, rng: random.Random) -> tuple[int, int]:
+        return (rng.getrandbits(self.ell), rng.getrandbits(self.k))
 
     def to_json(self) -> dict:
         return {"variant": "SJST", "n": self.n, "ell": self.ell, "k": self.k}

@@ -16,13 +16,12 @@ import random
 
 from ..field import FieldSpec, interpolate, poly_eval
 from ..sharing import SharingSpec, shamir_share
-from ..transport import SENDER_TO_RECEIVER
-from .base import Protocol, ProtocolError, vector_in_field
+from .base import OneRoundProtocol, ProtocolError
 
 
-class StrawmanProtocol(Protocol):
+class StrawmanProtocol(OneRoundProtocol):
     variant = "STRAWMAN"
-    uses_public = False
+    d = 1
 
     __slots__ = ("n", "field", "t", "sharing")
 
@@ -35,25 +34,21 @@ class StrawmanProtocol(Protocol):
         self.t = t
         self.sharing = SharingSpec(t=t, n=n, field=field)
 
-    def message_space_size(self) -> int:
-        return self.field.q
+    def encode(self, m, rng: random.Random) -> dict[int, int]:
+        return strawman_send(self, m, rng)
 
-    def sample_message(self, rng: random.Random) -> tuple[int]:
-        return (rng.randrange(self.field.q),)
+    def decode(self, payloads):
+        return strawman_receive(self, payloads), []
 
-    def run(self, engine, m):
-        payloads = strawman_send(self, m, engine.sender_rng)
-        delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
-        return strawman_receive(self, delivered)
+    def substitute(self, payload, rng: random.Random) -> int:
+        return rng.randrange(self.field.q)
 
     def to_json(self) -> dict:
         return {"variant": "STRAWMAN", "n": self.n, "field": self.field.to_json()}
 
 
 def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, int]:
-    f = spec.field
-    if not vector_in_field(tuple(m), f.q, 1):
-        raise ProtocolError(f"message must be a 1-vector over {f}")
+    spec.check_message(m)
     return shamir_share(spec.sharing, m[0], rng)
 
 

@@ -5,7 +5,10 @@ The engine owns round sequencing and adversary interposition: within a round
 the honest party's payloads are fixed first, then every adversary (ascending
 id) gets a rushing look at its own corrupted channels and may return
 replacements for them — and only them.  The public channel is observable by
-everyone and can never be altered.  Everything is a pure function of
+everyone and can never be altered, so the engine keeps one public history
+for all adversaries; detection declarations of a public-channel protocol
+join it where they are emitted.  An adversary's final view is derived from
+the finished transcript by `view_of`.  Everything is a pure function of
 (protocol config, message, corruption profile, strategy code, master seed).
 """
 
@@ -15,7 +18,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
+
+from .sharing import FAIL
 
 SENDER_TO_RECEIVER = "s->r"
 RECEIVER_TO_SENDER = "r->s"
@@ -111,23 +116,6 @@ class AdversaryStrategy:
         return None
 
 
-class PassiveStrategy(AdversaryStrategy):
-    """Never tampers; guesses a uniformly random message.
-
-    The canonical harmless strategy the equilibrium is measured against.
-    """
-
-    __slots__ = ("message_sampler",)
-
-    def __init__(self, message_sampler=None):
-        self.message_sampler = message_sampler
-
-    def final_guess(self, view, rng):
-        if self.message_sampler is None:
-            return None
-        return self.message_sampler(rng)
-
-
 @dataclass
 class RoundRecord:
     index: int
@@ -181,6 +169,8 @@ class Transcript:
 def _payload_json(p):
     if p is EMPTY:
         return {"empty": True}
+    if p is FAIL:
+        return {"fail": True}
     if p is None or isinstance(p, (int, str, bool)):
         return p
     if isinstance(p, (list, tuple)):
@@ -206,9 +196,7 @@ class Engine:
         self.adv_rngs = {j: derive_rng(master_seed, f"adv-{j}") for j in profile.adversary_ids}
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
-        self.views = {
-            j: AdversaryView(profile.channels_of(j)) for j in profile.adversary_ids
-        }
+        self.public_history: list[tuple[int, Any]] = []
         self._round_index = 0
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
@@ -222,7 +210,7 @@ class Engine:
             own = self.profile.channels_of(j)
             own_pre = {c: pre[c] for c in sorted(own)}
             replacements = self.strategies[j].observe_and_tamper(
-                idx, direction, own_pre, list(self.views[j].public_history), self.adv_rngs[j]
+                idx, direction, own_pre, list(self.public_history), self.adv_rngs[j]
             ) or {}
             alien = set(replacements) - own
             if alien:
@@ -230,9 +218,6 @@ class Engine:
                     f"adversary {j} wrote to non-owned channels {sorted(alien)}"
                 )
             post.update(replacements)
-            self.views[j].rounds.append(
-                (idx, direction, own_pre, {c: post[c] for c in sorted(own)})
-            )
         self.rounds.append(RoundRecord(idx, direction, pre, post))
         self._round_index += 1
         return post
@@ -242,8 +227,7 @@ class Engine:
         if not self.uses_public:
             raise SimulationFault("protocol has no public channel")
         idx = self._round_index
-        for j in self.profile.adversary_ids:
-            self.views[j].public_history.append((idx, payload))
+        self.public_history.append((idx, payload))
         self.rounds.append(RoundRecord(idx, direction, {}, {}, public=payload))
         self._round_index += 1
         return payload
@@ -257,41 +241,32 @@ class Engine:
         if self.uses_public:
             # Detection declarations ride the authenticated channel, so every
             # adversary learns about them.
-            for j in self.profile.adversary_ids:
-                self.views[j].public_history.append((round_idx, ("DETECT", channel)))
+            self.public_history.append((round_idx, ("DETECT", channel)))
 
 
 def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: int) -> Transcript:
     """Run `protocol` on message m under the given corruption and strategies."""
     engine = Engine(protocol.n, profile, strategies, master_seed, protocol.uses_public)
     output = protocol.run(engine, m)
-    guesses = {}
+    transcript = Transcript(engine.rounds, engine.detect_events, output, {}, m)
     for j in profile.adversary_ids:
-        guesses[j] = strategies[j].final_guess(engine.views[j], engine.adv_rngs[j])
-    return Transcript(
-        rounds=engine.rounds,
-        detect_events=engine.detect_events,
-        receiver_output=output,
-        adversary_outputs=guesses,
-        message=m,
-    )
+        view = view_of(transcript, profile, j, protocol.uses_public)
+        transcript.adversary_outputs[j] = strategies[j].final_guess(view, engine.adv_rngs[j])
+    return transcript
 
 
 def view_of(transcript: Transcript, profile: CorruptionProfile, j: int,
             uses_public: bool = False) -> AdversaryView:
-    """Reconstruct adversary j's view from a finished transcript."""
-    own = profile.channels_of(j)
-    view = AdversaryView(own)
+    """Adversary j's view of a finished transcript.  With a public channel,
+    each detection declaration follows the round it was emitted after."""
+    own = sorted(profile.channels_of(j))
+    view = AdversaryView(profile.channels_of(j))
+    detects = transcript.detect_events if uses_public else ()
     for r in transcript.rounds:
         if r.public is not None:
             view.public_history.append((r.index, r.public))
         if r.pre:
-            view.rounds.append(
-                (r.index, r.direction, {c: r.pre[c] for c in sorted(own)},
-                 {c: r.post[c] for c in sorted(own)})
-            )
-    if uses_public:
-        # Detection declarations ride the authenticated channel.
-        for channel, round_idx in transcript.detect_events:
-            view.public_history.append((round_idx, ("DETECT", channel)))
+            view.rounds.append((r.index, r.direction, {c: r.pre[c] for c in own},
+                                {c: r.post[c] for c in own}))
+        view.public_history += [(i, ("DETECT", c)) for c, i in detects if i == r.index]
     return view

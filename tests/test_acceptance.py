@@ -6,7 +6,6 @@ tolerance at the stated trial count; enumeration checks are exact.
 
 import math
 import random
-from fractions import Fraction
 
 from rsmt.field import FieldSpec
 from rsmt.game import (
@@ -26,13 +25,7 @@ from rsmt.game.bounds import (
     required_ell_p2,
     required_ell_pd,
 )
-from rsmt.hashing import HashFamilySpec, offset_collision_prob_exhaustive
-from rsmt.privacy import (
-    amd_failure_max,
-    ciss_view_distance,
-    rss_view_distance,
-    shamir_privacy_distance,
-)
+from rsmt.privacy import CHECKS
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.protocols.ciss import P1, P2, P3
 from rsmt.sharing import (
@@ -56,53 +49,31 @@ def three_sigma(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def test_01_hash_family_exactness():
+def run_checks(num: int, name: str, prefixes: tuple[str, ...], count: int) -> None:
+    """Run the rows of the `rsmt verify` table whose names start with one of
+    `prefixes` (there must be `count` of them) and report them as one
+    criterion."""
+    rows = [c for c in CHECKS if c.name.startswith(prefixes)]
+    assert len(rows) == count, [c.name for c in rows]
     ok = True
     detail = []
-    for ell in (1, 2, 3):
-        fam = HashFamilySpec(3, ell)
-        expected = 2 ** (6 - 2 * ell)
-        for x1 in range(8):
-            for x2 in range(8):
-                if x1 == x2:
-                    continue
-                counts = {}
-                for h in fam.members():
-                    key = (h.evaluate(x1), h.evaluate(x2))
-                    counts[key] = counts.get(key, 0) + 1
-                if set(counts.values()) != {expected} or len(counts) != 4 ** ell:
-                    ok = False
-        worst = 0.0
-        for x1 in range(8):
-            for x2 in range(8):
-                for c1 in range(1 << ell):
-                    for c2 in range(1 << ell):
-                        if (x1, c1) == (x2, c2):
-                            continue
-                        worst = max(
-                            worst, offset_collision_prob_exhaustive(fam, x1, c1, x2, c2)
-                        )
-        budget = 2.0 ** (1 - ell)
-        if worst > budget:
-            ok = False
-        detail.append(f"l={ell}: pairs {expected} each, offset {worst:g}<={budget:g}")
-    report(1, "hash-family-exactness", ok, "; ".join(detail))
+    for check in rows:
+        observed, passed = check.run()
+        ok = ok and passed
+        detail.append(f"{check.name}: {observed} vs {check.bound}")
+    report(num, name, ok, "; ".join(detail))
+
+
+def test_01_hash_family_exactness():
+    run_checks(1, "hash-family-exactness", ("hash-pair-counts", "hash-offset-collision"), 6)
 
 
 def test_02_amd_exhaustive_security():
-    results = []
-    ok = True
-    for q in (5, 7):
-        observed = amd_failure_max(FieldSpec.prime(q), 1)
-        bound = Fraction(2, q)
-        ok = ok and observed <= bound
-        results.append(f"q={q}: {observed}<=2/{q}")
-    report(2, "amd-manipulation-bound", ok, "; ".join(results))
+    run_checks(2, "amd-manipulation-bound", ("amd-failure",), 2)
 
 
 def test_03_shamir_perfect_privacy():
-    dist = shamir_privacy_distance(FieldSpec.prime(5), 2, 4)
-    report(3, "shamir-2-share-privacy", dist == 0, f"worst distance {dist}")
+    run_checks(3, "shamir-2-share-privacy", ("shamir-privacy",), 1)
 
 
 def test_04_error_correcting_reconstruction():
@@ -228,17 +199,7 @@ def test_08_no_detection_protocol_is_exploitable():
 
 
 def test_09_protocol_view_privacy():
-    gf4 = FieldSpec.binary(2)
-    rspec = RobustSharingSpec(AmdSpec(gf4, 1), SharingSpec(t=2, n=3, field=gf4))
-    worst_rss = max(
-        rss_view_distance(rspec, frozenset(c))
-        for c in [(1, 2), (1, 3), (2, 3)]
-    )
-    p1 = CissProtocol(P1, 3, FieldSpec.prime(5), 1, 2)
-    worst_p1 = max(ciss_view_distance(p1, frozenset({c})) for c in (1, 2, 3))
-    ok = worst_rss == 0 and worst_p1 == 0
-    report(9, "protocol-view-privacy", ok,
-           f"rss worst {worst_rss}, minority-list worst {worst_p1}")
+    run_checks(9, "protocol-view-privacy", ("rss-view", "minority-view"), 2)
 
 
 def test_10_bound_calculator_regression():

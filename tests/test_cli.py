@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import rsmt.cli
 from rsmt.cli import (
     EXIT_CONFIG,
     EXIT_FLAG,
     EXIT_OK,
+    EXIT_VERIFY,
     ConfigError,
     ExperimentConfig,
     check_tag_budget,
@@ -14,6 +16,7 @@ from rsmt.cli import (
     protocol_from_json,
 )
 from rsmt.game.nash import CSV_COLUMNS
+from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 
 
@@ -84,6 +87,14 @@ def test_experiment_config_defaults_witness_table():
     assert "assignments" in blob
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_experiment_config_rejects_no_trials(tmp_path, trials):
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        ExperimentConfig(dict(P1_CONFIG, trials=trials))
+    path = write_config(tmp_path, dict(P1_CONFIG, trials=trials))
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+
+
 def test_check_tag_budget_flags_short_tags():
     cfg = ExperimentConfig(P1_CONFIG)
     assert check_tag_budget(cfg) == []  # ell=8 >= required 5
@@ -92,6 +103,27 @@ def test_check_tag_budget_flags_short_tags():
 
 
 # --- subcommands end to end --------------------------------------------------
+
+
+@pytest.mark.parametrize("protocol", [
+    {"variant": "SJST", "n": 3, "ell": 2, "k": 8},
+    {"variant": "RSS", "n": 3, "t": 1, "d": 1, "field": {"kind": "prime", "p": 251}},
+    {"variant": "P2", "n": 4, "field": {"kind": "binary", "m": 8}, "d": 1, "ell": 1},
+    {"variant": "P3", "n": 7, "field": {"kind": "binary", "m": 8}, "d": 1, "ell": 6},
+    {"variant": "STRAWMAN", "n": 4, "field": {"kind": "binary", "m": 4}},
+])
+def test_check_tag_budget_reads_each_protocols_row(protocol):
+    cfg = {"protocol": protocol, "profile": {"assignments": {"1": [1]}}}
+    assert check_tag_budget(ExperimentConfig(cfg)) == []
+
+
+def test_check_tag_budget_flags_weak_robust_sharing():
+    cfg = {"protocol": {"variant": "RSS", "n": 3, "t": 1, "d": 2,
+                        "field": {"kind": "prime", "p": 5}},
+           "profile": {"assignments": {"1": [1]}}}
+    assert check_tag_budget(ExperimentConfig(cfg)) == [
+        "sharing failure rate 0.6000 above bound 0.5000"
+    ]
 
 
 def test_bounds_reports_frozen_values(tmp_path, capsys):
@@ -109,6 +141,31 @@ def test_bounds_reports_frozen_values(tmp_path, capsys):
     assert values["minority-tag-bits"] == "5"
     assert values["unanimous-tag-bits"] == "1"
     assert values["robust-tag-bits"] == "5"
+
+
+def test_bounds_and_simulate_agree_for_several_adversaries(tmp_path, capsys):
+    # Budgets t = 1 and t = 2: the public-discussion bound is not monotone in
+    # t, so the requirement is the maximum over both adversaries, not the
+    # value at the larger budget.
+    cfg = {
+        "protocol": {"variant": "SJST", "n": 3, "ell": 6, "k": 16},
+        "profile": {"assignments": {"1": [1], "2": [2, 3]}},
+        "utility": {"base": {"000": 3, "100": 3, "010": 2, "110": 2,
+                             "001": 1, "101": 1, "011": 0, "111": 0},
+                    "others_detected_bonus": 0.5},
+        "alpha": 0.01,
+        "trials": 20,
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["bounds", "--config", path]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    required = int(next(ln for ln in lines if ln.startswith("pd-tag-bits,")).rsplit(",", 1)[1])
+    assert required == 9
+    assert check_tag_budget(ExperimentConfig(cfg)) == [
+        f"configured ell=6 below required {required}"
+    ]
+    enough = dict(cfg, protocol=dict(cfg["protocol"], ell=required))
+    assert check_tag_budget(ExperimentConfig(enough)) == []
 
 
 def test_simulate_passive_equilibrium_exit_zero(tmp_path):
@@ -204,12 +261,19 @@ def test_missing_or_malformed_config_exits_3(tmp_path):
     assert main(["simulate", "--config", wrong]) == EXIT_CONFIG
 
 
-def test_verify_passes(tmp_path):
+def test_verify_exit_paths(tmp_path, monkeypatch):
+    # The real table's rows are asserted by acceptance tests 01/02/03/09.
+    passing = Check("cheap-pass", 1, lambda: (0, True))
+    failing = Check("cheap-fail", 0, lambda: (1, False))
     out = tmp_path / "verify.txt"
+    monkeypatch.setattr(rsmt.cli, "CHECKS", (passing,))
     assert main(["verify", "--out", str(out)]) == EXIT_OK
-    text = out.read_text()
-    assert "all checks passed" in text
-    assert "[FAIL]" not in text
+    assert out.read_text() == "cheap-pass: observed=0 bound=1 [pass]\nall checks passed\n"
+    monkeypatch.setattr(rsmt.cli, "CHECKS", (passing, failing))
+    assert main(["verify", "--out", str(out)]) == EXIT_VERIFY
+    assert out.read_text().splitlines()[1:] == [
+        "cheap-fail: observed=1 bound=0 [FAIL]", "FAILURES: 1"
+    ]
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,6 @@ from rsmt.game import (
     WITNESS_BASE,
     catalog_for,
     derive_u_values,
-    estimate_utility,
     nash_catalog_check,
     play_game,
     run_trials,
@@ -114,8 +113,15 @@ def test_random_guess_rate_near_uniform():
 
 
 def test_passive_mean_equals_u2_exactly():
-    mean, ci = estimate_utility(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, TABLE, 1, 500, 9)
-    assert mean == 2.0 and ci == 0.0  # suc=1, detect=0 deterministically
+    stats = run_trials(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, TABLE, 500, 9)
+    # suc=1, detect=0 deterministically
+    assert stats.utility_mean[1] == 2.0 and stats.utility_ci95[1] == 0.0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_trials_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_trials(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, TABLE, trials, 9)
 
 
 def test_trial_seeds_are_distinct():

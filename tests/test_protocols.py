@@ -19,7 +19,7 @@ from rsmt.protocols import (
 from rsmt.protocols.base import ProtocolError
 from rsmt.protocols.ciss import P1, P2, P3, _parse_all
 from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
-from rsmt.transport import EMPTY, CorruptionProfile, PassiveStrategy, execute
+from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
 
 GF7 = FieldSpec.prime(7)
 GF256 = FieldSpec.binary(8)
@@ -254,7 +254,7 @@ def test_engine_passive_correctness(proto):
     prof = CorruptionProfile({1: frozenset({1})})
     for seed in range(30):
         m = proto.sample_message(random.Random(seed))
-        tr = execute(proto, m, prof, {1: PassiveStrategy()}, seed)
+        tr = execute(proto, m, prof, {1: AdversaryStrategy()}, seed)
         assert tr.receiver_output == m
         assert tr.detect_events == []
 

@@ -11,7 +11,7 @@ from rsmt.protocols import (
     sjst_round3_sender,
 )
 from rsmt.protocols.base import ProtocolError
-from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, PassiveStrategy, execute
+from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
 
 SPEC = SjstProtocol(3, 4, 8)
 
@@ -164,4 +164,4 @@ def test_message_space_and_sampling():
     assert all(0 <= v < 256 for v in vals)
     with pytest.raises(ProtocolError):
         prof = CorruptionProfile({1: frozenset()})
-        execute(SPEC, 256, prof, {1: PassiveStrategy()}, 0)
+        execute(SPEC, 256, prof, {1: AdversaryStrategy()}, 0)

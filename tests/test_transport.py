@@ -1,15 +1,17 @@
+import json
 import random
 
 import pytest
 
 from rsmt.field import FieldSpec
+from rsmt.game import SubstituteShares
 from rsmt.protocols import CissProtocol, SjstProtocol
-from rsmt.protocols.ciss import P1
+from rsmt.protocols.ciss import P1, P2
+from rsmt.sharing import FAIL
 from rsmt.transport import (
     EMPTY,
     AdversaryStrategy,
     CorruptionProfile,
-    PassiveStrategy,
     SimulationFault,
     derive_rng,
     execute,
@@ -50,7 +52,7 @@ def test_profile_validation():
 def test_passive_execution_delivers_message():
     prof = CorruptionProfile({1: frozenset({1, 2})})
     m = (123,)
-    tr = execute(PROTO, m, prof, {1: PassiveStrategy()}, 5)
+    tr = execute(PROTO, m, prof, {1: AdversaryStrategy()}, 5)
     assert tr.receiver_output == m
     assert tr.detect_events == []
     assert tr.message == m
@@ -58,10 +60,10 @@ def test_passive_execution_delivers_message():
 
 def test_same_seed_identical_transcripts():
     prof = CorruptionProfile({1: frozenset({1, 2})})
-    a = execute(PROTO, (9,), prof, {1: PassiveStrategy()}, 77)
-    b = execute(PROTO, (9,), prof, {1: PassiveStrategy()}, 77)
+    a = execute(PROTO, (9,), prof, {1: AdversaryStrategy()}, 77)
+    b = execute(PROTO, (9,), prof, {1: AdversaryStrategy()}, 77)
     assert a.to_json_str() == b.to_json_str()
-    c = execute(PROTO, (9,), prof, {1: PassiveStrategy()}, 78)
+    c = execute(PROTO, (9,), prof, {1: AdversaryStrategy()}, 78)
     assert a.to_json_str() != c.to_json_str()
 
 
@@ -79,7 +81,7 @@ def test_writing_non_owned_channel_faults():
 def test_missing_strategy_faults():
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
     with pytest.raises(SimulationFault):
-        execute(PROTO, (0,), prof, {1: PassiveStrategy()}, 1)
+        execute(PROTO, (0,), prof, {1: AdversaryStrategy()}, 1)
 
 
 class _SeesHonest(AdversaryStrategy):
@@ -116,7 +118,7 @@ def test_uncorrupted_channels_deliver_verbatim():
 
 def test_view_of_matches_corruption():
     prof = CorruptionProfile({1: frozenset({3}), 2: frozenset()})
-    tr = execute(PROTO, (1,), prof, {1: PassiveStrategy(), 2: PassiveStrategy()}, 9)
+    tr = execute(PROTO, (1,), prof, {1: AdversaryStrategy(), 2: AdversaryStrategy()}, 9)
     v1 = view_of(tr, prof, 1)
     assert [set(pre) for _, _, pre, _ in v1.rounds] == [{3}]
     v2 = view_of(tr, prof, 2)
@@ -137,11 +139,33 @@ def test_public_channel_is_shared_and_detects_ride_it():
     assert b_flags[0][1] == 1
 
 
+class _BlocksAndKeepsView(_Blocks):
+    def __init__(self):
+        self.views = []
+
+    def final_guess(self, view, rng):
+        self.views.append(view)
+        return None
+
+
+def test_final_view_is_view_of_with_detects_in_emission_order():
+    sjst = SjstProtocol(3, 4, 8)
+    prof = CorruptionProfile({1: frozenset({2})})
+    strat = _BlocksAndKeepsView()
+    tr = execute(sjst, 200, prof, {1: strat}, 4)
+    (seen,) = strat.views
+    assert seen == view_of(tr, prof, 1, uses_public=True)
+    # the DETECT for channel 2 follows round 1's flags and precedes round 2
+    assert [(i, p if p[0] == "DETECT" else "pub") for i, p in seen.public_history] == [
+        (1, "pub"), (1, ("DETECT", 2)), (2, "pub")
+    ]
+
+
 def test_public_send_requires_public_protocol():
     from rsmt.transport import Engine
 
     prof = CorruptionProfile({1: frozenset({1})})
-    eng = Engine(3, prof, {1: PassiveStrategy()}, 1, uses_public=False)
+    eng = Engine(3, prof, {1: AdversaryStrategy()}, 1, uses_public=False)
     with pytest.raises(SimulationFault):
         eng.send_public("s->r", (1, 2))
     with pytest.raises(SimulationFault):
@@ -155,3 +179,11 @@ def test_transcript_json_serializes_payload_kinds():
     assert blob["rounds"][0]["post"]["1"] == {"empty": True}
     assert blob["message"] == [3]
     assert isinstance(tr.to_json_str(), str)
+
+
+def test_failed_delivery_transcript_serializes():
+    p2 = CissProtocol(P2, 4, GF256, 1, 8)
+    prof = CorruptionProfile({1: frozenset({1})})
+    tr = execute(p2, (5,), prof, {1: SubstituteShares(p2)}, 3)
+    assert tr.receiver_output is FAIL
+    assert json.loads(tr.to_json_str())["receiver_output"] == {"fail": True}
