@@ -17,16 +17,16 @@ import argparse
 import json
 import sys
 
-from .field import FieldError, FieldSpec
+from .field import FieldSpec
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, nash_catalog_check
 from .game.play import play_game, run_trials, trial_seed
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
 from .game.attacks import PassiveGuess, catalog_for
 from .privacy import CHECKS, EnumerationTooLarge
-from .protocols import CissProtocol, ProtocolError, RssProtocol, SjstProtocol, StrawmanProtocol
+from .protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from .protocols.ciss import P1, P2, P3
-from .sharing import AmdSpec, RobustSharingSpec, SharingError, SharingSpec
+from .sharing import AmdSpec, RobustSharingSpec, SharingSpec
 from .transport import CorruptionProfile
 
 EXIT_OK = 0
@@ -39,29 +39,37 @@ class ConfigError(ValueError):
     pass
 
 
+def _int(value, name: str) -> int:
+    """`value` as an int; a non-numeric one is a ConfigError naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def protocol_from_json(obj: dict):
     try:
         variant = obj["variant"]
         if variant == "SJST":
-            return SjstProtocol(int(obj["n"]), int(obj["ell"]), int(obj["k"]))
+            return SjstProtocol(_int(obj["n"], "n"), _int(obj["ell"], "ell"), _int(obj["k"], "k"))
         if variant == "RSS":
             field = FieldSpec.from_json(obj["field"])
             sharing = RobustSharingSpec(
-                AmdSpec(field, int(obj["d"])),
-                SharingSpec(t=int(obj["t"]), n=int(obj["n"]), field=field),
+                AmdSpec(field, _int(obj["d"], "d")),
+                SharingSpec(t=_int(obj["t"], "t"), n=_int(obj["n"], "n"), field=field),
             )
             return RssProtocol(sharing)
         if variant in (P1, P2, P3):
             return CissProtocol(
                 variant,
-                int(obj["n"]),
+                _int(obj["n"], "n"),
                 FieldSpec.from_json(obj["field"]),
-                int(obj["d"]),
-                int(obj["ell"]),
+                _int(obj["d"], "d"),
+                _int(obj["ell"], "ell"),
             )
         if variant == "STRAWMAN":
-            return StrawmanProtocol(int(obj["n"]), FieldSpec.from_json(obj["field"]))
-    except (KeyError, TypeError, FieldError, SharingError, ProtocolError) as exc:
+            return StrawmanProtocol(_int(obj["n"], "n"), FieldSpec.from_json(obj["field"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad protocol config: {exc}") from exc
     raise ConfigError(f"unknown protocol variant {obj.get('variant')!r}")
 
@@ -106,11 +114,13 @@ class ExperimentConfig:
         except UtilityError as exc:
             raise ConfigError(f"utility table not admissible: {exc}") from exc
         self.attacks = obj.get("attacks")
-        self.trials = int(obj.get("trials", 1000))
+        self.trials = _int(obj.get("trials", 1000), "trials")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        self.master_seed = int(obj.get("master_seed", 0))
+        self.master_seed = _int(obj.get("master_seed", 0), "master_seed")
         self.alpha = obj.get("alpha")
+        if self.alpha is not None and not isinstance(self.alpha, (int, float)):
+            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
         self.sweep = obj.get("sweep")
 
     def resolved_json(self) -> dict:
@@ -214,9 +224,8 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
     _write_lines(out, lines)
     if dump_transcript is not None:
         strategies = {j: PassiveGuess(config.protocol) for j in config.profile.adversary_ids}
-        _, _, transcript = play_game(
-            config.protocol, config.profile, strategies, config.table,
-            trial_seed(config.master_seed, 0),
+        _, transcript = play_game(
+            config.protocol, config.profile, strategies, trial_seed(config.master_seed, 0)
         )
         with open(dump_transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript.to_json_str() + "\n")
@@ -243,41 +252,38 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
     values = config.sweep["values"]
     if axis not in ("ell", "n", "t", "trials"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    ints = [_int(v, "sweep value") for v in values]
+    if axis == "trials" and min(ints) < 1:
+        raise ConfigError(f"sweep trials must be >= 1, got {min(ints)}")
+    ids = config.profile.adversary_ids
+    if not ids:
+        raise ConfigError("sweep needs at least one adversary in the profile")
+    first = ids[0]
     attack_names = config.attacks or ["share-substitution"]
     lines = _report_header(config) + [
         "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
     ]
-    for value in values:
+    for value, number in zip(values, ints):
         proto_obj = dict(config.raw["protocol"])
         trials = config.trials
         if axis == "trials":
-            trials = int(value)
-            if trials < 1:
-                raise ConfigError(f"sweep trials must be >= 1, got {trials}")
+            trials = number
         else:
-            proto_obj[axis] = int(value)
+            proto_obj[axis] = number
         try:
             protocol = protocol_from_json(proto_obj)
         except ConfigError as exc:
             print(f"config error at {axis}={value}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         for entry in catalog_for(protocol.variant, attack_names):
-            strategies = {
-                j: PassiveGuess(protocol) for j in config.profile.adversary_ids
-            }
-            first = config.profile.adversary_ids[0]
+            strategies = {j: PassiveGuess(protocol) for j in ids}
             strategies[first] = entry.factory(protocol)
-            undetected_wrong = [0]
-
-            def tally(idx, outcome, transcript, _u=undetected_wrong, _f=first):
-                if not outcome.suc and not outcome.detect[_f]:
-                    _u[0] += 1
-
             stats = run_trials(protocol, config.profile, strategies, config.table,
-                               trials, config.master_seed, on_transcript=tally)
+                               trials, config.master_seed)
+            undetected_wrong = stats.rate(lambda o: not o.suc and first not in o.detect)
             lines.append(
                 f"{axis},{value},{entry.name},{trials},{stats.suc_rate:.6f},"
-                f"{stats.detect_rate[first]:.6f},{undetected_wrong[0] / trials:.6f},"
+                f"{stats.detect_rate[first]:.6f},{undetected_wrong:.6f},"
                 f"{stats.utility_mean[first]:.6f}"
             )
     _write_lines(out, lines)

@@ -30,7 +30,6 @@ from .play import (
     play_game,
     run_trials,
     trial_seed,
-    utilities_of,
 )
 from .utility import (
     Outcome,

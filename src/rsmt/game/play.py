@@ -1,17 +1,21 @@
 """Monte-Carlo execution of the transmission game.
 
 A single play samples a uniform message, runs the protocol under a corruption
-profile and per-adversary strategies, and scores the outcome with a utility
-table.  Estimators aggregate independent plays under derived per-trial seeds,
-so results are reproducible from (config, master_seed) alone and partial sums
-merge associatively.
+profile and per-adversary strategies, and records its Outcome.  A run counts
+how many plays ended in each Outcome, under derived per-trial seeds, so results
+are reproducible from (config, master_seed) alone and the counts of disjoint
+trial ranges merge by Counter addition.  Rates and utility statistics derive
+from the counts; utility mean and variance are computed exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from ..transport import CorruptionProfile, Transcript, derive_rng, execute
 from .utility import Outcome, UtilityTable
@@ -32,92 +36,91 @@ def _resolve_profile(profile, master_seed: int) -> CorruptionProfile:
 
 def outcome_of(transcript: Transcript, profile: CorruptionProfile) -> Outcome:
     m = transcript.message
-    suc = int(transcript.receiver_output == m)
     detected_channels = {ch for ch, _ in transcript.detect_events}
-    guess = {}
-    detect = {}
-    for j in profile.adversary_ids:
-        guess[j] = int(transcript.adversary_outputs.get(j) == m)
-        detect[j] = int(bool(profile.channels_of(j) & detected_channels))
-    return Outcome(suc=suc, guess=guess, detect=detect)
+    ids = profile.adversary_ids
+    return Outcome(
+        suc=int(transcript.receiver_output == m),
+        guess=frozenset(j for j in ids if transcript.adversary_outputs.get(j) == m),
+        detect=frozenset(j for j in ids if profile.channels_of(j) & detected_channels),
+    )
 
 
-def utilities_of(outcome: Outcome, table: UtilityTable) -> dict[int, float]:
-    total_detected = sum(outcome.detect.values())
-    return {
-        j: table.payoff(
-            outcome.guess[j],
-            outcome.suc,
-            outcome.detect[j],
-            others_detected=total_detected - outcome.detect[j],
-        )
-        for j in outcome.guess
-    }
-
-
-def play_game(protocol, profile, strategies, table: UtilityTable, master_seed: int):
-    """One play: returns (Outcome, per-adversary utility sample, Transcript)."""
+def play_game(protocol, profile, strategies, master_seed: int):
+    """One play: returns (Outcome, Transcript)."""
     resolved = _resolve_profile(profile, master_seed)
     m = protocol.sample_message(derive_rng(master_seed, "message"))
     transcript = execute(protocol, m, resolved, strategies, master_seed)
-    outcome = outcome_of(transcript, resolved)
-    return outcome, utilities_of(outcome, table), transcript
+    return outcome_of(transcript, resolved), transcript
 
 
 @dataclass
 class GameStats:
-    trials: int
-    utility_mean: dict[int, float]
-    utility_ci95: dict[int, float]
-    suc_rate: float
-    guess_rate: dict[int, float]
-    detect_rate: dict[int, float]
+    """How many trials ended in each Outcome; every statistic derives from
+    these counts, per adversary id in `ids`, scored with `table`."""
+
+    counts: Counter
+    ids: tuple[int, ...]
+    table: UtilityTable
+
+    @property
+    def trials(self) -> int:
+        return sum(self.counts.values())
+
+    def rate(self, event) -> float:
+        """Fraction of trials whose Outcome satisfies `event`."""
+        return sum(c for o, c in self.counts.items() if event(o)) / self.trials
+
+    @property
+    def suc_rate(self) -> float:
+        return self.rate(lambda o: o.suc)
+
+    @property
+    def guess_rate(self) -> dict[int, float]:
+        return {j: self.rate(lambda o: j in o.guess) for j in self.ids}
+
+    @property
+    def detect_rate(self) -> dict[int, float]:
+        return {j: self.rate(lambda o: j in o.detect) for j in self.ids}
+
+    @cached_property
+    def _moments(self) -> dict[int, tuple[Fraction, Fraction]]:
+        """Exact (mean, variance) of each adversary's utility."""
+        n = self.trials
+        out = {}
+        for j in self.ids:
+            payoff = {o: Fraction(self.table.payoff(int(j in o.guess), o.suc, int(j in o.detect),
+                                                    others_detected=len(o.detect - {j})))
+                      for o in self.counts}
+            mean = sum(c * payoff[o] for o, c in self.counts.items()) / n
+            out[j] = mean, sum(c * (payoff[o] - mean) ** 2 for o, c in self.counts.items()) / n
+        return out
+
+    @property
+    def utility_mean(self) -> dict[int, float]:
+        return {j: float(mean) for j, (mean, _) in self._moments.items()}
+
+    @property
+    def utility_ci95(self) -> dict[int, float]:
+        return {j: 1.96 * math.sqrt(var / self.trials)
+                for j, (_, var) in self._moments.items()}
 
 
 def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
                master_seed: int, on_transcript=None) -> GameStats:
-    """Aggregate statistics over independent plays.
+    """Count the outcomes of independent plays.
 
-    `on_transcript(index, outcome, transcript)` lets callers dump transcripts
-    of interest (e.g. failed deliveries) without rerunning.
+    `strategies` maps each adversary id to its strategy; statistics are
+    reported for those ids.  `on_transcript(index, outcome, transcript)` lets
+    callers dump transcripts of interest (e.g. failed deliveries) without
+    rerunning.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ids = None
-    sums: dict[int, float] = {}
-    sq_sums: dict[int, float] = {}
-    suc_count = 0
-    guess_counts: dict[int, int] = {}
-    detect_counts: dict[int, int] = {}
+    counts = Counter()
     for idx in range(trials):
-        outcome, utils, transcript = play_game(
-            protocol, profile, strategies, table, trial_seed(master_seed, idx)
-        )
-        if ids is None:
-            ids = sorted(utils)
-            sums = {j: 0.0 for j in ids}
-            sq_sums = {j: 0.0 for j in ids}
-            guess_counts = {j: 0 for j in ids}
-            detect_counts = {j: 0 for j in ids}
-        suc_count += outcome.suc
-        for j in ids:
-            sums[j] += utils[j]
-            sq_sums[j] += utils[j] * utils[j]
-            guess_counts[j] += outcome.guess[j]
-            detect_counts[j] += outcome.detect[j]
+        outcome, transcript = play_game(protocol, profile, strategies,
+                                        trial_seed(master_seed, idx))
+        counts[outcome] += 1
         if on_transcript is not None:
             on_transcript(idx, outcome, transcript)
-    means = {j: sums[j] / trials for j in ids}
-    ci = {}
-    for j in ids:
-        var = max(0.0, sq_sums[j] / trials - means[j] ** 2)
-        ci[j] = 1.96 * math.sqrt(var / trials)
-    return GameStats(
-        trials=trials,
-        utility_mean=means,
-        utility_ci95=ci,
-        suc_rate=suc_count / trials,
-        guess_rate={j: guess_counts[j] / trials for j in ids},
-        detect_rate={j: detect_counts[j] / trials for j in ids},
-    )
-
+    return GameStats(counts, tuple(sorted(strategies)), table)

@@ -18,25 +18,22 @@ and u''_i = u'_i + b*(lam - 1) (all others detected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 
 class UtilityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Outcome:
-    suc: int
-    guess: Mapping[int, int]  # adversary id -> bit
-    detect: Mapping[int, int]  # adversary id -> bit
+class Outcome(NamedTuple):
+    """One trial's result: the suc bit and the ids of the adversaries that
+    guessed m and that were detected.  Hashable, so a run is a Counter of
+    outcomes."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "guess", dict(self.guess))
-        object.__setattr__(self, "detect", dict(self.detect))
-        if set(self.guess) != set(self.detect):
-            raise UtilityError("guess and detect must cover the same adversary ids")
+    suc: int
+    guess: frozenset[int]
+    detect: frozenset[int]
 
 
 @dataclass(frozen=True)

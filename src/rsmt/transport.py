@@ -93,12 +93,6 @@ class CorruptionProfile:
     def channels_of(self, j: int) -> frozenset[int]:
         return self.assignments[j]
 
-    def owner_of(self, channel: int) -> int | None:
-        for j, chs in self.assignments.items():
-            if channel in chs:
-                return j
-        return None
-
 
 class AdversaryStrategy:
     """Callbacks a rational adversary implements.

@@ -102,16 +102,9 @@ def test_05_sjst_reliability_bound():
     profile = CorruptionProfile({1: frozenset({1, 2})})
     trials = 1_000_000
     bound = (spec.n - 1) * 2.0 ** (1 - spec.ell)  # 2^-7
-    wrong = [0]
-
-    def tally(idx, outcome, transcript):
-        if not outcome.suc:
-            wrong[0] += 1
-
-    run_trials(spec, profile, {1: SubstituteShares(spec)},
-               witness_table(spec.message_space_size()), trials, 505,
-               on_transcript=tally)
-    rate = wrong[0] / trials
+    stats = run_trials(spec, profile, {1: SubstituteShares(spec)},
+                       witness_table(spec.message_space_size()), trials, 505)
+    rate = stats.rate(lambda o: not o.suc)
     limit = bound + three_sigma(bound, trials)
     report(5, "pd-undetected-wrong-rate", rate <= limit,
            f"rate {rate:.6f} <= 2^-7 + 3sigma = {limit:.6f} at {trials} trials")
@@ -121,16 +114,9 @@ def test_06_minority_detection_bound():
     spec = CissProtocol(P1, 5, FieldSpec.binary(16), 1, 16)
     profile = CorruptionProfile({1: frozenset({3})})
     trials = 100_000
-    good = [0]
-
-    def tally(idx, outcome, transcript):
-        if outcome.suc and outcome.detect[1]:
-            good[0] += 1
-
-    run_trials(spec, profile, {1: SubstituteShares(spec)},
-               witness_table(spec.message_space_size()), trials, 606,
-               on_transcript=tally)
-    rate = good[0] / trials
+    stats = run_trials(spec, profile, {1: SubstituteShares(spec)},
+                       witness_table(spec.message_space_size()), trials, 606)
+    rate = stats.rate(lambda o: o.suc and 1 in o.detect)
     miss = (spec.n + 1) ** 2 * 2.0 ** -(spec.ell + 1)
     floor = 1.0 - miss - three_sigma(miss, trials)
     report(6, "minority-correct-and-detected", rate >= floor,
@@ -227,18 +213,16 @@ def test_11_robust_mixed_model_reliability(tmp_path):
     with dump.open("w") as fh:
         for entry in attacks:
             strategies = {1: entry.factory(proto), 2: PassiveGuess(proto)}
-            bad = [0]
 
-            def tally(idx, outcome, transcript, _b=bad, _fh=fh, _a=entry.name):
+            def dump_failed(idx, outcome, transcript, _fh=fh, _a=entry.name):
                 if not outcome.suc:
-                    _b[0] += 1
                     _fh.write(f'{{"attack":"{_a}","transcript":'
                               + transcript.to_json_str() + "}\n")
 
-            run_trials(proto, profile, strategies, table, per_attack,
-                       1100 + attacks.index(entry), on_transcript=tally)
+            stats = run_trials(proto, profile, strategies, table, per_attack,
+                               1100 + attacks.index(entry), on_transcript=dump_failed)
             total += per_attack
-            failures += bad[0]
+            failures += sum(c for o, c in stats.counts.items() if not o.suc)
     rate = 1.0 - failures / total
     report(11, "robust-mixed-model-reliability", rate >= 0.999,
            f"delivery rate {rate:.5f} >= 0.999 over {total} trials "

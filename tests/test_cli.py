@@ -287,3 +287,88 @@ def test_flags_without_effect_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# --- config errors -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("bounds", {"protocol": dict(P1_CONFIG["protocol"], n="five")},
+     "n must be an integer, got 'five'"),
+    ("simulate", {"trials": "x"}, "trials must be an integer, got 'x'"),
+    ("simulate", {"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
+    ("bounds", {"alpha": "x"}, "alpha must be a number, got 'x'"),
+    ("sweep", {"sweep": {"axis": "ell", "values": ["x"]}},
+     "sweep value must be an integer, got 'x'"),
+], ids=["n", "trials", "master_seed", "alpha", "sweep-values"])
+def test_non_numeric_config_value_names_the_field(tmp_path, capsys, command, change, message):
+    path = write_config(tmp_path, dict(P1_CONFIG, **change))
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_sweep_without_adversaries_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials called")
+
+    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    cfg = dict(P1_CONFIG, profile={"assignments": {}},
+               sweep={"axis": "ell", "values": [8]})
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "at least one adversary" in capsys.readouterr().err
+
+
+# --- golden reports ----------------------------------------------------------
+
+# Rows after the `# config` line, fixed for each (config, seed): any change to
+# them changes a published report.
+STRAWMAN_CONFIG = {
+    "protocol": {"variant": "STRAWMAN", "n": 4, "field": {"kind": "binary", "m": 4}},
+    "profile": {"assignments": {"1": [1, 2]}},
+    "utility": {"base": {"000": 10.0, "100": 10.0, "010": 0.4, "110": 0.4,
+                         "001": 1.0, "101": 1.0, "011": 0.0, "111": 0.0},
+                "message_space_size": 16},
+}
+STRAWMAN_ROWS = """\
+# master_seed 2
+protocol,adversary,attack,trials,mean,ci95,threshold,flag
+STRAWMAN,1,passive,50,0.400000,0.000000,0.400000,0
+STRAWMAN,1,block-channel,50,8.272000,1.022317,1.422317,1
+STRAWMAN,1,share-substitution,50,8.272000,1.022317,1.422317,1
+STRAWMAN,1,share-substitution-1,50,0.400000,0.000000,0.400000,0
+STRAWMAN,1,swap-half,50,9.232000,0.721907,1.121907,1
+"""
+SJST_SWEEP_CONFIG = {
+    "protocol": {"variant": "SJST", "n": 3, "ell": 2, "k": 8},
+    "profile": {"assignments": {"1": [1], "2": [2]}},
+    "utility": {"base": {"000": 3, "100": 3, "010": 2, "110": 2,
+                         "001": 1, "101": 1, "011": 0, "111": 0},
+                "others_detected_bonus": 0.1},
+    "attacks": ["passive", "share-substitution", "length-tamper"],
+    "trials": 200,
+    "sweep": {"axis": "ell", "values": [2, 4]},
+}
+SJST_SWEEP_ROWS = """\
+# master_seed 1
+axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
+ell,2,passive,200,1.000000,0.000000,0.000000,2.000000
+ell,2,share-substitution,200,0.735000,0.735000,0.265000,0.795000
+ell,2,length-tamper,200,1.000000,1.000000,0.000000,0.000000
+ell,4,passive,200,1.000000,0.000000,0.000000,2.000000
+ell,4,share-substitution,200,0.900000,0.900000,0.100000,0.300000
+ell,4,length-tamper,200,1.000000,1.000000,0.000000,0.000000
+"""
+
+
+@pytest.mark.parametrize("argv, config, code, rows", [
+    (["simulate", "--seed", "2", "--trials", "50"], STRAWMAN_CONFIG, EXIT_FLAG, STRAWMAN_ROWS),
+    (["sweep", "--seed", "1"], SJST_SWEEP_CONFIG, EXIT_OK, SJST_SWEEP_ROWS),
+], ids=["simulate-strawman", "sweep-sjst"])
+def test_fixed_seed_report_is_golden(tmp_path, argv, config, code, rows):
+    out = tmp_path / "report.csv"
+    path = write_config(tmp_path, config)
+    assert main(argv + ["--config", path, "--out", str(out)]) == code
+    header, body = out.read_text().split("\n", 1)
+    assert header.startswith("# config ")
+    assert body == rows

@@ -1,6 +1,12 @@
+import math
 import random
+import statistics
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmt.field import FieldSpec
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
@@ -9,6 +15,7 @@ from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import CorruptionProfile
 from rsmt.game import (
     BlockChannels,
+    GameStats,
     LengthTamper,
     MaskFraming,
     PassiveGuess,
@@ -90,15 +97,13 @@ def test_table_json_roundtrip():
 
 
 def test_all_passive_yields_u_values():
-    outcome, utils, transcript = play_game(
-        PROTO1, PROF, {1: PassiveGuess(PROTO1)}, TABLE, 123
-    )
-    assert outcome.suc == 1 and outcome.detect[1] == 0
+    outcome, transcript = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, 123)
+    assert outcome.suc == 1 and outcome.detect == frozenset()
     # utility is base(guess, 1, 0): 2.0 for the witness table either way
-    assert utils[1] == 2.0
+    assert GameStats(Counter({outcome: 1}), (1,), TABLE).utility_mean == {1: 2.0}
     # replaying the same seed reproduces everything
-    o2, u2, t2 = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, TABLE, 123)
-    assert (o2, u2) == (outcome, utils)
+    o2, t2 = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, 123)
+    assert o2 == outcome
     assert t2.to_json_str() == transcript.to_json_str()
 
 
@@ -135,10 +140,11 @@ def test_multi_adversary_bonus_applied():
     table = witness_table(PROTO1.message_space_size(), bonus=0.25)
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
     strategies = {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)}
-    outcome, utils, _ = play_game(PROTO1, prof, strategies, table, 17)
-    assert outcome.detect == {1: 1, 2: 0}
-    assert utils[2] == table.base[(outcome.guess[2], 1, 0)] + 0.25
-    assert utils[1] == table.base[(outcome.guess[1], 1, 1)]
+    outcome, _ = play_game(PROTO1, prof, strategies, 17)
+    assert outcome.suc == 1 and outcome.detect == {1}
+    stats = GameStats(Counter({outcome: 1}), (1, 2), table)
+    assert stats.utility_mean[2] == table.base[(int(2 in outcome.guess), 1, 0)] + 0.25
+    assert stats.utility_mean[1] == table.base[(int(1 in outcome.guess), 1, 1)]
 
 
 def test_detect_attribution_requires_tampering():
@@ -147,9 +153,9 @@ def test_detect_attribution_requires_tampering():
     strategies = {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)}
     caught = 0
     for seed in range(50):
-        outcome, _, _ = play_game(PROTO1, prof, strategies, TABLE, seed)
-        assert outcome.detect[2] == 0
-        caught += outcome.detect[1]
+        outcome, _ = play_game(PROTO1, prof, strategies, seed)
+        assert 2 not in outcome.detect
+        caught += 1 in outcome.detect
     assert caught > 45  # tamperer itself escapes only on hash collisions
 
 
@@ -161,14 +167,92 @@ def test_rss_detection_is_global():
     )
     prof = CorruptionProfile({1: frozenset({1, 2}), 2: frozenset({3})})
     strategies = {1: SubstituteShares(rss), 2: PassiveGuess(rss)}
-    table = witness_table(rss.message_space_size())
     flagged_both = 0
     for seed in range(50):
-        outcome, _, _ = play_game(rss, prof, strategies, table, seed)
-        if outcome.detect[1]:
-            assert outcome.detect[2] == 1
+        outcome, _ = play_game(rss, prof, strategies, seed)
+        if 1 in outcome.detect:
+            assert 2 in outcome.detect
             flagged_both += 1
     assert flagged_both > 40  # detection fires with probability 1 - 2/257
+
+
+# --- statistics from outcome counts ------------------------------------------
+
+
+STRAWMAN = StrawmanProtocol(4, FieldSpec.binary(4))
+# Test 08's table: undetected failure pays best; 0.4 is not dyadic.
+STRAWMAN_TABLE = UtilityTable(
+    base={(g, s, d): {(0, 0): 10.0, (1, 0): 0.4, (0, 1): 1.0, (1, 1): 0.0}[(s, d)]
+          for g in (0, 1) for s in (0, 1) for d in (0, 1)},
+    message_space_size=16,
+)
+
+
+def random_pair_profile(rng):
+    return CorruptionProfile({1: frozenset(rng.sample(range(1, 5), 2))})
+
+
+def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
+    """Utility mean and CI scored one play at a time, in exact arithmetic."""
+    samples = {j: [] for j in strategies}
+    for idx in range(trials):
+        outcome, _ = play_game(protocol, profile, strategies, trial_seed(master_seed, idx))
+        for j, payoffs in samples.items():
+            d = int(j in outcome.detect)
+            payoffs.append(Fraction(table.payoff(
+                int(j in outcome.guess), outcome.suc, d, len(outcome.detect) - d)))
+    mean = {j: float(statistics.mean(x)) for j, x in samples.items()}
+    ci = {j: 1.96 * math.sqrt(statistics.pvariance(x) / trials) for j, x in samples.items()}
+    return mean, ci
+
+
+@pytest.mark.parametrize("protocol, profile, strategies, table", [
+    (PROTO1, CorruptionProfile({1: frozenset({1}), 2: frozenset({3})}),
+     {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)},
+     witness_table(PROTO1.message_space_size(), bonus=0.1)),
+    (STRAWMAN, random_pair_profile, {1: SwapHalf(STRAWMAN)}, STRAWMAN_TABLE),
+], ids=["p1-two-adversaries-bonus-0.1", "strawman-callable-profile"])
+def test_statistics_equal_exact_per_trial_oracle(protocol, profile, strategies, table):
+    trials = 400
+    stats = run_trials(protocol, profile, strategies, table, trials, 31)
+    assert sum(stats.counts.values()) == stats.trials == trials
+    mean, ci = per_trial_oracle(protocol, profile, strategies, table, trials, 31)
+    assert stats.utility_mean == mean
+    assert stats.utility_ci95 == ci
+
+
+def test_counts_cover_every_trial_and_give_the_rates():
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
+    strategies = {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)}
+    stats = run_trials(PROTO1, prof, strategies, TABLE, 200, 4)
+    outcomes = [play_game(PROTO1, prof, strategies, trial_seed(4, i))[0] for i in range(200)]
+    assert stats.counts == Counter(outcomes)
+    assert stats.suc_rate == sum(o.suc for o in outcomes) / 200
+    for j in (1, 2):
+        assert stats.guess_rate[j] == sum(j in o.guess for o in outcomes) / 200
+        assert stats.detect_rate[j] == sum(j in o.detect for o in outcomes) / 200
+
+
+_payoffs = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_payoffs, _payoffs, _payoffs, _payoffs), st.integers(0, 2**32))
+def test_passive_cell_never_flags_against_passive_baseline(cells, seed):
+    # Guess-indifferent, mostly non-dyadic payoffs over a 4-message space:
+    # a passive cell splits its trials between guessed and missed outcomes
+    # with the same payoff, and the split differs from the baseline's.  The
+    # two means must still tie exactly.
+    protocol = StrawmanProtocol(3, FieldSpec.binary(2))
+    by_cell = dict(zip([(0, 0), (1, 0), (0, 1), (1, 1)], cells))
+    table = UtilityTable(
+        base={(g, s, d): by_cell[(s, d)] for g in (0, 1) for s in (0, 1) for d in (0, 1)},
+        message_space_size=4,
+    )
+    prof = CorruptionProfile({1: frozenset({1})})
+    rows = nash_catalog_check(protocol, prof, table, 40, seed, attack_names=["passive"])
+    assert [r.flag for r in rows] == [False]
+    assert rows[0].mean == by_cell[(1, 0)] and rows[0].ci95 == 0.0
 
 
 # --- attack catalog ----------------------------------------------------------

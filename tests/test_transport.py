@@ -43,8 +43,6 @@ def test_profile_validation():
         CorruptionProfile({1: {1}}, malicious_id=2)
     prof = CorruptionProfile({2: {4}, 1: {1, 3}})
     assert prof.adversary_ids == (1, 2)
-    assert prof.owner_of(3) == 1
-    assert prof.owner_of(2) is None
     with pytest.raises(ValueError):
         prof.validate_for(3)  # channel 4 does not exist
 
