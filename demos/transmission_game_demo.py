@@ -12,7 +12,7 @@ a detection-averse adversary's payoff.
 from rsmt.field import FieldSpec
 from rsmt.game import (
     PassiveGuess,
-    SubstituteShares,
+    Rewrite,
     nash_catalog_check,
     run_trials,
     witness_table,
@@ -39,7 +39,7 @@ print(f"passive: utility {stats.utility_mean[1]:.3f}, "
 # Substituting both owned shares: the honest majority cross-checks expose
 # the forgery, the decoder reconstructs from the clean channels, and the
 # adversary ends up detected with payoff ~0.
-stats = run_trials(protocol, profile, {1: SubstituteShares(protocol)}, table, 2000, 1)
+stats = run_trials(protocol, profile, {1: Rewrite(protocol, "substitute")}, table, 2000, 1)
 print(f"substitution: utility {stats.utility_mean[1]:.3f}, "
       f"delivery {stats.suc_rate:.3f}, detection {stats.detect_rate[1]:.3f}")
 

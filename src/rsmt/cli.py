@@ -17,16 +17,14 @@ import argparse
 import json
 import sys
 
-from .field import FieldSpec
+from .config import ConfigError, read_int
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, nash_catalog_check
 from .game.play import play_game, run_trials, trial_seed
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
 from .game.attacks import PassiveGuess, catalog_for
 from .privacy import CHECKS, EnumerationTooLarge
-from .protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
-from .protocols.ciss import P1, P2, P3
-from .sharing import AmdSpec, RobustSharingSpec, SharingSpec
+from .protocols import VARIANTS
 from .transport import CorruptionProfile
 
 EXIT_OK = 0
@@ -35,54 +33,26 @@ EXIT_CONFIG = 3
 EXIT_VERIFY = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _int(value, name: str) -> int:
-    """`value` as an int; a non-numeric one is a ConfigError naming the field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
-
-
 def protocol_from_json(obj: dict):
+    """The protocol `obj["variant"]` names, built by its class's `from_json`."""
     try:
-        variant = obj["variant"]
-        if variant == "SJST":
-            return SjstProtocol(_int(obj["n"], "n"), _int(obj["ell"], "ell"), _int(obj["k"], "k"))
-        if variant == "RSS":
-            field = FieldSpec.from_json(obj["field"])
-            sharing = RobustSharingSpec(
-                AmdSpec(field, _int(obj["d"], "d")),
-                SharingSpec(t=_int(obj["t"], "t"), n=_int(obj["n"], "n"), field=field),
-            )
-            return RssProtocol(sharing)
-        if variant in (P1, P2, P3):
-            return CissProtocol(
-                variant,
-                _int(obj["n"], "n"),
-                FieldSpec.from_json(obj["field"]),
-                _int(obj["d"], "d"),
-                _int(obj["ell"], "ell"),
-            )
-        if variant == "STRAWMAN":
-            return StrawmanProtocol(_int(obj["n"], "n"), FieldSpec.from_json(obj["field"]))
+        cls = VARIANTS.get(obj["variant"])
+        if cls is None:
+            raise ConfigError(f"unknown protocol variant {obj['variant']!r}")
+        return cls.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad protocol config: {exc}") from exc
-    raise ConfigError(f"unknown protocol variant {obj.get('variant')!r}")
 
 
 def profile_from_json(obj: dict) -> CorruptionProfile:
     try:
         assignments = {
-            int(j): frozenset(int(c) for c in chans)
+            read_int(j, "adversary id"): frozenset(read_int(c, "channel") for c in chans)
             for j, chans in obj["assignments"].items()
         }
         malicious = obj.get("malicious_id")
         return CorruptionProfile(
-            assignments, None if malicious is None else int(malicious)
+            assignments, None if malicious is None else read_int(malicious, "malicious_id")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad corruption profile: {exc}") from exc
@@ -114,10 +84,10 @@ class ExperimentConfig:
         except UtilityError as exc:
             raise ConfigError(f"utility table not admissible: {exc}") from exc
         self.attacks = obj.get("attacks")
-        self.trials = _int(obj.get("trials", 1000), "trials")
+        self.trials = read_int(obj.get("trials", 1000), "trials")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        self.master_seed = _int(obj.get("master_seed", 0), "master_seed")
+        self.master_seed = read_int(obj.get("master_seed", 0), "master_seed")
         self.alpha = obj.get("alpha")
         if self.alpha is not None and not isinstance(self.alpha, (int, float)):
             raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
@@ -252,7 +222,7 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
     values = config.sweep["values"]
     if axis not in ("ell", "n", "t", "trials"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    ints = [_int(v, "sweep value") for v in values]
+    ints = [read_int(v, "sweep value") for v in values]
     if axis == "trials" and min(ints) < 1:
         raise ConfigError(f"sweep trials must be >= 1, got {min(ints)}")
     ids = config.profile.adversary_ids
@@ -260,21 +230,21 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
         raise ConfigError("sweep needs at least one adversary in the profile")
     first = ids[0]
     attack_names = config.attacks or ["share-substitution"]
-    lines = _report_header(config) + [
-        "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
-    ]
+    points = []  # (value, protocol, trials), all built before any trial runs
     for value, number in zip(values, ints):
-        proto_obj = dict(config.raw["protocol"])
-        trials = config.trials
         if axis == "trials":
-            trials = number
-        else:
-            proto_obj[axis] = number
+            points.append((value, config.protocol, number))
+            continue
         try:
-            protocol = protocol_from_json(proto_obj)
+            protocol = protocol_from_json(dict(config.raw["protocol"], **{axis: number}))
         except ConfigError as exc:
             print(f"config error at {axis}={value}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        points.append((value, protocol, config.trials))
+    lines = _report_header(config) + [
+        "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
+    ]
+    for value, protocol, trials in points:
         for entry in catalog_for(protocol.variant, attack_names):
             strategies = {j: PassiveGuess(protocol) for j in ids}
             strategies[first] = entry.factory(protocol)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .config import check_keys, read_int
+
 
 class FieldError(ValueError):
     pass
@@ -255,14 +257,15 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
-        kind = obj.get("kind")
+        kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == "prime":
-            return cls.prime(int(obj["p"]))
+            check_keys(obj, "prime field", "kind", "p")
+            return cls.prime(read_int(obj["p"], "p"))
         if kind == "binary":
+            check_keys(obj, "binary field", "kind", "m", "poly")
             poly = obj.get("poly")
-            if isinstance(poly, str):
-                poly = int(poly, 0)
-            return cls.binary(int(obj["m"]), poly)
+            poly = None if poly is None else read_int(poly, "poly")
+            return cls.binary(read_int(obj["m"], "m"), poly)
         raise FieldError(f"bad field spec {obj!r}")
 
     def __repr__(self) -> str:

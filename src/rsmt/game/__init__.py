@@ -1,15 +1,11 @@
 from .attacks import (
-    ALL_VARIANTS,
     CATALOG,
     AttackCatalogEntry,
     BlockChannels,
-    LengthTamper,
-    MaskFraming,
     PassiveGuess,
     RandomGuessStrategy,
-    SubstituteShares,
+    Rewrite,
     SwapHalf,
-    TagFraming,
     catalog_for,
 )
 from .bounds import (

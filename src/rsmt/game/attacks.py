@@ -1,9 +1,13 @@
 """Catalog of adversary strategies used for equilibrium falsification.
 
 Every strategy guesses a uniformly random message (perfect privacy makes any
-other guess rule pointless) and differs only in how it tampers.  Strategies
-are stateless: all randomness comes from the rng stream the transport hands
-them, so one instance can be reused across trials.
+other guess rule pointless) and differs only in how it tampers.  What a
+deviation writes depends on the protocol's payload layout, so the rewrites
+are protocol methods (`substitute`, `frame_tags`, `frame_masks`,
+`widen_keys`) and each catalog entry names the method it calls: an attack
+applies to exactly the protocols that have it.  Strategies are stateless:
+all randomness comes from the rng stream the transport hands them, so one
+instance can be reused across trials.
 """
 
 from __future__ import annotations
@@ -12,9 +16,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..transport import EMPTY, AdversaryStrategy
+from ..protocols import VARIANTS
 from ..protocols.base import Protocol
 
-LIST_VARIANTS = ("P1", "P2", "P3")
+
+def _method(protocol: Protocol, name: str):
+    method = getattr(protocol, name, None)
+    if method is None:
+        raise ValueError(f"{protocol.variant} has no {name}")
+    return method
 
 
 class RandomGuessStrategy(AdversaryStrategy):
@@ -38,60 +48,20 @@ class BlockChannels(RandomGuessStrategy):
         return {c: EMPTY for c in own_payloads}
 
 
-class SubstituteShares(RandomGuessStrategy):
-    """Replaces the share-bearing component of owned payloads with fresh
-    uniform values, leaving everything else intact."""
+class Rewrite(RandomGuessStrategy):
+    """Rewrites owned first-round payloads (the lowest `limit` channels, or
+    all) with the protocol method `hook`, e.g. `substitute` for fresh shares
+    or `frame_tags` for random cross-tags."""
 
-    def __init__(self, protocol: Protocol, limit: int | None = None):
+    def __init__(self, protocol: Protocol, hook: str, limit: int | None = None):
         super().__init__(protocol)
-        self.limit = limit  # tamper at most this many owned channels
+        self.rewrite = _method(protocol, hook)
+        self.limit = limit
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         if round_index != 0:
             return {}
-        p = self.protocol
-        channels = sorted(own_payloads)
-        if self.limit is not None:
-            channels = channels[: self.limit]
-        return {c: p.substitute(own_payloads[c], rng) for c in channels}
-
-
-class TagFraming(RandomGuessStrategy):
-    """Randomizes the cross-tags on owned channels, trying to make honest
-    channels look tampered (list protocols only)."""
-
-    component = 2  # position of the tags in a list-protocol payload
-
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
-        p = self.protocol
-        if p.variant not in LIST_VARIANTS or round_index != 0:
-            return {}
-        k = self.component
-        return {
-            c: (*payload[:k], tuple(rng.getrandbits(p.ell) for _ in payload[k]), *payload[k + 1:])
-            for c, payload in own_payloads.items()
-        }
-
-
-class MaskFraming(TagFraming):
-    """Randomizes the masks on owned channels — the dual framing attempt."""
-
-    component = 3
-
-
-class LengthTamper(RandomGuessStrategy):
-    """Ships a key pair of the wrong width (public-discussion protocol),
-    forcing the receiver's length check to flag the channel."""
-
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
-        p = self.protocol
-        if p.variant != "SJST" or round_index != 0:
-            return {}
-        # One extra bit on each component violates |r|=l, |R|=k.
-        return {
-            c: ((1 << p.ell) | rng.getrandbits(p.ell), (1 << p.k) | rng.getrandbits(p.k))
-            for c in own_payloads
-        }
+        return {c: self.rewrite(own_payloads[c], rng) for c in sorted(own_payloads)[: self.limit]}
 
 
 class SwapHalf(RandomGuessStrategy):
@@ -99,13 +69,17 @@ class SwapHalf(RandomGuessStrategy):
     channels with the simulated payloads, making the receiver's decode
     ambiguous between the real and the simulated sharing.  When n = 2t-1 the
     attack additionally blocks channel n (if owned) so the two candidate
-    halves have equal size.  Only meaningful without a public channel."""
+    halves have equal size.  Needs the one-round `encode`."""
+
+    def __init__(self, protocol: Protocol):
+        super().__init__(protocol)
+        self.encode = _method(protocol, "encode")
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         p = self.protocol
-        if round_index != 0 or p.uses_public:
+        if round_index != 0:
             return {}
-        fake = p.encode(p.sample_message(rng), rng)
+        fake = self.encode(p.sample_message(rng), rng)
         out = {c: fake[c] for c in own_payloads}
         t = len(own_payloads)
         if p.n == 2 * t - 1 and p.n in own_payloads:
@@ -116,30 +90,29 @@ class SwapHalf(RandomGuessStrategy):
 @dataclass(frozen=True)
 class AttackCatalogEntry:
     name: str
+    needs: str  # the protocol method the attack calls: it applies where that exists
     factory: Callable[[Protocol], AdversaryStrategy]
-    variants: tuple[str, ...]  # applicable protocol variants
 
 
-ALL_VARIANTS = ("SJST", "RSS", "P1", "P2", "P3", "STRAWMAN")
+def _rewriting(name: str, hook: str, limit: int | None = None) -> AttackCatalogEntry:
+    return AttackCatalogEntry(name, hook, lambda p: Rewrite(p, hook, limit))
+
 
 CATALOG: tuple[AttackCatalogEntry, ...] = (
-    AttackCatalogEntry("passive", PassiveGuess, ALL_VARIANTS),
-    AttackCatalogEntry("block-channel", BlockChannels, ALL_VARIANTS),
-    AttackCatalogEntry("share-substitution", SubstituteShares, ALL_VARIANTS),
-    AttackCatalogEntry(
-        "share-substitution-1",
-        lambda p: SubstituteShares(p, limit=1),
-        ALL_VARIANTS,
-    ),
-    AttackCatalogEntry("tag-framing", TagFraming, LIST_VARIANTS),
-    AttackCatalogEntry("mask-framing", MaskFraming, LIST_VARIANTS),
-    AttackCatalogEntry("length-tamper", LengthTamper, ("SJST",)),
-    AttackCatalogEntry("swap-half", SwapHalf, ("RSS", *LIST_VARIANTS, "STRAWMAN")),
+    AttackCatalogEntry("passive", "sample_message", PassiveGuess),
+    AttackCatalogEntry("block-channel", "sample_message", BlockChannels),
+    _rewriting("share-substitution", "substitute"),
+    _rewriting("share-substitution-1", "substitute", limit=1),
+    _rewriting("tag-framing", "frame_tags"),
+    _rewriting("mask-framing", "frame_masks"),
+    _rewriting("length-tamper", "widen_keys"),
+    AttackCatalogEntry("swap-half", "encode", SwapHalf),
 )
 
 
 def catalog_for(variant: str, names: Sequence[str] | None = None):
-    entries = [e for e in CATALOG if variant in e.variants]
+    """The catalog entries that apply to `variant`, optionally only `names`."""
+    entries = [e for e in CATALOG if hasattr(VARIANTS[variant], e.needs)]
     if names is not None:
         wanted = set(names)
         unknown = wanted - {e.name for e in CATALOG}

@@ -3,7 +3,6 @@ from .ciss import (
     P1,
     P2,
     P3,
-    ChannelPayload,
     CissProtocol,
     ciss_receiver_decode,
     ciss_sender_encode,
@@ -19,13 +18,24 @@ from .sjst import (
 )
 from .strawman import StrawmanProtocol, strawman_receive, strawman_send
 
+# variant name (the "variant" key of a protocol config) -> the class whose
+# `from_json` reads that config
+VARIANTS: dict[str, type[Protocol]] = {
+    "SJST": SjstProtocol,
+    "RSS": RssProtocol,
+    P1: CissProtocol,
+    P2: CissProtocol,
+    P3: CissProtocol,
+    "STRAWMAN": StrawmanProtocol,
+}
+
 __all__ = [
     "Protocol",
     "ProtocolError",
+    "VARIANTS",
     "P1",
     "P2",
     "P3",
-    "ChannelPayload",
     "CissProtocol",
     "ciss_receiver_decode",
     "ciss_sender_encode",

@@ -4,11 +4,14 @@ A protocol instance is a fixed configuration (n, field, lengths, thresholds).
 `run` drives one execution through a transport engine; everything else is a
 pure helper so rounds can be unit-tested without a transport.  Behaviour the
 game layer and the CLI need per protocol is a hook here, not type dispatch at
-the call site: `substitute` for substituting adversaries, and `bound` (the
-`game.bounds.requirement_table` row that provisions the protocol) with
-`budget_problem`.  `OneRoundProtocol` is the base of RSS, P1/P2/P3 and
-STRAWMAN: the sender's `encode` fills one sender-to-receiver round and the
-receiver's `decode` returns the output and the channels it detects.
+the call site: `from_json`, the inverse of `to_json`; the payload rewrites
+an adversary can apply to its own channels (`substitute` here, and on the
+protocols whose payload layout allows them `frame_tags`/`frame_masks` and
+`widen_keys`); and `bound` (the `game.bounds.requirement_table` row that
+provisions the protocol) with `budget_problem`.  `OneRoundProtocol` is the
+base of RSS, P1/P2/P3 and STRAWMAN: the sender's `encode` fills one
+sender-to-receiver round and the receiver's `decode` returns the output and
+the channels it detects.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ class Protocol:
         return None
 
     def to_json(self) -> dict:
+        raise NotImplementedError
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Protocol":
+        """The protocol `to_json` wrote `obj` for; ConfigError on a key it does
+        not read or a non-integer count."""
         raise NotImplementedError
 
 

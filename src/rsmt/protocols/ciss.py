@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
+from ..config import check_keys, read_ints
 from ..field import FieldSpec
 from ..hashing import HashFamilySpec, HashFunction
 from ..sharing import FAIL, SharingSpec, rs_reconstruct, shamir_reconstruct, shamir_share
@@ -44,15 +44,10 @@ _VARIANTS = {
     P3: (lambda n: (n - 1) // 3, "robust-tag-bits"),
 }
 
-
-@dataclass(frozen=True)
-class ChannelPayload:
-    """Parsed content of one channel: (s_i, h_i, tags, masks)."""
-
-    share: tuple[int, ...]
-    hash_fn: HashFunction
-    tags: dict[int, int]  # j -> T_{i,j}
-    masks: dict[int, int]  # j -> r_{j,i}
+# Channel i's payload is (share, (a, b) of h_i, tags, masks); tags and masks
+# list the other channels j != i in ascending order, so j sits at index
+# j - 1 - (j > i).
+TAGS, MASKS = 2, 3
 
 
 class CissProtocol(OneRoundProtocol):
@@ -85,10 +80,7 @@ class CissProtocol(OneRoundProtocol):
 
     def serialize_share(self, share: tuple[int, ...]) -> int:
         bits = self.field.elem_bits
-        acc = 0
-        for idx, v in enumerate(share):
-            acc |= v << (idx * bits)
-        return acc
+        return sum(v << (idx * bits) for idx, v in enumerate(share))
 
     def encode(self, m, rng: random.Random) -> dict[int, tuple]:
         return ciss_sender_encode(self, m, rng)
@@ -100,6 +92,19 @@ class CissProtocol(OneRoundProtocol):
         _share, hcoef, tags, masks = payload
         return (tuple(rng.randrange(self.field.q) for _ in range(self.d)), hcoef, tags, masks)
 
+    def frame_tags(self, payload, rng: random.Random):
+        """`payload` with random cross-tags, trying to make honest channels
+        look tampered."""
+        return self._randomize(payload, TAGS, rng)
+
+    def frame_masks(self, payload, rng: random.Random):
+        """`payload` with random masks: the dual framing attempt."""
+        return self._randomize(payload, MASKS, rng)
+
+    def _randomize(self, payload, k: int, rng: random.Random):
+        fresh = tuple(rng.getrandbits(self.ell) for _ in payload[k])
+        return (*payload[:k], fresh, *payload[k + 1:])
+
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
@@ -109,125 +114,94 @@ class CissProtocol(OneRoundProtocol):
             "field": self.field.to_json(),
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "CissProtocol":
+        check_keys(obj, obj["variant"], "variant", "n", "d", "ell", "field")
+        n, d, ell = read_ints(obj, "n", "d", "ell")
+        return cls(obj["variant"], n, FieldSpec.from_json(obj["field"]), d, ell)
 
-def ciss_sender_encode(
-    spec: CissProtocol,
-    m,
-    rng: random.Random,
-    coeff_matrix=None,
-    hash_fns=None,
-    mask_matrix=None,
-) -> dict[int, tuple]:
-    """Share, hash, and cross-tag the message.
 
-    The keyword arguments force the sharing coefficients, per-channel hash
-    functions, and the mask matrix r_{i,j}; tests and the exhaustive privacy
-    harness use them to enumerate all protocol randomness.
-    """
+def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, tuple]:
+    """Share, hash, and cross-tag the message."""
     spec.check_message(m)
-    n = spec.n
-    per_coord = []
-    for k in range(spec.d):
-        forced = coeff_matrix[k] if coeff_matrix is not None else None
-        per_coord.append(shamir_share(spec.sharing, m[k], rng, coeffs=forced))
-    shares = {i: tuple(per_coord[k][i] for k in range(spec.d)) for i in range(1, n + 1)}
-    if hash_fns is None:
-        hash_fns = {i: spec.family.sample(rng) for i in range(1, n + 1)}
-    if mask_matrix is None:
-        mask_matrix = {
-            (i, j): rng.getrandbits(spec.ell)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        }
+    channels = range(1, spec.n + 1)
+    per_coord = [shamir_share(spec.sharing, m[k], rng) for k in range(spec.d)]
+    shares = {i: tuple(coord[i] for coord in per_coord) for i in channels}
+    hash_fns = {i: spec.family.sample(rng) for i in channels}
+    masks = {(i, j): rng.getrandbits(spec.ell) for i in channels for j in channels if i != j}
+    serialized = {i: spec.serialize_share(shares[i]) for i in channels}
     payloads = {}
-    for i in range(1, n + 1):
+    for i in channels:
         h = hash_fns[i]
-        tags = tuple(
-            h.evaluate(spec.serialize_share(shares[j])) ^ mask_matrix[(i, j)]
-            for j in range(1, n + 1)
-            if j != i
+        others = [j for j in channels if j != i]
+        payloads[i] = (
+            shares[i],
+            (h.a, h.b),
+            tuple(h.evaluate(serialized[j]) ^ masks[(i, j)] for j in others),
+            tuple(masks[(j, i)] for j in others),
         )
-        masks = tuple(mask_matrix[(j, i)] for j in range(1, n + 1) if j != i)
-        payloads[i] = (shares[i], (h.a, h.b), tags, masks)
     return payloads
 
 
-def _parse_all(spec: CissProtocol, payloads) -> dict[int, ChannelPayload]:
-    """Parse every channel payload; malformed content degrades to zeros so a
-    blocked or garbled channel behaves exactly like a zero-substituted one."""
-    parsed = {}
+def _ints(v, length: int, width_bits: int) -> bool:
+    return (isinstance(v, tuple) and len(v) == length
+            and all(int_in_range(x, width_bits) for x in v))
+
+
+def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
+    """Every channel's payload, with a malformed one replaced by the all-zero
+    payload, so a blocked or garbled channel behaves exactly like a
+    zero-substituted one."""
     n = spec.n
+    zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
+    parsed = {}
     for i in range(1, n + 1):
         p = payloads[i]
-        others = [j for j in range(1, n + 1) if j != i]
         ok = (
             isinstance(p, tuple)
             and len(p) == 4
             and vector_in_field(p[0], spec.field.q, spec.d)
-            and isinstance(p[1], tuple)
-            and len(p[1]) == 2
-            and all(
-                isinstance(c, int) and 0 <= c < (1 << spec.family.domain_bits)
-                for c in p[1]
-            )
-            and isinstance(p[2], tuple)
-            and len(p[2]) == n - 1
-            and all(int_in_range(v, spec.ell) for v in p[2])
-            and isinstance(p[3], tuple)
-            and len(p[3]) == n - 1
-            and all(int_in_range(v, spec.ell) for v in p[3])
+            and _ints(p[1], 2, spec.family.domain_bits)
+            and _ints(p[TAGS], n - 1, spec.ell)
+            and _ints(p[MASKS], n - 1, spec.ell)
         )
-        if ok:
-            parsed[i] = ChannelPayload(
-                p[0],
-                HashFunction(spec.family, *p[1]),
-                dict(zip(others, p[2])),
-                dict(zip(others, p[3])),
-            )
-        else:
-            parsed[i] = ChannelPayload(
-                (0,) * spec.d,
-                HashFunction(spec.family, 0, 0),
-                {j: 0 for j in others},
-                {j: 0 for j in others},
-            )
+        parsed[i] = p if ok else zero
     return parsed
 
 
-def mismatch_lists(spec: CissProtocol, parsed: dict[int, ChannelPayload]) -> dict[int, tuple]:
+def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tuple]:
     """L_i = channels whose share fails channel i's tag check.
 
     T_{i,j} comes from channel i, while s_j and the mask r_{i,j} come from
     channel j, so forging a check on an honest pair needs a hash collision.
     """
     n = spec.n
+    serialized = {j: spec.serialize_share(parsed[j][0]) for j in range(1, n + 1)}
     lists = {}
     for i in range(1, n + 1):
-        pi = parsed[i]
+        _share, hcoef, tags, _masks = parsed[i]
+        h = HashFunction(spec.family, *hcoef)
         bad = []
         for j in range(1, n + 1):
             if j == i:
                 continue
-            pj = parsed[j]
-            if pi.hash_fn.evaluate(spec.serialize_share(pj.share)) ^ pj.masks[i] != pi.tags[j]:
+            tag = tags[j - 1 - (j > i)]  # T_{i,j}
+            mask = parsed[j][MASKS][i - 1 - (i > j)]  # r_{i,j}
+            if h.evaluate(serialized[j]) ^ mask != tag:
                 bad.append(j)
         lists[i] = tuple(bad)
     return lists
 
 
 def _majority_list(spec: CissProtocol, lists: dict[int, tuple]):
-    counts = Counter(lists.values())
-    best, cnt = counts.most_common(1)[0]
-    if cnt >= spec.n // 2 + 1:
-        return best
-    return None
+    best, cnt = Counter(lists.values()).most_common(1)[0]
+    return best if cnt >= spec.n // 2 + 1 else None
 
 
 def _reconstruct_plain(spec: CissProtocol, parsed, channels):
     picked = sorted(channels)[: spec.t + 1]
     return tuple(
-        shamir_reconstruct(spec.sharing, {i: parsed[i].share[k] for i in picked})
+        shamir_reconstruct(spec.sharing, {i: parsed[i][0][k] for i in picked})
         for k in range(spec.d)
     )
 
@@ -237,11 +211,7 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
     parsed = _parse_all(spec, payloads)
     lists = mismatch_lists(spec, parsed)
     if spec.variant == P2:
-        union: set[int] = set()
-        for i, bad in lists.items():
-            for j in bad:
-                union.add(i)
-                union.add(j)
+        union = {k for i, bad in lists.items() for j in bad for k in (i, j)}
         if union:
             return FAIL, sorted(union)
         return _reconstruct_plain(spec, parsed, range(1, spec.n + 1)), []
@@ -259,7 +229,7 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
     # n shares with error correction.
     out = []
     for k in range(spec.d):
-        shares = {i: parsed[i].share[k] for i in range(1, spec.n + 1)}
+        shares = {i: parsed[i][0][k] for i in range(1, spec.n + 1)}
         got = rs_reconstruct(spec.sharing, shares, max_errors=spec.t)
         if got is FAIL:
             return FAIL, list(majority)

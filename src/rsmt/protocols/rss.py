@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import random
 
-from ..sharing import FAIL, RobustSharingSpec, robust_reconstruct, robust_share
+from ..config import check_keys, read_ints
+from ..field import FieldSpec
+from ..sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingSpec, robust_reconstruct,
+                       robust_share)
 from .base import OneRoundProtocol, vector_in_field
 
 
@@ -52,6 +55,13 @@ class RssProtocol(OneRoundProtocol):
             "d": self.d,
             "field": self.field.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "RssProtocol":
+        check_keys(obj, "RSS", "variant", "n", "t", "d", "field")
+        n, t, d = read_ints(obj, "n", "t", "d")
+        field = FieldSpec.from_json(obj["field"])
+        return cls(RobustSharingSpec(AmdSpec(field, d), SharingSpec(t=t, n=n, field=field)))
 
 
 def rss_send(spec: RssProtocol, m, rng: random.Random) -> dict[int, tuple[int, ...]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..config import check_keys, read_ints
 from ..hashing import HashFamilySpec, HashFunction
 from ..transport import RECEIVER_TO_SENDER, SENDER_TO_RECEIVER
 from .base import Protocol, ProtocolError, int_in_range
@@ -79,8 +80,19 @@ class SjstProtocol(Protocol):
     def substitute(self, payload, rng: random.Random) -> tuple[int, int]:
         return (rng.getrandbits(self.ell), rng.getrandbits(self.k))
 
+    def widen_keys(self, payload, rng: random.Random) -> tuple[int, int]:
+        """A key pair one bit too wide in each part (|r| = l+1, |R| = k+1),
+        which the receiver's length check flags."""
+        return ((1 << self.ell) | rng.getrandbits(self.ell),
+                (1 << self.k) | rng.getrandbits(self.k))
+
     def to_json(self) -> dict:
         return {"variant": "SJST", "n": self.n, "ell": self.ell, "k": self.k}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SjstProtocol":
+        check_keys(obj, "SJST", "variant", "n", "ell", "k")
+        return cls(*read_ints(obj, "n", "ell", "k"))
 
 
 def sjst_round1_sender(spec: SjstProtocol, rng: random.Random):

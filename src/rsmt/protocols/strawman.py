@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from ..config import check_keys, read_int
 from ..field import FieldSpec, interpolate, poly_eval
 from ..sharing import SharingSpec, shamir_share
 from .base import OneRoundProtocol, ProtocolError
@@ -45,6 +46,11 @@ class StrawmanProtocol(OneRoundProtocol):
 
     def to_json(self) -> dict:
         return {"variant": "STRAWMAN", "n": self.n, "field": self.field.to_json()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "StrawmanProtocol":
+        check_keys(obj, "STRAWMAN", "variant", "n", "field")
+        return cls(read_int(obj["n"], "n"), FieldSpec.from_json(obj["field"]))
 
 
 def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, int]:

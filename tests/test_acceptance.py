@@ -10,7 +10,7 @@ import random
 from rsmt.field import FieldSpec
 from rsmt.game import (
     PassiveGuess,
-    SubstituteShares,
+    Rewrite,
     SwapHalf,
     UtilityTable,
     catalog_for,
@@ -102,7 +102,7 @@ def test_05_sjst_reliability_bound():
     profile = CorruptionProfile({1: frozenset({1, 2})})
     trials = 1_000_000
     bound = (spec.n - 1) * 2.0 ** (1 - spec.ell)  # 2^-7
-    stats = run_trials(spec, profile, {1: SubstituteShares(spec)},
+    stats = run_trials(spec, profile, {1: Rewrite(spec, "substitute")},
                        witness_table(spec.message_space_size()), trials, 505)
     rate = stats.rate(lambda o: not o.suc)
     limit = bound + three_sigma(bound, trials)
@@ -114,7 +114,7 @@ def test_06_minority_detection_bound():
     spec = CissProtocol(P1, 5, FieldSpec.binary(16), 1, 16)
     profile = CorruptionProfile({1: frozenset({3})})
     trials = 100_000
-    stats = run_trials(spec, profile, {1: SubstituteShares(spec)},
+    stats = run_trials(spec, profile, {1: Rewrite(spec, "substitute")},
                        witness_table(spec.message_space_size()), trials, 606)
     rate = stats.rate(lambda o: o.suc and 1 in o.detect)
     miss = (spec.n + 1) ** 2 * 2.0 ** -(spec.ell + 1)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsmt.cli
 from rsmt.cli import (
@@ -15,9 +17,11 @@ from rsmt.cli import (
     profile_from_json,
     protocol_from_json,
 )
+from rsmt.field import FieldSpec
 from rsmt.game.nash import CSV_COLUMNS
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
+from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 
 
 P1_CONFIG = {
@@ -67,6 +71,37 @@ def test_protocol_from_json_all_variants():
 def test_protocol_from_json_rejects(obj):
     with pytest.raises(ConfigError):
         protocol_from_json(obj)
+
+
+FIELDS = [FieldSpec.prime(7), FieldSpec.prime(251), FieldSpec.binary(4),
+          FieldSpec.binary(8), FieldSpec.binary(8, 0x11D)]
+
+
+@st.composite
+def protocols(draw):
+    """Every variant over ranges of its parameters."""
+    variant = draw(st.sampled_from(["SJST", "RSS", "P1", "P2", "P3", "STRAWMAN"]))
+    if variant == "SJST":
+        k = draw(st.integers(1, 16))
+        return SjstProtocol(draw(st.integers(1, 20)), draw(st.integers(1, k)), k)
+    field = draw(st.sampled_from(FIELDS))
+    top = min(field.q - 1, 12)
+    if variant == "STRAWMAN":
+        return StrawmanProtocol(draw(st.integers(3, top)), field)
+    if variant == "RSS":
+        n = draw(st.integers(2, top))
+        d = draw(st.integers(1, 3).filter(lambda d: (d + 2) % field.char))
+        sharing = SharingSpec(t=draw(st.integers(1, n - 1)), n=n, field=field)
+        return RssProtocol(RobustSharingSpec(AmdSpec(field, d), sharing))
+    n = draw(st.integers({"P1": 3, "P2": 2, "P3": 4}[variant], top))
+    d = draw(st.integers(1, 2))
+    return CissProtocol(variant, n, field, d, draw(st.integers(1, d * field.elem_bits)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(protocols())
+def test_protocol_json_roundtrip(p):
+    assert protocol_from_json(p.to_json()).to_json() == p.to_json()
 
 
 def test_profile_from_json_roundtrip():
@@ -300,12 +335,53 @@ def test_flags_without_effect_are_usage_errors(argv):
     ("bounds", {"alpha": "x"}, "alpha must be a number, got 'x'"),
     ("sweep", {"sweep": {"axis": "ell", "values": ["x"]}},
      "sweep value must be an integer, got 'x'"),
-], ids=["n", "trials", "master_seed", "alpha", "sweep-values"])
+    ("simulate", {"protocol": dict(P1_CONFIG["protocol"], n=5.9)},
+     "n must be an integer, got 5.9"),
+    ("simulate", {"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ("simulate", {"protocol": dict(P1_CONFIG["protocol"], ell=True)},
+     "ell must be an integer, got True"),
+    ("bounds", {"protocol": dict(P1_CONFIG["protocol"], field={"kind": "binary", "m": "x"})},
+     "m must be an integer, got 'x'"),
+    ("bounds", {"profile": {"assignments": {"1": [1, 2.5]}}},
+     "channel must be an integer, got 2.5"),
+], ids=["n", "trials", "master_seed", "alpha", "sweep-values", "n-fractional",
+        "trials-fractional", "ell-bool", "field-m", "channel-fractional"])
 def test_non_numeric_config_value_names_the_field(tmp_path, capsys, command, change, message):
     path = write_config(tmp_path, dict(P1_CONFIG, **change))
     assert main([command, "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_integral_values_are_read_as_ints():
+    cfg = ExperimentConfig(dict(P1_CONFIG, trials=20.0,
+                                protocol=dict(P1_CONFIG["protocol"], n=5.0, ell="8")))
+    assert cfg.trials == 20 and cfg.protocol.n == 5 and cfg.protocol.ell == 8
+
+
+RSS_PROTOCOL = {"variant": "RSS", "n": 3, "t": 1, "d": 1, "field": {"kind": "prime", "p": 251}}
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("sweep", {"sweep": {"axis": "t", "values": [1, 2, 3]}}, "P1 does not read 't'"),
+    ("sweep", {"protocol": RSS_PROTOCOL, "profile": {"assignments": {"1": [1]}},
+               "sweep": {"axis": "ell", "values": [1, 2, 3]}}, "RSS does not read 'ell'"),
+    ("simulate", {"protocol": {"variant": "SJST", "n": 3, "ell": 8, "k": 8, "nn": 9}},
+     "SJST does not read 'nn'"),
+    ("simulate", {"protocol": dict(P1_CONFIG["protocol"],
+                                   field={"kind": "prime", "p": 251, "m": 8})},
+     "prime field does not read 'm'"),
+], ids=["sweep-t-on-p1", "sweep-ell-on-rss", "sjst-nn", "prime-field-m"])
+def test_keys_the_protocol_does_not_read_fail_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, change, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
+    path = write_config(tmp_path, dict(P1_CONFIG, **change))
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_without_adversaries_fails_before_any_trial(tmp_path, capsys, monkeypatch):
@@ -339,6 +415,17 @@ STRAWMAN,1,share-substitution,50,8.272000,1.022317,1.422317,1
 STRAWMAN,1,share-substitution-1,50,0.400000,0.000000,0.400000,0
 STRAWMAN,1,swap-half,50,9.232000,0.721907,1.121907,1
 """
+P1_ROWS = """\
+# master_seed 3
+protocol,adversary,attack,trials,mean,ci95,threshold,flag
+P1,1,passive,60,2.000000,0.000000,2.000000,0
+P1,1,block-channel,60,0.100000,0.136263,2.136263,0
+P1,1,share-substitution,60,0.050000,0.097180,2.097180,0
+P1,1,share-substitution-1,60,0.000000,0.000000,2.000000,0
+P1,1,tag-framing,60,2.000000,0.000000,2.000000,0
+P1,1,mask-framing,60,0.050000,0.097180,2.097180,0
+P1,1,swap-half,60,0.050000,0.097180,2.097180,0
+"""
 SJST_SWEEP_CONFIG = {
     "protocol": {"variant": "SJST", "n": 3, "ell": 2, "k": 8},
     "profile": {"assignments": {"1": [1], "2": [2]}},
@@ -363,8 +450,9 @@ ell,4,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 
 @pytest.mark.parametrize("argv, config, code, rows", [
     (["simulate", "--seed", "2", "--trials", "50"], STRAWMAN_CONFIG, EXIT_FLAG, STRAWMAN_ROWS),
+    (["simulate", "--seed", "3", "--trials", "60"], P1_CONFIG, EXIT_OK, P1_ROWS),
     (["sweep", "--seed", "1"], SJST_SWEEP_CONFIG, EXIT_OK, SJST_SWEEP_ROWS),
-], ids=["simulate-strawman", "sweep-sjst"])
+], ids=["simulate-strawman", "simulate-p1", "sweep-sjst"])
 def test_fixed_seed_report_is_golden(tmp_path, argv, config, code, rows):
     out = tmp_path / "report.csv"
     path = write_config(tmp_path, config)

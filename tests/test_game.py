@@ -16,12 +16,9 @@ from rsmt.transport import CorruptionProfile
 from rsmt.game import (
     BlockChannels,
     GameStats,
-    LengthTamper,
-    MaskFraming,
     PassiveGuess,
-    SubstituteShares,
+    Rewrite,
     SwapHalf,
-    TagFraming,
     UtilityError,
     UtilityTable,
     WITNESS_BASE,
@@ -139,7 +136,7 @@ def test_multi_adversary_bonus_applied():
     # 2's payoff gains the bonus for 1's detection.
     table = witness_table(PROTO1.message_space_size(), bonus=0.25)
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
-    strategies = {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)}
+    strategies = {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)}
     outcome, _ = play_game(PROTO1, prof, strategies, 17)
     assert outcome.suc == 1 and outcome.detect == {1}
     stats = GameStats(Counter({outcome: 1}), (1, 2), table)
@@ -150,7 +147,7 @@ def test_multi_adversary_bonus_applied():
 def test_detect_attribution_requires_tampering():
     # the list protocol localizes: a passive co-adversary is never implicated
     prof = CorruptionProfile({1: frozenset({1, 2}), 2: frozenset({3})})
-    strategies = {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)}
+    strategies = {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)}
     caught = 0
     for seed in range(50):
         outcome, _ = play_game(PROTO1, prof, strategies, seed)
@@ -166,7 +163,7 @@ def test_rss_detection_is_global():
         RobustSharingSpec(AmdSpec(GF256, 1), SharingSpec(t=2, n=5, field=GF256))
     )
     prof = CorruptionProfile({1: frozenset({1, 2}), 2: frozenset({3})})
-    strategies = {1: SubstituteShares(rss), 2: PassiveGuess(rss)}
+    strategies = {1: Rewrite(rss, "substitute"), 2: PassiveGuess(rss)}
     flagged_both = 0
     for seed in range(50):
         outcome, _ = play_game(rss, prof, strategies, seed)
@@ -208,7 +205,7 @@ def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
 
 @pytest.mark.parametrize("protocol, profile, strategies, table", [
     (PROTO1, CorruptionProfile({1: frozenset({1}), 2: frozenset({3})}),
-     {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)},
+     {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)},
      witness_table(PROTO1.message_space_size(), bonus=0.1)),
     (STRAWMAN, random_pair_profile, {1: SwapHalf(STRAWMAN)}, STRAWMAN_TABLE),
 ], ids=["p1-two-adversaries-bonus-0.1", "strawman-callable-profile"])
@@ -223,7 +220,7 @@ def test_statistics_equal_exact_per_trial_oracle(protocol, profile, strategies, 
 
 def test_counts_cover_every_trial_and_give_the_rates():
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
-    strategies = {1: SubstituteShares(PROTO1), 2: PassiveGuess(PROTO1)}
+    strategies = {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)}
     stats = run_trials(PROTO1, prof, strategies, TABLE, 200, 4)
     outcomes = [play_game(PROTO1, prof, strategies, trial_seed(4, i))[0] for i in range(200)]
     assert stats.counts == Counter(outcomes)
@@ -258,19 +255,42 @@ def test_passive_cell_never_flags_against_passive_baseline(cells, seed):
 # --- attack catalog ----------------------------------------------------------
 
 
+COMMON = ["passive", "block-channel", "share-substitution", "share-substitution-1"]
+LIST = COMMON + ["tag-framing", "mask-framing", "swap-half"]
+
+
+@pytest.mark.parametrize("variant, names", [
+    ("SJST", COMMON + ["length-tamper"]),
+    ("RSS", COMMON + ["swap-half"]),
+    ("P1", LIST),
+    ("P2", LIST),
+    ("P3", LIST),
+    ("STRAWMAN", COMMON + ["swap-half"]),
+])
+def test_catalog_for_every_variant(variant, names):
+    assert [e.name for e in catalog_for(variant)] == names
+
+
 def test_catalog_selection():
-    names = {e.name for e in catalog_for("P1")}
-    assert {"passive", "share-substitution", "tag-framing", "mask-framing",
-            "block-channel", "swap-half"} <= names
-    assert "length-tamper" not in names
-    assert any(e.name == "length-tamper" for e in catalog_for("SJST"))
+    assert [e.name for e in catalog_for("P1", ["swap-half", "passive"])] == ["passive", "swap-half"]
     with pytest.raises(ValueError):
         catalog_for("P1", ["no-such-attack"])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Rewrite(SjstProtocol(3, 4, 8), "frame_tags"),
+    lambda: Rewrite(SjstProtocol(3, 4, 8), "frame_masks"),
+    lambda: Rewrite(PROTO1, "widen_keys"),
+    lambda: SwapHalf(SjstProtocol(3, 4, 8)),
+], ids=["tags-on-sjst", "masks-on-sjst", "widen-on-p1", "swap-on-sjst"])
+def test_attack_needs_its_protocol_method(build):
+    with pytest.raises(ValueError, match="has no"):
+        build()
+
+
 def test_substitution_limit():
     prof = CorruptionProfile({1: frozenset({1, 2})})
-    stats = run_trials(PROTO1, prof, {1: SubstituteShares(PROTO1, limit=1)}, TABLE, 100, 5)
+    stats = run_trials(PROTO1, prof, {1: Rewrite(PROTO1, "substitute", limit=1)}, TABLE, 100, 5)
     assert stats.detect_rate[1] > 0.9
     assert stats.suc_rate > 0.9  # single error is always corrected via lists
 
@@ -281,7 +301,7 @@ def test_p3_wide_substitution_on_one_channel_always_delivers():
     p3 = CissProtocol(P3, 13, FieldSpec.binary(8), 1, 8)
     for channel in (1, 7, 13):
         prof = CorruptionProfile({1: frozenset({channel})})
-        stats = run_trials(p3, prof, {1: SubstituteShares(p3)},
+        stats = run_trials(p3, prof, {1: Rewrite(p3, "substitute")},
                            witness_table(p3.message_space_size()), 100, channel)
         assert stats.suc_rate == 1.0
 
@@ -289,7 +309,7 @@ def test_p3_wide_substitution_on_one_channel_always_delivers():
 def test_length_tamper_always_detected():
     sjst = SjstProtocol(3, 4, 8)
     prof = CorruptionProfile({1: frozenset({2})})
-    stats = run_trials(sjst, prof, {1: LengthTamper(sjst)}, witness_table(256), 200, 6)
+    stats = run_trials(sjst, prof, {1: Rewrite(sjst, "widen_keys")}, witness_table(256), 200, 6)
     assert stats.detect_rate[1] == 1.0
     assert stats.suc_rate == 1.0  # flagged channel excluded on both sides
 
@@ -298,12 +318,12 @@ def test_framing_attacks_never_beat_passive():
     prof = CorruptionProfile({1: frozenset({1, 2})})
     # randomizing own tags only perturbs the framer's own list: harmless,
     # undetected, exactly the passive payoff
-    tag = run_trials(PROTO1, prof, {1: TagFraming(PROTO1)}, TABLE, 300, 8)
+    tag = run_trials(PROTO1, prof, {1: Rewrite(PROTO1, "frame_tags")}, TABLE, 300, 8)
     assert tag.utility_mean[1] == pytest.approx(2.0)
     assert tag.detect_rate[1] == 0.0
     # randomizing own masks breaks honest channels' checks OF the framer:
     # self-incrimination, strictly worse than passive
-    mask = run_trials(PROTO1, prof, {1: MaskFraming(PROTO1)}, TABLE, 300, 8)
+    mask = run_trials(PROTO1, prof, {1: Rewrite(PROTO1, "frame_masks")}, TABLE, 300, 8)
     assert mask.detect_rate[1] > 0.95
     assert mask.utility_mean[1] < 1.0
 

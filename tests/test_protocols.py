@@ -94,13 +94,28 @@ def test_encode_structure_and_tag_oracle():
     payloads = ciss_sender_encode(PROTO1, (99,), rng)
     assert set(payloads) == {1, 2, 3, 4, 5}
     parsed = _parse_all(PROTO1, payloads)
+    assert parsed == payloads  # well-formed payloads are read as they are
     # every cross check passes when untampered
     for i, bad in mismatch_lists(PROTO1, parsed).items():
         assert bad == ()
-    # independent recomputation of one tag
-    p1, p3 = parsed[1], parsed[3]
-    h = HashFunction(PROTO1.family, p1.hash_fn.a, p1.hash_fn.b)
-    assert p1.tags[3] == h.evaluate(PROTO1.serialize_share(p3.share)) ^ p3.masks[1]
+    # independent recomputation of one tag: T_{1,3} is entry 1 of channel 1's
+    # tags (others 2, 3, 4, 5), its mask r_{1,3} entry 0 of channel 3's masks
+    # (others 1, 2, 4, 5)
+    (_, (a, b), tags1, _), (share3, _, _, masks3) = parsed[1], parsed[3]
+    h = HashFunction(PROTO1.family, a, b)
+    assert tags1[1] == h.evaluate(PROTO1.serialize_share(share3)) ^ masks3[0]
+
+
+def test_parse_reads_malformed_payloads_as_zeros():
+    payloads = ciss_sender_encode(PROTO1, (99,), random.Random(5))
+    share, (a, b), tags, masks = payloads[1]
+    zero = ((0,), (0, 0), (0,) * 4, (0,) * 4)
+    for bad in (EMPTY, (share, (a, b), tags), (share, (True, b), tags, masks),
+                (share, (a, b), tags[:3], masks), (share, (a, b), tags, (256,) * 4),
+                ((256,), (a, b), tags, masks)):
+        parsed = _parse_all(PROTO1, {**payloads, 1: bad})
+        assert parsed[1] == zero
+        assert parsed[2] == payloads[2]
 
 
 def test_serialize_share_packs_elements():

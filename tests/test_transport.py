@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rsmt.field import FieldSpec
-from rsmt.game import SubstituteShares
+from rsmt.game import Rewrite
 from rsmt.protocols import CissProtocol, SjstProtocol
 from rsmt.protocols.ciss import P1, P2
 from rsmt.sharing import FAIL
@@ -182,6 +182,6 @@ def test_transcript_json_serializes_payload_kinds():
 def test_failed_delivery_transcript_serializes():
     p2 = CissProtocol(P2, 4, GF256, 1, 8)
     prof = CorruptionProfile({1: frozenset({1})})
-    tr = execute(p2, (5,), prof, {1: SubstituteShares(p2)}, 3)
+    tr = execute(p2, (5,), prof, {1: Rewrite(p2, "substitute")}, 3)
     assert tr.receiver_output is FAIL
     assert json.loads(tr.to_json_str())["receiver_output"] == {"fail": True}
