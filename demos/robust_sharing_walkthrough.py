@@ -46,13 +46,13 @@ print("after corrupting share 3, decode gives:", recovered)
 assert recovered == secret
 
 # --- manipulation detection --------------------------------------------------
-# The tamper-evident encoding (s, x, x^3 + s*x) makes any fixed additive
-# offset survive with probability at most (d+1)/q = 2/251.
+# The tamper-evident encoding is the flat tuple (s, x, x^3 + s*x); any fixed
+# additive offset survives with probability at most (d+1)/q = 2/251.
 amd = AmdSpec(gf, 1)
 cw = amd_encode(amd, [secret], rng)
-print("codeword (s, x, tag):", cw.s[0], cw.x, cw.tag)
-tampered = type(cw)(((cw.s[0] + 1) % gf.q,), cw.x, cw.tag)
-print("shifting s by 1 decodes to:", amd_decode(amd, tampered))
+print("codeword (s, x, tag):", cw)
+s, x, tag = cw
+print("shifting s by 1 decodes to:", amd_decode(amd, ((s + 1) % gf.q, x, tag)))
 
 # --- putting it together -----------------------------------------------------
 # Robust sharing = Shamir sharing of the codeword, coordinate by coordinate.

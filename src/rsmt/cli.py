@@ -17,12 +17,12 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, read_int
+from .config import ConfigError, read_int, read_object
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, nash_catalog_check
 from .game.play import play_game, run_trials, trial_seed
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
-from .game.attacks import PassiveGuess, catalog_for
+from .game.attacks import CATALOG, PassiveGuess, catalog_for
 from .privacy import CHECKS, EnumerationTooLarge
 from .protocols import VARIANTS
 from .transport import CorruptionProfile
@@ -48,7 +48,7 @@ def profile_from_json(obj: dict) -> CorruptionProfile:
     try:
         assignments = {
             read_int(j, "adversary id"): frozenset(read_int(c, "channel") for c in chans)
-            for j, chans in obj["assignments"].items()
+            for j, chans in read_object(obj["assignments"], "assignments").items()
         }
         malicious = obj.get("malicious_id")
         return CorruptionProfile(
@@ -56,6 +56,22 @@ def profile_from_json(obj: dict) -> CorruptionProfile:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad corruption profile: {exc}") from exc
+
+
+def attacks_from_json(names, variant: str) -> list[str] | None:
+    """`names` (None: the whole catalog) if it is a non-empty list of catalog
+    attacks that all apply to `variant`."""
+    if names is None:
+        return None
+    if not isinstance(names, list) or not names:
+        raise ConfigError(f"attacks must be a non-empty list of attack names, got {names!r}")
+    applicable = [e.name for e in catalog_for(variant)]
+    for name in names:
+        if name not in [e.name for e in CATALOG]:
+            raise ConfigError(f"unknown attack {name!r}")
+        if name not in applicable:
+            raise ConfigError(f"attack {name!r} does not apply to {variant}")
+    return names
 
 
 class ExperimentConfig:
@@ -83,7 +99,7 @@ class ExperimentConfig:
             self.table.validate_timid()
         except UtilityError as exc:
             raise ConfigError(f"utility table not admissible: {exc}") from exc
-        self.attacks = obj.get("attacks")
+        self.attacks = attacks_from_json(obj.get("attacks"), self.protocol.variant)
         self.trials = read_int(obj.get("trials", 1000), "trials")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -120,6 +136,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    read_object(obj, "config")
     if getattr(overrides, "seed", None) is not None:
         obj["master_seed"] = overrides.seed
     if getattr(overrides, "trials", None) is not None:
@@ -216,10 +233,13 @@ def cmd_verify(out: str | None) -> int:
 
 
 def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
-    if not config.sweep or not config.sweep.get("axis") or not config.sweep.get("values"):
+    sweep = config.sweep
+    if not isinstance(sweep, dict) or not sweep.get("axis") or not sweep.get("values"):
         raise ConfigError("sweep requires {'axis': ..., 'values': [...]} in config")
-    axis = config.sweep["axis"]
-    values = config.sweep["values"]
+    axis = sweep["axis"]
+    values = sweep["values"]
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep values must be a list, got {values!r}")
     if axis not in ("ell", "n", "t", "trials"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     ints = [read_int(v, "sweep value") for v in values]

@@ -24,6 +24,13 @@ def read_int(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def read_object(value, name: str) -> dict:
+    """`value` if it is a JSON object, else a ConfigError naming `name`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def read_ints(obj: dict, *names: str) -> list[int]:
     """`read_int` of each named value; KeyError if one is missing."""
     return [read_int(obj[name], name) for name in names]

@@ -136,6 +136,13 @@ class FieldSpec:
         _spec_cache[key] = self
         return self
 
+    def __reduce__(self):
+        # Through the interning constructors: a pickled or deep-copied field
+        # comes back as this very object.
+        if self.kind == "prime":
+            return FieldSpec.prime, (self.p,)
+        return FieldSpec.binary, (self.m, self.poly)
+
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         return cls("prime", p=p)

@@ -1,5 +1,6 @@
 """Strongly universal hash family h_{a,b}(x) = low_l_bits(a*x + b) over GF(2^m).
 
+A member of the family is its key (a, b), the pair that travels on the wire.
 The affine map (a, b) -> (a*x1 + b, a*x2 + b) is a bijection for x1 != x2, so
 truncating both outputs to l bits leaves every tag pair with exactly
 2^(2m-2l) preimages: the family is exactly 2^(-2l)-pairwise independent,
@@ -8,90 +9,50 @@ comfortably inside the 2^(1-2l) budget the protocol bounds assume.
 
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import dataclass, field as dc_field
 
 from .field import FieldSpec
 
 
+@dataclass(frozen=True)
 class HashFamilySpec:
     """Family of maps from m-bit inputs to l-bit tags."""
 
-    __slots__ = ("domain_bits", "range_bits", "field")
+    domain_bits: int
+    range_bits: int
+    field: FieldSpec = dc_field(init=False, repr=False, compare=False)
 
-    def __init__(self, domain_bits: int, range_bits: int):
-        if not 1 <= range_bits <= domain_bits:
+    def __post_init__(self):
+        if not 1 <= self.range_bits <= self.domain_bits:
             raise ValueError(
-                f"need 1 <= range_bits <= domain_bits, got l={range_bits}, m={domain_bits}"
+                f"need 1 <= range_bits <= domain_bits, "
+                f"got l={self.range_bits}, m={self.domain_bits}"
             )
-        object.__setattr__(self, "domain_bits", domain_bits)
-        object.__setattr__(self, "range_bits", range_bits)
-        object.__setattr__(self, "field", FieldSpec.binary(domain_bits))
+        object.__setattr__(self, "field", FieldSpec.binary(self.domain_bits))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HashFamilySpec is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HashFamilySpec)
-            and self.domain_bits == other.domain_bits
-            and self.range_bits == other.range_bits
-        )
-
-    def __hash__(self):
-        return hash((self.domain_bits, self.range_bits))
-
-    def sample(self, rng: random.Random) -> "HashFunction":
-        return HashFunction(self, rng.getrandbits(self.domain_bits), rng.getrandbits(self.domain_bits))
+    def sample(self, rng: random.Random) -> tuple[int, int]:
+        """A uniform key (a, b)."""
+        return rng.getrandbits(self.domain_bits), rng.getrandbits(self.domain_bits)
 
     def family_gamma(self) -> float:
         """Pairwise-independence parameter of this family: 2^(-2l)."""
         return 2.0 ** (-2 * self.range_bits)
 
     def members(self):
-        for a in range(1 << self.domain_bits):
-            for b in range(1 << self.domain_bits):
-                yield HashFunction(self, a, b)
+        """Every key (a, b), a-major."""
+        return itertools.product(range(1 << self.domain_bits), repeat=2)
 
-    def __repr__(self):
-        return f"HashFamilySpec(m={self.domain_bits}, l={self.range_bits})"
-
-
-class HashFunction:
-    """A sampled member (a, b) of the family."""
-
-    __slots__ = ("family", "a", "b")
-
-    def __init__(self, family: HashFamilySpec, a: int, b: int):
-        size = 1 << family.domain_bits
+    def tag(self, key: tuple[int, int], x: int) -> int:
+        """h_{a,b}(x) for key = (a, b)."""
+        a, b = key
+        size = 1 << self.domain_bits
         if not (0 <= a < size and 0 <= b < size):
             raise ValueError("hash coefficients outside the field")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HashFunction is immutable")
-
-    def evaluate(self, x: int) -> int:
-        fam = self.family
-        if not 0 <= x < (1 << fam.domain_bits):
-            raise ValueError(f"input does not fit in {fam.domain_bits} bits")
-        full = fam.field.mul_int(self.a, x) ^ self.b
-        return full & ((1 << fam.range_bits) - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HashFunction)
-            and self.family == other.family
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.family, self.a, self.b))
-
-    def __repr__(self):
-        return f"HashFunction(a={self.a:#x}, b={self.b:#x}, {self.family!r})"
+        if not 0 <= x < size:
+            raise ValueError(f"input does not fit in {self.domain_bits} bits")
+        return (self.field.mul_int(a, x) ^ b) & ((1 << self.range_bits) - 1)
 
 
 def offset_collision_prob_exhaustive(

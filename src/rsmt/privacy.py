@@ -3,6 +3,9 @@
 Every function enumerates ALL randomness relevant to the quantity under test
 and returns an exact worst-case figure (statistical distance or failure
 probability) as a fraction of integer counts — no sampling, no tolerance.
+The sharing checks run the production `shamir_share`, `amd_encode` and
+`robust_share` with a `ForcedDraws` stand-in for the rng, once per point of
+range(q)^draws, so they see the draw path the simulator runs.
 `CHECKS` fixes the parameters: it is the one table that `rsmt verify` prints
 and the acceptance suite asserts.  The regimes are deliberately tiny so each
 check finishes in seconds.
@@ -11,18 +14,16 @@ check finishes in seconds.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .field import FieldSpec
-from .hashing import HashFamilySpec, HashFunction, offset_collision_prob_exhaustive
+from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
 from .protocols.ciss import P1, CissProtocol
 from .protocols.sjst import SjstProtocol
 from .sharing import (
     FAIL,
-    AmdCodeword,
     AmdSpec,
     RobustSharingSpec,
     SharingSpec,
@@ -32,7 +33,26 @@ from .sharing import (
     shamir_share,
 )
 
-_NULL_RNG = random.Random(0)  # never consulted when all randomness is forced
+
+class ForcedDraws:
+    """Stand-in for `random.Random` whose `randrange` returns the given
+    values in order; drawing one more than given raises RuntimeError."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, stop: int) -> int:
+        value = next(self._values, None)
+        if value is None:
+            raise RuntimeError("drew more random values than were forced")
+        return value
+
+
+def _every_draw(q: int, draws: int):
+    """One `ForcedDraws` per point of range(q)^draws."""
+    return map(ForcedDraws, itertools.product(range(q), repeat=draws))
 
 
 class EnumerationTooLarge(ValueError):
@@ -64,7 +84,8 @@ def hash_pairs_uniform(family: HashFamilySpec) -> bool:
     4^l tag pairs by exactly 2^(2m-2l) members of the family."""
     m, ell = family.domain_bits, family.range_bits
     for x1, x2 in itertools.permutations(range(1 << m), 2):
-        counts = Counter((h.evaluate(x1), h.evaluate(x2)) for h in family.members())
+        counts = Counter((family.tag(key, x1), family.tag(key, x2))
+                         for key in family.members())
         if len(counts) != 4 ** ell or set(counts.values()) != {1 << (2 * (m - ell))}:
             return False
     return True
@@ -90,8 +111,8 @@ def shamir_privacy_distance(field: FieldSpec, t: int, n: int) -> Fraction:
         dists = []
         for secret in range(q):
             c = Counter()
-            for coeffs in itertools.product(range(q), repeat=t):
-                shares = shamir_share(spec, secret, _NULL_RNG, coeffs=coeffs)
+            for rng in _every_draw(q, t):
+                shares = shamir_share(spec, secret, rng)
                 c[tuple(shares[i] for i in subset)] += 1
             dists.append(c)
         worst = max(worst, _max_distance(dists, q ** t))
@@ -111,14 +132,9 @@ def amd_failure_max(field: FieldSpec, d: int) -> Fraction:
             if all(v == 0 for v in delta):
                 continue
             accepted = 0
-            for x in range(q):
-                cw = amd_encode(spec, msg, _NULL_RNG, x=x)
-                tampered = AmdCodeword(
-                    tuple(field.add_int(s, dv) for s, dv in zip(cw.s, delta[:d])),
-                    field.add_int(cw.x, delta[d]),
-                    field.add_int(cw.tag, delta[d + 1]),
-                )
-                out = amd_decode(spec, tampered)
+            for rng in _every_draw(q, 1):
+                cw = amd_encode(spec, msg, rng)
+                out = amd_decode(spec, tuple(map(field.add_int, cw, delta)))
                 if out is not FAIL and out != msg:
                     accepted += 1
             worst = max(worst, Fraction(accepted, q))
@@ -140,13 +156,11 @@ def rss_view_distance(spec: RobustSharingSpec, corrupted: frozenset[int]) -> Fra
     dists = []
     for msg in itertools.product(range(q), repeat=d):
         c = Counter()
-        for x in range(q):
-            for flat in itertools.product(range(q), repeat=width * inner.t):
-                matrix = [flat[k * inner.t:(k + 1) * inner.t] for k in range(width)]
-                shares = robust_share(spec, msg, _NULL_RNG, coeff_matrix=matrix, x=x)
-                c[tuple(shares[i] for i in picked)] += 1
+        for rng in _every_draw(q, 1 + width * inner.t):  # x, then coefficients
+            shares = robust_share(spec, msg, rng)
+            c[tuple(shares[i] for i in picked)] += 1
         dists.append(c)
-    return _max_distance(dists, q ** (1 + width * inner.t))
+    return _max_distance(dists, states)
 
 
 def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fraction:
@@ -175,39 +189,31 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     coeff_states = q ** (d * t)
     total = coeff_states * hash_states * mask_states
     _check_size(total)
-    dom = 1 << spec.family.domain_bits
     tag_mask = (1 << spec.ell) - 1
     dists = []
     for msg_vals in itertools.product(range(q), repeat=d):
         counts = Counter()
-        for flat in itertools.product(range(q), repeat=d * t):
-            per_coord = []
-            for k in range(d):
-                per_coord.append(shamir_share(
-                    spec.sharing, msg_vals[k], _NULL_RNG, coeffs=flat[k * t:(k + 1) * t]
-                ))
+        for rng in _every_draw(q, d * t):
+            per_coord = [shamir_share(spec.sharing, msg_vals[k], rng) for k in range(d)]
             ser = {
                 j: spec.serialize_share(tuple(per_coord[k][j] for k in range(d)))
                 for j in range(1, n + 1)
             }
-            for hvals in itertools.product(range(dom), repeat=2 * len(c_set)):
+            for hkeys in itertools.product(spec.family.members(), repeat=len(c_set)):
                 hashed = {}
-                for idx, i in enumerate(c_set):
-                    h = HashFunction(spec.family, hvals[2 * idx], hvals[2 * idx + 1])
+                for i, key in zip(c_set, hkeys):
                     for j in others:
                         if j != i:
-                            hashed[(i, j)] = h.evaluate(ser[j])
+                            hashed[(i, j)] = spec.family.tag(key, ser[j])
                 for mvals in itertools.product(range(tag_mask + 1), repeat=len(mask_pairs)):
                     masks = dict(zip(mask_pairs, mvals))
                     view = []
-                    for idx, i in enumerate(c_set):
+                    for i, key in zip(c_set, hkeys):
                         tags = tuple(
                             hashed[(i, j)] ^ masks[(i, j)] for j in others if j != i
                         )
                         rides = tuple(masks[(j, i)] for j in others if j != i)
-                        view.append(
-                            (ser[i], (hvals[2 * idx], hvals[2 * idx + 1]), tags, rides)
-                        )
+                        view.append((ser[i], key, tags, rides))
                     counts[tuple(view)] += 1
         dists.append(counts)
     return _max_distance(dists, total)
@@ -237,12 +243,11 @@ def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fractio
         ):
             r = {i: keys[2 * (i - 1)] for i in range(1, n + 1)}
             big_r = {i: keys[2 * (i - 1) + 1] for i in range(1, n + 1)}
-            for hvals in itertools.product(range(1 << k), repeat=2 * n):
+            for hkeys in itertools.product(spec.family.members(), repeat=n):
                 h_entries = []
                 mask = 0
-                for i in range(1, n + 1):
-                    h = HashFunction(spec.family, hvals[2 * (i - 1)], hvals[2 * (i - 1) + 1])
-                    h_entries.append((h.a, h.b, r[i] ^ h.evaluate(big_r[i])))
+                for i, key in zip(range(1, n + 1), hkeys):
+                    h_entries.append((*key, r[i] ^ spec.family.tag(key, big_r[i])))
                     mask ^= big_r[i]
                 view = (
                     tuple((r[i], big_r[i]) for i in picked),

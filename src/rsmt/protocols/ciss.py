@@ -1,11 +1,11 @@
 """One-round transmission with per-channel hashes and masked cross-tags.
 
-Channel i carries its share s_i, a hash function h_i, the tags
-T_{i,j} = h_i(ser(s_j)) xor r_{i,j} for every other channel j, and the masks
-r_{j,i} that other channels' tags of s_i were blinded with.  Because each tag
-and its mask travel on different channels, no single channel exposes an
-unmasked function of another channel's share — privacy of the threshold
-sharing is preserved exactly.
+Channel i carries its share s_i, the key (a, b) of its hash function h_i,
+the tags T_{i,j} = h_i(ser(s_j)) xor r_{i,j} for every other channel j, and
+the masks r_{j,i} that other channels' tags of s_i were blinded with.
+Because each tag and its mask travel on different channels, no single
+channel exposes an unmasked function of another channel's share — privacy
+of the threshold sharing is preserved exactly.
 
 The receiver recomputes every tag and builds per-channel mismatch lists L_i.
 The three variants differ in threshold and in how the lists drive the output:
@@ -28,7 +28,7 @@ from collections import Counter
 
 from ..config import check_keys, read_ints
 from ..field import FieldSpec
-from ..hashing import HashFamilySpec, HashFunction
+from ..hashing import HashFamilySpec
 from ..sharing import FAIL, SharingSpec, rs_reconstruct, shamir_reconstruct, shamir_share
 from .base import OneRoundProtocol, ProtocolError, int_in_range, vector_in_field
 
@@ -89,8 +89,8 @@ class CissProtocol(OneRoundProtocol):
         return ciss_receiver_decode(self, payloads)
 
     def substitute(self, payload, rng: random.Random):
-        _share, hcoef, tags, masks = payload
-        return (tuple(rng.randrange(self.field.q) for _ in range(self.d)), hcoef, tags, masks)
+        _share, key, tags, masks = payload
+        return (tuple(rng.randrange(self.field.q) for _ in range(self.d)), key, tags, masks)
 
     def frame_tags(self, payload, rng: random.Random):
         """`payload` with random cross-tags, trying to make honest channels
@@ -127,17 +127,18 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
     channels = range(1, spec.n + 1)
     per_coord = [shamir_share(spec.sharing, m[k], rng) for k in range(spec.d)]
     shares = {i: tuple(coord[i] for coord in per_coord) for i in channels}
-    hash_fns = {i: spec.family.sample(rng) for i in channels}
+    keys = {i: spec.family.sample(rng) for i in channels}
     masks = {(i, j): rng.getrandbits(spec.ell) for i in channels for j in channels if i != j}
     serialized = {i: spec.serialize_share(shares[i]) for i in channels}
+    tag = spec.family.tag
     payloads = {}
     for i in channels:
-        h = hash_fns[i]
+        key = keys[i]
         others = [j for j in channels if j != i]
         payloads[i] = (
             shares[i],
-            (h.a, h.b),
-            tuple(h.evaluate(serialized[j]) ^ masks[(i, j)] for j in others),
+            key,
+            tuple(tag(key, serialized[j]) ^ masks[(i, j)] for j in others),
             tuple(masks[(j, i)] for j in others),
         )
     return payloads
@@ -177,17 +178,16 @@ def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tu
     """
     n = spec.n
     serialized = {j: spec.serialize_share(parsed[j][0]) for j in range(1, n + 1)}
+    tag = spec.family.tag
     lists = {}
     for i in range(1, n + 1):
-        _share, hcoef, tags, _masks = parsed[i]
-        h = HashFunction(spec.family, *hcoef)
+        _share, key, tags, _masks = parsed[i]
         bad = []
         for j in range(1, n + 1):
             if j == i:
                 continue
-            tag = tags[j - 1 - (j > i)]  # T_{i,j}
             mask = parsed[j][MASKS][i - 1 - (i > j)]  # r_{i,j}
-            if h.evaluate(serialized[j]) ^ mask != tag:
+            if tag(key, serialized[j]) ^ mask != tags[j - 1 - (j > i)]:  # T_{i,j}
                 bad.append(j)
         lists[i] = tuple(bad)
     return lists

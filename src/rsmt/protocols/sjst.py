@@ -2,12 +2,15 @@
 channel, with per-channel key pairs and hash-based tamper flags.
 
 Round 1 (channels, S->R): fresh (r_i, R_i) per channel.
-Round 2 (public, R->S):   length flags B and, per surviving channel, a hash
-                          function h_i with offset T'_i = r'_i xor h_i(R'_i).
+Round 2 (public, R->S):   length flags B and, per surviving channel, the key
+                          (a, b) of a hash function h_i with offset
+                          T'_i = r'_i xor h_i(R'_i).
 Round 3 (public, S->R):   flags V marking channels whose offset disagrees with
                           the sender's own T_i = r_i xor h_i(R_i), plus the
                           ciphertext c = m xor XOR of the surviving R_i.
 The receiver unmasks with its stored R'_i on channels with b_i = v_i = 0.
+Between rounds the sender keeps its key dict {i: (r_i, R_i)} and the receiver
+the dict {i: R'_i} of the channels it did not flag.
 
 Channels flagged in B or V raise detection events; an undetected wrong output
 requires a hash collision on some tampered channel, which happens with
@@ -17,24 +20,11 @@ probability at most (n-1) * 2^(1-l).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ..config import check_keys, read_ints
-from ..hashing import HashFamilySpec, HashFunction
+from ..hashing import HashFamilySpec
 from ..transport import RECEIVER_TO_SENDER, SENDER_TO_RECEIVER
 from .base import Protocol, ProtocolError, int_in_range
-
-
-@dataclass
-class SjstSenderState:
-    keys: dict[int, tuple[int, int]]  # i -> (r_i, R_i)
-
-
-@dataclass
-class SjstReceiverState:
-    b: tuple[int, ...]
-    received: dict[int, tuple[int, int]]  # i -> (r'_i, R'_i) for b_i = 0
-    hashes: dict[int, HashFunction]
 
 
 class SjstProtocol(Protocol):
@@ -65,17 +55,17 @@ class SjstProtocol(Protocol):
     def run(self, engine, m: int):
         if not int_in_range(m, self.k):
             raise ProtocolError(f"message must be a {self.k}-bit integer")
-        state_s, payloads = sjst_round1_sender(self, engine.sender_rng)
+        keys, payloads = sjst_round1_sender(self, engine.sender_rng)
         delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
-        pub2, state_r, detects2 = sjst_round2_receiver(self, delivered, engine.receiver_rng)
+        pub2, kept, detects2 = sjst_round2_receiver(self, delivered, engine.receiver_rng)
         engine.send_public(RECEIVER_TO_SENDER, pub2)
         for i in detects2:
             engine.emit_detect(i)
-        pub3, detects3 = sjst_round3_sender(self, state_s, pub2, m)
+        pub3, detects3 = sjst_round3_sender(self, keys, pub2, m)
         engine.send_public(SENDER_TO_RECEIVER, pub3)
         for i in detects3:
             engine.emit_detect(i)
-        return sjst_finalize_receiver(self, state_r, pub3)
+        return sjst_finalize_receiver(self, kept, pub3)
 
     def substitute(self, payload, rng: random.Random) -> tuple[int, int]:
         return (rng.getrandbits(self.ell), rng.getrandbits(self.k))
@@ -96,12 +86,14 @@ class SjstProtocol(Protocol):
 
 
 def sjst_round1_sender(spec: SjstProtocol, rng: random.Random):
-    """Fresh uniform key pair (r_i, R_i) on every channel."""
+    """Fresh uniform key pair (r_i, R_i) on every channel.
+
+    Returns (the sender's key dict, the channel payloads)."""
     keys = {
         i: (rng.getrandbits(spec.ell), rng.getrandbits(spec.k))
         for i in range(1, spec.n + 1)
     }
-    return SjstSenderState(keys), dict(keys)
+    return keys, dict(keys)
 
 
 def _well_formed_round1(spec: SjstProtocol, payload) -> bool:
@@ -116,11 +108,10 @@ def _well_formed_round1(spec: SjstProtocol, payload) -> bool:
 def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     """Flag malformed channels, commit hash offsets for the rest.
 
-    Returns (public payload (B, H), retained state, detected channels).
+    Returns (public payload (B, H), the kept {i: R'_i}, detected channels).
     """
     b = []
-    received = {}
-    hashes = {}
+    kept = {}
     h_entries = []
     detects = []
     for i in range(1, spec.n + 1):
@@ -132,15 +123,14 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
             continue
         r_i, big_r_i = payload
         b.append(0)
-        received[i] = (r_i, big_r_i)
-        h = spec.family.sample(rng)
-        hashes[i] = h
-        h_entries.append((h.a, h.b, r_i ^ h.evaluate(big_r_i)))
+        kept[i] = big_r_i
+        key = spec.family.sample(rng)
+        h_entries.append((*key, r_i ^ spec.family.tag(key, big_r_i)))
     public = (tuple(b), tuple(h_entries))
-    return public, SjstReceiverState(tuple(b), received, hashes), detects
+    return public, kept, detects
 
 
-def sjst_round3_sender(spec: SjstProtocol, state: SjstSenderState, public, m: int):
+def sjst_round3_sender(spec: SjstProtocol, keys: dict[int, tuple[int, int]], public, m: int):
     """Compare offsets, flag disagreements, mask the message.
 
     Returns (public payload (V, c), detected channels).
@@ -153,11 +143,9 @@ def sjst_round3_sender(spec: SjstProtocol, state: SjstSenderState, public, m: in
         if b[i - 1] == 1:
             v.append(0)  # already flagged; V covers only surviving channels
             continue
-        a, hb, t_prime = h_entries[i - 1]
-        r_i, big_r_i = state.keys[i]
-        h = HashFunction(spec.family, a, hb)
-        t_i = r_i ^ h.evaluate(big_r_i)
-        if t_i != t_prime:
+        entry = h_entries[i - 1]  # (a, b, T'_i)
+        r_i, big_r_i = keys[i]
+        if r_i ^ spec.family.tag(entry[:2], big_r_i) != entry[2]:
             v.append(1)
             detects.append(i)
         else:
@@ -166,11 +154,11 @@ def sjst_round3_sender(spec: SjstProtocol, state: SjstSenderState, public, m: in
     return (tuple(v), m ^ mask), detects
 
 
-def sjst_finalize_receiver(spec: SjstProtocol, state: SjstReceiverState, public) -> int:
-    """Unmask with the stored R'_i of channels with b_i = v_i = 0."""
+def sjst_finalize_receiver(spec: SjstProtocol, kept: dict[int, int], public) -> int:
+    """Unmask with the kept R'_i (channels with b_i = 0) where v_i = 0."""
     v, c = public
     mask = 0
-    for i in range(1, spec.n + 1):
-        if state.b[i - 1] == 0 and v[i - 1] == 0:
-            mask ^= state.received[i][1]
+    for i, big_r_i in kept.items():
+        if v[i - 1] == 0:
+            mask ^= big_r_i
     return c ^ mask

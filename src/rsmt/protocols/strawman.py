@@ -64,11 +64,10 @@ def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:
     for i in range(1, spec.n + 1):
         v = payloads[i]
         values[i] = v if isinstance(v, int) and 0 <= v < f.q else 0
-    xs = {i: spec.sharing.point(i) for i in values}
     best = None  # (agreement, poly) — maximal agreement, then lex-first
     for subset in itertools.combinations(sorted(values), spec.t + 1):
-        poly = interpolate(f, [xs[i] for i in subset], [values[i] for i in subset])
-        agreement = sum(1 for i in values if poly_eval(f, poly, xs[i]) == values[i])
+        poly = interpolate(f, subset, [values[i] for i in subset])
+        agreement = sum(1 for i in values if poly_eval(f, poly, i) == values[i])
         if best is None or agreement > best[0]:
             best = (agreement, poly)
     return (best[1][0],)

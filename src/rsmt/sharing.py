@@ -1,19 +1,24 @@
 """Threshold secret sharing and tamper-evident encodings.
 
-Secrets, shares and codewords are canonical field integers.  Three layers:
+Secrets, shares and codewords are canonical field integers, and share i of
+an n-share sharing sits at evaluation point i.  Three layers:
   * Shamir sharing with plain and error-correcting reconstruction (Gao's
     extended-Euclid Reed-Solomon decoder; an exhaustive subset search is
     kept as the oracle tests compare it against),
-  * an algebraic manipulation detection code (s, x, x^(d+2) + sum s_i x^i),
+  * an algebraic manipulation detection code whose codeword is the flat
+    tuple (s_1, ..., s_d, x, x^(d+2) + sum s_i x^i),
   * their composition: coordinate-wise Shamir sharing of the AMD codeword,
     which rejects any tampered reconstruction except with probability (d+1)/q.
+All randomness is drawn with `rng.randrange(q)`: first the AMD x, then each
+sharing polynomial's t coefficients in coordinate order.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .field import FieldSpec, interpolate, poly_eval
@@ -49,28 +54,26 @@ FAIL = _Fail()
 
 @dataclass(frozen=True)
 class SharingSpec:
-    """(t, n) Shamir sharing over a field with fixed nonzero evaluation points."""
+    """(t, n) Shamir sharing over a field; share i sits at point i."""
 
     t: int
     n: int
     field: FieldSpec
-    eval_points: tuple[int, ...] = dc_field(default=())
 
     def __post_init__(self):
         if not 0 < self.t < self.n:
             raise SharingError(f"need 0 < t < n, got t={self.t}, n={self.n}")
         if self.n > self.field.q - 1:
             raise SharingError(f"n={self.n} exceeds nonzero elements of {self.field}")
-        pts = self.eval_points or tuple(range(1, self.n + 1))
-        if len(pts) != self.n:
-            raise SharingError("need one evaluation point per share")
-        if len(set(pts)) != self.n or any(not 0 < p < self.field.q for p in pts):
-            raise SharingError("evaluation points must be distinct and nonzero")
-        object.__setattr__(self, "eval_points", tuple(pts))
 
-    def point(self, index: int) -> int:
-        """Evaluation point of channel `index` (1-based)."""
-        return self.eval_points[index - 1]
+    @cached_property
+    def vanishing(self) -> tuple[int, ...]:
+        """prod (x - i) over the points i = 1..n, lowest degree first."""
+        f = self.field
+        poly = [1]
+        for x in range(1, self.n + 1):
+            poly = _poly_sub(f, [0, *poly], [f.mul_int(x, c) for c in poly])
+        return tuple(poly)
 
 
 def _check_values(f: FieldSpec, values, what: str) -> None:
@@ -79,34 +82,27 @@ def _check_values(f: FieldSpec, values, what: str) -> None:
             raise SharingError(f"{what} {v!r} is not an element of {f}")
 
 
-def shamir_share(
-    spec: SharingSpec,
-    secret: int,
-    rng: random.Random,
-    coeffs: Sequence[int] | None = None,
-) -> dict[int, int]:
-    """Shares f(a_i) of f(x) = secret + r_1 x + ... + r_t x^t.
+def _check_points(spec: SharingSpec, indices) -> None:
+    if not all(isinstance(i, int) and 0 < i <= spec.n for i in indices):
+        raise SharingError(f"share indices must lie in 1..{spec.n}")
 
-    `coeffs` forces the t random coefficients; used by tests and enumeration.
-    """
+
+def shamir_share(spec: SharingSpec, secret: int, rng: random.Random) -> dict[int, int]:
+    """Shares f(i) of f(x) = secret + r_1 x + ... + r_t x^t, with r_1..r_t
+    drawn in that order."""
     f = spec.field
     _check_values(f, (secret,), "secret")
-    if coeffs is None:
-        coeffs = [rng.randrange(f.q) for _ in range(spec.t)]
-    elif len(coeffs) != spec.t:
-        raise SharingError(f"expected {spec.t} forced coefficients")
-    else:
-        _check_values(f, coeffs, "coefficient")
-    poly = [secret, *coeffs]
-    return {i: poly_eval(f, poly, spec.point(i)) for i in range(1, spec.n + 1)}
+    poly = [secret, *(rng.randrange(f.q) for _ in range(spec.t))]
+    return {i: poly_eval(f, poly, i) for i in range(1, spec.n + 1)}
 
 
 def shamir_reconstruct(spec: SharingSpec, subset: Mapping[int, int]) -> int:
     if len(subset) < spec.t + 1:
         raise ThresholdError(f"need at least {spec.t + 1} shares, got {len(subset)}")
     f = spec.field
+    _check_points(spec, subset)
     _check_values(f, subset.values(), "share")
-    return interpolate(f, [spec.point(i) for i in subset], list(subset.values()))[0]
+    return interpolate(f, list(subset), list(subset.values()))[0]
 
 
 def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int):
@@ -115,24 +111,22 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     Returns the unique secret whose degree-<=t sharing agrees with at least
     n - max_errors of the given shares, or FAIL if none exists.  Gao's
     decoder: interpolate all n shares to g1, run the extended Euclidean
-    algorithm on (prod (x - a_i), g1) until the remainder g has degree
+    algorithm on (prod (x - i), g1) until the remainder g has degree
     < (n + t + 1)/2, with g = u*prod + v*g1; the codeword polynomial is g/v.
     """
     e = max_errors
     n = spec.n
     k = spec.t + 1
-    if len(shares) != n:
+    xs = range(1, n + 1)
+    if len(shares) != n or not all(i in shares for i in xs):
         raise SharingError("error-correcting reconstruction needs all n shares")
     if n < k + 2 * e:
         raise SharingError(f"n={n} too small for t={spec.t}, e={e}")
     f = spec.field
-    _check_values(f, shares.values(), "share")
-    xs = [spec.point(i) for i in sorted(shares)]
-    ys = [shares[i] for i in sorted(shares)]
+    ys = [shares[i] for i in xs]
+    _check_values(f, ys, "share")
 
-    r0 = [1]  # prod (x - a_i), built one root at a time
-    for x in xs:
-        r0 = _poly_sub(f, [0, *r0], [f.mul_int(x, c) for c in r0])
+    r0 = spec.vanishing
     r1 = _trim(interpolate(f, xs, ys))
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + k:
@@ -152,9 +146,8 @@ def rs_reconstruct_bruteforce(spec: SharingSpec, shares: Mapping[int, int], max_
     consistent with at least n - max_errors shares.  Any two such polynomials
     agree on >= t+1 points and are therefore equal, so the answer is unique."""
     f = spec.field
-    indices = sorted(shares)
-    xs = [spec.point(i) for i in indices]
-    ys = [shares[i] for i in indices]
+    xs = sorted(shares)
+    ys = [shares[i] for i in xs]
     for subset in itertools.combinations(range(spec.n), spec.t + 1):
         poly = interpolate(f, [xs[i] for i in subset], [ys[i] for i in subset])
         if _agreement(f, xs, ys, poly) >= spec.n - max_errors:
@@ -215,7 +208,8 @@ def _poly_divmod(f: FieldSpec, num, den) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class AmdSpec:
-    """Message length d over a field; tag is x^(d+2) + sum_i s_i x^i."""
+    """Message length d over a field; a codeword is the flat tuple
+    (s_1, ..., s_d, x, tag) with tag = x^(d+2) + sum_i s_i x^i."""
 
     field: FieldSpec
     d: int
@@ -234,13 +228,6 @@ class AmdSpec:
         return (self.d + 1) / self.field.q
 
 
-@dataclass(frozen=True)
-class AmdCodeword:
-    s: tuple[int, ...]
-    x: int
-    tag: int
-
-
 def _amd_tag(spec: AmdSpec, s: Sequence[int], x: int) -> int:
     f = spec.field
     tag = f.pow_int(x, spec.d + 2)
@@ -251,28 +238,22 @@ def _amd_tag(spec: AmdSpec, s: Sequence[int], x: int) -> int:
     return tag
 
 
-def amd_encode(
-    spec: AmdSpec,
-    s: Sequence[int],
-    rng: random.Random,
-    x: int | None = None,
-) -> AmdCodeword:
+def amd_encode(spec: AmdSpec, s: Sequence[int], rng: random.Random) -> tuple[int, ...]:
+    """The codeword (s_1, ..., s_d, x, tag) for a uniform x."""
     if len(s) != spec.d:
         raise SharingError(f"message must have {spec.d} elements")
-    f = spec.field
-    _check_values(f, s, "message element")
-    if x is None:
-        x = rng.randrange(f.q)
-    else:
-        _check_values(f, (x,), "AMD randomness")
-    return AmdCodeword(tuple(s), x, _amd_tag(spec, s, x))
+    _check_values(spec.field, s, "message element")
+    x = rng.randrange(spec.field.q)
+    return (*s, x, _amd_tag(spec, s, x))
 
 
-def amd_decode(spec: AmdSpec, c: AmdCodeword):
-    _check_values(spec.field, (*c.s, c.x, c.tag), "codeword element")
-    if _amd_tag(spec, c.s, c.x) == c.tag:
-        return c.s
-    return FAIL
+def amd_decode(spec: AmdSpec, c: Sequence[int]):
+    """The message (s_1, ..., s_d) if the codeword's tag checks, else FAIL."""
+    if len(c) != spec.d + 2:
+        raise SharingError(f"codeword must have {spec.d + 2} elements")
+    _check_values(spec.field, c, "codeword element")
+    *s, x, tag = c
+    return tuple(s) if _amd_tag(spec, s, x) == tag else FAIL
 
 
 # --- Robust sharing: Shamir of the AMD codeword -----------------------------
@@ -297,34 +278,19 @@ class RobustSharingSpec:
 
 
 def robust_share(
-    spec: RobustSharingSpec,
-    secret: Sequence[int],
-    rng: random.Random,
-    coeff_matrix: Sequence[Sequence[int]] | None = None,
-    x: int | None = None,
+    spec: RobustSharingSpec, secret: Sequence[int], rng: random.Random
 ) -> dict[int, tuple[int, ...]]:
     """AMD-encode, then Shamir-share each of the d+2 codeword coordinates
     with an independent polynomial.  Share i is a (d+2)-vector."""
-    cw = amd_encode(spec.amd, secret, rng, x=x)
-    coords = [*cw.s, cw.x, cw.tag]
-    per_coord = []
-    for k, coord in enumerate(coords):
-        forced = coeff_matrix[k] if coeff_matrix is not None else None
-        per_coord.append(shamir_share(spec.inner, coord, rng, coeffs=forced))
-    return {
-        i: tuple(per_coord[k][i] for k in range(len(coords)))
-        for i in range(1, spec.inner.n + 1)
-    }
+    per_coord = [shamir_share(spec.inner, c, rng) for c in amd_encode(spec.amd, secret, rng)]
+    return {i: tuple(shares[i] for shares in per_coord) for i in range(1, spec.inner.n + 1)}
 
 
 def robust_reconstruct(spec: RobustSharingSpec, subset: Mapping[int, Sequence[int]]):
     if len(subset) < spec.inner.t + 1:
         raise ThresholdError(f"need at least {spec.inner.t + 1} shares")
-    width = spec.share_len
-    coords = []
-    for k in range(width):
-        coords.append(
-            shamir_reconstruct(spec.inner, {i: vec[k] for i, vec in subset.items()})
-        )
-    cw = AmdCodeword(tuple(coords[: spec.amd.d]), coords[-2], coords[-1])
-    return amd_decode(spec.amd, cw)
+    codeword = tuple(
+        shamir_reconstruct(spec.inner, {i: vec[k] for i, vec in subset.items()})
+        for k in range(spec.share_len)
+    )
+    return amd_decode(spec.amd, codeword)

@@ -384,6 +384,45 @@ def test_keys_the_protocol_does_not_read_fail_before_any_trial(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("bounds", [1], "config must be a JSON object, got [1]"),
+    ("bounds", dict(P1_CONFIG, profile={"assignments": [1]}),
+     "assignments must be a JSON object, got [1]"),
+    ("sweep", dict(P1_CONFIG, sweep=["ell"]), "sweep requires {'axis'"),
+    ("sweep", dict(P1_CONFIG, sweep={"axis": "ell", "values": 16}),
+     "sweep values must be a list, got 16"),
+], ids=["top-level-list", "assignments-list", "sweep-list", "sweep-values-int"])
+def test_config_of_the_wrong_shape_names_the_field(tmp_path, capsys, monkeypatch,
+                                                  command, config, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    assert main([command, "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("attacks, message", [
+    (["nope"], "unknown attack 'nope'"),
+    ("passive", "attacks must be a non-empty list of attack names, got 'passive'"),
+    ([], "attacks must be a non-empty list of attack names, got []"),
+    (["passive", "length-tamper"], "attack 'length-tamper' does not apply to P1"),
+    ([["passive"]], "unknown attack ['passive']"),
+], ids=["unknown", "bare-string", "empty", "inapplicable", "not-a-name"])
+def test_attacks_are_read_strictly(tmp_path, capsys, monkeypatch, command, attacks, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
+    cfg = dict(P1_CONFIG, attacks=attacks, sweep={"axis": "ell", "values": [8]})
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_sweep_without_adversaries_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("run_trials called")

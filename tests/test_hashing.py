@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from rsmt.field import FieldSpec
-from rsmt.hashing import HashFamilySpec, HashFunction, offset_collision_prob_exhaustive
+from rsmt.hashing import HashFamilySpec, offset_collision_prob_exhaustive
 
 FAM3 = HashFamilySpec(3, 3)
 
@@ -27,14 +27,13 @@ def test_sample_deterministic_by_seed():
 
 def test_distinct_seeds_mostly_distinct():
     fam = HashFamilySpec(8, 8)
-    draws = {(-1, -1)}
     collisions = 0
     prev = None
     for seed in range(2000):
-        h = fam.sample(random.Random(seed))
-        if prev is not None and (h.a, h.b) == prev:
+        key = fam.sample(random.Random(seed))
+        if key == prev:
             collisions += 1
-        prev = (h.a, h.b)
+        prev = key
     # pairwise collision probability is 2^-16; 2000 draws make >=3 collisions
     # astronomically unlikely
     assert collisions <= 2
@@ -45,8 +44,7 @@ def test_sample_uniformity_chi_square():
     counts = Counter()
     trials = 100_000
     for _ in range(trials):
-        h = FAM3.sample(rng)
-        counts[(h.a, h.b)] += 1
+        counts[FAM3.sample(rng)] += 1
     cells = 64
     expected = trials / cells
     chi2 = sum((counts[key] - expected) ** 2 / expected for key in
@@ -55,30 +53,39 @@ def test_sample_uniformity_chi_square():
     assert chi2 < 110
 
 
+def test_sample_draws_a_then_b():
+    rng = random.Random(7)
+    want = (rng.getrandbits(3), rng.getrandbits(3))
+    assert FAM3.sample(random.Random(7)) == want
+
+
 def test_identity_member():
-    h = HashFunction(FAM3, a=1, b=0)
     for x in range(8):
-        assert h.evaluate(x) == x
+        assert FAM3.tag((1, 0), x) == x
 
 
 def test_evaluate_matches_field_mul_oracle():
     gf8 = FieldSpec.binary(3)
-    h = HashFunction(FAM3, a=0b010, b=0b001)
-    assert h.evaluate(0b100) == gf8.mul_int(0b010, 0b100) ^ 0b001 == 0b010
+    assert FAM3.tag((0b010, 0b001), 0b100) == gf8.mul_int(0b010, 0b100) ^ 0b001 == 0b010
     rng = random.Random(5)
     fam = HashFamilySpec(8, 5)
     gf = FieldSpec.binary(8)
     for _ in range(500):
-        h = fam.sample(rng)
+        a, b = key = fam.sample(rng)
         x = rng.randrange(256)
-        assert h.evaluate(x) == (gf.mul_int(h.a, x) ^ h.b) & 0b11111
+        assert fam.tag(key, x) == (gf.mul_int(a, x) ^ b) & 0b11111
 
 
 def test_evaluate_pure_and_width_checked():
-    h = FAM3.sample(random.Random(0))
-    assert h.evaluate(5) == h.evaluate(5)
-    with pytest.raises(ValueError):
-        h.evaluate(8)
+    key = FAM3.sample(random.Random(0))
+    assert FAM3.tag(key, 5) == FAM3.tag(key, 5)
+    for bad_key, x in (((0, 0), 8), ((0, 0), -1), ((8, 0), 1), ((0, 8), 1), ((-1, 0), 1)):
+        with pytest.raises(ValueError):
+            FAM3.tag(bad_key, x)
+
+
+def test_members_are_every_key_once():
+    assert list(FAM3.members()) == [(a, b) for a in range(8) for b in range(8)]
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -90,8 +97,8 @@ def test_strong_universality_exhaustive(ell):
             if x1 == x2:
                 continue
             counts = Counter()
-            for h in fam.members():
-                counts[(h.evaluate(x1), h.evaluate(x2))] += 1
+            for key in fam.members():
+                counts[(fam.tag(key, x1), fam.tag(key, x2))] += 1
             for y1 in range(1 << ell):
                 for y2 in range(1 << ell):
                     assert counts[(y1, y2)] == expected
@@ -104,8 +111,8 @@ def test_family_gamma_matches_enumeration(ell):
     for x1 in range(8):
         for x2 in range(x1 + 1, 8):
             counts = Counter()
-            for h in fam.members():
-                counts[(h.evaluate(x1), h.evaluate(x2))] += 1
+            for key in fam.members():
+                counts[(fam.tag(key, x1), fam.tag(key, x2))] += 1
             worst = max(worst, max(counts.values()) / 64)
     assert worst == fam.family_gamma() == 2.0 ** (-2 * ell)
     # the coarser budget the protocols assume, with slack

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from rsmt.field import FieldSpec
 from rsmt.privacy import (
     EnumerationTooLarge,
+    ForcedDraws,
     amd_failure_max,
     ciss_view_distance,
     rss_view_distance,
@@ -13,11 +15,47 @@ from rsmt.privacy import (
 )
 from rsmt.protocols import CissProtocol, SjstProtocol
 from rsmt.protocols.ciss import P1
-from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
+from rsmt.sharing import (
+    AmdSpec,
+    RobustSharingSpec,
+    SharingSpec,
+    amd_encode,
+    robust_share,
+    shamir_share,
+)
 
 GF4 = FieldSpec.binary(2)
 GF5 = FieldSpec.prime(5)
 GF7 = FieldSpec.prime(7)
+GF256 = FieldSpec.binary(8)
+
+
+# --- the forced-draw stand-in follows the production draw path ---------------
+
+RSPEC = RobustSharingSpec(AmdSpec(GF256, 3), SharingSpec(t=3, n=5, field=GF256))
+SHARERS = {
+    # name: (call with an rng, number of randrange(q) draws it makes)
+    "shamir_share": (lambda rng: shamir_share(RSPEC.inner, 200, rng), 3),
+    "amd_encode": (lambda rng: amd_encode(RSPEC.amd, (7, 9, 11), rng), 1),
+    "robust_share": (lambda rng: robust_share(RSPEC, (7, 9, 11), rng), 1 + 5 * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARERS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forced_draws_reproduce_a_seeded_rng(name, seed):
+    call, draws = SHARERS[name]
+    replay = random.Random(seed)
+    values = [replay.randrange(GF256.q) for _ in range(draws)]
+    assert call(ForcedDraws(values)) == call(random.Random(seed))
+
+
+@pytest.mark.parametrize("name", sorted(SHARERS))
+def test_forced_draws_raise_when_the_code_draws_more(name):
+    # with the test above: the code draws exactly `draws` values
+    call, draws = SHARERS[name]
+    with pytest.raises(RuntimeError):
+        call(ForcedDraws([1] * (draws - 1)))
 
 
 def test_shamir_t_shares_reveal_nothing():

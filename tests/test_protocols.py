@@ -1,12 +1,15 @@
+import copy
+import pickle
 import random
+from operator import attrgetter
 
 import pytest
 
 from rsmt.field import FieldSpec
-from rsmt.hashing import HashFunction
 from rsmt.protocols import (
     CissProtocol,
     RssProtocol,
+    SjstProtocol,
     StrawmanProtocol,
     ciss_receiver_decode,
     ciss_sender_encode,
@@ -101,9 +104,10 @@ def test_encode_structure_and_tag_oracle():
     # independent recomputation of one tag: T_{1,3} is entry 1 of channel 1's
     # tags (others 2, 3, 4, 5), its mask r_{1,3} entry 0 of channel 3's masks
     # (others 1, 2, 4, 5)
+    # with h_{a,b}(x) = low 8 bits of a*x + b over GF(2^8)
     (_, (a, b), tags1, _), (share3, _, _, masks3) = parsed[1], parsed[3]
-    h = HashFunction(PROTO1.family, a, b)
-    assert tags1[1] == h.evaluate(PROTO1.serialize_share(share3)) ^ masks3[0]
+    h = GF256.mul_int(a, PROTO1.serialize_share(share3)) ^ b
+    assert tags1[1] == h ^ masks3[0]
 
 
 def test_parse_reads_malformed_payloads_as_zeros():
@@ -293,3 +297,29 @@ def test_strawman_prefers_max_agreement():
     payloads = strawman_send(p, m, rng)
     payloads[4] = (payloads[4] + 1) % 16  # one bad share, three consistent
     assert strawman_receive(p, payloads) == m
+
+
+# --- copying -------------------------------------------------------------------
+
+
+# Where each variant holds a FieldSpec.
+FIELD_PATHS = {"SJST": ["family.field"], "RSS": ["field", "sharing.inner.field"],
+               "STRAWMAN": ["field", "sharing.field"],
+               **dict.fromkeys([P1, P2, P3], ["field", "family.field", "sharing.field"])}
+
+
+@pytest.mark.parametrize("proto", [
+    SjstProtocol(3, 4, 8), RSS, PROTO1, PROTO2, PROTO3,
+    StrawmanProtocol(4, FieldSpec.binary(4)),
+], ids=lambda p: p.variant)
+@pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_protocols_survive_pickle_and_deepcopy(proto, clone):
+    twin = clone(proto)
+    assert twin.to_json() == proto.to_json()
+    for path in FIELD_PATHS[proto.variant]:
+        # the interned field itself, not a second copy of its tables
+        assert attrgetter(path)(twin) is attrgetter(path)(proto)
+    if hasattr(proto, "encode"):
+        m = proto.sample_message(random.Random(6))
+        assert twin.encode(m, random.Random(5)) == proto.encode(m, random.Random(5))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmt.field import FieldSpec
+from rsmt.field import FieldSpec, poly_eval
+from rsmt.privacy import ForcedDraws
 from rsmt.sharing import (
     FAIL,
-    AmdCodeword,
     AmdSpec,
     RobustSharingSpec,
     SharingError,
@@ -43,28 +43,27 @@ def test_spec_validation():
         SharingSpec(t=0, n=3, field=GF7)
     with pytest.raises(SharingError):
         SharingSpec(t=1, n=7, field=GF7)  # only 6 nonzero points
-    with pytest.raises(SharingError):
-        SharingSpec(t=1, n=3, field=GF7, eval_points=(1, 1, 2))
-    with pytest.raises(SharingError):
-        SharingSpec(t=1, n=3, field=GF7, eval_points=(0, 1, 2))
 
 
-def test_default_eval_points():
-    spec = SharingSpec(t=1, n=3, field=GF7)
-    assert spec.eval_points == (1, 2, 3)
-    assert spec.point(2) == 2
+@pytest.mark.parametrize("f, n", [(GF7, 3), (GF7, 6), (GF16, 15), (FieldSpec.binary(8), 16)])
+def test_vanishing_polynomial_has_roots_one_to_n(f, n):
+    spec = SharingSpec(t=1, n=n, field=f)
+    assert len(spec.vanishing) == n + 1 and spec.vanishing[-1] == 1
+    roots = [x for x in range(f.q) if poly_eval(f, spec.vanishing, x) == 0]
+    assert roots == list(range(1, n + 1))
+    assert spec.vanishing is spec.vanishing  # built once per spec
 
 
 def test_shamir_share_frozen_example():
     # f(x) = 5 + 3x over GF(7): f(1)=1, f(2)=4, f(3)=0
     spec = SharingSpec(t=1, n=3, field=GF7)
-    shares = shamir_share(spec, 5, random.Random(0), coeffs=[3])
+    shares = shamir_share(spec, 5, ForcedDraws([3]))
     assert shares == {1: 1, 2: 4, 3: 0}
 
 
 def test_shamir_reconstruct_from_any_pair():
     spec = SharingSpec(t=1, n=3, field=GF7)
-    shares = shamir_share(spec, 5, random.Random(0), coeffs=[3])
+    shares = shamir_share(spec, 5, ForcedDraws([3]))
     for pair in itertools.combinations(shares, 2):
         subset = {i: shares[i] for i in pair}
         assert shamir_reconstruct(spec, subset) == 5
@@ -97,7 +96,7 @@ def test_shamir_privacy_exhaustive():
         dists = []
         for secret in range(5):
             c = Counter(
-                shamir_share(spec, secret, random.Random(0), coeffs=[r])[i] for r in range(5)
+                shamir_share(spec, secret, ForcedDraws([r]))[i] for r in range(5)
             )
             dists.append(c)
         assert all(d == dists[0] for d in dists)
@@ -109,8 +108,8 @@ def test_shamir_pair_leaks_with_t1():
     spec = SharingSpec(t=1, n=3, field=GF5)
     seen = {
         (
-            shamir_share(spec, s, random.Random(0), coeffs=[r])[1],
-            shamir_share(spec, s, random.Random(0), coeffs=[r])[2],
+            shamir_share(spec, s, ForcedDraws([r]))[1],
+            shamir_share(spec, s, ForcedDraws([r]))[2],
         ): s
         for s in range(5)
         for r in range(5)
@@ -181,15 +180,17 @@ def test_out_of_range_values_raise():
     with pytest.raises(SharingError):
         shamir_share(spec, 7, random.Random(0))
     with pytest.raises(SharingError):
-        shamir_share(spec, 1, random.Random(0), coeffs=[-1])
-    with pytest.raises(SharingError):
         shamir_reconstruct(spec, {1: 1, 2: 9})
+    with pytest.raises(SharingError):
+        shamir_reconstruct(spec, {0: 1, 2: 4})  # share indices are points 1..n
     with pytest.raises(SharingError):
         rs_reconstruct(SharingSpec(t=1, n=4, field=GF7), {1: 1, 2: 4, 3: 0, 4: 7}, 1)
     with pytest.raises(SharingError):
         amd_encode(AmdSpec(GF7, 1), [8], random.Random(0))
     with pytest.raises(SharingError):
-        amd_encode(AmdSpec(GF7, 1), [1], random.Random(0), x=7)
+        amd_decode(AmdSpec(GF7, 1), (1, 2, 7))
+    with pytest.raises(SharingError):
+        rs_reconstruct(SharingSpec(t=1, n=4, field=GF7), {0: 1, 1: 1, 2: 4, 3: 0}, 1)
     with pytest.raises(SharingError):
         robust_share(RSPEC, [7], random.Random(0))
     with pytest.raises(SharingError):
@@ -257,7 +258,7 @@ def test_rs_reconstruct_matches_bruteforce_on_codewords_plus_errors(params, data
     f = spec.field
     coeffs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=spec.t + 1,
                                 max_size=spec.t + 1))
-    shares = shamir_share(spec, coeffs[0], random.Random(0), coeffs=coeffs[1:])
+    shares = shamir_share(spec, coeffs[0], ForcedDraws(coeffs[1:]))
     bad = data.draw(st.sets(st.integers(1, spec.n), max_size=min(spec.n, e + 2)))
     for i in bad:
         shares[i] = f.add_int(shares[i], data.draw(st.integers(1, f.q - 1)))
@@ -283,8 +284,8 @@ def test_amd_delta_values():
 def test_amd_encode_frozen_example():
     # tag = x^3 + s1*x with s = (3,), x = 2 over GF(7): 8 + 6 = 0
     spec = AmdSpec(GF7, 1)
-    cw = amd_encode(spec, [3], random.Random(0), x=2)
-    assert cw.tag == 0
+    cw = amd_encode(spec, [3], ForcedDraws([2]))
+    assert cw == (3, 2, 0)
     assert amd_decode(spec, cw) == (3,)
 
 
@@ -300,6 +301,9 @@ def test_amd_roundtrip_random():
 def test_amd_wrong_length_rejected():
     with pytest.raises(SharingError):
         amd_encode(AmdSpec(GF7, 2), [1], random.Random(0))
+    for codeword in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(SharingError):
+            amd_decode(AmdSpec(GF7, 1), codeword)
 
 
 def test_amd_manipulation_bound_exhaustive():
@@ -312,8 +316,8 @@ def test_amd_manipulation_bound_exhaustive():
                 continue
             accepted = 0
             for x in range(5):
-                cw = amd_encode(spec, [s], random.Random(0), x=x)
-                tampered = AmdCodeword(((s + ds) % 5,), (x + dx) % 5, (cw.tag + dt) % 5)
+                _, _, tag = amd_encode(spec, [s], ForcedDraws([x]))
+                tampered = ((s + ds) % 5, (x + dx) % 5, (tag + dt) % 5)
                 if amd_decode(spec, tampered) is not FAIL:
                     accepted += 1
             assert accepted / 5 <= spec.delta
@@ -357,13 +361,7 @@ def test_robust_privacy_exhaustive():
             for r0 in range(7):
                 for r1 in range(7):
                     for r2 in range(7):
-                        shares = robust_share(
-                            RSPEC,
-                            [secret],
-                            random.Random(0),
-                            coeff_matrix=[[r0], [r1], [r2]],
-                            x=x,
-                        )
+                        shares = robust_share(RSPEC, [secret], ForcedDraws([x, r0, r1, r2]))
                         c[shares[2]] += 1
         dists.append(c)
     assert all(d == dists[0] for d in dists)

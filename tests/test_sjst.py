@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from rsmt.hashing import HashFunction
 from rsmt.protocols import (
     SjstProtocol,
     sjst_finalize_receiver,
@@ -26,12 +25,13 @@ def test_spec_validation():
 
 
 def test_round1_key_widths_and_determinism():
-    state, payloads = sjst_round1_sender(SPEC, random.Random(1))
+    keys, payloads = sjst_round1_sender(SPEC, random.Random(1))
     assert set(payloads) == {1, 2, 3}
+    assert keys == payloads
     for r, big_r in payloads.values():
         assert 0 <= r < 16 and 0 <= big_r < 256
     again, _ = sjst_round1_sender(SPEC, random.Random(1))
-    assert state.keys == again.keys
+    assert keys == again
 
 
 def test_round1_keys_cover_space():
@@ -46,52 +46,54 @@ def test_round1_keys_cover_space():
 
 def test_round2_well_formed_payloads():
     _, payloads = sjst_round1_sender(SPEC, random.Random(3))
-    public, state, detects = sjst_round2_receiver(SPEC, payloads, random.Random(4))
+    public, kept, detects = sjst_round2_receiver(SPEC, payloads, random.Random(4))
     b, h_entries = public
     assert b == (0, 0, 0)
     assert detects == []
-    # offsets recompute against an independent oracle
+    assert kept == {i: big_r for i, (_, big_r) in payloads.items()}
+    # offsets recompute against an independent oracle: h_{a,b}(x) is the low
+    # 4 bits of a*x + b over GF(2^8)
+    gf = SPEC.family.field
     for i in range(1, 4):
         a, hb, t_prime = h_entries[i - 1]
-        h = HashFunction(SPEC.family, a, hb)
         r_i, big_r_i = payloads[i]
-        assert t_prime == r_i ^ h.evaluate(big_r_i)
+        assert t_prime == r_i ^ ((gf.mul_int(a, big_r_i) ^ hb) & 0xF)
 
 
 @pytest.mark.parametrize("bad", [EMPTY, (1,), (16, 0), (0, 256), (1, 2, 3), "xx", None])
 def test_round2_flags_malformed_payload(bad):
     _, payloads = sjst_round1_sender(SPEC, random.Random(5))
     payloads[2] = bad
-    public, state, detects = sjst_round2_receiver(SPEC, payloads, random.Random(6))
+    public, kept, detects = sjst_round2_receiver(SPEC, payloads, random.Random(6))
     b, h_entries = public
     assert b == (0, 1, 0)
     assert h_entries[1] is None  # ABSENT
     assert detects == [2]
-    assert 2 not in state.received
+    assert 2 not in kept
 
 
 def test_round3_no_tampering():
-    state_s, payloads = sjst_round1_sender(SPEC, random.Random(7))
-    public2, state_r, _ = sjst_round2_receiver(SPEC, payloads, random.Random(8))
+    keys, payloads = sjst_round1_sender(SPEC, random.Random(7))
+    public2, kept, _ = sjst_round2_receiver(SPEC, payloads, random.Random(8))
     m = 0xAB
-    public3, detects = sjst_round3_sender(SPEC, state_s, public2, m)
+    public3, detects = sjst_round3_sender(SPEC, keys, public2, m)
     v, c = public3
     assert v == (0, 0, 0)
     assert detects == []
     mask = 0
-    for _, big_r in state_s.keys.values():
+    for _, big_r in keys.values():
         mask ^= big_r
     assert c == m ^ mask
-    assert sjst_finalize_receiver(SPEC, state_r, public3) == m
+    assert sjst_finalize_receiver(SPEC, kept, public3) == m
 
 
 def test_round3_flags_offset_tamper_deterministically():
     # Same R but different r: T differs by the r-offset, always caught.
-    state_s, payloads = sjst_round1_sender(SPEC, random.Random(9))
+    keys, payloads = sjst_round1_sender(SPEC, random.Random(9))
     r2, big_r2 = payloads[2]
     payloads[2] = (r2 ^ 0b0101, big_r2)
-    public2, state_r, _ = sjst_round2_receiver(SPEC, payloads, random.Random(10))
-    public3, detects = sjst_round3_sender(SPEC, state_s, public2, 0)
+    public2, kept, _ = sjst_round2_receiver(SPEC, payloads, random.Random(10))
+    public3, detects = sjst_round3_sender(SPEC, keys, public2, 0)
     assert public3[0][1] == 1
     assert detects == [2]
 
@@ -102,10 +104,10 @@ def test_round3_key_substitution_detection_rate():
     trials = 4000
     rng = random.Random(11)
     for _ in range(trials):
-        state_s, payloads = sjst_round1_sender(SPEC, rng)
+        keys, payloads = sjst_round1_sender(SPEC, rng)
         payloads[2] = (rng.getrandbits(4), rng.getrandbits(8))
-        public2, state_r, _ = sjst_round2_receiver(SPEC, payloads, rng)
-        public3, detects = sjst_round3_sender(SPEC, state_s, public2, 0)
+        public2, kept, _ = sjst_round2_receiver(SPEC, payloads, rng)
+        public3, detects = sjst_round3_sender(SPEC, keys, public2, 0)
         if public3[0][1] == 0:
             misses += 1
     # expected miss rate 2^-4 = 0.0625; 3 sigma ~ 0.0115
@@ -117,13 +119,13 @@ def test_flagged_channels_excluded_symmetrically():
     rng = random.Random(12)
     for _ in range(300):
         m = rng.getrandbits(8)
-        state_s, payloads = sjst_round1_sender(SPEC, rng)
+        keys, payloads = sjst_round1_sender(SPEC, rng)
         payloads[1] = EMPTY  # length-flagged
         r3, big_r3 = payloads[3]
         payloads[3] = (r3 ^ 1, big_r3)  # offset-flagged (deterministic)
-        public2, state_r, _ = sjst_round2_receiver(SPEC, payloads, rng)
-        public3, _ = sjst_round3_sender(SPEC, state_s, public2, m)
-        assert sjst_finalize_receiver(SPEC, state_r, public3) == m
+        public2, kept, _ = sjst_round2_receiver(SPEC, payloads, rng)
+        public3, _ = sjst_round3_sender(SPEC, keys, public2, m)
+        assert sjst_finalize_receiver(SPEC, kept, public3) == m
 
 
 class _SubstituteKeys(AdversaryStrategy):
