@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, read_int, read_object
+from .config import ConfigError, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
-from .game.nash import CSV_COLUMNS, nash_catalog_check
+from .game.nash import CSV_COLUMNS, cell_seed, nash_catalog_check
 from .game.play import play_game, run_trials, trial_seed
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
 from .game.attacks import CATALOG, PassiveGuess, catalog_for
@@ -86,15 +86,17 @@ class ExperimentConfig:
         self.profile = profile_from_json(obj.get("profile") or {"assignments": {}})
         self.profile.validate_for(self.protocol.n)
         util = obj.get("utility")
+        size = self.protocol.message_space_size()
         if util is None:
-            self.table = witness_table(self.protocol.message_space_size())
+            self.table = witness_table(size)
         else:
             try:
-                if "message_space_size" not in util:
-                    util = dict(util, message_space_size=self.protocol.message_space_size())
-                self.table = UtilityTable.from_json(util)
+                self.table = UtilityTable.from_json(dict({"message_space_size": size}, **util))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad utility table: {exc}") from exc
+            if self.table.message_space_size != size:
+                raise ConfigError(f"message_space_size {self.table.message_space_size} differs "
+                                  f"from the protocol's {size}")
         try:
             self.table.validate_timid()
         except UtilityError as exc:
@@ -104,9 +106,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         self.master_seed = read_int(obj.get("master_seed", 0), "master_seed")
-        self.alpha = obj.get("alpha")
-        if self.alpha is not None and not isinstance(self.alpha, (int, float)):
-            raise ConfigError(f"alpha must be a number, got {self.alpha!r}")
+        alpha = obj.get("alpha")
+        self.alpha = None if alpha is None else read_number(alpha, "alpha")
         self.sweep = obj.get("sweep")
 
     def resolved_json(self) -> dict:
@@ -210,10 +211,10 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
     lines += [",".join(r.as_csv_fields()) for r in rows]
     _write_lines(out, lines)
     if dump_transcript is not None:
+        # the passive baseline's first trial, which the report scored
         strategies = {j: PassiveGuess(config.protocol) for j in config.profile.adversary_ids}
-        _, transcript = play_game(
-            config.protocol, config.profile, strategies, trial_seed(config.master_seed, 0)
-        )
+        seed = trial_seed(cell_seed(config.master_seed, 0, "baseline"), 0)
+        _, transcript = play_game(config.protocol, config.profile, strategies, seed)
         with open(dump_transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript.to_json_str() + "\n")
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK

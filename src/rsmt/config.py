@@ -3,6 +3,8 @@ a value that cannot be used is a `ConfigError` naming the field it sits in."""
 
 from __future__ import annotations
 
+import math
+
 
 class ConfigError(ValueError):
     pass
@@ -22,6 +24,17 @@ def read_int(value, name: str) -> int:
         except ValueError:
             pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def read_number(value, name: str):
+    """`value` if it is an int or a float (not a bool) that reads as a
+    finite float, else a ConfigError naming `name`."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def read_object(value, name: str) -> dict:

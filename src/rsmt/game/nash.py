@@ -45,7 +45,9 @@ class ReportRow:
 CSV_COLUMNS = ["protocol", "adversary", "attack", "trials", "mean", "ci95", "threshold", "flag"]
 
 
-def _cell_seed(master_seed: int, j: int, attack: str) -> int:
+def cell_seed(master_seed: int, j: int, attack: str) -> int:
+    """Master seed of adversary j's run under `attack`; (0, "baseline") is
+    the all-passive baseline's."""
     digest = hashlib.sha256(f"{master_seed}:nash:{j}:{attack}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -56,7 +58,7 @@ def nash_catalog_check(protocol, profile, table: UtilityTable, trials: int,
     ids = profile.adversary_ids
     passive = {j: PassiveGuess(protocol) for j in ids}
     baseline = run_trials(protocol, profile, passive, table, trials,
-                          _cell_seed(master_seed, 0, "baseline"))
+                          cell_seed(master_seed, 0, "baseline"))
     rows = []
     for j in ids:
         base_mean = baseline.utility_mean[j]
@@ -65,7 +67,7 @@ def nash_catalog_check(protocol, profile, table: UtilityTable, trials: int,
             strategies = dict(passive)
             strategies[j] = entry.factory(protocol)
             stats = run_trials(protocol, profile, strategies, table, trials,
-                               _cell_seed(master_seed, j, entry.name))
+                               cell_seed(master_seed, j, entry.name))
             threshold = base_mean + math.hypot(base_ci, stats.utility_ci95[j])
             rows.append(ReportRow(
                 protocol=protocol.variant,

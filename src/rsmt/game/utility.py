@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from ..config import read_int, read_number
+
 
 class UtilityError(ValueError):
     pass
@@ -106,11 +108,12 @@ class UtilityTable:
         base = {}
         for key, v in obj["base"].items():
             g, s, d = (int(ch) for ch in key)
-            base[(g, s, d)] = float(v)
+            base[(g, s, d)] = float(read_number(v, f"base {key}"))
         return cls(
             base=base,
-            message_space_size=int(obj["message_space_size"]),
-            others_detected_bonus=float(obj.get("others_detected_bonus", 0.0)),
+            message_space_size=read_int(obj["message_space_size"], "message_space_size"),
+            others_detected_bonus=float(read_number(obj.get("others_detected_bonus", 0.0),
+                                                    "others_detected_bonus")),
         )
 
 

@@ -228,23 +228,13 @@ class AmdSpec:
         return (self.d + 1) / self.field.q
 
 
-def _amd_tag(spec: AmdSpec, s: Sequence[int], x: int) -> int:
-    f = spec.field
-    tag = f.pow_int(x, spec.d + 2)
-    xp = x
-    for si in s:
-        tag = f.add_int(tag, f.mul_int(si, xp))
-        xp = f.mul_int(xp, x)
-    return tag
-
-
 def amd_encode(spec: AmdSpec, s: Sequence[int], rng: random.Random) -> tuple[int, ...]:
     """The codeword (s_1, ..., s_d, x, tag) for a uniform x."""
     if len(s) != spec.d:
         raise SharingError(f"message must have {spec.d} elements")
     _check_values(spec.field, s, "message element")
     x = rng.randrange(spec.field.q)
-    return (*s, x, _amd_tag(spec, s, x))
+    return (*s, x, poly_eval(spec.field, (0, *s, 0, 1), x))
 
 
 def amd_decode(spec: AmdSpec, c: Sequence[int]):
@@ -253,7 +243,7 @@ def amd_decode(spec: AmdSpec, c: Sequence[int]):
         raise SharingError(f"codeword must have {spec.d + 2} elements")
     _check_values(spec.field, c, "codeword element")
     *s, x, tag = c
-    return tuple(s) if _amd_tag(spec, s, x) == tag else FAIL
+    return tuple(s) if poly_eval(spec.field, (0, *s, 0, 1), x) == tag else FAIL
 
 
 # --- Robust sharing: Shamir of the AMD codeword -----------------------------

@@ -7,9 +7,10 @@ id) gets a rushing look at its own corrupted channels and may return
 replacements for them — and only them.  The public channel is observable by
 everyone and can never be altered, so the engine keeps one public history
 for all adversaries; detection declarations of a public-channel protocol
-join it where they are emitted.  An adversary's final view is derived from
-the finished transcript by `view_of`.  Everything is a pure function of
-(protocol config, message, corruption profile, strategy code, master seed).
+join it where they are emitted.  The finished transcript keeps that history,
+and `view_of` derives an adversary's final view from it.  Everything is a
+pure function of (protocol config, message, corruption profile, strategy
+code, master seed).
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class Transcript:
     receiver_output: Any
     adversary_outputs: dict[int, Any]
     message: Any = None
+    public_history: list[tuple[int, Any]] = dc_field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -242,25 +244,21 @@ def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: in
     """Run `protocol` on message m under the given corruption and strategies."""
     engine = Engine(protocol.n, profile, strategies, master_seed, protocol.uses_public)
     output = protocol.run(engine, m)
-    transcript = Transcript(engine.rounds, engine.detect_events, output, {}, m)
+    transcript = Transcript(engine.rounds, engine.detect_events, output, {}, m,
+                            engine.public_history)
     for j in profile.adversary_ids:
-        view = view_of(transcript, profile, j, protocol.uses_public)
+        view = view_of(transcript, profile, j)
         transcript.adversary_outputs[j] = strategies[j].final_guess(view, engine.adv_rngs[j])
     return transcript
 
 
-def view_of(transcript: Transcript, profile: CorruptionProfile, j: int,
-            uses_public: bool = False) -> AdversaryView:
-    """Adversary j's view of a finished transcript.  With a public channel,
-    each detection declaration follows the round it was emitted after."""
+def view_of(transcript: Transcript, profile: CorruptionProfile, j: int) -> AdversaryView:
+    """Adversary j's view of a finished transcript: its own channels in every
+    round plus the whole public history, detection declarations included."""
     own = sorted(profile.channels_of(j))
-    view = AdversaryView(profile.channels_of(j))
-    detects = transcript.detect_events if uses_public else ()
+    view = AdversaryView(profile.channels_of(j), public_history=list(transcript.public_history))
     for r in transcript.rounds:
-        if r.public is not None:
-            view.public_history.append((r.index, r.public))
         if r.pre:
             view.rounds.append((r.index, r.direction, {c: r.pre[c] for c in own},
                                 {c: r.post[c] for c in own}))
-        view.public_history += [(i, ("DETECT", c)) for c, i in detects if i == r.index]
     return view

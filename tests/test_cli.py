@@ -18,7 +18,10 @@ from rsmt.cli import (
     protocol_from_json,
 )
 from rsmt.field import FieldSpec
-from rsmt.game.nash import CSV_COLUMNS
+from rsmt.game.attacks import PassiveGuess
+from rsmt.game.nash import CSV_COLUMNS, cell_seed
+from rsmt.game.play import run_trials
+from rsmt.game.utility import witness_table
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
@@ -31,6 +34,8 @@ P1_CONFIG = {
     "trials": 200,
     "master_seed": 11,
 }
+
+WITNESS_BASE = witness_table().to_json()["base"]
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -264,10 +269,17 @@ def test_simulate_flags_exploitable_strawman(tmp_path):
 def test_simulate_dump_transcript(tmp_path):
     path = write_config(tmp_path, P1_CONFIG)
     dump = tmp_path / "transcript.json"
-    main(["simulate", "--config", path, "--out", str(tmp_path / "r.csv"),
+    main(["simulate", "--config", path, "--trials", "20", "--out", str(tmp_path / "r.csv"),
           "--dump-transcript", str(dump)])
     blob = json.loads(dump.read_text())
     assert "rounds" in blob and "message" in blob
+    # the dumped trial is one the report scored: the passive baseline's first
+    cfg = ExperimentConfig(P1_CONFIG)
+    scored = []
+    run_trials(cfg.protocol, cfg.profile, {1: PassiveGuess(cfg.protocol)}, cfg.table, 1,
+               cell_seed(cfg.master_seed, 0, "baseline"),
+               on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
+    assert dump.read_text() == scored[0] + "\n"
 
 
 def test_sweep_requires_axis(tmp_path):
@@ -344,8 +356,23 @@ def test_flags_without_effect_are_usage_errors(argv):
      "m must be an integer, got 'x'"),
     ("bounds", {"profile": {"assignments": {"1": [1, 2.5]}}},
      "channel must be an integer, got 2.5"),
+    ("bounds", {"alpha": True}, "alpha must be a number, got True"),
+    ("bounds", {"utility": {"base": dict(WITNESS_BASE, **{"000": "3"})}},
+     "base 000 must be a number, got '3'"),
+    ("bounds", {"utility": {"base": dict(WITNESS_BASE, **{"100": True})}},
+     "base 100 must be a number, got True"),
+    ("bounds", {"utility": {"base": dict(WITNESS_BASE, **{"000": 10 ** 400})}},
+     "base 000 must be a number, got 1000"),
+    ("bounds", {"utility": {"base": WITNESS_BASE, "others_detected_bonus": False}},
+     "others_detected_bonus must be a number, got False"),
+    ("bounds", {"utility": {"base": WITNESS_BASE, "message_space_size": 256.7}},
+     "message_space_size must be an integer, got 256.7"),
+    ("bounds", {"utility": {"base": WITNESS_BASE, "message_space_size": 16}},
+     "message_space_size 16 differs from the protocol's 256"),
 ], ids=["n", "trials", "master_seed", "alpha", "sweep-values", "n-fractional",
-        "trials-fractional", "ell-bool", "field-m", "channel-fractional"])
+        "trials-fractional", "ell-bool", "field-m", "channel-fractional", "alpha-bool",
+        "base-string", "base-bool", "base-overflow", "bonus-bool", "size-fractional",
+        "size-mismatch"])
 def test_non_numeric_config_value_names_the_field(tmp_path, capsys, command, change, message):
     path = write_config(tmp_path, dict(P1_CONFIG, **change))
     assert main([command, "--config", path]) == EXIT_CONFIG

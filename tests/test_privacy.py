@@ -12,9 +12,11 @@ from rsmt.privacy import (
     rss_view_distance,
     shamir_privacy_distance,
     sjst_view_distance,
+    view_distance,
 )
 from rsmt.protocols import CissProtocol, SjstProtocol
 from rsmt.protocols.ciss import P1
+from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver
 from rsmt.sharing import (
     AmdSpec,
     RobustSharingSpec,
@@ -56,6 +58,54 @@ def test_forced_draws_raise_when_the_code_draws_more(name):
     call, draws = SHARERS[name]
     with pytest.raises(RuntimeError):
         call(ForcedDraws([1] * (draws - 1)))
+
+
+def _sjst_rounds_1_2(rng, spec=SjstProtocol(3, 5, 8)):
+    keys, payloads = sjst_round1_sender(spec, rng)
+    return keys, sjst_round2_receiver(spec, payloads, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forced_draws_reproduce_a_seeded_rng_through_sjst_rounds(seed):
+    # the getrandbits path: (r_i, R_i) per channel, then a hash key (a, b) per channel
+    replay = random.Random(seed)
+    values = [replay.getrandbits(bits) for bits in [5, 8] * 3 + [8] * 6]
+    assert _sjst_rounds_1_2(ForcedDraws(values)) == _sjst_rounds_1_2(random.Random(seed))
+
+
+@pytest.mark.parametrize("draw, value", [("randrange", 5), ("randrange", -1),
+                                         ("getrandbits", 8)])
+def test_forced_value_out_of_range_raises(draw, value):
+    with pytest.raises(RuntimeError):
+        getattr(ForcedDraws([value]), draw)(5 if draw == "randrange" else 3)
+
+
+def test_enumerator_raises_when_the_code_draws_fewer_than_forced():
+    with pytest.raises(RuntimeError):
+        view_distance(range(2), [2], lambda secret, rng: ({1: secret}, None), [{1}])
+
+
+def test_a_view_that_carries_the_secret_has_distance_one():
+    assert view_distance(range(3), [], lambda secret, rng: ({1: secret}, None), [{1}]) == 1
+    # ... whether it rides a channel or the public messages
+    assert view_distance(range(3), [3], lambda secret, rng: ({1: rng.randrange(3)}, secret),
+                         [{1}]) == 1
+
+
+def test_several_subsets_give_the_worst_single_subset():
+    def run(secret, rng):  # channel 1 leaks, 2 is noise, 3 leaks half the time
+        return {1: secret, 2: rng.randrange(2), 3: secret & rng.randrange(2)}, None
+    single = [view_distance(range(2), [2, 2], run, [c]) for c in ({1}, {2}, {3})]
+    assert single == [1, 0, Fraction(1, 2)]
+    assert view_distance(range(2), [2, 2], run, [{2}, {3}]) == Fraction(1, 2)
+    assert view_distance(range(2), [2, 2], run, [{1}, {2}, {3}]) == 1
+
+
+def test_rss_view_over_several_subsets_is_the_worst_single_subset():
+    spec = RobustSharingSpec(AmdSpec(GF4, 1), SharingSpec(t=1, n=3, field=GF4))
+    subsets = [frozenset({1}), frozenset({2}), frozenset({3})]
+    assert rss_view_distance(spec, *subsets) == max(
+        rss_view_distance(spec, c) for c in subsets) == 0
 
 
 def test_shamir_t_shares_reveal_nothing():

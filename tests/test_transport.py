@@ -130,7 +130,7 @@ def test_public_channel_is_shared_and_detects_ride_it():
     tr = execute(sjst, 200, prof, {1: _Blocks()}, 4)
     # blocking channel 2 trips the length check: flagged and detected
     assert (2, 1) in tr.detect_events
-    v = view_of(tr, prof, 1, uses_public=True)
+    v = view_of(tr, prof, 1)
     assert any(p == ("DETECT", 2) for _, p in v.public_history)
     # flags round is public: B has the flag bit set for channel 2
     b_flags = next(p for _, p in v.public_history if isinstance(p, tuple) and p[0] == (0, 1, 0))
@@ -152,7 +152,7 @@ def test_final_view_is_view_of_with_detects_in_emission_order():
     strat = _BlocksAndKeepsView()
     tr = execute(sjst, 200, prof, {1: strat}, 4)
     (seen,) = strat.views
-    assert seen == view_of(tr, prof, 1, uses_public=True)
+    assert seen == view_of(tr, prof, 1)
     # the DETECT for channel 2 follows round 1's flags and precedes round 2
     assert [(i, p if p[0] == "DETECT" else "pub") for i, p in seen.public_history] == [
         (1, "pub"), (1, ("DETECT", 2)), (2, "pub")
