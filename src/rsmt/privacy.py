@@ -8,7 +8,9 @@ The Shamir, RSS and SJST view checks go through one enumerator,
 `robust_share`, the three SJST rounds) once per secret and per point of the
 product of the draws' ranges, with a `ForcedDraws` stand-in for the rng that
 must serve exactly the draws the code makes, so each check sees the draw
-path the simulator runs.  The AMD check drives `amd_encode` the same way.
+path the simulator runs.  The AMD check drives `amd_encode` and the CISS
+view check drives `ciss_sender_encode` the same way; the CISS check counts
+the masks without drawing them (see `ciss_view_distance`).
 `CHECKS` fixes the parameters: it is the one table that `rsmt verify` prints
 and the acceptance suite asserts.  The regimes are deliberately tiny so each
 check finishes in seconds.
@@ -20,11 +22,12 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 from typing import Callable, NamedTuple
 
 from .field import FieldSpec
 from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
-from .protocols.ciss import P1, CissProtocol
+from .protocols.ciss import P1, TAGS, CissProtocol, ciss_sender_encode, slot
 from .protocols.sjst import (
     SjstProtocol,
     sjst_round1_sender,
@@ -81,9 +84,22 @@ def _check_size(size: int, limit: int = 5_000_000) -> None:
 
 def _max_distance(dists: list[Counter], total: int) -> Fraction:
     """Worst pairwise total-variation distance between count distributions."""
-    keys = set().union(*dists)
-    return max((Fraction(sum(abs(a[k] - b[k]) for k in keys), 2 * total)
-                for a, b in itertools.combinations(dists, 2)), default=Fraction(0))
+    keys = set().union(*dists)  # iterated twice per pair, in one fixed order
+
+    def l1(a: Counter, b: Counter) -> int:
+        zero = itertools.repeat(0)
+        return sum(map(abs, map(sub, map(a.get, keys, zero), map(b.get, keys, zero))))
+
+    return max((Fraction(l1(a, b), 2 * total) for a, b in itertools.combinations(dists, 2)),
+               default=Fraction(0))
+
+
+def _channels(subset, n: int) -> list[int]:
+    """`subset` sorted, or ValueError naming a channel outside 1..n."""
+    for c in subset:
+        if not 1 <= c <= n:
+            raise ValueError(f"channel {c} outside 1..{n}")
+    return sorted(subset)
 
 
 def view_distance(secrets, radices, run, subsets) -> Fraction:
@@ -96,6 +112,8 @@ def view_distance(secrets, radices, run, subsets) -> Fraction:
     the draws it makes.  A subset's view is the public messages plus its
     channels' payloads; every subset is counted in the same pass."""
     subsets = [sorted(s) for s in subsets]
+    if not subsets:
+        raise ValueError("no corrupted subset to check")
     secrets = list(secrets)
     states = math.prod(radices)
     _check_size(len(secrets) * states)
@@ -166,6 +184,7 @@ def rss_view_distance(spec: RobustSharingSpec, *corrupted) -> Fraction:
     """Exact worst-case view distance over the corrupted subsets, enumerating
     the full encoding randomness (AMD x, then every sharing coefficient)."""
     inner = spec.inner
+    corrupted = [_channels(c, inner.n) for c in corrupted]
     if any(len(c) > inner.t for c in corrupted):
         raise ValueError("corrupted set exceeds the sharing threshold")
     q = inner.field.q
@@ -178,62 +197,59 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     """Exact worst-case view distance for one corrupted subset of the
     one-round list protocols.
 
-    Enumerates exactly the randomness the corrupted payloads depend on: all
-    sharing coefficients, the hash functions h_i for corrupted i, and every
-    mask that either rides a corrupted channel or blinds a corrupted
-    channel's tags.  All other randomness never enters the view, so fixing
-    it does not change the view's marginal distribution.
-
-    Unlike the other view checks this does not go through `view_distance`:
-    the sharing is drawn once per coefficient point and reused across every
-    hash key and mask.  Running the production encoder once per state costs
-    about 11 us (2 vCPU, Python 3.11), about 14 s over the 1,228,800 states
-    of the `CHECKS` row, twice this loop's time.
+    Runs the production `ciss_sender_encode` once per message, per point of
+    the sharing coefficients and per hash key of each corrupted channel.
+    Every other draw (the honest channels' keys and all masks) is forced to
+    0: the keys never enter the view, and the masks are counted here instead
+    of drawn.  That count relies on the payload layout `ciss.py` documents:
+    mask r_{a,b} enters the view only as T_{a,b} xor r_{a,b} in channel a's
+    tags (when a is corrupted) and as r_{a,b} in channel b's masks (when b
+    is corrupted), so with r_{a,b} = 0 the payload shows T_{a,b}.  Each view
+    is packed one to one into an int: one bit field per view-relevant mask,
+    holding what the mask's corrupted ends show, with the index of the
+    mask-free part (the corrupted shares and keys) above them.
+    `itertools.product` and `Counter.update` count every combination of the
+    2^l values of each mask in C.
     """
-    if len(corrupted) > spec.t:
+    n, ell = spec.n, spec.ell
+    c_set = _channels(corrupted, n)
+    if len(c_set) > spec.t:
         raise ValueError("corrupted set exceeds the sharing threshold")
-    n, q, d, t = spec.n, spec.field.q, spec.d, spec.t
-    c_set = sorted(corrupted)
-    others = [j for j in range(1, n + 1)]
-    # masks in the view: r_{i,j} blinds T_{i,j} on corrupted i; r_{j,i} rides
-    # corrupted channel i.
-    mask_pairs = sorted(
-        {(i, j) for i in c_set for j in others if j != i}
-        | {(j, i) for i in c_set for j in others if j != i}
-    )
-    hash_states = (1 << (2 * spec.family.domain_bits)) ** len(c_set)
-    mask_states = (1 << spec.ell) ** len(mask_pairs)
-    coeff_states = q ** (d * t)
-    total = coeff_states * hash_states * mask_states
-    _check_size(total)
-    tag_mask = (1 << spec.ell) - 1
+    channels = range(1, n + 1)
+    radices = [spec.field.q] * (spec.d * spec.t)
+    for i in channels:
+        radices += [1 << spec.family.domain_bits if i in c_set else 1] * 2
+    radices += [1] * (n * (n - 1))
+    mask_pairs = [(a, b) for a in channels for b in channels
+                  if a != b and (a in c_set or b in c_set)]
+    states = math.prod(radices) * (1 << ell) ** len(mask_pairs)
+    _check_size(states)
+    values = range(1 << ell)
+    # bit offset of each pair's entry: l bits per corrupted end of the pair
+    shifts = list(itertools.accumulate((ell * ((a in c_set) + (b in c_set))
+                                        for a, b in mask_pairs), initial=0))
+    bases = {}  # mask-free part -> its index, shared by every message
     dists = []
-    for msg_vals in itertools.product(range(q), repeat=d):
+    for msg in itertools.product(range(spec.field.q), repeat=spec.d):
         counts = Counter()
-        for rng in map(ForcedDraws, itertools.product(range(q), repeat=d * t)):
-            per_coord = [shamir_share(spec.sharing, msg_vals[k], rng) for k in range(d)]
-            ser = {
-                j: spec.serialize_share(tuple(per_coord[k][j] for k in range(d)))
-                for j in range(1, n + 1)
-            }
-            for hkeys in itertools.product(spec.family.members(), repeat=len(c_set)):
-                hashed = {}
-                for i, key in zip(c_set, hkeys):
-                    for j in others:
-                        if j != i:
-                            hashed[(i, j)] = spec.family.tag(key, ser[j])
-                for mvals in itertools.product(range(tag_mask + 1), repeat=len(mask_pairs)):
-                    masks = dict(zip(mask_pairs, mvals))
-                    view = []
-                    for i, key in zip(c_set, hkeys):
-                        tags = tuple(
-                            hashed[(i, j)] ^ masks[(i, j)] for j in others if j != i
-                        )
-                        rides = tuple(masks[(j, i)] for j in others if j != i)
-                        view.append((ser[i], key, tags, rides))
-                    counts[tuple(view)] += 1
+        for point in itertools.product(*map(range, radices)):
+            rng = ForcedDraws(point)
+            payloads = ciss_sender_encode(spec, msg, rng)
+            rng.finish()
+            base = tuple(payloads[a][:2] for a in c_set)
+            fields = [(bases.setdefault(base, len(bases)) << shifts[-1],)]
+            for shift, (a, b) in zip(shifts, mask_pairs):
+                if a not in c_set:
+                    fields.append([r << shift for r in values])
+                    continue
+                tag = payloads[a][TAGS][slot(a, b)]
+                if b in c_set:
+                    fields.append([((tag ^ r) << ell | r) << shift for r in values])
+                else:
+                    fields.append([(tag ^ r) << shift for r in values])
+            counts.update(map(sum, itertools.product(*fields)))
         dists.append(counts)
-    return _max_distance(dists, total)
+    return _max_distance(dists, states)
 
 
 def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fraction:
@@ -243,6 +259,7 @@ def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fractio
     forced rng over every sender key and receiver hash key; tractable only
     for n=2 with tiny l = k."""
     n, ell, k = spec.n, spec.ell, spec.k
+    corrupted = _channels(corrupted, n)
     if len(corrupted) >= n:
         raise ValueError("corrupted set must leave at least one honest channel")
 

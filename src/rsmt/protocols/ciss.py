@@ -45,9 +45,13 @@ _VARIANTS = {
 }
 
 # Channel i's payload is (share, (a, b) of h_i, tags, masks); tags and masks
-# list the other channels j != i in ascending order, so j sits at index
-# j - 1 - (j > i).
+# list the other channels j != i in ascending order, at index `slot(i, j)`.
 TAGS, MASKS = 2, 3
+
+
+def slot(i: int, j: int) -> int:
+    """Index of channel j in channel i's tags and masks."""
+    return j - 1 - (j > i)
 
 
 class CissProtocol(OneRoundProtocol):
@@ -186,8 +190,8 @@ def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tu
         for j in range(1, n + 1):
             if j == i:
                 continue
-            mask = parsed[j][MASKS][i - 1 - (i > j)]  # r_{i,j}
-            if tag(key, serialized[j]) ^ mask != tags[j - 1 - (j > i)]:  # T_{i,j}
+            mask = parsed[j][MASKS][slot(j, i)]  # r_{i,j}
+            if tag(key, serialized[j]) ^ mask != tags[slot(i, j)]:  # T_{i,j}
                 bad.append(j)
         lists[i] = tuple(bad)
     return lists

@@ -308,6 +308,28 @@ def test_missing_or_malformed_config_exits_3(tmp_path):
     assert main(["simulate", "--config", wrong]) == EXIT_CONFIG
 
 
+VERIFY_REPORT = """\
+hash-pair-counts(m=3,l=1): observed=uniform bound=16 per pair [pass]
+hash-offset-collision(m=3,l=1): observed=0.5 bound=1.0 [pass]
+hash-pair-counts(m=3,l=2): observed=uniform bound=4 per pair [pass]
+hash-offset-collision(m=3,l=2): observed=0.25 bound=0.5 [pass]
+hash-pair-counts(m=3,l=3): observed=uniform bound=1 per pair [pass]
+hash-offset-collision(m=3,l=3): observed=0.125 bound=0.25 [pass]
+amd-failure(q=5,d=1): observed=2/5 bound=2/5 [pass]
+amd-failure(q=7,d=1): observed=2/7 bound=2/7 [pass]
+shamir-privacy(GF5,t=2,n=4): observed=0 bound=0 [pass]
+rss-view(n=3,GF4,t=2): observed=0 bound=0 [pass]
+minority-view(n=3,GF5,l=2): observed=0 bound=0 [pass]
+all checks passed
+"""
+
+
+def test_verify_report_is_golden(capsys):
+    # the real `CHECKS` table, every line as printed
+    assert main(["verify"]) == EXIT_OK
+    assert capsys.readouterr().out == VERIFY_REPORT
+
+
 def test_verify_exit_paths(tmp_path, monkeypatch):
     # The real table's rows are asserted by acceptance tests 01/02/03/09.
     passing = Check("cheap-pass", 1, lambda: (0, True))

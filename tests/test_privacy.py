@@ -1,12 +1,19 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import rsmt.privacy
 
 from rsmt.field import FieldSpec
 from rsmt.privacy import (
     EnumerationTooLarge,
     ForcedDraws,
+    _max_distance,
     amd_failure_max,
     ciss_view_distance,
     rss_view_distance,
@@ -15,7 +22,7 @@ from rsmt.privacy import (
     view_distance,
 )
 from rsmt.protocols import CissProtocol, SjstProtocol
-from rsmt.protocols.ciss import P1
+from rsmt.protocols.ciss import P1, P2, ciss_sender_encode
 from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver
 from rsmt.sharing import (
     AmdSpec,
@@ -137,6 +144,57 @@ def test_ciss_view_is_independent_of_message():
     assert ciss_view_distance(spec, frozenset({2})) == 0
 
 
+def _leaky(channel):
+    """`ciss_sender_encode`, except that `channel` carries the message in
+    place of its share whenever its hash key has a = 0."""
+    def encode(spec, m, rng):
+        payloads = ciss_sender_encode(spec, m, rng)
+        _share, key, tags, masks = payloads[channel]
+        if key[0] == 0:
+            payloads[channel] = (tuple(m), key, tags, masks)
+        return payloads
+    return encode
+
+
+def test_ciss_view_check_runs_the_production_encoder(monkeypatch):
+    # the leak shows exactly when a = 0: with probability 2^-m, m = 2 bits
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", _leaky(1))
+    spec = CissProtocol(P1, 3, GF4, 1, 1)
+    assert ciss_view_distance(spec, frozenset({1})) == Fraction(1, 4)
+    assert ciss_view_distance(spec, frozenset({2})) == 0
+
+
+def test_ciss_view_of_two_channels_is_independent_of_message(monkeypatch):
+    # r_{1,2} and r_{2,1} show on both of their ends
+    spec = CissProtocol(P2, 3, GF4, 1, 1)
+    assert ciss_view_distance(spec, frozenset({1, 2})) == 0
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", _leaky(1))
+    assert ciss_view_distance(spec, frozenset({1, 2})) == Fraction(1, 4)
+
+
+def _ciss_full_enumeration(spec, corrupted, encode) -> Fraction:
+    """`view_distance` over `encode` with every draw the corrupted view
+    depends on enumerated, masks included."""
+    channels = range(1, spec.n + 1)
+    radices = [spec.field.q] * (spec.d * spec.t)
+    for i in channels:
+        radices += [1 << spec.family.domain_bits if i in corrupted else 1] * 2
+    radices += [1 << spec.ell if a in corrupted or b in corrupted else 1
+                for a in channels for b in channels if a != b]
+    return view_distance(itertools.product(range(spec.field.q), repeat=spec.d), radices,
+                         lambda m, rng: (encode(spec, m, rng), None), [corrupted])
+
+
+@pytest.mark.parametrize("encode, expected", [(ciss_sender_encode, 0),
+                                              (_leaky(2), Fraction(1, 4))],
+                         ids=["honest", "leaky"])
+def test_ciss_view_check_equals_full_enumeration(monkeypatch, encode, expected):
+    spec = CissProtocol(P1, 3, GF4, 1, 1)
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", encode)
+    assert (ciss_view_distance(spec, frozenset({2}))
+            == _ciss_full_enumeration(spec, frozenset({2}), encode) == expected)
+
+
 def test_ciss_rejects_oversized_subset():
     spec = CissProtocol(P1, 3, GF5, 1, 2)
     with pytest.raises(ValueError):
@@ -162,3 +220,40 @@ def test_enumeration_guard_trips_on_large_parameters():
                            frozenset({1, 2}))
     with pytest.raises(EnumerationTooLarge):
         sjst_view_distance(SjstProtocol(3, 4, 8), frozenset({1}))
+
+
+RSS3 = RobustSharingSpec(AmdSpec(GF4, 1), SharingSpec(t=1, n=3, field=GF4))
+BAD_SUBSETS = {
+    "ciss-4": (lambda: ciss_view_distance(CissProtocol(P1, 3, GF5, 1, 2), frozenset({4})),
+               "channel 4 outside 1..3"),
+    "ciss-0": (lambda: ciss_view_distance(CissProtocol(P1, 3, GF5, 1, 2), frozenset({0})),
+               "channel 0 outside 1..3"),
+    "sjst-3": (lambda: sjst_view_distance(SjstProtocol(2, 2, 2), frozenset({3})),
+               "channel 3 outside 1..2"),
+    "rss-7": (lambda: rss_view_distance(RSS3, frozenset({7})), "channel 7 outside 1..3"),
+    "rss-none": (lambda: rss_view_distance(RSS3), "no corrupted subset"),
+    "view-none": (lambda: view_distance(range(2), [], lambda s, rng: ({1: s}, None), []),
+                  "no corrupted subset"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUBSETS))
+def test_bad_subsets_raise_a_named_error(case):
+    call, message = BAD_SUBSETS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _counts():
+    return st.dictionaries(st.integers(0, 5), st.integers(1, 9), max_size=6).map(Counter)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_counts(), max_size=4), st.integers(1, 60))
+@example([], 1)
+@example([Counter({0: 3})], 3)
+def test_max_distance_matches_the_pairwise_formula(dists, total):
+    keys = set().union(*dists)
+    reference = max((Fraction(sum(abs(a[k] - b[k]) for k in keys), 2 * total)
+                     for a, b in itertools.combinations(dists, 2)), default=Fraction(0))
+    assert _max_distance(dists, total) == reference
