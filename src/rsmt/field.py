@@ -6,10 +6,14 @@ Binary fields use a fixed table of default irreducible polynomials so that
 canonical integer encodings are reproducible across runs and implementations.
 For m <= 16 a log/exp table pair is precomputed, making multiplication a
 couple of array lookups; larger m (up to 32) falls back to shift-and-reduce.
+The choice between the two is made here, in each operation, never by the
+caller.  `mul_row` evaluates a line a*x + b on a whole row of x, and
+`interpolate` reuses the inverse differences of a point set it has seen.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .config import check_keys, read_int
@@ -231,6 +235,17 @@ class FieldSpec:
             return self._exp[self._log[a] + self._log[b]]
         return self._clmul_reduce(a, b)
 
+    def mul_row(self, a: int, xs: Sequence[int], b: int = 0, mask: int = -1) -> list[int]:
+        """[(a * x + b) & mask for x in xs]: the low bits of a line's values,
+        through the log/exp tables where there are some."""
+        exp = self._exp
+        if exp is None or a == 0:
+            mul, add = self.mul_int, self.add_int
+            return [add(mul(a, x), b) & mask for x in xs]
+        log = self._log
+        la = log[a]
+        return [((exp[la + log[x]] if x else 0) ^ b) & mask for x in xs]
+
     def inv_int(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -284,33 +299,76 @@ class FieldSpec:
 def poly_eval(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
     """Horner evaluation of a coefficient list at x."""
     acc = 0
+    if spec.kind == "prime":
+        p = spec.p
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
+    exp, log = spec._exp, spec._log
+    if exp is None or x == 0:
+        mul, add = spec.mul_int, spec.add_int
+        for c in reversed(coeffs):
+            acc = add(mul(acc, x), c)
+        return acc
+    lx = log[x]
     for c in reversed(coeffs):
-        acc = spec.add_int(spec.mul_int(acc, x), c)
+        acc = (exp[log[acc] + lx] if acc else 0) ^ c
     return acc
+
+
+@lru_cache(maxsize=1024)
+def _inverse_differences(spec: FieldSpec, xs: tuple[int, ...]) -> tuple[int, ...]:
+    """1/(xs[i] - xs[i-j]) for j = 1..k-1 and i = k-1 down to j, the order
+    in which the divided differences use them; as logs on table fields."""
+    k = len(xs)
+    if len(set(xs)) != k:
+        raise FieldError("duplicate x values in interpolation")
+    weights = [spec.inv_int(spec.sub_int(xs[i], xs[i - j]))
+               for j in range(1, k) for i in range(k - 1, j - 1, -1)]
+    return tuple(weights if spec._log is None else map(spec._log.__getitem__, weights))
 
 
 def interpolate(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     """Coefficients of the unique polynomial of degree < len(xs) through the
     points (xs[i], ys[i]): Newton divided differences, then the Newton form
-    expanded to monomials, O(k^2) field operations."""
+    expanded to monomials, O(k^2) field operations.  The inverse differences
+    of a point set are cached, so a repeated one costs no inversion."""
     k = len(xs)
     if k == 0:
         raise FieldError("interpolation needs at least one point")
-    if len(set(xs)) != k:
-        raise FieldError("duplicate x values in interpolation")
+    weights = iter(_inverse_differences(spec, tuple(xs)))
     if len(ys) != k:
         raise FieldError("need one y value per x value")
-    sub, mul, inv = spec.sub_int, spec.mul_int, spec.inv_int
     c = list(ys)
+    coeffs = [0] * k
+    exp, log = spec._exp, spec._log
+    if exp is None:
+        sub, mul = spec.sub_int, spec.mul_int
+        for j in range(1, k):
+            for i in range(k - 1, j - 1, -1):
+                c[i] = mul(sub(c[i], c[i - 1]), next(weights))
+        # Horner on the Newton form: p <- p * (x - xs[i]) + c[i], top down.
+        coeffs[0] = c[k - 1]
+        for i in range(k - 2, -1, -1):
+            xi = xs[i]
+            for d in range(k - 1 - i, 0, -1):
+                coeffs[d] = sub(coeffs[d - 1], mul(coeffs[d], xi))
+            coeffs[0] = sub(c[i], mul(coeffs[0], xi))
+        return coeffs
+    # The same two loops through the log/exp tables (subtraction is xor).
     for j in range(1, k):
         for i in range(k - 1, j - 1, -1):
-            c[i] = mul(sub(c[i], c[i - 1]), inv(sub(xs[i], xs[i - j])))
-    # Horner on the Newton form: p <- p * (x - xs[i]) + c[i], top down.
-    coeffs = [0] * k
+            d = c[i] ^ c[i - 1]
+            w = next(weights)
+            c[i] = exp[log[d] + w] if d else 0
     coeffs[0] = c[k - 1]
     for i in range(k - 2, -1, -1):
-        xi = xs[i]
-        for d in range(k - 1 - i, 0, -1):
-            coeffs[d] = sub(coeffs[d - 1], mul(coeffs[d], xi))
-        coeffs[0] = sub(c[i], mul(coeffs[0], xi))
+        if xs[i] == 0:  # p * x: a shift
+            coeffs[1:k - i] = coeffs[:k - 1 - i]
+            coeffs[0] = c[i]
+            continue
+        lx = log[xs[i]]
+        for d in range(k - 1 - i, -1, -1):
+            v = coeffs[d]
+            coeffs[d] = (coeffs[d - 1] if d else c[i]) ^ (exp[log[v] + lx] if v else 0)
     return coeffs

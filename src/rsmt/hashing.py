@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 from .field import FieldSpec
 
@@ -45,14 +46,28 @@ class HashFamilySpec:
         return itertools.product(range(1 << self.domain_bits), repeat=2)
 
     def tag(self, key: tuple[int, int], x: int) -> int:
-        """h_{a,b}(x) for key = (a, b)."""
+        """h_{a,b}(x) for key = (a, b): one entry of `tags`, multiplied by
+        the field's `mul_int`, which takes the same table or generic path as
+        its `mul_row`."""
         a, b = key
-        size = 1 << self.domain_bits
+        size = self.field.q
         if not (0 <= a < size and 0 <= b < size):
             raise ValueError("hash coefficients outside the field")
         if not 0 <= x < size:
             raise ValueError(f"input does not fit in {self.domain_bits} bits")
         return (self.field.mul_int(a, x) ^ b) & ((1 << self.range_bits) - 1)
+
+    def tags(self, key: tuple[int, int], xs: Sequence[int]) -> list[int]:
+        """[h_{a,b}(x) for x in xs] for key = (a, b): the key and the inputs
+        are range-checked once, and a*x + b comes from one
+        `FieldSpec.mul_row`."""
+        a, b = key
+        size = self.field.q
+        if not (0 <= a < size and 0 <= b < size):
+            raise ValueError("hash coefficients outside the field")
+        if xs and not (0 <= min(xs) and max(xs) < size):
+            raise ValueError(f"input does not fit in {self.domain_bits} bits")
+        return self.field.mul_row(a, xs, b, (1 << self.range_bits) - 1)
 
 
 def offset_collision_prob_exhaustive(

@@ -223,7 +223,7 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     mask_pairs = [(a, b) for a in channels for b in channels
                   if a != b and (a in c_set or b in c_set)]
     states = math.prod(radices) * (1 << ell) ** len(mask_pairs)
-    _check_size(states)
+    _check_size(spec.message_space_size() * states)  # every message, as in view_distance
     values = range(1 << ell)
     # bit offset of each pair's entry: l bits per corrupted end of the pair
     shifts = list(itertools.accumulate((ell * ((a in c_set) + (b in c_set))

@@ -78,7 +78,7 @@ class OneRoundProtocol(Protocol):
 
     def check_message(self, m) -> None:
         """Raise ProtocolError unless m is a d-vector over the field."""
-        if not vector_in_field(tuple(m), self.field.q, self.d):
+        if not ints_below(tuple(m), self.field.q, self.d):
             raise ProtocolError(f"message must be a {self.d}-vector over {self.field}")
 
     def encode(self, m, rng: random.Random) -> dict[int, Any]:
@@ -101,9 +101,24 @@ def int_in_range(v, width_bits: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < (1 << width_bits)
 
 
-def vector_in_field(v, q: int, length: int) -> bool:
+def exact_ints_below(values, limit: int) -> bool:
+    """Whether the sequence `values` is non-empty and holds only exact ints
+    (no bool or other subclass) in [0, limit), tested in C.  False decides
+    nothing: the caller falls back to its own element-by-element test."""
+    return set(map(type, values)) == _JUST_INT and 0 <= min(values) and max(values) < limit
+
+
+_JUST_INT = {int}
+
+
+def ints_below(v, limit: int, length: int) -> bool:
+    """Whether v is a tuple of `length` ints (bools excluded) in [0, limit).
+    A tuple of exact ints is range-checked by `min`/`max` in C; any other
+    tuple is tested element by element."""
     return (
         isinstance(v, tuple)
         and len(v) == length
-        and all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < q for x in v)
+        and (exact_ints_below(v, limit)
+             or all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < limit
+                    for x in v))
     )

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain, repeat
+from operator import xor
 
 from ..config import check_keys, read_ints
 from ..field import FieldSpec
 from ..hashing import HashFamilySpec
 from ..sharing import FAIL, SharingSpec, rs_reconstruct, shamir_reconstruct, shamir_share
-from .base import OneRoundProtocol, ProtocolError, int_in_range, vector_in_field
+from .base import OneRoundProtocol, ProtocolError, exact_ints_below, ints_below
 
 P1 = "P1"
 P2 = "P2"
@@ -84,7 +86,10 @@ class CissProtocol(OneRoundProtocol):
 
     def serialize_share(self, share: tuple[int, ...]) -> int:
         bits = self.field.elem_bits
-        return sum(v << (idx * bits) for idx, v in enumerate(share))
+        acc = 0
+        for v in reversed(share):
+            acc = acc << bits | v
+        return acc
 
     def encode(self, m, rng: random.Random) -> dict[int, tuple]:
         return ciss_sender_encode(self, m, rng)
@@ -126,31 +131,29 @@ class CissProtocol(OneRoundProtocol):
 
 
 def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, tuple]:
-    """Share, hash, and cross-tag the message."""
+    """Share, hash, and cross-tag the message.  The masks are drawn i-major
+    into an n x n square, r_{i,j} at row i and column j; channel i's tags
+    are row i of the tag matrix xor row i of the square, and its masks are
+    column i of the square, each without the undrawn diagonal."""
     spec.check_message(m)
-    channels = range(1, spec.n + 1)
+    n = spec.n
     per_coord = [shamir_share(spec.sharing, m[k], rng) for k in range(spec.d)]
-    shares = {i: tuple(coord[i] for coord in per_coord) for i in channels}
-    keys = {i: spec.family.sample(rng) for i in channels}
-    masks = {(i, j): rng.getrandbits(spec.ell) for i in channels for j in channels if i != j}
-    serialized = {i: spec.serialize_share(shares[i]) for i in channels}
-    tag = spec.family.tag
+    shares = list(zip(*(coord.values() for coord in per_coord)))
+    keys = [spec.family.sample(rng) for _ in range(n)]
+    # r_{i,j} for i != j, drawn i-major; the undrawn diagonal holds 0
+    draws = list(map(rng.getrandbits, repeat(spec.ell, n * (n - 1))))
+    for i in range(n):
+        draws.insert(i * (n + 1), 0)
+    square = list(zip(*[iter(draws)] * n))  # row i: r_{i,.}
+    columns = list(zip(*square))  # column i: r_{.,i}
+    serialized = list(map(spec.serialize_share, shares))
+    tags = spec.family.tags
     payloads = {}
-    for i in channels:
-        key = keys[i]
-        others = [j for j in channels if j != i]
-        payloads[i] = (
-            shares[i],
-            key,
-            tuple(tag(key, serialized[j]) ^ masks[(i, j)] for j in others),
-            tuple(masks[(j, i)] for j in others),
-        )
+    for i in range(n):
+        row = tuple(map(xor, tags(keys[i], serialized), square[i]))
+        payloads[i + 1] = (shares[i], keys[i], row[:i] + row[i + 1:],
+                           columns[i][:i] + columns[i][i + 1:])
     return payloads
-
-
-def _ints(v, length: int, width_bits: int) -> bool:
-    return (isinstance(v, tuple) and len(v) == length
-            and all(int_in_range(x, width_bits) for x in v))
 
 
 def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
@@ -158,20 +161,40 @@ def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
     payload, so a blocked or garbled channel behaves exactly like a
     zero-substituted one."""
     n = spec.n
-    zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-    parsed = {}
-    for i in range(1, n + 1):
-        p = payloads[i]
-        ok = (
-            isinstance(p, tuple)
-            and len(p) == 4
-            and vector_in_field(p[0], spec.field.q, spec.d)
-            and _ints(p[1], 2, spec.family.domain_bits)
-            and _ints(p[TAGS], n - 1, spec.ell)
-            and _ints(p[MASKS], n - 1, spec.ell)
-        )
-        parsed[i] = p if ok else zero
-    return parsed
+    channels = range(1, n + 1)
+    round_ = [payloads[i] for i in channels]
+    if not _all_exact(spec, round_):
+        zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
+        round_ = [p if _well_formed(spec, p) else zero for p in round_]
+    return dict(zip(channels, round_))
+
+
+def _well_formed(spec: CissProtocol, p) -> bool:
+    return (
+        isinstance(p, tuple)
+        and len(p) == 4
+        and ints_below(p[0], spec.field.q, spec.d)
+        and ints_below(p[1], spec.family.field.q, 2)
+        and ints_below(p[TAGS], 1 << spec.ell, spec.n - 1)
+        and ints_below(p[MASKS], 1 << spec.ell, spec.n - 1)
+    )
+
+
+def _all_exact(spec: CissProtocol, round_: list) -> bool:
+    """Whether every payload is a 4-tuple of tuples of exact ints of the
+    right lengths and ranges, tested a part at a time across the round.
+    False decides nothing: `_well_formed` then tests channel by channel."""
+    if set(map(type, round_)) != _JUST_TUPLE or set(map(len, round_)) != {4}:
+        return False
+    shares, keys, tags, masks = zip(*round_)
+    parts = ((shares, spec.d, spec.field.q), (keys, 2, spec.family.field.q),
+             (tags + masks, spec.n - 1, 1 << spec.ell))
+    return all(set(map(type, part)) == _JUST_TUPLE and set(map(len, part)) == {length}
+               and exact_ints_below(list(chain.from_iterable(part)), limit)
+               for part, length, limit in parts)
+
+
+_JUST_TUPLE = {tuple}
 
 
 def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tuple]:
@@ -179,21 +202,22 @@ def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tu
 
     T_{i,j} comes from channel i, while s_j and the mask r_{i,j} come from
     channel j, so forging a check on an honest pair needs a hash collision.
+    With the diagonal put back, channel j's masks are column j of the
+    sender's mask square, so the rows r_{i,.} are their transpose.
     """
     n = spec.n
-    serialized = {j: spec.serialize_share(parsed[j][0]) for j in range(1, n + 1)}
-    tag = spec.family.tag
+    channels = range(1, n + 1)
+    payloads = [parsed[j] for j in channels]
+    serialized = [spec.serialize_share(p[0]) for p in payloads]
+    rows = zip(*[p[MASKS][:j] + (0,) + p[MASKS][j:] for j, p in enumerate(payloads)])
+    tags = spec.family.tags
     lists = {}
-    for i in range(1, n + 1):
-        _share, key, tags, _masks = parsed[i]
-        bad = []
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            mask = parsed[j][MASKS][slot(j, i)]  # r_{i,j}
-            if tag(key, serialized[j]) ^ mask != tags[slot(i, j)]:  # T_{i,j}
-                bad.append(j)
-        lists[i] = tuple(bad)
+    for i, p, r_i in zip(channels, payloads, rows):
+        expected = list(map(xor, tags(p[1], serialized), r_i))
+        del expected[i - 1]
+        sent = p[TAGS]
+        lists[i] = () if tuple(expected) == sent else tuple(
+            j for j, e, t in zip((*range(1, i), *range(i + 1, n + 1)), expected, sent) if e != t)
     return lists
 
 

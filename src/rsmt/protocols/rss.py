@@ -15,7 +15,7 @@ from ..config import check_keys, read_ints
 from ..field import FieldSpec
 from ..sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingSpec, robust_reconstruct,
                        robust_share)
-from .base import OneRoundProtocol, vector_in_field
+from .base import OneRoundProtocol, ints_below
 
 
 class RssProtocol(OneRoundProtocol):
@@ -76,7 +76,7 @@ def rss_receive(spec: RssProtocol, payloads):
     parsed = {}
     for i in range(1, spec.n + 1):
         p = payloads[i]
-        if not vector_in_field(p if isinstance(p, tuple) else (), f.q, width):
+        if not ints_below(p if isinstance(p, tuple) else (), f.q, width):
             # blocked or malformed share: undecodable, treat as detection
             return FAIL, list(range(1, spec.n + 1))
         parsed[i] = p

@@ -187,13 +187,22 @@ class Engine:
         self.profile = profile
         self.strategies = dict(strategies)
         self.uses_public = uses_public
+        self.master_seed = master_seed
         self.sender_rng = derive_rng(master_seed, "sender")
-        self.receiver_rng = derive_rng(master_seed, "receiver")
+        self._receiver_rng = None
         self.adv_rngs = {j: derive_rng(master_seed, f"adv-{j}") for j in profile.adversary_ids}
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
         self.public_history: list[tuple[int, Any]] = []
         self._round_index = 0
+
+    @property
+    def receiver_rng(self) -> random.Random:
+        """The receiver's stream, derived on first use: only protocols with
+        receiver-side randomness (SJST) draw from it."""
+        if self._receiver_rng is None:
+            self._receiver_rng = derive_rng(self.master_seed, "receiver")
+        return self._receiver_rng
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Deliver one round of channel payloads; returns post-tamper payloads."""

@@ -2,6 +2,8 @@ import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmt.field import (
     DEFAULT_BINARY_POLYS,
@@ -197,3 +199,68 @@ def test_json_roundtrip():
     assert FieldSpec.from_json({"kind": "prime", "p": 7}) is GF7
     with pytest.raises(FieldError):
         FieldSpec.from_json({"kind": "nope"})
+
+
+# --- properties against plain references -------------------------------------
+
+
+def reference_interpolate(spec, xs, ys):
+    """Newton divided differences element by element, inverting every
+    difference afresh: O(k^2) field operations and no shared state."""
+    k = len(xs)
+    c = list(ys)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            c[i] = spec.mul_int(spec.sub_int(c[i], c[i - 1]),
+                                spec.inv_int(spec.sub_int(xs[i], xs[i - j])))
+    coeffs = [0] * k
+    coeffs[0] = c[k - 1]
+    for i in range(k - 2, -1, -1):
+        for d in range(k - 1 - i, 0, -1):
+            coeffs[d] = spec.sub_int(coeffs[d - 1], spec.mul_int(coeffs[d], xs[i]))
+        coeffs[0] = spec.sub_int(c[i], spec.mul_int(coeffs[0], xs[i]))
+    return coeffs
+
+
+_FIELDS = [FieldSpec.prime(p) for p in (2, 3, 7, 251, 65521)] + [
+    FieldSpec.binary(m) for m in (1, 2, 3, 8, 16, 17, 32)]
+
+
+@st.composite
+def _points(draw):
+    spec = draw(st.sampled_from(_FIELDS))
+    elem = st.integers(0, spec.q - 1)
+    xs = draw(st.lists(elem, min_size=1, max_size=min(spec.q, 12), unique=True))
+    return spec, xs, draw(st.lists(elem, min_size=len(xs), max_size=len(xs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_points())
+def test_interpolate_equals_reference(case):
+    spec, xs, ys = case
+    assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+    # a repeated point set goes through the cached inverse differences
+    assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_points(), st.data())
+def test_poly_eval_equals_power_sum(case, data):
+    spec, coeffs, _ = case
+    x = data.draw(st.integers(0, spec.q - 1))
+    want = 0
+    for i, c in enumerate(coeffs):
+        want = spec.add_int(want, spec.mul_int(c, spec.pow_int(x, i)))
+    assert poly_eval(spec, coeffs, x) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_points(), st.data())
+def test_mul_row_equals_mul_int(case, data):
+    spec, xs, _ = case
+    a, b = data.draw(st.integers(0, spec.q - 1)), data.draw(st.integers(0, spec.q - 1))
+    bits = data.draw(st.integers(1, spec.q.bit_length()))
+    mask = (1 << bits) - 1
+    assert spec.mul_row(a, xs, b, mask) == [spec.add_int(spec.mul_int(a, x), b) & mask
+                                            for x in xs]
+    assert spec.mul_row(a, xs) == [spec.mul_int(a, x) for x in xs]

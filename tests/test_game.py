@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -369,3 +370,40 @@ def test_nash_flags_detection_free_protocol():
     rows = nash_catalog_check(p, prof, table, 500, 21)
     flagged = {r.attack for r in rows if r.flag}
     assert "share-substitution" in flagged or "swap-half" in flagged
+
+
+# --- fixed-seed pin at the paper's wide setting ------------------------------
+
+
+P3_WIDE = CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16)
+P3_WIDE_PROFILE = CorruptionProfile({1: frozenset({1, 2, 3, 4}), 2: frozenset({5})},
+                                    malicious_id=1)
+# (suc, guessing ids, detected ids) -> trials, per P3 catalog attack, at
+# 30 trials and master seed 2026; slot 2 stays passive on channel 5.
+P3_WIDE_GOLDEN = {
+    "passive": {(1, (), ()): 30},
+    "block-channel": {(1, (), (1,)): 30},
+    "share-substitution": {(1, (), (1,)): 30},
+    "share-substitution-1": {(1, (), (1,)): 30},
+    "tag-framing": {(1, (), ()): 30},
+    "mask-framing": {(1, (), (1,)): 30},
+    "swap-half": {(1, (), (1,)): 30},
+}
+# SHA-256 over every transcript's JSON, attacks in catalog order: pins each
+# payload, draw and decode, not only the outcome cells.
+P3_WIDE_TRANSCRIPTS = "6e988990f9c0728d09630f4501cab47e1b97fefcb81139e158ba963b14b45c73"
+
+
+def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
+    table = witness_table(P3_WIDE.message_space_size())
+    digest = hashlib.sha256()
+    got = {}
+    for entry in catalog_for(P3):
+        stats = run_trials(P3_WIDE, P3_WIDE_PROFILE,
+                           {1: entry.factory(P3_WIDE), 2: PassiveGuess(P3_WIDE)}, table, 30,
+                           2026, on_transcript=lambda i, o, t: digest.update(
+                               t.to_json_str().encode()))
+        got[entry.name] = {(o.suc, tuple(sorted(o.guess)), tuple(sorted(o.detect))): c
+                           for o, c in stats.counts.items()}
+    assert got == P3_WIDE_GOLDEN
+    assert digest.hexdigest() == P3_WIDE_TRANSCRIPTS

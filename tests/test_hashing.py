@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmt.field import FieldSpec
 from rsmt.hashing import HashFamilySpec, offset_collision_prob_exhaustive
@@ -147,3 +149,41 @@ def test_offset_collision_rejects_identical_pair_and_big_m():
         offset_collision_prob_exhaustive(FAM3, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         offset_collision_prob_exhaustive(HashFamilySpec(16, 8), 0, 0, 1, 0)
+
+
+# --- the row kernel ----------------------------------------------------------
+
+
+@st.composite
+def _family_key_inputs(draw):
+    """A family over 1..32 domain bits (table fields up to 16, shift-and-
+    reduce above), a key and a row of inputs, with a = 0 and x = 0 likely."""
+    m = draw(st.integers(1, 32))
+    fam = HashFamilySpec(m, draw(st.integers(1, m)))
+    elem = st.one_of(st.just(0), st.integers(0, (1 << m) - 1))
+    return fam, (draw(elem), draw(elem)), draw(st.lists(elem, max_size=20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_family_key_inputs())
+def test_tags_equal_tag_per_input(case):
+    fam, key, xs = case
+    assert fam.tags(key, xs) == [fam.tag(key, x) for x in xs]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_family_key_inputs(), st.sampled_from(["a", "b", "x"]), st.booleans())
+def test_tags_and_tag_reject_out_of_range(case, which, negative):
+    fam, (a, b), xs = case
+    bad = -1 if negative else 1 << fam.domain_bits
+    x = 0
+    if which == "a":
+        a = bad
+    elif which == "b":
+        b = bad
+    else:
+        x = bad
+    with pytest.raises(ValueError):
+        fam.tag((a, b), x)
+    with pytest.raises(ValueError):
+        fam.tags((a, b), [*xs, x])

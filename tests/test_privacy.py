@@ -222,6 +222,17 @@ def test_enumeration_guard_trips_on_large_parameters():
         sjst_view_distance(SjstProtocol(3, 4, 8), frozenset({1}))
 
 
+def test_ciss_guard_counts_every_message_before_encoding(monkeypatch):
+    # 31 * 1024 * 16 = 507,904 states per message, 15,745,024 over the 31
+    # messages: the guard must see the product, as `view_distance` does.
+    def never(*args):
+        raise AssertionError("encoded before the size guard")
+
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", never)
+    with pytest.raises(EnumerationTooLarge, match="15745024"):
+        ciss_view_distance(CissProtocol(P1, 3, FieldSpec.prime(31), 1, 1), frozenset({1}))
+
+
 RSS3 = RobustSharingSpec(AmdSpec(GF4, 1), SharingSpec(t=1, n=3, field=GF4))
 BAD_SUBSETS = {
     "ciss-4": (lambda: ciss_view_distance(CissProtocol(P1, 3, GF5, 1, 2), frozenset({4})),

@@ -120,6 +120,43 @@ def test_parse_reads_malformed_payloads_as_zeros():
         parsed = _parse_all(PROTO1, {**payloads, 1: bad})
         assert parsed[1] == zero
         assert parsed[2] == payloads[2]
+    wide = 1 << 8  # one bit too wide for the 8-bit keys, tags and masks
+    for bad in ((share, (a, b), (False, *tags[1:]), masks),  # a bool
+                (share, (a, b), tags, (-1, *masks[1:])),  # a negative value
+                ((-1,), (a, b), tags, masks),
+                (share, (a, wide), tags, masks),
+                (share, (a, b), (*tags[:3], wide), masks),
+                (share, (a, b), tags, (wide, *masks[1:])),
+                (share, (a, b), (*tags[:3], _Int(wide)), masks),  # an int subclass
+                (share, (_Int(-1), b), tags, masks),
+                (share, (a, b), list(tags), masks),  # a list instead of a tuple
+                (share, (a, b), tags, list(masks)),
+                ([*share], (a, b), tags, masks),
+                (share, [a, b], tags, masks),
+                [share, (a, b), tags, masks],
+                (share, (a, b), tags, masks, masks),  # a wrong length
+                (share, (a, b, b), tags, masks),
+                ((*share, 0), (a, b), tags, masks),
+                (share, (a, b), (*tags, 0), masks),
+                (share, (a, b), tags, masks[:3]),
+                (share, (a, b), tags, (1.0, *masks[1:])),
+                (share, (a, b), tags, (None, *masks[1:]))):
+        parsed = _parse_all(PROTO1, {**payloads, 1: bad})
+        assert parsed[1] == zero, bad
+        assert parsed[2] == payloads[2]
+
+
+class _Int(int):
+    pass
+
+
+def test_parse_accepts_int_subclass_values_in_range():
+    payloads = ciss_sender_encode(PROTO1, (99,), random.Random(5))
+    share, (a, b), tags, masks = payloads[1]
+    sub = ((_Int(share[0]),), (_Int(a), b), (*tags[:3], _Int(tags[3])),
+           tuple(map(_Int, masks)))
+    parsed = _parse_all(PROTO1, {**payloads, 1: sub})
+    assert parsed[1] is sub
 
 
 def test_serialize_share_packs_elements():

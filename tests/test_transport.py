@@ -3,15 +3,18 @@ import random
 
 import pytest
 
+import rsmt.transport
 from rsmt.field import FieldSpec
 from rsmt.game import Rewrite
 from rsmt.protocols import CissProtocol, SjstProtocol
 from rsmt.protocols.ciss import P1, P2
+from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver
 from rsmt.sharing import FAIL
 from rsmt.transport import (
     EMPTY,
     AdversaryStrategy,
     CorruptionProfile,
+    Engine,
     SimulationFault,
     derive_rng,
     execute,
@@ -32,6 +35,31 @@ def test_derive_rng_deterministic_and_label_separated():
     assert derive_rng(7, "sender").random() == derive_rng(7, "sender").random()
     assert derive_rng(7, "sender").random() != derive_rng(7, "receiver").random()
     assert derive_rng(7, "adv-1").random() != derive_rng(8, "adv-1").random()
+
+
+def test_receiver_stream_is_derived_only_when_drawn(monkeypatch):
+    labels = []
+
+    def recording(master_seed, label):
+        labels.append(label)
+        return derive_rng(master_seed, label)
+
+    monkeypatch.setattr(rsmt.transport, "derive_rng", recording)
+    prof = CorruptionProfile({1: frozenset({1})})
+    execute(PROTO, (7,), prof, {1: AdversaryStrategy()}, 11)
+    assert labels == ["sender", "adv-1"]
+
+    labels.clear()
+    sjst = SjstProtocol(3, 8, 8)
+    engine = Engine(3, prof, {1: AdversaryStrategy()}, 11, sjst.uses_public)
+    assert "receiver" not in labels
+    got = sjst.run(engine, 5)
+    assert labels.count("receiver") == 1
+    # round 2 drew from the very stream an eager derivation would give
+    _keys, payloads = sjst_round1_sender(sjst, derive_rng(11, "sender"))
+    want = sjst_round2_receiver(sjst, payloads, derive_rng(11, "receiver"))
+    assert engine.public_history[0][1] == want[0]
+    assert got == 5
 
 
 def test_profile_validation():
