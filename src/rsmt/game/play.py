@@ -36,12 +36,14 @@ def _resolve_profile(profile, master_seed: int) -> CorruptionProfile:
 
 def outcome_of(transcript: Transcript, profile: CorruptionProfile) -> Outcome:
     m = transcript.message
-    detected_channels = {ch for ch, _ in transcript.detect_events}
+    events = transcript.detect_events
+    detected_channels = {ch for ch, _ in events} if events else None
     ids = profile.adversary_ids
     return Outcome(
         suc=int(transcript.receiver_output == m),
         guess=frozenset(j for j in ids if transcript.adversary_outputs.get(j) == m),
-        detect=frozenset(j for j in ids if profile.channels_of(j) & detected_channels),
+        detect=frozenset(j for j in ids if not profile.channels_of(j).isdisjoint(
+            detected_channels)) if events else frozenset(),
     )
 
 

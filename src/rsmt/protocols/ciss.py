@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import xor
 
 from ..config import check_keys, read_ints
@@ -157,15 +157,18 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
 
 
 def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
-    """Every channel's payload, with a malformed one replaced by the all-zero
-    payload, so a blocked or garbled channel behaves exactly like a
-    zero-substituted one."""
+    """Every channel's payload, a malformed one read as all zeros, like a
+    zero-substituted one.  A round failing `_all_exact` retries it on its
+    4-tuples alone; channels it does not clear take `_well_formed`."""
     n = spec.n
     channels = range(1, n + 1)
     round_ = [payloads[i] for i in channels]
     if not _all_exact(spec, round_):
+        shaped = [type(p) is tuple and len(p) == 4 for p in round_]
+        exact = not all(shaped) and _all_exact(spec, list(compress(round_, shaped)))
         zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-        round_ = [p if _well_formed(spec, p) else zero for p in round_]
+        round_ = [p if ok and exact or _well_formed(spec, p) else zero
+                  for p, ok in zip(round_, shaped)]
     return dict(zip(channels, round_))
 
 

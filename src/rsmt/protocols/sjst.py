@@ -114,9 +114,13 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     kept = {}
     h_entries = []
     detects = []
+    r_limit, big_r_limit = 1 << spec.ell, 1 << spec.k
     for i in range(1, spec.n + 1):
         payload = payloads[i]
-        if not _well_formed_round1(spec, payload):
+        # a pair of exact ints in range passes; `_well_formed_round1` judges the rest
+        if not (type(payload) is tuple and len(payload) == 2 and type(r_i := payload[0]) is int
+                and type(big_r_i := payload[1]) is int and 0 <= r_i < r_limit
+                and 0 <= big_r_i < big_r_limit or _well_formed_round1(spec, payload)):
             b.append(1)
             h_entries.append(None)  # ABSENT
             detects.append(i)
@@ -139,12 +143,11 @@ def sjst_round3_sender(spec: SjstProtocol, keys: dict[int, tuple[int, int]], pub
     v = []
     detects = []
     mask = 0
-    for i in range(1, spec.n + 1):
-        if b[i - 1] == 1:
+    for i, flag, entry in zip(range(1, spec.n + 1), b, h_entries):
+        if flag == 1:
             v.append(0)  # already flagged; V covers only surviving channels
             continue
-        entry = h_entries[i - 1]  # (a, b, T'_i)
-        r_i, big_r_i = keys[i]
+        r_i, big_r_i = keys[i]  # entry is (a, b, T'_i)
         if r_i ^ spec.family.tag(entry[:2], big_r_i) != entry[2]:
             v.append(1)
             detects.append(i)

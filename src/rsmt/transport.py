@@ -15,6 +15,7 @@ code, master seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -63,7 +64,8 @@ def derive_rng(master_seed: int, label: str) -> random.Random:
 
 @dataclass(frozen=True)
 class CorruptionProfile:
-    """Disjoint channel ownership per adversary id 1..lambda."""
+    """Disjoint channel ownership per adversary id 1..lambda; the sorted ids
+    and channels and the channel span, read every round, are computed once."""
 
     assignments: Mapping[int, frozenset[int]]
     malicious_id: int | None = None
@@ -80,16 +82,17 @@ class CorruptionProfile:
             seen |= chs
         if self.malicious_id is not None and self.malicious_id not in norm:
             raise ValueError(f"malicious id {self.malicious_id} has no assignment")
+        vars(self).update(adversary_ids=tuple(sorted(norm)),
+                          sorted_channels={j: tuple(sorted(chs)) for j, chs in norm.items()},
+                          _span=(min(seen, default=1), max(seen, default=0)))
 
     def validate_for(self, n: int) -> None:
+        if 1 <= self._span[0] and self._span[1] <= n:
+            return
         for j, chs in self.assignments.items():
             bad = [c for c in chs if not 1 <= c <= n]
             if bad:
                 raise ValueError(f"adversary {j} corrupts nonexistent channels {bad}")
-
-    @property
-    def adversary_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.assignments))
 
     def channels_of(self, j: int) -> frozenset[int]:
         return self.assignments[j]
@@ -122,11 +125,23 @@ class RoundRecord:
 
 @dataclass
 class AdversaryView:
-    """Exactly what one adversary learns: its channels, nothing else."""
+    """Exactly what one adversary learns: its channels, nothing else.  Its
+    `rounds` are cut from the transcript's records when first read."""
 
     channels: frozenset[int]
-    rounds: list[tuple[int, str, dict[int, Any], dict[int, Any]]] = dc_field(default_factory=list)
-    public_history: list[tuple[int, Any]] = dc_field(default_factory=list)
+    public_history: list[tuple[int, Any]]
+    records: list[RoundRecord] = dc_field(repr=False)
+
+    @functools.cached_property
+    def rounds(self) -> list[tuple[int, str, dict[int, Any], dict[int, Any]]]:
+        own = sorted(self.channels)
+        return [(r.index, r.direction, {c: r.pre[c] for c in own}, {c: r.post[c] for c in own})
+                for r in self.records if r.pre]
+
+    def __eq__(self, other):
+        return isinstance(other, AdversaryView) and all(
+            getattr(self, k) == getattr(other, k)
+            for k in ("channels", "rounds", "public_history"))
 
 
 @dataclass
@@ -180,9 +195,9 @@ class Engine:
     def __init__(self, n: int, profile: CorruptionProfile, strategies, master_seed: int,
                  uses_public: bool):
         profile.validate_for(n)
-        missing = set(profile.adversary_ids) - set(strategies)
+        missing = [j for j in profile.adversary_ids if j not in strategies]
         if missing:
-            raise SimulationFault(f"no strategy for adversary ids {sorted(missing)}")
+            raise SimulationFault(f"no strategy for adversary ids {missing}")
         self.n = n
         self.profile = profile
         self.strategies = dict(strategies)
@@ -206,22 +221,19 @@ class Engine:
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Deliver one round of channel payloads; returns post-tamper payloads."""
-        if set(payloads) != set(range(1, self.n + 1)):
+        if payloads.keys() != _channel_set(self.n):
             raise SimulationFault("round must carry exactly one payload per channel")
         idx = self._round_index
         pre = dict(payloads)
         post = dict(pre)
         for j in self.profile.adversary_ids:
-            own = self.profile.channels_of(j)
-            own_pre = {c: pre[c] for c in sorted(own)}
+            own_pre = {c: pre[c] for c in self.profile.sorted_channels[j]}
             replacements = self.strategies[j].observe_and_tamper(
                 idx, direction, own_pre, list(self.public_history), self.adv_rngs[j]
             ) or {}
-            alien = set(replacements) - own
-            if alien:
-                raise SimulationFault(
-                    f"adversary {j} wrote to non-owned channels {sorted(alien)}"
-                )
+            if replacements and not own_pre.keys() >= set(replacements):
+                raise SimulationFault(f"adversary {j} wrote to non-owned channels "
+                                      f"{sorted(set(replacements).difference(own_pre))}")
             post.update(replacements)
         self.rounds.append(RoundRecord(idx, direction, pre, post))
         self._round_index += 1
@@ -249,6 +261,11 @@ class Engine:
             self.public_history.append((round_idx, ("DETECT", channel)))
 
 
+@functools.lru_cache(maxsize=64)
+def _channel_set(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
 def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: int) -> Transcript:
     """Run `protocol` on message m under the given corruption and strategies."""
     engine = Engine(protocol.n, profile, strategies, master_seed, protocol.uses_public)
@@ -264,10 +281,5 @@ def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: in
 def view_of(transcript: Transcript, profile: CorruptionProfile, j: int) -> AdversaryView:
     """Adversary j's view of a finished transcript: its own channels in every
     round plus the whole public history, detection declarations included."""
-    own = sorted(profile.channels_of(j))
-    view = AdversaryView(profile.channels_of(j), public_history=list(transcript.public_history))
-    for r in transcript.rounds:
-        if r.pre:
-            view.rounds.append((r.index, r.direction, {c: r.pre[c] for c in own},
-                                {c: r.post[c] for c in own}))
-    return view
+    return AdversaryView(profile.channels_of(j), list(transcript.public_history),
+                         transcript.rounds)

@@ -407,3 +407,59 @@ def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
                            for o, c in stats.counts.items()}
     assert got == P3_WIDE_GOLDEN
     assert digest.hexdigest() == P3_WIDE_TRANSCRIPTS
+
+
+# --- fixed-seed pin of the sjst_sweep setting -------------------------------
+
+
+SJST_SWEEP_PROFILE = CorruptionProfile({1: frozenset({1, 2})})
+# (n, attack) -> ((suc, guessing ids, detected ids) -> trials at 200 trials
+# and master seed 2026, SHA-256 of trial 0's transcript JSON), for SJST with
+# k = l = 8 under every SJST catalog attack.
+SJST_SWEEP_GOLDEN = {
+    (3, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
+                     "9ccf0e82eaca12da70c8393651d8405786ab8202013aa2f4ad1cc0f8dfd3a421"),
+    (3, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
+                           "f317a0e527d7a1b3d2d363397f15942cb8afb730a471f02fd2c52106b98c0d15"),
+    (3, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
+                                "ecc2cd537bff0d1d58d52cb2080e5e20d350c6c09dedc87347d93fe978cf352b"),
+    (3, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
+                                  "87636916afde9d9f42fb73b116af15ccbfae87732217a77ba7a96c4a8dc872c3"),
+    (3, "length-tamper"): ({(1, (), (1,)): 200},
+                           "2e432e0ca2c2d38bea2d02cd2b384e434f71f0c43f37dfaae45d04864ced969f"),
+    (8, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
+                     "07d97b98b7477ee9ca50ee5b54434136df306e62ea69953fbe5bee9bb370adc5"),
+    (8, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
+                           "4339db610df9e96bbd131068fd160a5165f46b9981c4a27158a3bec1f0fa4737"),
+    (8, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
+                                "a45e8d2f4af531c1c4926791eebea7e12f8c18293f5af7987937be88f51e2f75"),
+    (8, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
+                                  "db25fa51a5660970d5e72302c13572e9c73fc63073628c1948dfd76d8f6d2da7"),
+    (8, "length-tamper"): ({(1, (), (1,)): 200},
+                           "5e793c82f8cc0c4e47db51feff5c3fae3d291a2b5a374ce38809fd58286e599e"),
+    (16, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
+                      "64831ce8af2c47cb14ed751bd5561ec0077bb2abb1a491b9a31c45c2efa658c1"),
+    (16, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
+                            "f3e60fad4334d9c0efaf56d0b6fde77d60ed3f1299ee548b0ee4db768c852c99"),
+    (16, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
+                                 "a0ba432d3abcc75b25b06349aedbaa730d778bb9c9aba188f39f08f6dd735e1b"),
+    (16, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
+                                   "c936d34a14a2158487d847477d3b9b9240f88cd0ece6005254170ca092778c69"),
+    (16, "length-tamper"): ({(1, (), (1,)): 200},
+                            "f693c982774af752c6fb30d3a7930aaab9671ab9c80927e0bb62cd08afb61a8f"),
+}
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_sjst_sweep_fixed_seed_counts_and_first_transcript_are_golden(n):
+    protocol = SjstProtocol(n, 8, 8)
+    table = witness_table(protocol.message_space_size())
+    for entry in catalog_for("SJST"):
+        first = []
+        stats = run_trials(protocol, SJST_SWEEP_PROFILE, {1: entry.factory(protocol)}, table,
+                           200, 2026, on_transcript=lambda i, o, t: first.append(t) if i == 0
+                           else None)
+        counts = {(o.suc, tuple(sorted(o.guess)), tuple(sorted(o.detect))): c
+                  for o, c in stats.counts.items()}
+        digest = hashlib.sha256(first[0].to_json_str().encode()).hexdigest()
+        assert (counts, digest) == SJST_SWEEP_GOLDEN[n, entry.name], entry.name

@@ -4,6 +4,8 @@ import random
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmt.field import FieldSpec
 from rsmt.protocols import (
@@ -20,7 +22,7 @@ from rsmt.protocols import (
     strawman_send,
 )
 from rsmt.protocols.base import ProtocolError
-from rsmt.protocols.ciss import P1, P2, P3, _parse_all
+from rsmt.protocols.ciss import P1, P2, P3, _parse_all, _well_formed
 from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
 
@@ -157,6 +159,39 @@ def test_parse_accepts_int_subclass_values_in_range():
            tuple(map(_Int, masks)))
     parsed = _parse_all(PROTO1, {**payloads, 1: sub})
     assert parsed[1] is sub
+
+
+def _garble(kind: str, payload, wide: int):
+    """`payload` spoiled one way: blocked, a bool, a negative or too-wide
+    value, a list, or a wrong length."""
+    share, key, tags, masks = payload
+    return {
+        "good": payload,
+        "empty": EMPTY,
+        "bool": (share, key, (True, *tags[1:]), masks),
+        "negative": (share, key, tags, (-1, *masks[1:])),
+        "wide": (share, (key[0], wide), tags, masks),
+        "list": (share, key, list(tags), masks),
+        "short": (share, key, tags[:-1], masks),
+        "long": (*payload, masks),
+    }[kind]
+
+
+_KINDS = ("good", "empty", "bool", "negative", "wide", "list", "short", "long")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(proto=st.sampled_from([PROTO1, PROTO2, PROTO3]),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=7, max_size=7),
+       seed=st.integers(0, 2 ** 32))
+def test_parse_all_equals_the_per_channel_test(proto, kinds, seed):
+    payloads = ciss_sender_encode(proto, (seed % 256,), random.Random(seed))
+    wide = proto.family.field.q
+    got = {i: _garble(kind, p, wide) for (i, p), kind in zip(payloads.items(), kinds)}
+    n = proto.n
+    zero = ((0,), (0, 0), (0,) * (n - 1), (0,) * (n - 1))
+    assert _parse_all(proto, got) == {i: p if _well_formed(proto, p) else zero
+                                      for i, p in got.items()}
 
 
 def test_serialize_share_packs_elements():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmt.protocols import (
     SjstProtocol,
@@ -10,6 +12,7 @@ from rsmt.protocols import (
     sjst_round3_sender,
 )
 from rsmt.protocols.base import ProtocolError
+from rsmt.protocols.sjst import _well_formed_round1
 from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
 
 SPEC = SjstProtocol(3, 4, 8)
@@ -60,7 +63,14 @@ def test_round2_well_formed_payloads():
         assert t_prime == r_i ^ ((gf.mul_int(a, big_r_i) ^ hb) & 0xF)
 
 
-@pytest.mark.parametrize("bad", [EMPTY, (1,), (16, 0), (0, 256), (1, 2, 3), "xx", None])
+class _Int(int):
+    """An int subclass: not an exact int, but an int to `int_in_range`."""
+
+
+@pytest.mark.parametrize("bad", [
+    EMPTY, (1,), (16, 0), (0, 256), (1, 2, 3), "xx", None,
+    (True, 0), (0, True), (-1, 0), (16, 256), (_Int(16), 0), [1, 2], (1.0, 2),
+])
 def test_round2_flags_malformed_payload(bad):
     _, payloads = sjst_round1_sender(SPEC, random.Random(5))
     payloads[2] = bad
@@ -70,6 +80,47 @@ def test_round2_flags_malformed_payload(bad):
     assert h_entries[1] is None  # ABSENT
     assert detects == [2]
     assert 2 not in kept
+
+
+def test_round2_keeps_in_range_int_subclass():
+    _, payloads = sjst_round1_sender(SPEC, random.Random(5))
+    payloads[2] = (_Int(3), _Int(200))
+    public, kept, detects = sjst_round2_receiver(SPEC, payloads, random.Random(6))
+    assert public[0] == (0, 0, 0)
+    assert detects == []
+    assert kept[2] == 200
+
+
+class _CountingRandom(random.Random):
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+_ROUND1_PAYLOADS = st.one_of(
+    st.tuples(st.integers(-2, 17), st.integers(-2, 257)),
+    st.tuples(st.booleans(), st.integers(0, 255)),
+    st.tuples(st.integers(0, 15), st.booleans()),
+    st.tuples(st.integers(0, 15).map(_Int), st.integers(0, 300).map(_Int)),
+    st.lists(st.integers(0, 15), min_size=2, max_size=2),
+    st.tuples(st.floats(0, 15), st.integers(0, 255)),
+    st.tuples(st.integers(0, 15)),
+    st.tuples(st.integers(0, 15), st.integers(0, 255), st.integers(0, 255)),
+    st.just(EMPTY), st.none(), st.text(max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payloads=st.lists(_ROUND1_PAYLOADS, min_size=3, max_size=3))
+def test_round2_flags_exactly_what_the_per_channel_test_rejects(payloads):
+    rng = _CountingRandom(9)
+    rng.draws = 0
+    public, kept, detects = sjst_round2_receiver(SPEC, dict(enumerate(payloads, 1)), rng)
+    flags = [int(not _well_formed_round1(SPEC, p)) for p in payloads]
+    assert list(public[0]) == flags
+    assert detects == [i for i, flag in enumerate(flags, 1) if flag]
+    assert sorted(kept) == [i for i, flag in enumerate(flags, 1) if not flag]
+    assert rng.draws == 2 * len(kept)  # one hash key (a, b) per kept channel
 
 
 def test_round3_no_tampering():

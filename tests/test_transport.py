@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -75,6 +77,27 @@ def test_profile_validation():
         prof.validate_for(3)  # channel 4 does not exist
 
 
+def test_validate_for_names_the_channels_outside_one_to_n():
+    with pytest.raises(ValueError, match=r"^adversary 1 corrupts nonexistent channels \[0\]$"):
+        CorruptionProfile({1: {0, 2}}).validate_for(3)
+    with pytest.raises(ValueError, match=r"^adversary 2 corrupts nonexistent channels \[4\]$"):
+        CorruptionProfile({1: {1}, 2: {3, 4}}).validate_for(3)
+    CorruptionProfile({1: {1, 3}}).validate_for(3)
+    CorruptionProfile({1: frozenset()}).validate_for(1)
+
+
+@pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+def test_profile_survives_pickle_and_deepcopy(clone):
+    prof = CorruptionProfile({3: {5, 4}, 1: {2}}, malicious_id=3)
+    got = clone(prof)
+    assert got == prof
+    assert repr(got) == repr(prof)
+    assert got.adversary_ids == (1, 3)
+    assert got.sorted_channels == {1: (2,), 3: (4, 5)}
+    with pytest.raises(ValueError):
+        got.validate_for(4)
+
+
 def test_passive_execution_delivers_message():
     prof = CorruptionProfile({1: frozenset({1, 2})})
     m = (123,)
@@ -100,13 +123,14 @@ class _WritesElsewhere(AdversaryStrategy):
 
 def test_writing_non_owned_channel_faults():
     prof = CorruptionProfile({1: frozenset({1, 2})})
-    with pytest.raises(SimulationFault):
+    with pytest.raises(SimulationFault,
+                       match=r"^adversary 1 wrote to non-owned channels \[5\]$"):
         execute(PROTO, (0,), prof, {1: _WritesElsewhere()}, 1)
 
 
 def test_missing_strategy_faults():
-    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
-    with pytest.raises(SimulationFault):
+    prof = CorruptionProfile({1: frozenset({1}), 3: frozenset({3}), 2: frozenset({2})})
+    with pytest.raises(SimulationFault, match=r"^no strategy for adversary ids \[2, 3\]$"):
         execute(PROTO, (0,), prof, {1: AdversaryStrategy()}, 1)
 
 
@@ -213,3 +237,37 @@ def test_failed_delivery_transcript_serializes():
     tr = execute(p2, (5,), prof, {1: Rewrite(p2, "substitute")}, 3)
     assert tr.receiver_output is FAIL
     assert json.loads(tr.to_json_str())["receiver_output"] == {"fail": True}
+
+
+class _ReadsRounds(AdversaryStrategy):
+    def final_guess(self, view, rng):
+        assert [pre for _, _, pre, _ in view.rounds] != []
+        return rng.getrandbits(8)
+
+
+class _KeepsViewUnread(AdversaryStrategy):
+    def __init__(self):
+        self.views = []
+
+    def final_guess(self, view, rng):
+        self.views.append(view)
+        return rng.getrandbits(8)
+
+
+@pytest.mark.parametrize("protocol", [PROTO, SjstProtocol(4, 4, 8)])
+def test_views_are_cut_on_demand(protocol):
+    prof = CorruptionProfile({1: frozenset({3, 1}), 2: frozenset({2})})
+    m = protocol.sample_message(random.Random(1))
+    unread = _KeepsViewUnread()
+    tr = execute(protocol, m, prof, {1: unread, 2: _Blocks()}, 12)
+    read = execute(protocol, m, prof, {1: _ReadsRounds(), 2: _Blocks()}, 12)
+    # reading the rounds or not changes no guess and no transcript
+    assert tr.adversary_outputs[1] == read.adversary_outputs[1]
+    assert tr.to_json_str() == read.to_json_str()
+    # a view first read after execute returned equals view_of's
+    (view,) = unread.views
+    assert "rounds" not in vars(view)
+    assert view == view_of(tr, prof, 1)
+    assert view.rounds == [(r.index, r.direction, {1: r.pre[1], 3: r.pre[3]},
+                            {1: r.post[1], 3: r.post[3]}) for r in tr.rounds if r.pre]
+    assert view != view_of(tr, prof, 2)
