@@ -23,6 +23,7 @@ from .sharing import (
 )
 from .transport import (
     EMPTY,
+    RNG_STREAM,
     AdversaryStrategy,
     AdversaryView,
     CorruptionProfile,

@@ -7,7 +7,8 @@ Subcommands:
   sweep     - metric vs a swept parameter (ell, n, t, trials)
 
 Configs are JSON; reports are CSV with a reproducibility header embedding the
-fully resolved config and master seed.  Exit codes: 0 success, 2 equilibrium
+fully resolved config, the master seed and the provenance (package, Python
+and random-stream versions).  Exit codes: 0 success, 2 equilibrium
 flag raised, 3 config error, 4 verification failure.
 """
 
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .config import ConfigError, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, cell_seed, nash_catalog_check
@@ -25,7 +27,7 @@ from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_t
 from .game.attacks import CATALOG, PassiveGuess, catalog_for
 from .privacy import CHECKS, EnumerationTooLarge
 from .protocols import VARIANTS
-from .transport import CorruptionProfile
+from .transport import RNG_STREAM, CorruptionProfile
 
 EXIT_OK = 0
 EXIT_FLAG = 2
@@ -169,8 +171,12 @@ def check_tag_budget(config: ExperimentConfig) -> list[str]:
 
 
 def _report_header(config: ExperimentConfig) -> list[str]:
+    import platform  # about 4 ms to import, and only report headers read it
+
     blob = json.dumps(config.resolved_json(), sort_keys=True, separators=(",", ":"))
-    return [f"# config {blob}", f"# master_seed {config.master_seed}"]
+    return [f"# config {blob}", f"# master_seed {config.master_seed}",
+            f"# provenance rsmt={__version__} python={platform.python_version()} "
+            f"rng_stream={RNG_STREAM}"]
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:

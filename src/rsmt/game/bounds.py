@@ -10,20 +10,17 @@ the row (`Protocol.bound`) that `rsmt simulate` checks it against.
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 
 class BoundError(ValueError):
     pass
 
 
-def _ceil_ell(bound: float) -> int:
-    ell = math.ceil(bound)
-    # Counter floating-point overshoot: accept ell-1 when it already meets the
-    # bound up to 1 ulp-scale slack.
-    if ell - 1 >= bound - 1e-12:
-        ell -= 1
-    return max(1, ell)
+def _ceil_log2(r: Fraction) -> int:
+    """The least integer e with 2^e >= r > 0, exactly."""
+    e = r.numerator.bit_length() - r.denominator.bit_length()  # 2^(e-1) < r < 2^(e+1)
+    return e if Fraction(2) ** e >= r else e + 1
 
 
 def required_ell_pd(u1: float, u2: float, u3: float, u4: float, t: int,
@@ -31,20 +28,23 @@ def required_ell_pd(u1: float, u2: float, u3: float, u4: float, t: int,
     """Tag bits for the public-discussion protocol against a timid t-adversary.
 
     l >= max{1 + log2 t + log2((u3-u4)/(u2-u4-alpha)),
-             1 + (1/t) log2((u1-u3)/alpha)}  for a free alpha in (0, u2-u4).
+             1 + (1/t) log2((u1-u3)/alpha)}  for a free alpha in (0, u2-u4),
+    decided exactly as 2^(l-1) >= t(u3-u4)/(u2-u4-alpha) and
+    2^(t(l-1)) >= (u1-u3)/alpha on the inputs' exact values.
     For strictly timid tables, alpha = u2-u3 recovers the shortcut form.
     """
     if t < 1:
         raise BoundError("t must be >= 1")
     if alpha is None:
         alpha = (u2 - u4) / 2
-    if not 0 < alpha < u2 - u4:
+    e1, e2, e3, e4, a = map(Fraction, (u1, u2, u3, u4, alpha))
+    if not 0 < a < e2 - e4:
         raise BoundError(f"alpha={alpha} outside (0, u2-u4)=(0, {u2 - u4})")
-    if not (u3 > u4 and u1 > u3):
+    if not (e3 > e4 and e1 > e3):
         raise BoundError("need u1 > u3 > u4")
-    term1 = 1 + math.log2(t) + math.log2((u3 - u4) / (u2 - u4 - alpha))
-    term2 = 1 + (1 / t) * math.log2((u1 - u3) / alpha)
-    return _ceil_ell(max(term1, term2))
+    term1 = 1 + _ceil_log2(t * (e3 - e4) / (e2 - e4 - a))
+    term2 = 1 - (-_ceil_log2((e1 - e3) / a) // t)
+    return max(1, term1, term2)
 
 
 def required_ell_pd_multi(u1p: float, u2p: float, u3p: float, u4p: float,
@@ -59,35 +59,43 @@ def required_ell_pd_multi(u1p: float, u2p: float, u3p: float, u4p: float,
 def required_delta_rss(u1: float, u2: float, u3: float) -> float:
     """Maximal detection-failure probability for the robust-sharing protocol
     against a strictly timid adversary: delta <= (u2-u3)/(u1-u3)."""
-    if not u2 > u3:
+    return float(_delta_rss(u1, u2, u3))
+
+
+def _delta_rss(u1: float, u2: float, u3: float) -> Fraction:
+    """`required_delta_rss` as the exact ratio of the inputs' values."""
+    e1, e2, e3 = map(Fraction, (u1, u2, u3))
+    if not e2 > e3:
         raise BoundError("inapplicable: requires u2 > u3 (strictly timid)")
-    if not u1 > u3:
+    if not e1 > e3:
         raise BoundError("requires u1 > u3")
-    return (u2 - u3) / (u1 - u3)
+    return (e2 - e3) / (e1 - e3)
 
 
 def required_ell_rss(u1: float, u2: float, u3: float, d: int) -> int:
     """Field bits so that the robust sharing's (d+1)/q failure rate meets
-    required_delta_rss: l >= log2(d+1) + log2((u1-u3)/(u2-u3))."""
-    delta = required_delta_rss(u1, u2, u3)
-    return _ceil_ell(math.log2(d + 1) + math.log2(1.0 / delta))
+    required_delta_rss: l >= log2(d+1) + log2((u1-u3)/(u2-u3)), decided
+    exactly as 2^l >= (d+1)(u1-u3)/(u2-u3)."""
+    return max(1, _ceil_log2((d + 1) / _delta_rss(u1, u2, u3)))
 
 
 def required_ell_p1(u1: float, u2: float, u4: float, n: int) -> int:
     """Minority-threshold list protocol:
-    l >= log2((u1-u4)/(u2-u4)) + 2 log2(n+1) - 1."""
-    if not (u1 >= u2 > u4):
+    l >= log2((u1-u4)/(u2-u4)) + 2 log2(n+1) - 1, decided exactly as
+    2^(l+1) >= (n+1)^2 (u1-u4)/(u2-u4)."""
+    e1, e2, e4 = map(Fraction, (u1, u2, u4))
+    if not (e1 >= e2 > e4):
         raise BoundError("need u1 >= u2 > u4")
-    bound = math.log2((u1 - u4) / (u2 - u4)) + 2 * math.log2(n + 1) - 1
-    return _ceil_ell(bound)
+    return max(1, _ceil_log2((n + 1) ** 2 * (e1 - e4) / (e2 - e4)) - 1)
 
 
 def required_ell_p2(u1p: float, u2p: float, u3pp: float) -> int:
-    """Unanimous-threshold protocol: l >= log2((u1'-u3'')/(u2'-u3'')) - 1."""
-    if not (u1p >= u2p > u3pp):
+    """Unanimous-threshold protocol: l >= log2((u1'-u3'')/(u2'-u3'')) - 1,
+    decided exactly as 2^(l+1) >= (u1'-u3'')/(u2'-u3'')."""
+    e1, e2, e3 = map(Fraction, (u1p, u2p, u3pp))
+    if not (e1 >= e2 > e3):
         raise BoundError("need u1' >= u2' > u3''")
-    bound = math.log2((u1p - u3pp) / (u2p - u3pp)) - 1
-    return _ceil_ell(bound)
+    return max(1, _ceil_log2((e1 - e3) / (e2 - e3)) - 1)
 
 
 def required_ell_p3(u_prime: tuple[float, float, float],

@@ -26,14 +26,6 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _resolve_profile(profile, master_seed: int) -> CorruptionProfile:
-    """A profile may be fixed or a callable sampling one per trial (used by
-    attacks that pick a uniformly random corrupted subset)."""
-    if callable(profile):
-        return profile(derive_rng(master_seed, "profile"))
-    return profile
-
-
 def outcome_of(transcript: Transcript, profile: CorruptionProfile) -> Outcome:
     m = transcript.message
     events = transcript.detect_events
@@ -48,10 +40,14 @@ def outcome_of(transcript: Transcript, profile: CorruptionProfile) -> Outcome:
 
 
 def play_game(protocol, profile, strategies, master_seed: int):
-    """One play: returns (Outcome, Transcript)."""
-    resolved = _resolve_profile(profile, master_seed)
-    m = protocol.sample_message(derive_rng(master_seed, "message"))
-    transcript = execute(protocol, m, resolved, strategies, master_seed)
+    """One play: returns (Outcome, Transcript).  A profile may be fixed or a
+    callable sampling one per trial (attacks that pick a uniformly random
+    corrupted subset); it, the message, the sender and the receiver draw in
+    that order from the one honest stream."""
+    honest = derive_rng(master_seed, "honest")
+    resolved = profile(honest) if callable(profile) else profile
+    m = protocol.sample_message(honest)
+    transcript = execute(protocol, m, resolved, strategies, master_seed, honest)
     return outcome_of(transcript, resolved), transcript
 
 

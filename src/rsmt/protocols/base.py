@@ -90,7 +90,7 @@ class OneRoundProtocol(Protocol):
         raise NotImplementedError
 
     def run(self, engine, m):
-        delivered = engine.send_round(SENDER_TO_RECEIVER, self.encode(m, engine.sender_rng))
+        delivered = engine.send_round(SENDER_TO_RECEIVER, self.encode(m, engine.honest_rng))
         output, detects = self.decode(delivered)
         for i in detects:
             engine.emit_detect(i)

@@ -55,9 +55,9 @@ class SjstProtocol(Protocol):
     def run(self, engine, m: int):
         if not int_in_range(m, self.k):
             raise ProtocolError(f"message must be a {self.k}-bit integer")
-        keys, payloads = sjst_round1_sender(self, engine.sender_rng)
+        keys, payloads = sjst_round1_sender(self, engine.honest_rng)
         delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
-        pub2, kept, detects2 = sjst_round2_receiver(self, delivered, engine.receiver_rng)
+        pub2, kept, detects2 = sjst_round2_receiver(self, delivered, engine.honest_rng)
         engine.send_public(RECEIVER_TO_SENDER, pub2)
         for i in detects2:
             engine.emit_detect(i)
@@ -108,6 +108,8 @@ def _well_formed_round1(spec: SjstProtocol, payload) -> bool:
 def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     """Flag malformed channels, commit hash offsets for the rest.
 
+    The keys are drawn here, so their offsets skip the range check of
+    `HashFamilySpec.tag`: one field product per kept channel.
     Returns (public payload (B, H), the kept {i: R'_i}, detected channels).
     """
     b = []
@@ -115,6 +117,9 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     h_entries = []
     detects = []
     r_limit, big_r_limit = 1 << spec.ell, 1 << spec.k
+    family = spec.family
+    sample, mul = family.sample, family.field.mul_int
+    tag_mask = (1 << spec.ell) - 1
     for i in range(1, spec.n + 1):
         payload = payloads[i]
         # a pair of exact ints in range passes; `_well_formed_round1` judges the rest
@@ -128,8 +133,8 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
         r_i, big_r_i = payload
         b.append(0)
         kept[i] = big_r_i
-        key = spec.family.sample(rng)
-        h_entries.append((*key, r_i ^ spec.family.tag(key, big_r_i)))
+        key_a, key_b = sample(rng)
+        h_entries.append((key_a, key_b, r_i ^ ((mul(key_a, big_r_i) ^ key_b) & tag_mask)))
     public = (tuple(b), tuple(h_entries))
     return public, kept, detects
 
@@ -137,18 +142,26 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
 def sjst_round3_sender(spec: SjstProtocol, keys: dict[int, tuple[int, int]], public, m: int):
     """Compare offsets, flag disagreements, mask the message.
 
+    Each public key is range-checked as `HashFamilySpec.tag` would, then
+    hashes the sender's R_i with one field product.
     Returns (public payload (V, c), detected channels).
     """
     b, h_entries = public
     v = []
     detects = []
     mask = 0
+    field = spec.family.field
+    size, mul = field.q, field.mul_int
+    tag_mask = (1 << spec.ell) - 1
     for i, flag, entry in zip(range(1, spec.n + 1), b, h_entries):
         if flag == 1:
             v.append(0)  # already flagged; V covers only surviving channels
             continue
-        r_i, big_r_i = keys[i]  # entry is (a, b, T'_i)
-        if r_i ^ spec.family.tag(entry[:2], big_r_i) != entry[2]:
+        r_i, big_r_i = keys[i]
+        key_a, key_b, offset = entry  # (a, b, T'_i)
+        if not (0 <= key_a < size and 0 <= key_b < size):
+            raise ValueError("hash coefficients outside the field")
+        if r_i ^ ((mul(key_a, big_r_i) ^ key_b) & tag_mask) != offset:
             v.append(1)
             detects.append(i)
         else:

@@ -11,6 +11,11 @@ join it where they are emitted.  The finished transcript keeps that history,
 and `view_of` derives an adversary's final view from it.  Everything is a
 pure function of (protocol config, message, corruption profile, strategy
 code, master seed).
+
+Random streams, layout `RNG_STREAM`: the honest parties (profile sampler,
+message sampler, sender, receiver) draw in execution order from one stream,
+`derive_rng(seed, "honest")`; adversary j draws only from its own
+`derive_rng(seed, f"adv-{j}")`, so no strategy holds the honest stream.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Any, Mapping
 
 from .sharing import FAIL
 
+RNG_STREAM = "v1"
 SENDER_TO_RECEIVER = "s->r"
 RECEIVER_TO_SENDER = "r->s"
 
@@ -193,7 +199,7 @@ class Engine:
     """Single-execution channel simulator handed to a protocol's run()."""
 
     def __init__(self, n: int, profile: CorruptionProfile, strategies, master_seed: int,
-                 uses_public: bool):
+                 uses_public: bool, honest_rng: random.Random | None = None):
         profile.validate_for(n)
         missing = [j for j in profile.adversary_ids if j not in strategies]
         if missing:
@@ -202,22 +208,15 @@ class Engine:
         self.profile = profile
         self.strategies = dict(strategies)
         self.uses_public = uses_public
-        self.master_seed = master_seed
-        self.sender_rng = derive_rng(master_seed, "sender")
-        self._receiver_rng = None
+        # the sender's and receiver's stream; a game play passes the one its
+        # message came from
+        self.honest_rng = (derive_rng(master_seed, "honest") if honest_rng is None
+                           else honest_rng)
         self.adv_rngs = {j: derive_rng(master_seed, f"adv-{j}") for j in profile.adversary_ids}
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
         self.public_history: list[tuple[int, Any]] = []
         self._round_index = 0
-
-    @property
-    def receiver_rng(self) -> random.Random:
-        """The receiver's stream, derived on first use: only protocols with
-        receiver-side randomness (SJST) draw from it."""
-        if self._receiver_rng is None:
-            self._receiver_rng = derive_rng(self.master_seed, "receiver")
-        return self._receiver_rng
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Deliver one round of channel payloads; returns post-tamper payloads."""
@@ -266,9 +265,13 @@ def _channel_set(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: int) -> Transcript:
-    """Run `protocol` on message m under the given corruption and strategies."""
-    engine = Engine(protocol.n, profile, strategies, master_seed, protocol.uses_public)
+def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: int,
+            honest_rng: random.Random | None = None) -> Transcript:
+    """Run `protocol` on message m under the given corruption and strategies;
+    the sender and receiver draw from `honest_rng`, by default a fresh honest
+    stream of `master_seed`."""
+    engine = Engine(protocol.n, profile, strategies, master_seed, protocol.uses_public,
+                    honest_rng)
     output = protocol.run(engine, m)
     transcript = Transcript(engine.rounds, engine.detect_events, output, {}, m,
                             engine.public_history)

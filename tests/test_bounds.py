@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rsmt.game import derive_u_values, witness_table
 from rsmt.game.bounds import (
@@ -133,3 +136,53 @@ def test_bounds_compose_with_witness_table():
         (u["u1p"], u["u2p"], u["u4p"]), (u["u1pp"], u["u2pp"], u["u4pp"]), 7
     )
     assert ell >= required_ell_p1(u["u1"], u["u2"], u["u4"], 7)
+
+
+# --- exact comparisons --------------------------------------------------------
+
+
+def test_p1_float_edge_needs_the_next_bit():
+    # 2^(l+1) >= 16 * u1 with u1 a hair above 2 first holds at l = 5; a
+    # float bound within 1e-12 of 4 once let l = 4 through.
+    assert required_ell_p1(2.0000000000002, 1, 0, 3) == 5
+
+
+def _least_ell(holds) -> int:
+    """Brute-force oracle: the smallest l >= 1 with holds(l)."""
+    ell = 1
+    while not holds(ell):
+        ell += 1
+    return ell
+
+
+def _near_powers():
+    """Floats near small powers of two, where a float log2 rounds."""
+    return st.builds(lambda k, ulps: math.ldexp(1.0, k) * (1 + ulps * 2.0 ** -52),
+                     st.integers(-3, 8), st.integers(-4, 4))
+
+
+_values = st.one_of(st.floats(-50, 50, allow_nan=False), _near_powers())
+_gaps = st.one_of(st.floats(1e-6, 100), _near_powers())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_values, _gaps, _gaps, _gaps, st.integers(1, 20), st.integers(1, 5), st.integers(1, 5))
+@example(0.0, 0.5, 0.5, 1.0000000000002, 3, 1, 1)  # u1 a hair above 2, as above
+def test_each_calculator_returns_the_least_ell_of_its_exact_inequality(u4, g3, g2, g1, n, d, t):
+    u3, u2 = u4 + g3, u4 + g3 + g2
+    u1 = u2 + g1
+    e1, e2, e3, e4 = map(Fraction, (u1, u2, u3, u4))
+    assume(e1 > e2 > e3 > e4)
+    two = Fraction(2)
+    assert required_ell_p1(u1, u2, u4, n) == _least_ell(
+        lambda ell: two ** (ell + 1) >= (n + 1) ** 2 * (e1 - e4) / (e2 - e4))
+    assert required_ell_p2(u1, u2, u3) == _least_ell(
+        lambda ell: two ** (ell + 1) >= (e1 - e3) / (e2 - e3))
+    assert required_ell_rss(u1, u2, u3, d) == _least_ell(
+        lambda ell: two ** ell >= (d + 1) * (e1 - e3) / (e2 - e3))
+    for alpha in (None, (u2 - u4) / 3):
+        a = Fraction((u2 - u4) / 2 if alpha is None else alpha)
+        assume(0 < a < e2 - e4)
+        assert required_ell_pd(u1, u2, u3, u4, t, alpha) == _least_ell(
+            lambda ell: two ** (ell - 1) >= t * (e3 - e4) / (e2 - e4 - a)
+            and two ** (t * (ell - 1)) >= (e1 - e3) / a)

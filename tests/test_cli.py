@@ -1,9 +1,11 @@
 import json
+import platform
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsmt
 import rsmt.cli
 from rsmt.cli import (
     EXIT_CONFIG,
@@ -36,6 +38,10 @@ P1_CONFIG = {
 }
 
 WITNESS_BASE = witness_table().to_json()["base"]
+
+# The third header line of every bounds/simulate/sweep report.
+PROVENANCE = (f"# provenance rsmt={rsmt.__version__} python={platform.python_version()} "
+              f"rng_stream=v1")
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -173,14 +179,24 @@ def test_bounds_reports_frozen_values(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("# config ")
     assert lines[1] == "# master_seed 11"
-    assert lines[2] == "bound,inputs,value"
-    values = {ln.split(",")[0]: ln.rsplit(",", 1)[1] for ln in lines[3:]}
+    assert lines[2] == PROVENANCE
+    assert lines[3] == "bound,inputs,value"
+    values = {ln.split(",")[0]: ln.rsplit(",", 1)[1] for ln in lines[4:]}
     assert values["pd-tag-bits"] == "2"
     assert values["rss-delta"] == "0.5"
     assert values["rss-field-bits"] == "2"
     assert values["minority-tag-bits"] == "5"
     assert values["unanimous-tag-bits"] == "1"
     assert values["robust-tag-bits"] == "5"
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
+def test_report_header_carries_provenance(tmp_path, command):
+    cfg = dict(P1_CONFIG, trials=5, sweep={"axis": "ell", "values": [8]})
+    out = tmp_path / "report.csv"
+    main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert out.read_text().splitlines()[1:3] == ["# master_seed 11", PROVENANCE]
+    assert rsmt.RNG_STREAM == "v1"
 
 
 def test_bounds_and_simulate_agree_for_several_adversaries(tmp_path, capsys):
@@ -213,8 +229,8 @@ def test_simulate_passive_equilibrium_exit_zero(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert lines[2] == ",".join(CSV_COLUMNS)
-    body = [ln.split(",") for ln in lines[3:]]
+    assert lines[3] == ",".join(CSV_COLUMNS)
+    body = [ln.split(",") for ln in lines[4:]]
     assert all(len(fields) == len(CSV_COLUMNS) for fields in body)
     assert {fields[2] for fields in body} >= {"passive", "share-substitution"}
     assert all(fields[-1] == "0" for fields in body)  # no flag raised
@@ -293,7 +309,7 @@ def test_sweep_over_ell_shows_detection_improving(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    rows = [ln.split(",") for ln in lines[3:]]
+    rows = [ln.split(",") for ln in lines[4:]]
     assert [r[1] for r in rows] == ["1", "8"]
     # undetected-wrong rate shrinks as tags lengthen
     assert float(rows[1][6]) <= float(rows[0][6])
@@ -494,25 +510,27 @@ STRAWMAN_CONFIG = {
                          "001": 1.0, "101": 1.0, "011": 0.0, "111": 0.0},
                 "message_space_size": 16},
 }
-STRAWMAN_ROWS = """\
+STRAWMAN_ROWS = f"""\
 # master_seed 2
+{PROVENANCE}
 protocol,adversary,attack,trials,mean,ci95,threshold,flag
 STRAWMAN,1,passive,50,0.400000,0.000000,0.400000,0
-STRAWMAN,1,block-channel,50,8.272000,1.022317,1.422317,1
+STRAWMAN,1,block-channel,50,7.696000,1.136461,1.536461,1
 STRAWMAN,1,share-substitution,50,8.272000,1.022317,1.422317,1
 STRAWMAN,1,share-substitution-1,50,0.400000,0.000000,0.400000,0
-STRAWMAN,1,swap-half,50,9.232000,0.721907,1.121907,1
+STRAWMAN,1,swap-half,50,8.656000,0.923327,1.323327,1
 """
-P1_ROWS = """\
+P1_ROWS = f"""\
 # master_seed 3
+{PROVENANCE}
 protocol,adversary,attack,trials,mean,ci95,threshold,flag
 P1,1,passive,60,2.000000,0.000000,2.000000,0
-P1,1,block-channel,60,0.100000,0.136263,2.136263,0
-P1,1,share-substitution,60,0.050000,0.097180,2.097180,0
+P1,1,block-channel,60,0.150000,0.165443,2.165443,0
+P1,1,share-substitution,60,0.000000,0.000000,2.000000,0
 P1,1,share-substitution-1,60,0.000000,0.000000,2.000000,0
 P1,1,tag-framing,60,2.000000,0.000000,2.000000,0
-P1,1,mask-framing,60,0.050000,0.097180,2.097180,0
-P1,1,swap-half,60,0.050000,0.097180,2.097180,0
+P1,1,mask-framing,60,0.100000,0.136263,2.136263,0
+P1,1,swap-half,60,0.150000,0.165443,2.165443,0
 """
 SJST_SWEEP_CONFIG = {
     "protocol": {"variant": "SJST", "n": 3, "ell": 2, "k": 8},
@@ -524,14 +542,15 @@ SJST_SWEEP_CONFIG = {
     "trials": 200,
     "sweep": {"axis": "ell", "values": [2, 4]},
 }
-SJST_SWEEP_ROWS = """\
+SJST_SWEEP_ROWS = f"""\
 # master_seed 1
+{PROVENANCE}
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 ell,2,passive,200,1.000000,0.000000,0.000000,2.000000
-ell,2,share-substitution,200,0.735000,0.735000,0.265000,0.795000
+ell,2,share-substitution,200,0.775000,0.775000,0.225000,0.675000
 ell,2,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 ell,4,passive,200,1.000000,0.000000,0.000000,2.000000
-ell,4,share-substitution,200,0.900000,0.900000,0.100000,0.300000
+ell,4,share-substitution,200,0.980000,0.980000,0.020000,0.060000
 ell,4,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 """
 

@@ -391,7 +391,7 @@ P3_WIDE_GOLDEN = {
 }
 # SHA-256 over every transcript's JSON, attacks in catalog order: pins each
 # payload, draw and decode, not only the outcome cells.
-P3_WIDE_TRANSCRIPTS = "6e988990f9c0728d09630f4501cab47e1b97fefcb81139e158ba963b14b45c73"
+P3_WIDE_TRANSCRIPTS = "fac35f262c70489a58cb830321c37599aece54013aed49c60ff62683ede141bb"
 
 
 def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
@@ -417,36 +417,36 @@ SJST_SWEEP_PROFILE = CorruptionProfile({1: frozenset({1, 2})})
 # and master seed 2026, SHA-256 of trial 0's transcript JSON), for SJST with
 # k = l = 8 under every SJST catalog attack.
 SJST_SWEEP_GOLDEN = {
-    (3, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
-                     "9ccf0e82eaca12da70c8393651d8405786ab8202013aa2f4ad1cc0f8dfd3a421"),
-    (3, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
-                           "f317a0e527d7a1b3d2d363397f15942cb8afb730a471f02fd2c52106b98c0d15"),
-    (3, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
-                                "ecc2cd537bff0d1d58d52cb2080e5e20d350c6c09dedc87347d93fe978cf352b"),
+    (3, "passive"): ({(1, (), ()): 200},
+                     "fce49e7a84e70f0f45415587c6c7ad74a40c117ad2496f2105805c74c6692907"),
+    (3, "block-channel"): ({(1, (), (1,)): 200},
+                           "07d21126dbe9283d179ff86e8b521e91839b00b2d7669cd45fe94369b7543cbd"),
+    (3, "share-substitution"): ({(0, (), (1,)): 2, (1, (), (1,)): 198},
+                                "330637cbdcbaf63054c396c0a79a18fb3c530866987b656f9d21a2ed084e7429"),
     (3, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
-                                  "87636916afde9d9f42fb73b116af15ccbfae87732217a77ba7a96c4a8dc872c3"),
+                                  "14073bbb3f32677b79adbbcf6414fa835edf5f47052d0a9d308dec08f4405bd7"),
     (3, "length-tamper"): ({(1, (), (1,)): 200},
-                           "2e432e0ca2c2d38bea2d02cd2b384e434f71f0c43f37dfaae45d04864ced969f"),
-    (8, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
-                     "07d97b98b7477ee9ca50ee5b54434136df306e62ea69953fbe5bee9bb370adc5"),
-    (8, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
-                           "4339db610df9e96bbd131068fd160a5165f46b9981c4a27158a3bec1f0fa4737"),
-    (8, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
-                                "a45e8d2f4af531c1c4926791eebea7e12f8c18293f5af7987937be88f51e2f75"),
+                           "34a4e7d6bc55a8e75d757f24b42ede909a3064456f8e66c9f9747b3c5b5a7c8a"),
+    (8, "passive"): ({(1, (), ()): 200},
+                     "ff815fd3fe519964b91606602564a98ffab9e84410b50cfcca782b1009823cce"),
+    (8, "block-channel"): ({(1, (), (1,)): 200},
+                           "f3d5268bfc1f9719c6aac66f5a3d82170ed345b0609c2822be508214b47b30d8"),
+    (8, "share-substitution"): ({(0, (), (1,)): 2, (1, (), (1,)): 198},
+                                "c35241b7c9d4136ebd65e25a68a4fc5244763836b36d7b9ef378dcea37a353d9"),
     (8, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
-                                  "db25fa51a5660970d5e72302c13572e9c73fc63073628c1948dfd76d8f6d2da7"),
+                                  "ca799aa171badff83e34d2c341c8c392a7a68c247f1522bae7dd733af43558b6"),
     (8, "length-tamper"): ({(1, (), (1,)): 200},
-                           "5e793c82f8cc0c4e47db51feff5c3fae3d291a2b5a374ce38809fd58286e599e"),
-    (16, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
-                      "64831ce8af2c47cb14ed751bd5561ec0077bb2abb1a491b9a31c45c2efa658c1"),
-    (16, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
-                            "f3e60fad4334d9c0efaf56d0b6fde77d60ed3f1299ee548b0ee4db768c852c99"),
-    (16, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
-                                 "a0ba432d3abcc75b25b06349aedbaa730d778bb9c9aba188f39f08f6dd735e1b"),
-    (16, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
-                                   "c936d34a14a2158487d847477d3b9b9240f88cd0ece6005254170ca092778c69"),
+                           "f27bb73bfb1e24e810db602ae90ffb27a4f49ca415adc46bf1ef97a5e0ac9d70"),
+    (16, "passive"): ({(1, (), ()): 200},
+                      "aa2ab02bf86d7c892598632364653084542fdf29a5e9cc528143cac749b8aab0"),
+    (16, "block-channel"): ({(1, (), (1,)): 200},
+                            "65fd6e8f4ad94dc22d8e082b374062ced932180fec22321f6b146984448f7a40"),
+    (16, "share-substitution"): ({(0, (), (1,)): 2, (1, (), (1,)): 198},
+                                 "5f712dc6c960d381eb2a301122ec646e9f3b5d82bf085dd1a15f539af24841fe"),
+    (16, "share-substitution-1"): ({(0, (), ()): 2, (1, (), (1,)): 197, (1, (1,), (1,)): 1},
+                                   "96220eea3055cbce0b422e8ffbb8b23d58e1758dd00b8424b52fae694e748504"),
     (16, "length-tamper"): ({(1, (), (1,)): 200},
-                            "f693c982774af752c6fb30d3a7930aaab9671ab9c80927e0bb62cd08afb61a8f"),
+                            "b307df7cab7843af7c63bf0afb2fc27d4512691c854c954eca5cec875721e279"),
 }
 
 

@@ -218,3 +218,30 @@ def test_message_space_and_sampling():
     with pytest.raises(ProtocolError):
         prof = CorruptionProfile({1: frozenset()})
         execute(SPEC, 256, prof, {1: AdversaryStrategy()}, 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kl=st.integers(1, 32).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+       n=st.integers(1, 5), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_rounds_2_and_3_hash_as_the_family_does(kl, n, seed, data):
+    # table fields (k <= 16) and shift-and-reduce ones alike; tiny k makes
+    # collisions, so round 3 passes some substituted channels and flags others
+    k, ell = kl
+    spec = SjstProtocol(n, ell, k)
+    fam = spec.family
+    keys, payloads = sjst_round1_sender(spec, random.Random(seed))
+    rng = random.Random(seed + 1)
+    for i in data.draw(st.sets(st.integers(1, n))):
+        payloads[i] = (rng.getrandbits(ell), rng.getrandbits(k))
+    public2, _, _ = sjst_round2_receiver(spec, payloads, random.Random(seed + 2))
+    entries = public2[1]
+    for i, (a, b, offset) in enumerate(entries, 1):
+        r, big_r = payloads[i]
+        assert offset == r ^ fam.tag((a, b), big_r)
+    _, detects = sjst_round3_sender(spec, keys, public2, 0)
+    assert detects == [i for i, (r, big_r) in keys.items()
+                       if r ^ fam.tag(entries[i - 1][:2], big_r) != entries[i - 1][2]]
+    a, b, offset = entries[0]
+    for bad in ((1 << k, b), (a, -1)):
+        with pytest.raises(ValueError):
+            sjst_round3_sender(spec, keys, (public2[0], ((*bad, offset), *entries[1:])), 0)

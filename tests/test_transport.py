@@ -5,18 +5,17 @@ import random
 
 import pytest
 
+import rsmt.game.play
 import rsmt.transport
 from rsmt.field import FieldSpec
-from rsmt.game import Rewrite
-from rsmt.protocols import CissProtocol, SjstProtocol
-from rsmt.protocols.ciss import P1, P2
-from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver
-from rsmt.sharing import FAIL
+from rsmt.game import Rewrite, play_game, run_trials, witness_table
+from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
+from rsmt.protocols.ciss import P1, P2, P3
+from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import (
     EMPTY,
     AdversaryStrategy,
     CorruptionProfile,
-    Engine,
     SimulationFault,
     derive_rng,
     execute,
@@ -39,29 +38,110 @@ def test_derive_rng_deterministic_and_label_separated():
     assert derive_rng(7, "adv-1").random() != derive_rng(8, "adv-1").random()
 
 
-def test_receiver_stream_is_derived_only_when_drawn(monkeypatch):
-    labels = []
+# --- the random-stream layout (RNG_STREAM v1) -------------------------------
+
+
+STREAM_PROTOCOLS = {
+    "SJST": SjstProtocol(3, 4, 8),
+    "P1": PROTO,
+    "P3": CissProtocol(P3, 7, GF256, 1, 8),
+    "RSS": RssProtocol(RobustSharingSpec(AmdSpec(FieldSpec.prime(7), 1),
+                                         SharingSpec(t=1, n=3, field=FieldSpec.prime(7)))),
+    "STRAWMAN": StrawmanProtocol(4, FieldSpec.binary(4)),
+}
+
+
+def _record_derivations(monkeypatch):
+    """Every stream derived from now on, as (label, rng), wherever the
+    caller looked `derive_rng` up."""
+    made = []
 
     def recording(master_seed, label):
-        labels.append(label)
-        return derive_rng(master_seed, label)
+        rng = derive_rng(master_seed, label)
+        made.append((label, rng))
+        return rng
 
     monkeypatch.setattr(rsmt.transport, "derive_rng", recording)
-    prof = CorruptionProfile({1: frozenset({1})})
-    execute(PROTO, (7,), prof, {1: AdversaryStrategy()}, 11)
-    assert labels == ["sender", "adv-1"]
+    monkeypatch.setattr(rsmt.game.play, "derive_rng", recording)
+    return made
 
-    labels.clear()
-    sjst = SjstProtocol(3, 8, 8)
-    engine = Engine(3, prof, {1: AdversaryStrategy()}, 11, sjst.uses_public)
-    assert "receiver" not in labels
-    got = sjst.run(engine, 5)
-    assert labels.count("receiver") == 1
-    # round 2 drew from the very stream an eager derivation would give
-    _keys, payloads = sjst_round1_sender(sjst, derive_rng(11, "sender"))
-    want = sjst_round2_receiver(sjst, payloads, derive_rng(11, "receiver"))
-    assert engine.public_history[0][1] == want[0]
-    assert got == 5
+
+class _DrawsAndRecords(AdversaryStrategy):
+    """Substitutes its first channel's payload with the protocol's own
+    rewrite, and keeps every rng it is handed."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.rngs = []
+
+    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+        self.rngs.append(rng)
+        if round_index or not own_payloads:
+            return {}
+        c = min(own_payloads)
+        return {c: self.protocol.substitute(own_payloads[c], rng)}
+
+    def final_guess(self, view, rng):
+        self.rngs.append(rng)
+        return None
+
+
+@pytest.mark.parametrize("variant", sorted(STREAM_PROTOCOLS))
+def test_a_trial_derives_one_honest_stream_and_one_per_adversary(monkeypatch, variant):
+    protocol = STREAM_PROTOCOLS[variant]
+    made = _record_derivations(monkeypatch)
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
+    strategies = {1: _DrawsAndRecords(protocol), 2: _DrawsAndRecords(protocol)}
+    run_trials(protocol, prof, strategies, witness_table(protocol.message_space_size()), 4, 3)
+    assert [label for label, _ in made] == ["honest", "adv-1", "adv-2"] * 4
+    honest = {id(rng) for label, rng in made if label == "honest"}
+    for j, strategy in strategies.items():
+        assert strategy.rngs and not honest & set(map(id, strategy.rngs))
+        own = {id(rng) for label, rng in made if label == f"adv-{j}"}
+        assert set(map(id, strategy.rngs)) <= own
+
+
+class _DrawsNothingVisible(AdversaryStrategy):
+    """Draws from its own stream and tampers with nothing."""
+
+    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+        rng.getrandbits(64)
+        return {}
+
+
+def test_sjst_transcript_replays_from_the_honest_stream():
+    protocol, seed = SjstProtocol(3, 4, 8), 41
+    prof = CorruptionProfile({1: frozenset({2})})
+    _, tr = play_game(protocol, prof, {1: _DrawsNothingVisible()}, seed)
+    # the honest stream by hand: message, round-1 pairs (r_i, R_i), then the
+    # round-2 keys (a_i, b_i), ascending channel
+    rng = derive_rng(seed, "honest")
+    m = rng.getrandbits(8)
+    pairs = {i: (rng.getrandbits(4), rng.getrandbits(8)) for i in (1, 2, 3)}
+    hash_keys = [(rng.getrandbits(8), rng.getrandbits(8)) for _ in (1, 2, 3)]
+    gf = FieldSpec.binary(8)
+    offsets = tuple((a, b, r ^ ((gf.mul_int(a, big_r) ^ b) & 0xF))
+                    for (a, b), (r, big_r) in zip(hash_keys, pairs.values()))
+    assert tr.message == m
+    assert tr.rounds[0].pre == tr.rounds[0].post == pairs
+    assert tr.rounds[1].public == ((0, 0, 0), offsets)
+    assert tr.rounds[2].public == ((0, 0, 0), m ^ pairs[1][1] ^ pairs[2][1] ^ pairs[3][1])
+    assert tr.receiver_output == m and tr.detect_events == []
+
+
+def test_callable_profile_draws_first_from_the_honest_stream():
+    states = []
+
+    def sampler(rng):
+        states.append(rng.getstate())
+        return CorruptionProfile({1: frozenset({rng.randrange(1, 4)})})
+
+    protocol = SjstProtocol(3, 4, 8)
+    _, tr = play_game(protocol, sampler, {1: AdversaryStrategy()}, 9)
+    rng = derive_rng(9, "honest")
+    assert states == [rng.getstate()]
+    rng.randrange(1, 4)
+    assert tr.message == rng.getrandbits(8)
 
 
 def test_profile_validation():
