@@ -9,6 +9,8 @@ couple of array lookups; larger m (up to 32) falls back to shift-and-reduce.
 The choice between the two is made here, in each operation, never by the
 caller.  `mul_row` evaluates a line a*x + b on a whole row of x, and
 `interpolate` reuses the inverse differences of a point set it has seen.
+`ints_below` is the one rule for field and wire values, which every
+receiver and the sharing layer apply.
 """
 
 from __future__ import annotations
@@ -48,6 +50,16 @@ _MAX_BINARY_M = 32
 _TABLE_MAX_M = 16
 
 _spec_cache: dict = {}
+
+
+def ints_below(v, limit: int, length: int) -> bool:
+    """Whether v is a tuple of `length` >= 1 exact ints in [0, limit), never
+    a bool or another int subclass; tested in C."""
+    return (type(v) is tuple and len(v) == length
+            and _JUST_INT.issuperset(map(type, v)) and 0 <= min(v) and max(v) < limit)
+
+
+_JUST_INT = frozenset({int})
 
 
 def _is_prime(n: int) -> bool:

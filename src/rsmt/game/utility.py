@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from ..config import read_int, read_number
+from ..config import read_int, read_number, read_object
 
 
 class UtilityError(ValueError):
@@ -106,7 +106,7 @@ class UtilityTable:
     @classmethod
     def from_json(cls, obj: dict) -> "UtilityTable":
         base = {}
-        for key, v in obj["base"].items():
+        for key, v in read_object(obj["base"], "base").items():
             g, s, d = (int(ch) for ch in key)
             base[(g, s, d)] = float(read_number(v, f"base {key}"))
         return cls(

@@ -11,7 +11,8 @@ protocols whose payload layout allows them `frame_tags`/`frame_masks` and
 provisions the protocol) with `budget_problem`.  `OneRoundProtocol` is the
 base of RSS, P1/P2/P3 and STRAWMAN: the sender's `encode` fills one
 sender-to-receiver round and the receiver's `decode` returns the output and
-the channels it detects.
+the channels it detects.  Messages and payloads are judged by the one
+wire-value rule, `rsmt.field.ints_below`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from ..field import ints_below
 from ..transport import SENDER_TO_RECEIVER
 
 
@@ -96,29 +98,3 @@ class OneRoundProtocol(Protocol):
             engine.emit_detect(i)
         return output
 
-
-def int_in_range(v, width_bits: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < (1 << width_bits)
-
-
-def exact_ints_below(values, limit: int) -> bool:
-    """Whether the sequence `values` is non-empty and holds only exact ints
-    (no bool or other subclass) in [0, limit), tested in C.  False decides
-    nothing: the caller falls back to its own element-by-element test."""
-    return set(map(type, values)) == _JUST_INT and 0 <= min(values) and max(values) < limit
-
-
-_JUST_INT = {int}
-
-
-def ints_below(v, limit: int, length: int) -> bool:
-    """Whether v is a tuple of `length` ints (bools excluded) in [0, limit).
-    A tuple of exact ints is range-checked by `min`/`max` in C; any other
-    tuple is tested element by element."""
-    return (
-        isinstance(v, tuple)
-        and len(v) == length
-        and (exact_ints_below(v, limit)
-             or all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < limit
-                    for x in v))
-    )

@@ -29,10 +29,10 @@ from itertools import chain, compress, repeat
 from operator import xor
 
 from ..config import check_keys, read_ints
-from ..field import FieldSpec
+from ..field import FieldSpec, ints_below
 from ..hashing import HashFamilySpec
 from ..sharing import FAIL, SharingSpec, rs_reconstruct, shamir_reconstruct, shamir_share
-from .base import OneRoundProtocol, ProtocolError, exact_ints_below, ints_below
+from .base import OneRoundProtocol, ProtocolError
 
 P1 = "P1"
 P2 = "P2"
@@ -158,46 +158,34 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
 
 def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
     """Every channel's payload, a malformed one read as all zeros, like a
-    zero-substituted one.  A round failing `_all_exact` retries it on its
-    4-tuples alone; channels it does not clear take `_well_formed`."""
+    zero-substituted one.  `_well_formed` tests the whole round first; if
+    that fails, the round's 4-tuples together, and if that fails too, each
+    channel alone."""
     n = spec.n
     channels = range(1, n + 1)
     round_ = [payloads[i] for i in channels]
-    if not _all_exact(spec, round_):
+    if not _well_formed(spec, round_):
         shaped = [type(p) is tuple and len(p) == 4 for p in round_]
-        exact = not all(shaped) and _all_exact(spec, list(compress(round_, shaped)))
+        together = not all(shaped) and _well_formed(spec, list(compress(round_, shaped)))
         zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-        round_ = [p if ok and exact or _well_formed(spec, p) else zero
+        round_ = [p if ok and (together or _well_formed(spec, (p,))) else zero
                   for p, ok in zip(round_, shaped)]
     return dict(zip(channels, round_))
 
 
-def _well_formed(spec: CissProtocol, p) -> bool:
-    return (
-        isinstance(p, tuple)
-        and len(p) == 4
-        and ints_below(p[0], spec.field.q, spec.d)
-        and ints_below(p[1], spec.family.field.q, 2)
-        and ints_below(p[TAGS], 1 << spec.ell, spec.n - 1)
-        and ints_below(p[MASKS], 1 << spec.ell, spec.n - 1)
-    )
-
-
-def _all_exact(spec: CissProtocol, round_: list) -> bool:
-    """Whether every payload is a 4-tuple of tuples of exact ints of the
-    right lengths and ranges, tested a part at a time across the round.
-    False decides nothing: `_well_formed` then tests channel by channel."""
-    if set(map(type, round_)) != _JUST_TUPLE or set(map(len, round_)) != {4}:
+def _well_formed(spec: CissProtocol, round_) -> bool:
+    """Whether the sequence `round_` is non-empty and each of its payloads
+    is a 4-tuple (share, key, tags, masks) of tuples of the right lengths,
+    holding values `ints_below` accepts; tested a part at a time across
+    the sequence."""
+    if set(map(type, round_)) != {tuple} or set(map(len, round_)) != {4}:
         return False
     shares, keys, tags, masks = zip(*round_)
     parts = ((shares, spec.d, spec.field.q), (keys, 2, spec.family.field.q),
              (tags + masks, spec.n - 1, 1 << spec.ell))
-    return all(set(map(type, part)) == _JUST_TUPLE and set(map(len, part)) == {length}
-               and exact_ints_below(list(chain.from_iterable(part)), limit)
+    return all(set(map(type, part)) == {tuple} and set(map(len, part)) == {length}
+               and ints_below(tuple(chain.from_iterable(part)), limit, length * len(part))
                for part, length, limit in parts)
-
-
-_JUST_TUPLE = {tuple}
 
 
 def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tuple]:

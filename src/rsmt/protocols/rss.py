@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 
 from ..config import check_keys, read_ints
-from ..field import FieldSpec
+from ..field import FieldSpec, ints_below
 from ..sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingSpec, robust_reconstruct,
                        robust_share)
-from .base import OneRoundProtocol, ints_below
+from .base import OneRoundProtocol
 
 
 class RssProtocol(OneRoundProtocol):
@@ -76,7 +76,7 @@ def rss_receive(spec: RssProtocol, payloads):
     parsed = {}
     for i in range(1, spec.n + 1):
         p = payloads[i]
-        if not ints_below(p if isinstance(p, tuple) else (), f.q, width):
+        if not ints_below(p, f.q, width):
             # blocked or malformed share: undecodable, treat as detection
             return FAIL, list(range(1, spec.n + 1))
         parsed[i] = p

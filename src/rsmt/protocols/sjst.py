@@ -22,9 +22,10 @@ from __future__ import annotations
 import random
 
 from ..config import check_keys, read_ints
+from ..field import ints_below
 from ..hashing import HashFamilySpec
 from ..transport import RECEIVER_TO_SENDER, SENDER_TO_RECEIVER
-from .base import Protocol, ProtocolError, int_in_range
+from .base import Protocol, ProtocolError
 
 
 class SjstProtocol(Protocol):
@@ -53,7 +54,7 @@ class SjstProtocol(Protocol):
         return rng.getrandbits(self.k)
 
     def run(self, engine, m: int):
-        if not int_in_range(m, self.k):
+        if not ints_below((m,), 1 << self.k, 1):
             raise ProtocolError(f"message must be a {self.k}-bit integer")
         keys, payloads = sjst_round1_sender(self, engine.honest_rng)
         delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
@@ -96,15 +97,6 @@ def sjst_round1_sender(spec: SjstProtocol, rng: random.Random):
     return keys, dict(keys)
 
 
-def _well_formed_round1(spec: SjstProtocol, payload) -> bool:
-    return (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and int_in_range(payload[0], spec.ell)
-        and int_in_range(payload[1], spec.k)
-    )
-
-
 def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     """Flag malformed channels, commit hash offsets for the rest.
 
@@ -122,15 +114,14 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     tag_mask = (1 << spec.ell) - 1
     for i in range(1, spec.n + 1):
         payload = payloads[i]
-        # a pair of exact ints in range passes; `_well_formed_round1` judges the rest
+        # the rule of `rsmt.field.ints_below`, inline with a limit per part
         if not (type(payload) is tuple and len(payload) == 2 and type(r_i := payload[0]) is int
                 and type(big_r_i := payload[1]) is int and 0 <= r_i < r_limit
-                and 0 <= big_r_i < big_r_limit or _well_formed_round1(spec, payload)):
+                and 0 <= big_r_i < big_r_limit):
             b.append(1)
             h_entries.append(None)  # ABSENT
             detects.append(i)
             continue
-        r_i, big_r_i = payload
         b.append(0)
         kept[i] = big_r_i
         key_a, key_b = sample(rng)

@@ -15,7 +15,7 @@ import itertools
 import random
 
 from ..config import check_keys, read_int
-from ..field import FieldSpec, interpolate, poly_eval
+from ..field import FieldSpec, interpolate, ints_below, poly_eval
 from ..sharing import SharingSpec, shamir_share
 from .base import OneRoundProtocol, ProtocolError
 
@@ -63,7 +63,7 @@ def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:
     values = {}
     for i in range(1, spec.n + 1):
         v = payloads[i]
-        values[i] = v if isinstance(v, int) and 0 <= v < f.q else 0
+        values[i] = v if ints_below((v,), f.q, 1) else 0
     best = None  # (agreement, poly) — maximal agreement, then lex-first
     for subset in itertools.combinations(sorted(values), spec.t + 1):
         poly = interpolate(f, subset, [values[i] for i in subset])

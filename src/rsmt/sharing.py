@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .field import FieldSpec, interpolate, poly_eval
+from .field import FieldSpec, interpolate, ints_below, poly_eval
 
 
 class SharingError(ValueError):
@@ -77,13 +77,13 @@ class SharingSpec:
 
 
 def _check_values(f: FieldSpec, values, what: str) -> None:
-    for v in values:
-        if not (isinstance(v, int) and 0 <= v < f.q):
-            raise SharingError(f"{what} {v!r} is not an element of {f}")
+    if not ints_below(tuple(values), f.q, len(values)):
+        bad = next(v for v in values if not ints_below((v,), f.q, 1))
+        raise SharingError(f"{what} {bad!r} is not an element of {f}")
 
 
 def _check_points(spec: SharingSpec, indices) -> None:
-    if not all(isinstance(i, int) and 0 < i <= spec.n for i in indices):
+    if not ints_below(tuple(indices), spec.n + 1, len(indices)) or 0 in indices:
         raise SharingError(f"share indices must lie in 1..{spec.n}")
 
 

@@ -188,7 +188,7 @@ def _payload_json(p):
         return {"empty": True}
     if p is FAIL:
         return {"fail": True}
-    if p is None or isinstance(p, (int, str, bool)):
+    if p is None or isinstance(p, str) or type(p) in (int, bool):
         return p
     if isinstance(p, (list, tuple)):
         return [_payload_json(v) for v in p]

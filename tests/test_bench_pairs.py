@@ -26,13 +26,13 @@ def test_single_run_has_degenerate_quartiles():
     assert bench_pairs.quartiles([0.5]) == {"q1": 0.5, "median": 0.5, "q3": 0.5}
 
 
-def _checkout(root: Path, bench_code: str) -> Path:
+def _checkout(root: Path, bench_code: str, rsmt_code: str = "a = 1\nb = 2\n") -> Path:
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(bench_code)
     (root / "perfbench" / "__pycache__").mkdir()
     (root / "perfbench" / "__pycache__" / "run.pyc").write_bytes(bytes(root.name, "ascii"))
-    (root / "src").mkdir()
-    (root / "src" / "m.py").write_text("a = 1\nb = 2\n")
+    (root / "src" / "rsmt").mkdir(parents=True)
+    (root / "src" / "rsmt" / "__init__.py").write_text(rsmt_code)
     return root
 
 
@@ -55,13 +55,9 @@ def test_bytecode_caches_do_not_count_as_a_difference(tmp_path):
     assert bench_pairs.src_lines(parent) == 2
 
 
-def test_pairs_alternate_and_merge_into_an_existing_file(tmp_path, monkeypatch):
-    parent = _checkout(tmp_path / "parent", "")
-    change = _checkout(tmp_path / "change", "")
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "run_s", "unit": "s", "better": "lower"}]}))
-    calls = []
-
+def _fake_run(parent: Path, calls: list):
+    """A stand-in for `run_bench`: the parent takes 2 s, the change 1 s, and
+    both report stream `v0` in their provenance."""
     def fake_run(checkout, workload, seed, seconds, trace):
         side = "parent" if checkout == parent else "change"
         calls.append((side, seed))
@@ -71,7 +67,20 @@ def test_pairs_alternate_and_merge_into_an_existing_file(tmp_path, monkeypatch):
                 "provenance": {"git_commit": side, "cpu": "c", "nproc": 2, "platform": "p",
                                "rng_stream": "v0"}}
 
-    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    return fake_run
+
+
+def _bench_spec(change: Path) -> None:
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower"}]}))
+
+
+def test_pairs_alternate_and_merge_into_an_existing_file(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent", "")
+    change = _checkout(tmp_path / "change", "")
+    _bench_spec(change)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_bench", _fake_run(parent, calls))
     out = tmp_path / "out.json"
     out.write_text(json.dumps({"workloads": {"other": {"pairs": 5}}}))
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "3",
@@ -86,3 +95,15 @@ def test_pairs_alternate_and_merge_into_an_existing_file(tmp_path, monkeypatch):
     assert entry["metrics"]["run_s"]["change_over_parent"] == pytest.approx(0.5)
     assert got["src_lines"] == {"parent": 2, "change": 2}
     assert got["commits"] == {"parent": "parent", "change": "change"}
+
+
+def test_rng_stream_is_read_from_each_checkouts_own_source(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent", "", "VERSION = 1\n")
+    change = _checkout(tmp_path / "change", "", "RNG_STREAM = 'v1'\n")
+    _bench_spec(change)
+    monkeypatch.setattr(bench_pairs, "run_bench", _fake_run(parent, []))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "1",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    # not the "v0" both sides' provenance reports
+    assert json.loads(out.read_text())["rng_stream"] == {"parent": "v0", "change": "v1"}

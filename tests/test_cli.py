@@ -456,7 +456,10 @@ def test_keys_the_protocol_does_not_read_fail_before_any_trial(
     ("sweep", dict(P1_CONFIG, sweep=["ell"]), "sweep requires {'axis'"),
     ("sweep", dict(P1_CONFIG, sweep={"axis": "ell", "values": 16}),
      "sweep values must be a list, got 16"),
-], ids=["top-level-list", "assignments-list", "sweep-list", "sweep-values-int"])
+    ("bounds", dict(P1_CONFIG, utility={"base": [1, 2]}),
+     "base must be a JSON object, got [1, 2]"),
+], ids=["top-level-list", "assignments-list", "sweep-list", "sweep-values-int",
+        "utility-base-list"])
 def test_config_of_the_wrong_shape_names_the_field(tmp_path, capsys, monkeypatch,
                                                   command, config, message):
     def no_trials(*args, **kwargs):

@@ -18,12 +18,15 @@ from rsmt.protocols import (
     mismatch_lists,
     rss_receive,
     rss_send,
+    sjst_round1_sender,
+    sjst_round2_receiver,
     strawman_receive,
     strawman_send,
 )
 from rsmt.protocols.base import ProtocolError
-from rsmt.protocols.ciss import P1, P2, P3, _parse_all, _well_formed
-from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
+from rsmt.protocols.ciss import P1, P2, P3, _parse_all
+from rsmt.sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingError, SharingSpec,
+                          shamir_reconstruct, shamir_share)
 from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
 
 GF7 = FieldSpec.prime(7)
@@ -152,23 +155,41 @@ class _Int(int):
     pass
 
 
-def test_parse_accepts_int_subclass_values_in_range():
+def test_parse_reads_int_subclass_values_as_zeros():
     payloads = ciss_sender_encode(PROTO1, (99,), random.Random(5))
     share, (a, b), tags, masks = payloads[1]
     sub = ((_Int(share[0]),), (_Int(a), b), (*tags[:3], _Int(tags[3])),
            tuple(map(_Int, masks)))
     parsed = _parse_all(PROTO1, {**payloads, 1: sub})
-    assert parsed[1] is sub
+    assert parsed[1] == ((0,), (0, 0), (0,) * 4, (0,) * 4)
+    assert parsed[2] == payloads[2]
+
+
+def _exact_ints_below(v, limit: int, length: int) -> bool:
+    """The wire-value rule, written out element by element as an oracle:
+    a tuple of `length` exact ints (no bool, no other int subclass) in
+    [0, limit)."""
+    return (type(v) is tuple and len(v) == length
+            and all(type(x) is int and 0 <= x < limit for x in v))
+
+
+def _well_formed_channel(proto, p) -> bool:
+    return (type(p) is tuple and len(p) == 4
+            and _exact_ints_below(p[0], proto.field.q, proto.d)
+            and _exact_ints_below(p[1], proto.family.field.q, 2)
+            and _exact_ints_below(p[2], 1 << proto.ell, proto.n - 1)
+            and _exact_ints_below(p[3], 1 << proto.ell, proto.n - 1))
 
 
 def _garble(kind: str, payload, wide: int):
-    """`payload` spoiled one way: blocked, a bool, a negative or too-wide
-    value, a list, or a wrong length."""
+    """`payload` spoiled one way: blocked, a bool, an int subclass, a
+    negative or too-wide value, a list, or a wrong length."""
     share, key, tags, masks = payload
     return {
         "good": payload,
         "empty": EMPTY,
         "bool": (share, key, (True, *tags[1:]), masks),
+        "subclass": (share, key, tags, (*masks[:-1], _Int(masks[-1]))),
         "negative": (share, key, tags, (-1, *masks[1:])),
         "wide": (share, (key[0], wide), tags, masks),
         "list": (share, key, list(tags), masks),
@@ -177,7 +198,7 @@ def _garble(kind: str, payload, wide: int):
     }[kind]
 
 
-_KINDS = ("good", "empty", "bool", "negative", "wide", "list", "short", "long")
+_KINDS = ("good", "empty", "bool", "subclass", "negative", "wide", "list", "short", "long")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -190,7 +211,7 @@ def test_parse_all_equals_the_per_channel_test(proto, kinds, seed):
     got = {i: _garble(kind, p, wide) for (i, p), kind in zip(payloads.items(), kinds)}
     n = proto.n
     zero = ((0,), (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-    assert _parse_all(proto, got) == {i: p if _well_formed(proto, p) else zero
+    assert _parse_all(proto, got) == {i: p if _well_formed_channel(proto, p) else zero
                                       for i, p in got.items()}
 
 
@@ -395,3 +416,82 @@ def test_protocols_survive_pickle_and_deepcopy(proto, clone):
     if hasattr(proto, "encode"):
         m = proto.sample_message(random.Random(6))
         assert twin.encode(m, random.Random(5)) == proto.encode(m, random.Random(5))
+
+
+# --- the wire-value rule, on every receiver -------------------------------------
+
+
+GF16 = FieldSpec.binary(4)
+RULE_PROTOCOLS = [
+    SjstProtocol(3, 4, 8), PROTO1, CissProtocol(P2, 4, GF16, 2, 5), PROTO3,
+    RssProtocol(RobustSharingSpec(AmdSpec(GF16, 1), SharingSpec(t=1, n=3, field=GF16))),
+    StrawmanProtocol(3, GF16),
+]
+
+
+def _positions(proto) -> list[tuple[tuple[int, ...], int]]:
+    """(path, limit) of every value in one channel's payload: the path
+    indexes into the payload, the limit is a power of two."""
+    if proto.variant == "SJST":
+        return [((0,), 1 << proto.ell), ((1,), 1 << proto.k)]
+    if proto.variant == "RSS":
+        return [((k,), proto.field.q) for k in range(proto.sharing.share_len)]
+    if proto.variant == "STRAWMAN":
+        return [((), proto.field.q)]
+    parts = [(proto.d, proto.field.q), (2, proto.family.field.q),
+             (proto.n - 1, 1 << proto.ell), (proto.n - 1, 1 << proto.ell)]
+    return [((part, k), limit) for part, (length, limit) in enumerate(parts)
+            for k in range(length)]
+
+
+def _replace(payload, path, value):
+    if not path:
+        return value
+    head, *rest = path
+    return (*payload[:head], _replace(payload[head], rest, value), *payload[head + 1:])
+
+
+def _at(payload, path):
+    for k in path:
+        payload = payload[k]
+    return payload
+
+
+_NOT_WIRE_VALUES = {
+    "bool": lambda x, limit: st.booleans(),
+    "int-subclass": lambda x, limit: st.just(_Int(x)),
+    "float": lambda x, limit: st.just(float(x)),
+    "negative": lambda x, limit: st.integers(-(1 << 70), -1),
+    "one-bit-too-wide": lambda x, limit: st.just(x | limit),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(proto=st.sampled_from(RULE_PROTOCOLS), kind=st.sampled_from(sorted(_NOT_WIRE_VALUES)),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_every_receiver_reads_a_value_outside_the_rule_as_malformed(proto, kind, seed, data):
+    rng = random.Random(seed)
+    if proto.variant == "SJST":
+        payloads = sjst_round1_sender(proto, rng)[1]
+    else:
+        payloads = proto.encode(proto.sample_message(rng), rng)
+    c = data.draw(st.integers(1, proto.n), label="channel")
+    path, limit = data.draw(st.sampled_from(_positions(proto)), label="position")
+    value = data.draw(_NOT_WIRE_VALUES[kind](_at(payloads[c], path), limit), label="value")
+    bad = {**payloads, c: _replace(payloads[c], path, value)}
+    if proto.variant == "SJST":
+        public, kept, detects = sjst_round2_receiver(proto, bad, random.Random(seed))
+        assert public[0][c - 1] == 1 and c in detects and c not in kept
+    elif proto.variant == "RSS":
+        assert rss_receive(proto, bad) == (FAIL, list(range(1, proto.n + 1)))
+    elif proto.variant == "STRAWMAN":
+        assert strawman_receive(proto, bad) == strawman_receive(proto, {**payloads, c: 0})
+    else:
+        zero = ((0,) * proto.d, (0, 0), (0,) * (proto.n - 1), (0,) * (proto.n - 1))
+        assert _parse_all(proto, bad) == {**payloads, c: zero}
+    # the sharing layer takes the value for no element of a field of that size
+    sharing = SharingSpec(t=1, n=3, field=FieldSpec.binary(limit.bit_length() - 1))
+    with pytest.raises(SharingError):
+        shamir_share(sharing, value, rng)
+    with pytest.raises(SharingError):
+        shamir_reconstruct(sharing, {1: value, 2: 0})

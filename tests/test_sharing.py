@@ -195,6 +195,19 @@ def test_out_of_range_values_raise():
         robust_share(RSPEC, [7], random.Random(0))
     with pytest.raises(SharingError):
         robust_reconstruct(RSPEC, {1: (0, 0, 7), 2: (0, 0, 0)})
+    # a bool is not a field element, nor a share index
+    with pytest.raises(SharingError, match="secret True is not an element"):
+        shamir_share(spec, True, random.Random(0))
+    with pytest.raises(SharingError, match="share False is not an element"):
+        shamir_reconstruct(spec, {1: 1, 2: False})
+    with pytest.raises(SharingError, match="share indices"):
+        shamir_reconstruct(spec, {True: 1, 2: 4})
+    with pytest.raises(SharingError):
+        rs_reconstruct(SharingSpec(t=1, n=4, field=GF7), {1: 1, 2: 4, 3: True, 4: 0}, 1)
+    with pytest.raises(SharingError):
+        amd_encode(AmdSpec(GF7, 1), [True], random.Random(0))
+    with pytest.raises(SharingError):
+        robust_reconstruct(RSPEC, {1: (0, 0, False), 2: (0, 0, 0)})
 
 
 @pytest.mark.parametrize("n", [13, 16, 31])

@@ -12,7 +12,6 @@ from rsmt.protocols import (
     sjst_round3_sender,
 )
 from rsmt.protocols.base import ProtocolError
-from rsmt.protocols.sjst import _well_formed_round1
 from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
 
 SPEC = SjstProtocol(3, 4, 8)
@@ -64,7 +63,7 @@ def test_round2_well_formed_payloads():
 
 
 class _Int(int):
-    """An int subclass: not an exact int, but an int to `int_in_range`."""
+    """An int subclass: an int to `isinstance`, but not a wire value."""
 
 
 @pytest.mark.parametrize("bad", [
@@ -82,13 +81,21 @@ def test_round2_flags_malformed_payload(bad):
     assert 2 not in kept
 
 
-def test_round2_keeps_in_range_int_subclass():
+def test_round2_flags_in_range_int_subclass():
     _, payloads = sjst_round1_sender(SPEC, random.Random(5))
     payloads[2] = (_Int(3), _Int(200))
     public, kept, detects = sjst_round2_receiver(SPEC, payloads, random.Random(6))
-    assert public[0] == (0, 0, 0)
-    assert detects == []
-    assert kept[2] == 200
+    assert public[0] == (0, 1, 0)
+    assert detects == [2]
+    assert 2 not in kept
+
+
+def _well_formed_round1(payload) -> bool:
+    """The wire-value rule written out as an oracle: a pair of exact ints
+    (no bool, no other int subclass), r of `ell` bits and R of `k` bits."""
+    return (type(payload) is tuple and len(payload) == 2
+            and all(type(x) is int and 0 <= x < 1 << bits
+                    for x, bits in zip(payload, (SPEC.ell, SPEC.k))))
 
 
 class _CountingRandom(random.Random):
@@ -116,7 +123,7 @@ def test_round2_flags_exactly_what_the_per_channel_test_rejects(payloads):
     rng = _CountingRandom(9)
     rng.draws = 0
     public, kept, detects = sjst_round2_receiver(SPEC, dict(enumerate(payloads, 1)), rng)
-    flags = [int(not _well_formed_round1(SPEC, p)) for p in payloads]
+    flags = [int(not _well_formed_round1(p)) for p in payloads]
     assert list(public[0]) == flags
     assert detects == [i for i, flag in enumerate(flags, 1) if flag]
     assert sorted(kept) == [i for i, flag in enumerate(flags, 1) if not flag]

@@ -311,6 +311,32 @@ def test_transcript_json_serializes_payload_kinds():
     assert isinstance(tr.to_json_str(), str)
 
 
+class _Int(int):
+    pass
+
+
+class _SendsValue(AdversaryStrategy):
+    """Puts `value` in place of channel 1's first mask."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+        share, key, tags, masks = own_payloads[1]
+        return {1: (share, key, tags, (self.value, *masks[1:]))}
+
+
+@pytest.mark.parametrize("value", [_Int(3), 3.0], ids=["int-subclass", "float"])
+def test_transcript_refuses_a_value_that_is_not_a_wire_value(value):
+    # the receiver reads the payload as malformed, so the transcript must not
+    # show the value as a valid int either
+    prof = CorruptionProfile({1: frozenset({1})})
+    tr = execute(PROTO, (3,), prof, {1: _SendsValue(value)}, 6)
+    with pytest.raises(SimulationFault, match="is not serializable"):
+        tr.to_json()
+    assert execute(PROTO, (3,), prof, {1: _SendsValue(3)}, 6).to_json()["message"] == [3]
+
+
 def test_failed_delivery_transcript_serializes():
     p2 = CissProtocol(P2, 4, GF256, 1, 8)
     prof = CorruptionProfile({1: frozenset({1})})

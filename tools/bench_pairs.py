@@ -46,6 +46,16 @@ def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
 
 
+def rng_stream(checkout: Path) -> str:
+    """`rsmt.RNG_STREAM` as the checkout's own `src/` defines it, or `v0`,
+    the stream layout from before the constant, where it is absent."""
+    code = "import rsmt; print(getattr(rsmt, 'RNG_STREAM', 'v0'))"
+    # -S keeps an installed rsmt off the path; -B writes no bytecode
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", code], cwd=checkout / "src",
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One `perfbench/run.py` run: its final JSON object plus the digest,
     wall-time, provenance and not-found lines it printed."""
@@ -165,7 +175,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"cpu": provenance["change"]["cpu"], "nproc": provenance["change"]["nproc"],
                     "platform": provenance["change"]["platform"]},
-        "rng_stream": {side: provenance[side]["rng_stream"] for side in SIDES},
+        "rng_stream": {side: rng_stream(dirs[side]) for side in SIDES},
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
     })
     result.setdefault("workloads", {})[args.workload] = entry
