@@ -17,7 +17,6 @@ from .sharing import (
     robust_reconstruct,
     robust_share,
     rs_reconstruct,
-    rs_reconstruct_bruteforce,
     shamir_reconstruct,
     shamir_share,
 )

@@ -80,7 +80,7 @@ class OneRoundProtocol(Protocol):
 
     def check_message(self, m) -> None:
         """Raise ProtocolError unless m is a d-vector over the field."""
-        if not ints_below(tuple(m), self.field.q, self.d):
+        if not ints_below(tuple(m) if hasattr(m, "__iter__") else m, self.field.q, self.d):
             raise ProtocolError(f"message must be a {self.d}-vector over {self.field}")
 
     def encode(self, m, rng: random.Random) -> dict[int, Any]:

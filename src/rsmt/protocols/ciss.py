@@ -31,7 +31,7 @@ from operator import xor
 from ..config import check_keys, read_ints
 from ..field import FieldSpec, ints_below
 from ..hashing import HashFamilySpec
-from ..sharing import FAIL, SharingSpec, rs_reconstruct, shamir_reconstruct, shamir_share
+from ..sharing import FAIL, SharingSpec, _share_rows, rs_reconstruct, shamir_reconstruct
 from .base import OneRoundProtocol, ProtocolError
 
 P1 = "P1"
@@ -137,8 +137,7 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
     column i of the square, each without the undrawn diagonal."""
     spec.check_message(m)
     n = spec.n
-    per_coord = [shamir_share(spec.sharing, m[k], rng) for k in range(spec.d)]
-    shares = list(zip(*(coord.values() for coord in per_coord)))
+    shares = list(zip(*_share_rows(spec.sharing, m, rng)))
     keys = [spec.family.sample(rng) for _ in range(n)]
     # r_{i,j} for i != j, drawn i-major; the undrawn diagonal holds 0
     draws = list(map(rng.getrandbits, repeat(spec.ell, n * (n - 1))))

@@ -16,7 +16,7 @@ import random
 
 from ..config import check_keys, read_int
 from ..field import FieldSpec, interpolate, ints_below, poly_eval
-from ..sharing import SharingSpec, shamir_share
+from ..sharing import SharingSpec, _share_rows
 from .base import OneRoundProtocol, ProtocolError
 
 
@@ -55,7 +55,7 @@ class StrawmanProtocol(OneRoundProtocol):
 
 def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, int]:
     spec.check_message(m)
-    return shamir_share(spec.sharing, m[0], rng)
+    return dict(zip(range(1, spec.n + 1), _share_rows(spec.sharing, m, rng)[0]))
 
 
 def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:

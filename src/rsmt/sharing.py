@@ -3,19 +3,20 @@
 Secrets, shares and codewords are canonical field integers, and share i of
 an n-share sharing sits at evaluation point i.  Three layers:
   * Shamir sharing with plain and error-correcting reconstruction (Gao's
-    extended-Euclid Reed-Solomon decoder; an exhaustive subset search is
-    kept as the oracle tests compare it against),
+    extended-Euclid Reed-Solomon decoder),
   * an algebraic manipulation detection code whose codeword is the flat
     tuple (s_1, ..., s_d, x, x^(d+2) + sum s_i x^i),
   * their composition: coordinate-wise Shamir sharing of the AMD codeword,
     which rejects any tampered reconstruction except with probability (d+1)/q.
 All randomness is drawn with `rng.randrange(q)`: first the AMD x, then each
-sharing polynomial's t coefficients in coordinate order.
+sharing polynomial's t coefficients in coordinate order.  A secret's n
+shares are a row, one pass per coefficient over the cached powers i^j of the
+points.  A value is checked once, at the public entry point that takes it
+(`shamir_share`, `amd_encode`, a protocol's `check_message`).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,14 @@ class SharingSpec:
             poly = _poly_sub(f, [0, *poly], [f.mul_int(x, c) for c in poly])
         return tuple(poly)
 
+    @cached_property
+    def powers(self) -> tuple[tuple[int, ...], ...]:
+        """Row j-1 holds i^j for the points i = 1..n, j = 1..t; as logs on
+        table fields."""
+        f, log = self.field, self.field._log
+        rows = ([f.pow_int(i, j) for i in range(1, self.n + 1)] for j in range(1, self.t + 1))
+        return tuple(tuple(row if log is None else map(log.__getitem__, row)) for row in rows)
+
 
 def _check_values(f: FieldSpec, values, what: str) -> None:
     if not ints_below(tuple(values), f.q, len(values)):
@@ -90,10 +99,29 @@ def _check_points(spec: SharingSpec, indices) -> None:
 def shamir_share(spec: SharingSpec, secret: int, rng: random.Random) -> dict[int, int]:
     """Shares f(i) of f(x) = secret + r_1 x + ... + r_t x^t, with r_1..r_t
     drawn in that order."""
-    f = spec.field
-    _check_values(f, (secret,), "secret")
-    poly = [secret, *(rng.randrange(f.q) for _ in range(spec.t))]
-    return {i: poly_eval(f, poly, i) for i in range(1, spec.n + 1)}
+    _check_values(spec.field, (secret,), "secret")
+    return dict(zip(range(1, spec.n + 1), _share_rows(spec, (secret,), rng)[0]))
+
+
+def _share_rows(spec: SharingSpec, secrets, rng: random.Random) -> list[list[int]]:
+    """Each checked secret's n shares as a row, its r_1..r_t drawn in that
+    order: one pass over the row per coefficient, adding r_j * i^j."""
+    f, q = spec.field, spec.field.q
+    prime, exp, log = f.kind == "prime", f._exp, f._log
+    rows = []
+    for secret in secrets:
+        row = [secret] * spec.n
+        for powers in spec.powers:
+            r = rng.randrange(q)
+            if prime:
+                row = [(a + r * x) % q for a, x in zip(row, powers)]
+            elif exp is None:
+                row = [a ^ f.mul_int(r, x) for a, x in zip(row, powers)]
+            elif r:
+                lr = log[r]
+                row = [a ^ exp[lr + x] for a, x in zip(row, powers)]
+        rows.append(row)
+    return rows
 
 
 def shamir_reconstruct(spec: SharingSpec, subset: Mapping[int, int]) -> int:
@@ -138,20 +166,6 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
         return FAIL
     if _agreement(f, xs, ys, poly) >= n - e:
         return poly[0] if poly else 0
-    return FAIL
-
-
-def rs_reconstruct_bruteforce(spec: SharingSpec, shares: Mapping[int, int], max_errors: int):
-    """Independent oracle: try every (t+1)-subset and look for a polynomial
-    consistent with at least n - max_errors shares.  Any two such polynomials
-    agree on >= t+1 points and are therefore equal, so the answer is unique."""
-    f = spec.field
-    xs = sorted(shares)
-    ys = [shares[i] for i in xs]
-    for subset in itertools.combinations(range(spec.n), spec.t + 1):
-        poly = interpolate(f, [xs[i] for i in subset], [ys[i] for i in subset])
-        if _agreement(f, xs, ys, poly) >= spec.n - max_errors:
-            return poly[0]
     return FAIL
 
 
@@ -272,8 +286,8 @@ def robust_share(
 ) -> dict[int, tuple[int, ...]]:
     """AMD-encode, then Shamir-share each of the d+2 codeword coordinates
     with an independent polynomial.  Share i is a (d+2)-vector."""
-    per_coord = [shamir_share(spec.inner, c, rng) for c in amd_encode(spec.amd, secret, rng)]
-    return {i: tuple(shares[i] for shares in per_coord) for i in range(1, spec.inner.n + 1)}
+    rows = _share_rows(spec.inner, amd_encode(spec.amd, secret, rng), rng)
+    return dict(zip(range(1, spec.inner.n + 1), zip(*rows)))
 
 
 def robust_reconstruct(spec: RobustSharingSpec, subset: Mapping[int, Sequence[int]]):

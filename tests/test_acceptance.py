@@ -33,10 +33,11 @@ from rsmt.sharing import (
     RobustSharingSpec,
     SharingSpec,
     rs_reconstruct,
-    rs_reconstruct_bruteforce,
     shamir_share,
 )
 from rsmt.transport import CorruptionProfile
+
+from rs_oracle import rs_reconstruct_bruteforce
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -255,6 +255,13 @@ def test_bad_subsets_raise_a_named_error(case):
         call()
 
 
+def test_view_distance_sees_only_the_public_messages_of_the_empty_subset():
+    def pad(secret, rng):  # channel 1 carries a one-time pad of the secret
+        return {1: rng.randrange(2) ^ secret}, None
+    assert view_distance(range(2), [2], pad, [[], [1]]) == 0
+    assert view_distance(range(2), [2], lambda s, rng: ({1: rng.randrange(2)}, s), [[]]) == 1
+
+
 def _counts():
     return st.dictionaries(st.integers(0, 5), st.integers(1, 9), max_size=6).map(Counter)
 
@@ -263,6 +270,9 @@ def _counts():
 @given(st.lists(_counts(), max_size=4), st.integers(1, 60))
 @example([], 1)
 @example([Counter({0: 3})], 3)
+@example([Counter({0: 2, 3: 1})] * 3, 3)  # all equal: the shortcut
+@example([Counter({1: 4, 2: 4})] * 2 + [Counter({1: 8})], 8)  # equal, then one differs
+@example([Counter({1: 8}), Counter({1: 4, 2: 4}), Counter({1: 4, 2: 4})], 8)
 def test_max_distance_matches_the_pairwise_formula(dists, total):
     keys = set().union(*dists)
     reference = max((Fraction(sum(abs(a[k] - b[k]) for k in keys), 2 * total)

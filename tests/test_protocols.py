@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmt.field import FieldSpec
+from rsmt.privacy import ForcedDraws
 from rsmt.protocols import (
     CissProtocol,
     RssProtocol,
@@ -82,6 +83,24 @@ def test_rss_message_validation():
         rss_send(RSS, (9,), random.Random(0))
     with pytest.raises(ProtocolError):
         rss_send(RSS, (1, 2), random.Random(0))
+
+
+@pytest.mark.parametrize("proto", [StrawmanProtocol(3, FieldSpec.binary(4)), RSS,
+                                   PROTO1, PROTO2, PROTO3], ids=attrgetter("variant"))
+@pytest.mark.parametrize("m", [5, None, 2.5], ids=repr)
+def test_encode_rejects_a_message_that_is_not_a_sequence(proto, m):
+    with pytest.raises(ProtocolError, match="message must be a 1-vector"):
+        proto.encode(m, random.Random(0))
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 256, 2.0], ids=repr)
+@pytest.mark.parametrize("k", [0, 1])
+def test_ciss_sender_encode_rejects_a_bad_element_before_drawing(bad, k):
+    # ForcedDraws with no values: a draw before the check would raise RuntimeError
+    m = [7, 7]
+    m[k] = bad
+    with pytest.raises(ProtocolError):
+        ciss_sender_encode(CissProtocol(P1, 5, GF256, 2, 8), tuple(m), ForcedDraws(()))
 
 
 # --- list protocols: shared structure ----------------------------------------

@@ -20,10 +20,11 @@ from rsmt.sharing import (
     robust_reconstruct,
     robust_share,
     rs_reconstruct,
-    rs_reconstruct_bruteforce,
     shamir_reconstruct,
     shamir_share,
 )
+
+from rs_oracle import rs_reconstruct_bruteforce
 
 GF7 = FieldSpec.prime(7)
 GF5 = FieldSpec.prime(5)
@@ -208,6 +209,73 @@ def test_out_of_range_values_raise():
         amd_encode(AmdSpec(GF7, 1), [True], random.Random(0))
     with pytest.raises(SharingError):
         robust_reconstruct(RSPEC, {1: (0, 0, False), 2: (0, 0, 0)})
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 7], ids=repr)
+def test_sharing_entry_points_reject_a_bad_element_before_drawing(bad):
+    # ForcedDraws with no values: a draw before the check would raise RuntimeError
+    spec = SharingSpec(t=1, n=3, field=GF7)
+    with pytest.raises(SharingError, match="is not an element"):
+        shamir_share(spec, bad, ForcedDraws(()))
+    wide = RobustSharingSpec(AmdSpec(GF7, 3), spec)
+    for k in range(3):
+        secret = [1, 2, 3]
+        secret[k] = bad
+        with pytest.raises(SharingError, match="message element"):
+            robust_share(wide, secret, ForcedDraws(()))
+
+
+# One field per branch of the row-wise sharing: prime, log/exp tables, and
+# shift-and-reduce (m > 16).
+_SHARE_FIELDS = {
+    "prime": st.sampled_from([GF5, GF7, FieldSpec.prime(13), FieldSpec.prime(65537)]),
+    "table": st.sampled_from([FieldSpec.binary(2), GF16, FieldSpec.binary(8),
+                              FieldSpec.binary(16)]),
+    "shift": st.integers(17, 32).map(FieldSpec.binary),
+}
+
+
+@st.composite
+def _share_tape(draw, fields, width):
+    """(spec, tape of t coefficients for each of `width` secrets)."""
+    f = draw(fields)
+    n = draw(st.integers(2, min(8, f.q - 1)))
+    t = draw(st.integers(1, n - 1))
+    tape = draw(st.lists(st.integers(0, f.q - 1), min_size=width * t, max_size=width * t))
+    return SharingSpec(t=t, n=n, field=f), tape
+
+
+@pytest.mark.parametrize("kind", sorted(_SHARE_FIELDS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shamir_share_evaluates_the_drawn_polynomial(kind, data):
+    spec, tape = data.draw(_share_tape(_SHARE_FIELDS[kind], 1))
+    secret = data.draw(st.integers(0, spec.field.q - 1))
+    rng = ForcedDraws(tape)
+    shares = shamir_share(spec, secret, rng)
+    rng.finish()
+    poly = [secret, *tape]
+    assert shares == {i: poly_eval(spec.field, poly, i) for i in range(1, spec.n + 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHARE_FIELDS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_robust_share_evaluates_each_coordinate_polynomial(kind, data):
+    f = data.draw(_SHARE_FIELDS[kind])
+    d = data.draw(st.integers(1, 3).filter(lambda d: (d + 2) % f.char))
+    spec, tape = data.draw(_share_tape(st.just(f), d + 2))
+    amd = AmdSpec(f, d)
+    message = tuple(data.draw(st.lists(st.integers(0, f.q - 1), min_size=d, max_size=d)))
+    x = data.draw(st.integers(0, f.q - 1))
+    rng = ForcedDraws([x, *tape])
+    shares = robust_share(RobustSharingSpec(amd, spec), message, rng)
+    rng.finish()
+    codeword = amd_encode(amd, message, ForcedDraws([x]))
+    t = spec.t
+    polys = [[c, *tape[k * t:(k + 1) * t]] for k, c in enumerate(codeword)]
+    assert shares == {i: tuple(poly_eval(f, poly, i) for poly in polys)
+                      for i in range(1, spec.n + 1)}
 
 
 @pytest.mark.parametrize("n", [13, 16, 31])
