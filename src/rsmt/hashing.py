@@ -5,6 +5,7 @@ The affine map (a, b) -> (a*x1 + b, a*x2 + b) is a bijection for x1 != x2, so
 truncating both outputs to l bits leaves every tag pair with exactly
 2^(2m-2l) preimages: the family is exactly 2^(-2l)-pairwise independent,
 comfortably inside the 2^(1-2l) budget the protocol bounds assume.
+`tag_rows` gives a one-round protocol's masked n x n tag matrix in one call.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .field import FieldSpec
 
@@ -46,9 +47,7 @@ class HashFamilySpec:
         return itertools.product(range(1 << self.domain_bits), repeat=2)
 
     def tag(self, key: tuple[int, int], x: int) -> int:
-        """h_{a,b}(x) for key = (a, b): one entry of `tags`, multiplied by
-        the field's `mul_int`, which takes the same table or generic path as
-        its `mul_row`."""
+        """h_{a,b}(x) for key = (a, b), multiplied by the field's `mul_int`."""
         a, b = key
         size = self.field.q
         if not (0 <= a < size and 0 <= b < size):
@@ -57,17 +56,28 @@ class HashFamilySpec:
             raise ValueError(f"input does not fit in {self.domain_bits} bits")
         return (self.field.mul_int(a, x) ^ b) & ((1 << self.range_bits) - 1)
 
-    def tags(self, key: tuple[int, int], xs: Sequence[int]) -> list[int]:
-        """[h_{a,b}(x) for x in xs] for key = (a, b): the key and the inputs
-        are range-checked once, and a*x + b comes from one
-        `FieldSpec.mul_row`."""
-        a, b = key
-        size = self.field.q
-        if not (0 <= a < size and 0 <= b < size):
+    def tag_rows(self, keys: Sequence[tuple[int, int]], xs: Sequence[int],
+                 masks: Iterable[Sequence[int]]) -> list[list[int]]:
+        """Row i is [tag(keys[i], x) ^ r for x, r in zip(xs, mask row i)]: the
+        keys and inputs are range-checked once, and on table fields the
+        inputs' logs are taken once, then one pass per key."""
+        f, lm = self.field, (1 << self.range_bits) - 1
+        coeffs = list(itertools.chain.from_iterable(keys))
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < f.q):
             raise ValueError("hash coefficients outside the field")
-        if xs and not (0 <= min(xs) and max(xs) < size):
+        if xs and not (0 <= min(xs) and max(xs) < f.q):
             raise ValueError(f"input does not fit in {self.domain_bits} bits")
-        return self.field.mul_row(a, xs, b, (1 << self.range_bits) - 1)
+        exp, log = f._exp, f._log
+        if exp is None:
+            mul = f.mul_int
+            return [[(mul(a, x) ^ b) & lm ^ r for x, r in zip(xs, rs)]
+                    for (a, b), rs in zip(keys, masks)]
+        # log x + 1, and 0 for x = 0, so a zero input needs no second lookup;
+        # the 1 comes off log a
+        lxs = [log[x] + 1 if x else 0 for x in xs]
+        return [[((exp[la + lx] if lx else 0) ^ b) & lm ^ r for lx, r in zip(lxs, rs)]
+                if a else [b & lm ^ r for r in rs]
+                for (a, b), rs, la in zip(keys, masks, [log[a] - 1 for a, _ in keys])]
 
 
 def offset_collision_prob_exhaustive(

@@ -7,7 +7,8 @@ Because each tag and its mask travel on different channels, no single
 channel exposes an unmasked function of another channel's share — privacy
 of the threshold sharing is preserved exactly.
 
-The receiver recomputes every tag and builds per-channel mismatch lists L_i.
+Sender and receiver each build the tag matrix in one `tag_rows` call; the
+receiver compares it with the sent tags to build per-channel mismatch lists L_i.
 The three variants differ in threshold and in how the lists drive the output:
 
   MINORITY ("P1", threshold floor((n-1)/2)): if a strict majority of lists
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, compress, repeat
-from operator import xor
+from itertools import chain, repeat
 
 from ..config import check_keys, read_ints
 from ..field import FieldSpec, ints_below
@@ -145,31 +145,40 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
         draws.insert(i * (n + 1), 0)
     square = list(zip(*[iter(draws)] * n))  # row i: r_{i,.}
     columns = list(zip(*square))  # column i: r_{.,i}
-    serialized = list(map(spec.serialize_share, shares))
-    tags = spec.family.tags
+    rows = spec.family.tag_rows(keys, list(map(spec.serialize_share, shares)), square)
     payloads = {}
-    for i in range(n):
-        row = tuple(map(xor, tags(keys[i], serialized), square[i]))
-        payloads[i + 1] = (shares[i], keys[i], row[:i] + row[i + 1:],
-                           columns[i][:i] + columns[i][i + 1:])
+    for i, row in enumerate(rows):
+        del row[i]
+        payloads[i + 1] = (shares[i], keys[i], tuple(row), columns[i][:i] + columns[i][i + 1:])
     return payloads
 
 
 def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
     """Every channel's payload, a malformed one read as all zeros, like a
     zero-substituted one.  `_well_formed` tests the whole round first; if
-    that fails, the round's 4-tuples together, and if that fails too, each
-    channel alone."""
+    that fails, `_sift` bisects the round's 4-tuples, so one bad payload
+    costs O(log n) tests."""
     n = spec.n
-    channels = range(1, n + 1)
-    round_ = [payloads[i] for i in channels]
-    if not _well_formed(spec, round_):
-        shaped = [type(p) is tuple and len(p) == 4 for p in round_]
-        together = not all(shaped) and _well_formed(spec, list(compress(round_, shaped)))
-        zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-        round_ = [p if ok and (together or _well_formed(spec, (p,))) else zero
-                  for p, ok in zip(round_, shaped)]
-    return dict(zip(channels, round_))
+    round_ = [payloads[i] for i in range(1, n + 1)]
+    if _well_formed(spec, round_):
+        return dict(zip(range(1, n + 1), round_))
+    zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
+    shaped = [i for i, p in enumerate(round_) if type(p) is tuple and len(p) == 4]
+    good = set(_sift(spec, round_, shaped, len(shaped) == n))
+    return {i + 1: p if i in good else zero for i, p in enumerate(round_)}
+
+
+def _sift(spec: CissProtocol, round_, idx: list[int], failed: bool = False) -> list[int]:
+    """The indices in `idx` whose payloads are well formed: all of them if
+    they pass together, else those of each half.  `failed` says they are
+    known not to pass; then so is the right half if the left one passes."""
+    if not failed and _well_formed(spec, [round_[i] for i in idx]):
+        return idx
+    if len(idx) <= 1:
+        return []
+    half = len(idx) // 2
+    left = _sift(spec, round_, idx[:half])
+    return left + _sift(spec, round_, idx[half:], failed and len(left) == half)
 
 
 def _well_formed(spec: CissProtocol, round_) -> bool:
@@ -200,10 +209,9 @@ def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tu
     payloads = [parsed[j] for j in channels]
     serialized = [spec.serialize_share(p[0]) for p in payloads]
     rows = zip(*[p[MASKS][:j] + (0,) + p[MASKS][j:] for j, p in enumerate(payloads)])
-    tags = spec.family.tags
+    tagged = spec.family.tag_rows([p[1] for p in payloads], serialized, rows)
     lists = {}
-    for i, p, r_i in zip(channels, payloads, rows):
-        expected = list(map(xor, tags(p[1], serialized), r_i))
+    for i, p, expected in zip(channels, payloads, tagged):
         del expected[i - 1]
         sent = p[TAGS]
         lists[i] = () if tuple(expected) == sent else tuple(

@@ -3,7 +3,8 @@
 Secrets, shares and codewords are canonical field integers, and share i of
 an n-share sharing sits at evaluation point i.  Three layers:
   * Shamir sharing with plain and error-correcting reconstruction (Gao's
-    extended-Euclid Reed-Solomon decoder),
+    extended-Euclid Reed-Solomon decoder, done at once when the interpolant
+    of all n shares has degree <= t, else a row of `mul_row` per step),
   * an algebraic manipulation detection code whose codeword is the flat
     tuple (s_1, ..., s_d, x, x^(d+2) + sum s_i x^i),
   * their composition: coordinate-wise Shamir sharing of the AMD codeword,
@@ -143,6 +144,8 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     < (n + t + 1)/2, with g = u*prod + v*g1; the codeword polynomial is g/v.
     """
     e = max_errors
+    if type(e) is not int or e < 0:
+        raise SharingError(f"max_errors must be an int >= 0, got {e!r}")
     n = spec.n
     k = spec.t + 1
     xs = range(1, n + 1)
@@ -154,8 +157,10 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     ys = [shares[i] for i in xs]
     _check_values(f, ys, "share")
 
-    r0 = spec.vanishing
     r1 = _trim(interpolate(f, xs, ys))
+    if len(r1) <= k:  # every share lies on r1
+        return r1[0] if r1 else 0
+    r0 = spec.vanishing
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + k:
         quot, rem = _poly_divmod(f, r0, r1)
@@ -164,13 +169,9 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     poly, rem = _poly_divmod(f, r1, v1)
     if rem or len(poly) > k:
         return FAIL
-    if _agreement(f, xs, ys, poly) >= n - e:
+    if sum(poly_eval(f, poly, x) == y for x, y in zip(xs, ys)) >= n - e:
         return poly[0] if poly else 0
     return FAIL
-
-
-def _agreement(f: FieldSpec, xs, ys, poly) -> int:
-    return sum(1 for x, y in zip(xs, ys) if poly_eval(f, poly, x) == y)
 
 
 # Polynomials for the decoder: coefficient lists, lowest degree first, with
@@ -195,8 +196,7 @@ def _poly_mul(f: FieldSpec, a, b) -> list[int]:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] = f.add_int(out[i + j], f.mul_int(c, d))
+        out[i:i + len(b)] = f.mul_row(c, b, out[i:i + len(b)])
     return _trim(out)
 
 
@@ -212,8 +212,7 @@ def _poly_divmod(f: FieldSpec, num, den) -> tuple[list[int], list[int]]:
         coef = f.mul_int(rem[k + dd], lead_inv)
         quot[k] = coef
         if coef:
-            for j in range(dd + 1):
-                rem[k + j] = f.sub_int(rem[k + j], f.mul_int(coef, den[j]))
+            rem[k:k + dd + 1] = f.mul_row(f.sub_int(0, coef), den, rem[k:k + dd + 1])
     return _trim(quot), _trim(rem[:dd])
 
 

@@ -1,11 +1,16 @@
+import copy
+import pickle
 import random
 import signal
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmt.field import (
+    _LIST_MAX_M,
+    _TABLE_MAX_M,
     DEFAULT_BINARY_POLYS,
     FieldError,
     FieldSpec,
@@ -133,6 +138,28 @@ def test_untabled_binary_field_axioms():
         assert big.mul_int(a, big.inv_int(a)) == 1
 
 
+@pytest.mark.parametrize("m", range(1, _TABLE_MAX_M + 1))
+def test_tables_agree_with_shift_and_reduce(m):
+    # lists up to the cut, compact arrays above it
+    spec = FieldSpec.binary(m)
+    assert type(spec._exp) is type(spec._log) is (list if m <= _LIST_MAX_M else array)
+    rng = random.Random(m)
+    for a, b in [(0, 1), (1, 0), (spec.q - 1, spec.q - 1),
+                 *((rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(300))]:
+        assert spec.mul_int(a, b) == spec._clmul_reduce(a, b)
+        if a:
+            assert spec._clmul_reduce(a, spec.inv_int(a)) == 1
+
+
+@pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_array_backed_field_clones_to_the_interned_object(clone):
+    spec = FieldSpec.binary(_LIST_MAX_M + 1)
+    assert type(spec._exp) is array
+    assert clone(spec) is spec
+    assert clone(FieldSpec.binary(16)) is FieldSpec.binary(16)
+
+
 def test_poly_eval_examples():
     assert poly_eval(GF7, [4], 6) == 4
     assert poly_eval(GF7, [5, 3], 2) == 4
@@ -257,10 +284,7 @@ def test_poly_eval_equals_power_sum(case, data):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_points(), st.data())
 def test_mul_row_equals_mul_int(case, data):
-    spec, xs, _ = case
-    a, b = data.draw(st.integers(0, spec.q - 1)), data.draw(st.integers(0, spec.q - 1))
-    bits = data.draw(st.integers(1, spec.q.bit_length()))
-    mask = (1 << bits) - 1
-    assert spec.mul_row(a, xs, b, mask) == [spec.add_int(spec.mul_int(a, x), b) & mask
-                                            for x in xs]
-    assert spec.mul_row(a, xs) == [spec.mul_int(a, x) for x in xs]
+    spec, xs, ys = case
+    a = data.draw(st.one_of(st.just(0), st.integers(0, spec.q - 1)))
+    assert spec.mul_row(a, xs, ys) == [spec.add_int(spec.mul_int(a, x), y)
+                                       for x, y in zip(xs, ys)]

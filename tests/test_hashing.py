@@ -1,12 +1,13 @@
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmt.field import FieldSpec
+from rsmt.field import _LIST_MAX_M, _TABLE_MAX_M, FieldSpec
 from rsmt.hashing import HashFamilySpec, offset_collision_prob_exhaustive
 
 FAM3 = HashFamilySpec(3, 3)
@@ -151,39 +152,45 @@ def test_offset_collision_rejects_identical_pair_and_big_m():
         offset_collision_prob_exhaustive(HashFamilySpec(16, 8), 0, 0, 1, 0)
 
 
-# --- the row kernel ----------------------------------------------------------
+# --- the tag matrix -----------------------------------------------------------
+
+_TABLES = {"list": (1, _LIST_MAX_M), "array": (_LIST_MAX_M + 1, _TABLE_MAX_M),
+           "untabled": (_TABLE_MAX_M + 1, 32)}
 
 
 @st.composite
-def _family_key_inputs(draw):
-    """A family over 1..32 domain bits (table fields up to 16, shift-and-
-    reduce above), a key and a row of inputs, with a = 0 and x = 0 likely."""
-    m = draw(st.integers(1, 32))
+def _family_keys_inputs(draw, tables):
+    """A family whose field keeps its log/exp tables as `tables` says, keys,
+    a row of inputs and a row of masks per key, with zeros likely."""
+    m = draw(st.integers(*_TABLES[tables]))
     fam = HashFamilySpec(m, draw(st.integers(1, m)))
     elem = st.one_of(st.just(0), st.integers(0, (1 << m) - 1))
-    return fam, (draw(elem), draw(elem)), draw(st.lists(elem, max_size=20))
+    keys = draw(st.lists(st.tuples(elem, elem), max_size=6))
+    xs = draw(st.lists(elem, max_size=12))
+    mask = st.one_of(st.just(0), st.integers(0, (1 << fam.range_bits) - 1))
+    masks = [draw(st.lists(mask, min_size=len(xs), max_size=len(xs))) for _ in keys]
+    return fam, keys, xs, masks
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_family_key_inputs())
-def test_tags_equal_tag_per_input(case):
-    fam, key, xs = case
-    assert fam.tags(key, xs) == [fam.tag(key, x) for x in xs]
+@pytest.mark.parametrize("tables", list(_TABLES))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tag_rows_equal_tag_per_entry(tables, data):
+    fam, keys, xs, masks = data.draw(_family_keys_inputs(tables))
+    exp = fam.field._exp
+    assert type(exp) is {"list": list, "array": array, "untabled": type(None)}[tables]
+    assert fam.tag_rows(keys, xs, masks) == [[fam.tag(key, x) ^ r for x, r in zip(xs, rs)]
+                                             for key, rs in zip(keys, masks)]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_family_key_inputs(), st.sampled_from(["a", "b", "x"]), st.booleans())
-def test_tags_and_tag_reject_out_of_range(case, which, negative):
-    fam, (a, b), xs = case
+@pytest.mark.parametrize("tables", list(_TABLES))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), which=st.sampled_from(["a", "b", "x"]), negative=st.booleans())
+def test_tag_rows_and_tag_reject_out_of_range(tables, data, which, negative):
+    fam, keys, xs, masks = data.draw(_family_keys_inputs(tables))
     bad = -1 if negative else 1 << fam.domain_bits
-    x = 0
-    if which == "a":
-        a = bad
-    elif which == "b":
-        b = bad
-    else:
-        x = bad
+    a, b, x = (bad if which == c else 0 for c in "abx")
     with pytest.raises(ValueError):
         fam.tag((a, b), x)
     with pytest.raises(ValueError):
-        fam.tags((a, b), [*xs, x])
+        fam.tag_rows([*keys, (a, b)], [*xs, x], [*masks, [0] * (len(xs) + 1)])

@@ -4,7 +4,7 @@ import random
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsmt.field import FieldSpec
@@ -25,6 +25,7 @@ from rsmt.protocols import (
     strawman_send,
 )
 from rsmt.protocols.base import ProtocolError
+from rsmt.protocols import ciss
 from rsmt.protocols.ciss import P1, P2, P3, _parse_all
 from rsmt.sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingError, SharingSpec,
                           shamir_reconstruct, shamir_share)
@@ -224,6 +225,12 @@ _KINDS = ("good", "empty", "bool", "subclass", "negative", "wide", "list", "shor
 @given(proto=st.sampled_from([PROTO1, PROTO2, PROTO3]),
        kinds=st.lists(st.sampled_from(_KINDS), min_size=7, max_size=7),
        seed=st.integers(0, 2 ** 32))
+# rounds of 4-tuples only, one or two of them malformed
+@example(proto=PROTO3, kinds=["good"] * 6 + ["subclass"], seed=1)
+@example(proto=PROTO3, kinds=["good", "good", "bool"] + ["good"] * 4, seed=2)
+@example(proto=PROTO3, kinds=["negative"] + ["good"] * 5 + ["wide"], seed=3)
+@example(proto=PROTO1, kinds=["good", "list", "short"] + ["good"] * 4, seed=4)
+@example(proto=PROTO2, kinds=["good", "good", "good", "wide"] + ["good"] * 3, seed=5)
 def test_parse_all_equals_the_per_channel_test(proto, kinds, seed):
     payloads = ciss_sender_encode(proto, (seed % 256,), random.Random(seed))
     wide = proto.family.field.q
@@ -232,6 +239,21 @@ def test_parse_all_equals_the_per_channel_test(proto, kinds, seed):
     zero = ((0,), (0, 0), (0,) * (n - 1), (0,) * (n - 1))
     assert _parse_all(proto, got) == {i: p if _well_formed_channel(proto, p) else zero
                                       for i, p in got.items()}
+
+
+def test_parse_all_tests_o_log_n_parts_for_one_bad_payload(monkeypatch):
+    proto = CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16)
+    payloads = ciss_sender_encode(proto, (7,), random.Random(1))
+    well_formed, sizes = ciss._well_formed, []
+    monkeypatch.setattr(ciss, "_well_formed",
+                        lambda spec, round_: sizes.append(len(round_)) or well_formed(spec, round_))
+    zero = ((0,), (0, 0), (0,) * 15, (0,) * 15)
+    for i, p in payloads.items():
+        sizes.clear()
+        bad = _garble("wide", p, proto.family.field.q)
+        assert _parse_all(proto, {**payloads, i: bad}) == {**payloads, i: zero}
+        # the round, then at most both halves at each of the log2(16) levels
+        assert len(sizes) <= 1 + 2 * 4 and sum(sizes) <= 16 + 2 * (8 + 4 + 2 + 1)
 
 
 def test_serialize_share_packs_elements():

@@ -143,6 +143,14 @@ def test_rs_reconstruct_requires_capacity():
         rs_reconstruct(spec, {1: shares[1]}, max_errors=0)
 
 
+@pytest.mark.parametrize("bad", [-1, True, 1.0, None])
+def test_rs_reconstruct_rejects_a_bad_max_errors(bad):
+    spec = SharingSpec(t=1, n=4, field=GF7)
+    shares = shamir_share(spec, 5, random.Random(0))
+    with pytest.raises(SharingError):
+        rs_reconstruct(spec, shares, max_errors=bad)
+
+
 def test_rs_reconstruct_corrects_up_to_e_errors():
     rng = random.Random(3)
     spec = SharingSpec(t=2, n=8, field=GF16)
@@ -344,6 +352,20 @@ def test_rs_reconstruct_matches_bruteforce_on_codewords_plus_errors(params, data
     for i in bad:
         shares[i] = f.add_int(shares[i], data.draw(st.integers(1, f.q - 1)))
     _assert_matches_oracle(spec, shares, e)
+
+
+@pytest.mark.parametrize("errors", range(6))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(st.integers(0, 2 ** 16 - 1), min_size=6, max_size=6), data=st.data())
+def test_rs_reconstruct_matches_bruteforce_at_p3_wide_parameters(errors, coeffs, data):
+    # GF(2^16), n = 16, t = 5: every error count the decoder must correct
+    spec = SharingSpec(t=5, n=16, field=FieldSpec.binary(16))
+    shares = shamir_share(spec, coeffs[0], ForcedDraws(coeffs[1:]))
+    bad = data.draw(st.lists(st.integers(1, 16), min_size=errors, max_size=errors, unique=True))
+    for i in bad:
+        shares[i] ^= data.draw(st.integers(1, 2 ** 16 - 1))
+    assert rs_reconstruct(spec, shares, max_errors=5) == coeffs[0]
+    _assert_matches_oracle(spec, shares, 5)
 
 
 # --- AMD code ---------------------------------------------------------------
