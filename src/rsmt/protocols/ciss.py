@@ -155,45 +155,38 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
 
 def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
     """Every channel's payload, a malformed one read as all zeros, like a
-    zero-substituted one.  `_well_formed` tests the whole round first; if
-    that fails, `_sift` bisects the round's 4-tuples, so one bad payload
-    costs O(log n) tests."""
+    zero-substituted one.  `_well_formed` tests the whole round first; only
+    if that fails is each payload tested on its own, once."""
     n = spec.n
     round_ = [payloads[i] for i in range(1, n + 1)]
-    if _well_formed(spec, round_):
+    limits, lengths = _shapes(spec)
+    if _well_formed(round_, limits, lengths):
         return dict(zip(range(1, n + 1), round_))
-    zero = ((0,) * spec.d, (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-    shaped = [i for i, p in enumerate(round_) if type(p) is tuple and len(p) == 4]
-    good = set(_sift(spec, round_, shaped, len(shaped) == n))
-    return {i + 1: p if i in good else zero for i, p in enumerate(round_)}
+    zero = tuple((0,) * length for length in lengths)
+    return {i: p if _well_formed_payload(p, limits, lengths) else zero
+            for i, p in enumerate(round_, 1)}
 
 
-def _sift(spec: CissProtocol, round_, idx: list[int], failed: bool = False) -> list[int]:
-    """The indices in `idx` whose payloads are well formed: all of them if
-    they pass together, else those of each half.  `failed` says they are
-    known not to pass; then so is the right half if the left one passes."""
-    if not failed and _well_formed(spec, [round_[i] for i in idx]):
-        return idx
-    if len(idx) <= 1:
-        return []
-    half = len(idx) // 2
-    left = _sift(spec, round_, idx[:half])
-    return left + _sift(spec, round_, idx[half:], failed and len(left) == half)
+def _shapes(spec: CissProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The limits and the lengths of a payload's parts: share, key, tags, masks."""
+    tag_limit, others = 1 << spec.ell, spec.n - 1
+    return (spec.field.q, spec.family.field.q, tag_limit, tag_limit), (spec.d, 2, others, others)
 
 
-def _well_formed(spec: CissProtocol, round_) -> bool:
+def _well_formed_payload(p, limits, lengths) -> bool:
+    """Whether the one payload p passes `_well_formed`."""
+    return type(p) is tuple and len(p) == 4 and all(map(ints_below, p, limits, lengths))
+
+
+def _well_formed(round_, limits, lengths) -> bool:
     """Whether the sequence `round_` is non-empty and each of its payloads
-    is a 4-tuple (share, key, tags, masks) of tuples of the right lengths,
-    holding values `ints_below` accepts; tested a part at a time across
-    the sequence."""
+    is a 4-tuple whose parts pass `ints_below` with the `_shapes` limits and
+    lengths; tested a part at a time across the sequence."""
     if set(map(type, round_)) != {tuple} or set(map(len, round_)) != {4}:
         return False
-    shares, keys, tags, masks = zip(*round_)
-    parts = ((shares, spec.d, spec.field.q), (keys, 2, spec.family.field.q),
-             (tags + masks, spec.n - 1, 1 << spec.ell))
     return all(set(map(type, part)) == {tuple} and set(map(len, part)) == {length}
                and ints_below(tuple(chain.from_iterable(part)), limit, length * len(part))
-               for part, length, limit in parts)
+               for part, limit, length in zip(zip(*round_), limits, lengths))
 
 
 def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tuple]:

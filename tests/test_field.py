@@ -1,19 +1,26 @@
+import ast
 import copy
 import pickle
 import random
 import signal
 from array import array
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsmt
 from rsmt.field import (
     _LIST_MAX_M,
+    _PRIME_LIMIT,
     _TABLE_MAX_M,
     DEFAULT_BINARY_POLYS,
     FieldError,
     FieldSpec,
+    _is_prime,
+    _lagrange_rows,
     interpolate,
     poly_eval,
 )
@@ -23,11 +30,65 @@ GF7 = FieldSpec.prime(7)
 GF8 = FieldSpec.binary(3)  # x^3 + x + 1
 
 
+@contextmanager
+def _within(seconds: int, what: str):
+    """Run the block under an alarm that turns a hang into a failure."""
+    def hang(signum, frame):
+        raise TimeoutError(f"{what} did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_prime_requires_prime():
     with pytest.raises(FieldError):
         FieldSpec.prime(6)
     with pytest.raises(FieldError):
         FieldSpec.prime(1)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """The primality oracle: divide by 2 and every odd number up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 10**5 - 1))
+def test_is_prime_equals_trial_division(n):
+    assert _is_prime(n) == trial_division_is_prime(n)
+
+
+def test_prime_decides_large_p_at_once():
+    with _within(1, "FieldSpec.prime on p near 2^61"):
+        for p in (2**61 - 1, 10**18 + 3):
+            assert FieldSpec.prime(p).q == p
+        # 10^18 + 1 = (10^6 + 1)(10^12 - 10^6 + 1); the other is a strong
+        # pseudoprime to each of the twelve prime bases 2..37
+        for p in (10**18 + 1, 399165290221 * 798330580441):
+            with pytest.raises(FieldError):
+                FieldSpec.prime(p)
+
+
+def test_prime_refuses_p_at_or_above_the_limit_of_the_test():
+    for p in (_PRIME_LIMIT, _PRIME_LIMIT + 2, 2**127 - 1):
+        with pytest.raises(FieldError, match=str(_PRIME_LIMIT)):
+            FieldSpec.prime(p)
 
 
 def test_binary_rejects_reducible_poly():
@@ -44,20 +105,12 @@ def test_binary_rejects_large_m():
 
 def test_binary_without_default_poly_rejects_m_above_32_at_once():
     # The range check must run before the irreducible-polynomial search,
-    # which for m = 64 would not finish; the alarm turns a hang into a failure.
-    def hang(signum, frame):
-        raise TimeoutError("FieldSpec.binary(64) did not fail fast")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
+    # which for m = 64 would not finish.
+    with _within(5, "FieldSpec.binary(64)"):
         with pytest.raises(FieldError):
             FieldSpec.binary(64)
         with pytest.raises(FieldError):
             SjstProtocol(3, 8, 64)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_default_polys_are_irreducible():
@@ -268,6 +321,59 @@ def test_interpolate_equals_reference(case):
     assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
     # a repeated point set goes through the cached inverse differences
     assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+
+
+@pytest.mark.parametrize("spec", _FIELDS, ids=repr)
+def test_interpolate_again_after_the_caller_changes_the_result(spec):
+    xs = list(range(min(spec.q, 4)))
+    ys = [(3 * x + 1) % spec.q for x in xs]
+    got = interpolate(spec, xs, ys)
+    got[0] ^= 1
+    got.append(5)
+    assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+    ys[0] = 0  # the first row added is scaled by 0
+    got = interpolate(spec, xs, ys)
+    got[:] = []
+    assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+
+
+def test_interpolate_after_the_row_cache_evicts():
+    spec, rng = FieldSpec.binary(8), random.Random(7)
+    point_sets = list({tuple(rng.sample(range(1, spec.q), rng.randrange(2, 6)))
+                       for _ in range(1100)})
+    assert len(point_sets) > 1024
+    for _ in range(2):  # on the second cycle too, each set misses the cache
+        misses = _lagrange_rows.cache_info().misses
+        for xs in point_sets:
+            ys = [rng.randrange(spec.q) for _ in xs]
+            assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+    assert _lagrange_rows.cache_info().misses - misses == len(point_sets)
+
+
+def _table_reads(node, scope=()):
+    """The enclosing class.function of each `_exp` or `_log` read under node,
+    as an attribute or a string constant (getattr)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _table_reads(child, (*scope, child.name))
+            continue
+        name = (child.attr if isinstance(child, ast.Attribute)
+                else child.value if isinstance(child, ast.Constant) else None)
+        if name in ("_exp", "_log"):
+            yield ".".join(scope)
+        yield from _table_reads(child, scope)
+
+
+def test_only_field_and_three_kept_fast_paths_read_the_tables():
+    # Whether and how a field keeps log/exp tables is `rsmt.field`'s choice;
+    # these three fast paths measured too slow through `mul_row` (see their
+    # comments), and anything else goes through the field's operations.
+    root = Path(rsmt.__file__).parent
+    reads = {(str(path.relative_to(root)), scope)
+             for path in sorted(root.rglob("*.py")) if path != root / "field.py"
+             for scope in _table_reads(ast.parse(path.read_text()))}
+    assert reads == {("sharing.py", "SharingSpec.powers"), ("sharing.py", "_share_rows"),
+                     ("hashing.py", "HashFamilySpec.tag_rows")}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

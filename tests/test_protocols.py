@@ -241,19 +241,31 @@ def test_parse_all_equals_the_per_channel_test(proto, kinds, seed):
                                       for i, p in got.items()}
 
 
-def test_parse_all_tests_o_log_n_parts_for_one_bad_payload(monkeypatch):
+def test_parse_all_tests_the_round_once_then_each_payload_at_most_once(monkeypatch):
     proto = CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16)
     payloads = ciss_sender_encode(proto, (7,), random.Random(1))
-    well_formed, sizes = ciss._well_formed, []
-    monkeypatch.setattr(ciss, "_well_formed",
-                        lambda spec, round_: sizes.append(len(round_)) or well_formed(spec, round_))
+    calls = []
+
+    def counted(name):
+        test = getattr(ciss, name)
+        monkeypatch.setattr(ciss, name, lambda *args: calls.append(name) or test(*args))
+
+    counted("_well_formed")
+    counted("_well_formed_payload")
     zero = ((0,), (0, 0), (0,) * 15, (0,) * 15)
-    for i, p in payloads.items():
-        sizes.clear()
-        bad = _garble("wide", p, proto.family.field.q)
-        assert _parse_all(proto, {**payloads, i: bad}) == {**payloads, i: zero}
-        # the round, then at most both halves at each of the log2(16) levels
-        assert len(sizes) <= 1 + 2 * 4 and sum(sizes) <= 16 + 2 * (8 + 4 + 2 + 1)
+    wide = proto.family.field.q
+    rounds = [(payloads, payloads)]
+    for bad in ([3], [2, 15], [1, 2, 3, 4]):
+        got = {**payloads, **{i: _garble("wide", payloads[i], wide) for i in bad}}
+        rounds.append((got, {**payloads, **{i: zero for i in bad}}))
+    blocked = {**payloads, **{i: EMPTY for i in range(1, 5)}}
+    rounds.append((blocked, {**payloads, **{i: zero for i in range(1, 5)}}))
+    for got, want in rounds:
+        calls.clear()
+        assert _parse_all(proto, got) == want
+        assert calls[0] == "_well_formed" and calls.count("_well_formed") == 1
+        # a clean round is read on the whole-round test alone
+        assert calls.count("_well_formed_payload") == (0 if got is payloads else 16)
 
 
 def test_serialize_share_packs_elements():
