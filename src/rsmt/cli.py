@@ -22,9 +22,9 @@ from . import __version__
 from .config import ConfigError, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, cell_seed, nash_catalog_check
-from .game.play import play_game, run_trials, trial_seed
+from .game.play import run_trials
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
-from .game.attacks import CATALOG, PassiveGuess, catalog_for
+from .game.attacks import PassiveGuess, catalog_for
 from .privacy import CHECKS, EnumerationTooLarge
 from .protocols import VARIANTS
 from .transport import RNG_STREAM, CorruptionProfile
@@ -67,12 +67,10 @@ def attacks_from_json(names, variant: str) -> list[str] | None:
         return None
     if not isinstance(names, list) or not names:
         raise ConfigError(f"attacks must be a non-empty list of attack names, got {names!r}")
-    applicable = [e.name for e in catalog_for(variant)]
-    for name in names:
-        if name not in [e.name for e in CATALOG]:
-            raise ConfigError(f"unknown attack {name!r}")
-        if name not in applicable:
-            raise ConfigError(f"attack {name!r} does not apply to {variant}")
+    try:
+        catalog_for(variant, names)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return names
 
 
@@ -219,10 +217,10 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
     if dump_transcript is not None:
         # the passive baseline's first trial, which the report scored
         strategies = {j: PassiveGuess(config.protocol) for j in config.profile.adversary_ids}
-        seed = trial_seed(cell_seed(config.master_seed, 0, "baseline"), 0)
-        _, transcript = play_game(config.protocol, config.profile, strategies, seed)
         with open(dump_transcript, "w", encoding="utf-8") as fh:
-            fh.write(transcript.to_json_str() + "\n")
+            run_trials(config.protocol, config.profile, strategies, config.table, 1,
+                       cell_seed(config.master_seed, 0, "baseline"),
+                       on_transcript=lambda _i, _o, tr: fh.write(tr.to_json_str() + "\n"))
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK
 
 

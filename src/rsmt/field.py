@@ -5,10 +5,11 @@ degree first).
 A prime p must lie below 3.3e24, where Miller-Rabin decides it exactly.
 Binary fields use a fixed table of default irreducible polynomials so that
 canonical integer encodings are reproducible across runs and implementations.
-For m <= 16 a log/exp table pair is precomputed (lists up to m = 12, compact
-`array('H')` above), making multiplication two lookups; larger m (up to 32)
-falls back to shift-and-reduce, chosen here in each operation, never by the
-caller.  `mul_row` computes a*x + y along a row of x and y in one
+For m <= 16 one loop precomputes a log/exp table pair from the first
+generator it finds (lists up to m = 12, compact `array('H')` above), making
+multiplication two lookups; larger m (up to 32) falls back to
+shift-and-reduce, chosen here in each operation, never by the caller.
+`mul_row` computes a*x + y along a row of x and y in one
 comprehension for every kind of field; `interpolate` sums the cached
 Lagrange basis rows of a point set, one `mul_row` per point.  `ints_below`
 is the one rule for field and wire values, which every receiver and the
@@ -17,6 +18,7 @@ sharing layer apply.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from functools import lru_cache
 from typing import Sequence
@@ -178,46 +180,30 @@ class FieldSpec:
         return cls("binary", m=m, poly=poly)
 
     def _build_tables(self) -> None:
-        size = self.q
+        """Log/exp tables of the first generator among x (multiplied by a
+        shift), 3, 4, ...: one whose powers return to 1 before q - 1 steps
+        overwrites log[1] (x, of order 51 under 0x11B, does)."""
+        size, poly = self.q, self.poly
         # Lists up to GF(2^_LIST_MAX_M), where they measured faster; above, array('H'):
         # 384 KB at GF(2^16), against about 5.5 MB of int objects in lists.
         zeros = ((lambda k: [0] * k) if self.m <= _LIST_MAX_M
                  else (lambda k: array("H", bytes(2 * k))))
-        exp, log = zeros(size - 1), zeros(size)
-        x = 1
-        primitive = True
-        for i in range(size - 1):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & size:
-                x ^= self.poly
-            if x == 1 and i != size - 2:
-                # x cycled back early: poly is irreducible but x is not
-                # primitive (e.g. 0x11B, where x has order 51).
-                primitive = False
-                break
-        if not primitive:
-            exp, log = self._tables_from_generator(zeros)
-        self._exp = exp + exp
-        self._log = log
-
-    def _tables_from_generator(self, zeros):
-        size = self.q
-        for g in range(2, size):
+        for g in itertools.count(2):
             exp, log = zeros(size - 1), zeros(size)
             x = 1
-            ok = True
             for i in range(size - 1):
                 exp[i] = x
-                if x != 1 and log[x] != 0:
-                    ok = False
-                    break
                 log[x] = i
-                x = self._clmul_reduce(x, g)
-            if ok and x == 1:
-                return exp, log
-        raise FieldError("no generator found")  # unreachable for a field
+                if g == 2:
+                    x <<= 1
+                    if x & size:
+                        x ^= poly
+                else:
+                    x = self._clmul_reduce(x, g)
+            if log[1] == 0:
+                self._exp = exp + exp
+                self._log = log
+                return
 
     def _clmul_reduce(self, a: int, b: int) -> int:
         acc = 0

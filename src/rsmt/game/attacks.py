@@ -111,12 +111,15 @@ CATALOG: tuple[AttackCatalogEntry, ...] = (
 
 
 def catalog_for(variant: str, names: Sequence[str] | None = None):
-    """The catalog entries that apply to `variant`, optionally only `names`."""
+    """The catalog entries that apply to `variant`, optionally only `names`,
+    each of which must name a catalog attack that applies (else ValueError)."""
     entries = [e for e in CATALOG if hasattr(VARIANTS[variant], e.needs)]
-    if names is not None:
-        wanted = set(names)
-        unknown = wanted - {e.name for e in CATALOG}
-        if unknown:
-            raise ValueError(f"unknown attack names {sorted(unknown)}")
-        entries = [e for e in entries if e.name in wanted]
-    return entries
+    if names is None:
+        return entries
+    applicable = [e.name for e in entries]
+    for name in names:
+        if name not in applicable:
+            known = name in [e.name for e in CATALOG]
+            raise ValueError(f"attack {name!r} does not apply to {variant}" if known
+                             else f"unknown attack {name!r}")
+    return [e for e in entries if e.name in names]

@@ -11,7 +11,8 @@ combinations:
     u_3: suc=0, detect=1     u_4: suc=1, detect=1
 
 A timid adversary satisfies u_1 > max{u_2, u_3} and min{u_2, u_3} > u_4; a
-strictly timid one additionally has u_2 > u_3.  With bonus b and lam
+strictly timid one additionally has u_2 > u_3 (`required_delta_rss` checks
+that where the RSS budget needs it).  With bonus b and lam
 adversaries, the primed values equal the unprimed ones (no others detected)
 and u''_i = u'_i + b*(lam - 1) (all others detected).
 """
@@ -79,12 +80,6 @@ class UtilityTable:
             raise UtilityError("derived u1 <= max(u2, u3)")
         if not min(u["u2"], u["u3"]) > u["u4"]:
             raise UtilityError("derived min(u2, u3) <= u4")
-
-    def validate_strictly_timid(self) -> None:
-        self.validate_timid()
-        u = derive_u_values(self)
-        if not u["u2"] > u["u3"]:
-            raise UtilityError("derived u2 <= u3: not strictly timid")
 
     def validate_multi(self, lam: int) -> None:
         self.validate_timid()

@@ -38,10 +38,6 @@ class HashFamilySpec:
         """A uniform key (a, b)."""
         return rng.getrandbits(self.domain_bits), rng.getrandbits(self.domain_bits)
 
-    def family_gamma(self) -> float:
-        """Pairwise-independence parameter of this family: 2^(-2l)."""
-        return 2.0 ** (-2 * self.range_bits)
-
     def members(self):
         """Every key (a, b), a-major."""
         return itertools.product(range(1 << self.domain_bits), repeat=2)

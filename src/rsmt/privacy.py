@@ -3,10 +3,10 @@
 Every function enumerates ALL randomness relevant to the quantity under test
 and returns an exact worst-case figure (statistical distance or failure
 probability) as a fraction of integer counts — no sampling, no tolerance.
-The Shamir, RSS and SJST view checks go through one enumerator,
-`view_distance`: it runs the production code (`shamir_share`,
-`robust_share`, the three SJST rounds) once per secret and per point of the
-product of the draws' ranges, with a `ForcedDraws` stand-in for the rng that
+The Shamir and RSS view checks (and the tests' SJST check) go through one
+enumerator, `view_distance`: it runs the production code (`shamir_share`,
+`robust_share`) once per secret and per point of the product of the draws'
+ranges, with a `ForcedDraws` stand-in for the rng that
 must serve exactly the draws the code makes, so each check sees the draw
 path the simulator runs.  The AMD check drives `amd_encode` and the CISS
 view check drives `ciss_sender_encode` the same way; the CISS check counts
@@ -28,12 +28,6 @@ from typing import Callable, NamedTuple
 from .field import FieldSpec
 from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
 from .protocols.ciss import P1, TAGS, CissProtocol, ciss_sender_encode, slot
-from .protocols.sjst import (
-    SjstProtocol,
-    sjst_round1_sender,
-    sjst_round2_receiver,
-    sjst_round3_sender,
-)
 from .sharing import (
     FAIL,
     AmdSpec,
@@ -258,27 +252,6 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
             counts.update(map(sum, itertools.product(*fields)))
         dists.append(counts)
     return _max_distance(dists, states)
-
-
-def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fraction:
-    """Exact worst-case view distance of a passive corrupted subset for the
-    public-discussion protocol: its channels' key pairs plus both public
-    messages, (B, H) and (V, c).  Runs the three production rounds on one
-    forced rng over every sender key and receiver hash key; tractable only
-    for n=2 with tiny l = k."""
-    n, ell, k = spec.n, spec.ell, spec.k
-    corrupted = _channels(corrupted, n)
-    if len(corrupted) >= n:
-        raise ValueError("corrupted set must leave at least one honest channel")
-
-    def run(m, rng):
-        keys, payloads = sjst_round1_sender(spec, rng)
-        pub2, _, _ = sjst_round2_receiver(spec, payloads, rng)
-        pub3, _ = sjst_round3_sender(spec, keys, pub2, m)
-        return payloads, (pub2, pub3)
-
-    return view_distance(range(1 << k), [1 << ell, 1 << k] * n + [1 << k] * (2 * n),
-                         run, [corrupted])
 
 
 class Check(NamedTuple):

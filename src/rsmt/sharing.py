@@ -280,8 +280,7 @@ def robust_share(
 
 
 def robust_reconstruct(spec: RobustSharingSpec, subset: Mapping[int, Sequence[int]]):
-    if len(subset) < spec.inner.t + 1:
-        raise ThresholdError(f"need at least {spec.inner.t + 1} shares")
+    """Shamir-reconstruct each coordinate (ThresholdError below t+1), then AMD-decode."""
     codeword = tuple(
         shamir_reconstruct(spec.inner, {i: vec[k] for i, vec in subset.items()})
         for k in range(spec.share_len)

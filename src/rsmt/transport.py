@@ -129,7 +129,7 @@ class RoundRecord:
     public: Any = None
 
 
-@dataclass
+@dataclass(eq=False)
 class AdversaryView:
     """Exactly what one adversary learns: its channels, nothing else.  Its
     `rounds` are cut from the transcript's records when first read."""
@@ -143,11 +143,6 @@ class AdversaryView:
         own = sorted(self.channels)
         return [(r.index, r.direction, {c: r.pre[c] for c in own}, {c: r.post[c] for c in own})
                 for r in self.records if r.pre]
-
-    def __eq__(self, other):
-        return isinstance(other, AdversaryView) and all(
-            getattr(self, k) == getattr(other, k)
-            for k in ("channels", "rounds", "public_history"))
 
 
 @dataclass
@@ -216,13 +211,12 @@ class Engine:
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
         self.public_history: list[tuple[int, Any]] = []
-        self._round_index = 0
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Deliver one round of channel payloads; returns post-tamper payloads."""
         if payloads.keys() != _channel_set(self.n):
             raise SimulationFault("round must carry exactly one payload per channel")
-        idx = self._round_index
+        idx = len(self.rounds)
         pre = dict(payloads)
         post = dict(pre)
         for j in self.profile.adversary_ids:
@@ -235,23 +229,21 @@ class Engine:
                                       f"{sorted(set(replacements).difference(own_pre))}")
             post.update(replacements)
         self.rounds.append(RoundRecord(idx, direction, pre, post))
-        self._round_index += 1
         return post
 
     def send_public(self, direction: str, payload: Any) -> Any:
         """Authenticated broadcast: delivered verbatim, seen by everyone."""
         if not self.uses_public:
             raise SimulationFault("protocol has no public channel")
-        idx = self._round_index
+        idx = len(self.rounds)
         self.public_history.append((idx, payload))
         self.rounds.append(RoundRecord(idx, direction, {}, {}, public=payload))
-        self._round_index += 1
         return payload
 
     def emit_detect(self, channel: int) -> None:
         if not 1 <= channel <= self.n:
             raise SimulationFault(f"DETECT references nonexistent channel {channel}")
-        round_idx = max(0, self._round_index - 1)
+        round_idx = max(0, len(self.rounds) - 1)
         event = (channel, round_idx)
         self.detect_events.append(event)
         if self.uses_public:

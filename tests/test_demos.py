@@ -1,12 +1,21 @@
 """Smoke test: every narrated demo runs to completion (they assert their
-own claims, e.g. that a corrupted share is corrected)."""
+own claims, e.g. that a corrupted share is corrected).  Guard: every
+definition under src/rsmt is named by the package, a demo or the benchmark."""
 
+import ast
+import re
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# Defined but named by no caller: the multi-adversary admissibility test
+# waits for the runs with two or more adversaries (ROADMAP item 6).
+UNCALLED = {"validate_multi"}
 
 
 def test_demos_found():
@@ -17,3 +26,30 @@ def test_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def _without_reexports(path: Path) -> str:
+    """The text of `path`; of an `__init__.py`, less its imports and `__all__`."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def test_every_definition_in_src_is_named_by_a_caller():
+    # Tests do not count: what only a test reads belongs in the tests.  Dunder
+    # methods are named by the language.
+    text = "\n".join(_without_reexports(path) for folder in ("src", "demos", "perfbench")
+                     for path in sorted((ROOT / folder).rglob("*.py")))
+    defined = {node.name for path in (ROOT / "src" / "rsmt").rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not re.fullmatch(r"__\w+__", node.name)}
+    words = Counter(re.findall(r"\w+", text))
+    definitions = Counter(re.findall(r"\b(?:def|class) (\w+)", text))
+    assert {name for name in defined if words[name] == definitions[name]} == UNCALLED

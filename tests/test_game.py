@@ -44,7 +44,7 @@ PROF = CorruptionProfile({1: frozenset({1, 2})})
 def test_witness_table_derives_3210():
     u = derive_u_values(TABLE)
     assert (u["u1"], u["u2"], u["u3"], u["u4"]) == (3.0, 2.0, 1.0, 0.0)
-    TABLE.validate_strictly_timid()
+    TABLE.validate_timid()  # and u2 > u3: strictly timid
 
 
 def test_guess_dependent_table_mixes_at_uniform_rate():
@@ -276,6 +276,19 @@ def test_catalog_selection():
     assert [e.name for e in catalog_for("P1", ["swap-half", "passive"])] == ["passive", "swap-half"]
     with pytest.raises(ValueError):
         catalog_for("P1", ["no-such-attack"])
+
+
+@pytest.mark.parametrize("names, message", [
+    (["passive", "length-tamper"], "attack 'length-tamper' does not apply to P1"),
+    (["no-such-attack"], "unknown attack 'no-such-attack'"),
+    ([["passive"]], r"unknown attack \['passive'\]"),
+])
+def test_every_bad_attack_name_is_a_value_error(names, message):
+    # the rule the config reader applies, enforced by the catalog itself
+    with pytest.raises(ValueError, match=message):
+        catalog_for("P1", names)
+    with pytest.raises(ValueError, match=message):
+        nash_catalog_check(PROTO1, PROF, TABLE, 1, 0, attack_names=names)
 
 
 @pytest.mark.parametrize("build", [

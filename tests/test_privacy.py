@@ -13,17 +13,17 @@ from rsmt.field import FieldSpec
 from rsmt.privacy import (
     EnumerationTooLarge,
     ForcedDraws,
+    _channels,
     _max_distance,
     amd_failure_max,
     ciss_view_distance,
     rss_view_distance,
     shamir_privacy_distance,
-    sjst_view_distance,
     view_distance,
 )
 from rsmt.protocols import CissProtocol, SjstProtocol
 from rsmt.protocols.ciss import P1, P2, ciss_sender_encode
-from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver
+from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver, sjst_round3_sender
 from rsmt.sharing import (
     AmdSpec,
     RobustSharingSpec,
@@ -199,6 +199,27 @@ def test_ciss_rejects_oversized_subset():
     spec = CissProtocol(P1, 3, GF5, 1, 2)
     with pytest.raises(ValueError):
         ciss_view_distance(spec, frozenset({1, 2}))
+
+
+def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fraction:
+    """Exact worst-case view distance of a passive corrupted subset for the
+    public-discussion protocol: its channels' key pairs plus both public
+    messages, (B, H) and (V, c).  Runs the three production rounds on one
+    forced rng over every sender key and receiver hash key; tractable only
+    for n=2 with tiny l = k."""
+    n, ell, k = spec.n, spec.ell, spec.k
+    corrupted = _channels(corrupted, n)
+    if len(corrupted) >= n:
+        raise ValueError("corrupted set must leave at least one honest channel")
+
+    def run(m, rng):
+        keys, payloads = sjst_round1_sender(spec, rng)
+        pub2, _, _ = sjst_round2_receiver(spec, payloads, rng)
+        pub3, _ = sjst_round3_sender(spec, keys, pub2, m)
+        return payloads, (pub2, pub3)
+
+    return view_distance(range(1 << k), [1 << ell, 1 << k] * n + [1 << k] * (2 * n),
+                         run, [corrupted])
 
 
 def test_sjst_view_is_independent_of_message():

@@ -26,6 +26,11 @@ GF256 = FieldSpec.binary(8)
 PROTO = CissProtocol(P1, 5, GF256, 1, 8)
 
 
+def _seen(view):
+    """What a view shows: views define no `==` of their own."""
+    return view.channels, view.rounds, view.public_history
+
+
 def test_empty_is_falsy_singleton():
     assert not EMPTY
     assert repr(EMPTY) == "EMPTY"
@@ -284,7 +289,7 @@ def test_final_view_is_view_of_with_detects_in_emission_order():
     strat = _BlocksAndKeepsView()
     tr = execute(sjst, 200, prof, {1: strat}, 4)
     (seen,) = strat.views
-    assert seen == view_of(tr, prof, 1)
+    assert _seen(seen) == _seen(view_of(tr, prof, 1))
     # the DETECT for channel 2 follows round 1's flags and precedes round 2
     assert [(i, p if p[0] == "DETECT" else "pub") for i, p in seen.public_history] == [
         (1, "pub"), (1, ("DETECT", 2)), (2, "pub")
@@ -373,7 +378,7 @@ def test_views_are_cut_on_demand(protocol):
     # a view first read after execute returned equals view_of's
     (view,) = unread.views
     assert "rounds" not in vars(view)
-    assert view == view_of(tr, prof, 1)
+    assert _seen(view) == _seen(view_of(tr, prof, 1))
     assert view.rounds == [(r.index, r.direction, {1: r.pre[1], 3: r.pre[3]},
                             {1: r.post[1], 3: r.post[3]}) for r in tr.rounds if r.pre]
-    assert view != view_of(tr, prof, 2)
+    assert _seen(view) != _seen(view_of(tr, prof, 2))
