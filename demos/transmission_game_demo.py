@@ -10,13 +10,7 @@ a detection-averse adversary's payoff.
 """
 
 from rsmt.field import FieldSpec
-from rsmt.game import (
-    PassiveGuess,
-    Rewrite,
-    nash_catalog_check,
-    run_trials,
-    witness_table,
-)
+from rsmt.game import nash_catalog_check, run_cell, witness_table
 from rsmt.protocols import CissProtocol
 from rsmt.protocols.ciss import P1
 from rsmt.transport import CorruptionProfile
@@ -31,7 +25,7 @@ profile = CorruptionProfile({1: frozenset({1, 2})})
 table = witness_table(protocol.message_space_size())
 
 # --- the passive baseline ----------------------------------------------------
-stats = run_trials(protocol, profile, {1: PassiveGuess(protocol)}, table, 2000, 1)
+stats = run_cell(protocol, profile, table, 2000, 1)
 print(f"passive: utility {stats.utility_mean[1]:.3f}, "
       f"delivery {stats.suc_rate:.3f}, detection {stats.detect_rate[1]:.3f}")
 
@@ -39,7 +33,7 @@ print(f"passive: utility {stats.utility_mean[1]:.3f}, "
 # Substituting both owned shares: the honest majority cross-checks expose
 # the forgery, the decoder reconstructs from the clean channels, and the
 # adversary ends up detected with payoff ~0.
-stats = run_trials(protocol, profile, {1: Rewrite(protocol, "substitute")}, table, 2000, 1)
+stats = run_cell(protocol, profile, table, 2000, 1, {1: "share-substitution"})
 print(f"substitution: utility {stats.utility_mean[1]:.3f}, "
       f"delivery {stats.suc_rate:.3f}, detection {stats.detect_rate[1]:.3f}")
 

@@ -22,9 +22,9 @@ from . import __version__
 from .config import ConfigError, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, cell_seed, nash_catalog_check
-from .game.play import run_trials
+from .game.play import run_cell
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
-from .game.attacks import PassiveGuess, catalog_for
+from .game.attacks import catalog_for
 from .privacy import CHECKS, EnumerationTooLarge
 from .protocols import VARIANTS
 from .transport import RNG_STREAM, CorruptionProfile
@@ -84,7 +84,10 @@ class ExperimentConfig:
         self.raw = obj
         self.protocol = protocol_from_json(obj.get("protocol") or {})
         self.profile = profile_from_json(obj.get("profile") or {"assignments": {}})
-        self.profile.validate_for(self.protocol.n)
+        try:
+            self.profile.validate_for(self.protocol.n)
+        except ValueError as exc:
+            raise ConfigError(f"bad corruption profile: {exc}") from exc
         util = obj.get("utility")
         size = self.protocol.message_space_size()
         if util is None:
@@ -216,11 +219,10 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
     _write_lines(out, lines)
     if dump_transcript is not None:
         # the passive baseline's first trial, which the report scored
-        strategies = {j: PassiveGuess(config.protocol) for j in config.profile.adversary_ids}
         with open(dump_transcript, "w", encoding="utf-8") as fh:
-            run_trials(config.protocol, config.profile, strategies, config.table, 1,
-                       cell_seed(config.master_seed, 0, "baseline"),
-                       on_transcript=lambda _i, _o, tr: fh.write(tr.to_json_str() + "\n"))
+            run_cell(config.protocol, config.profile, config.table, 1,
+                     cell_seed(config.master_seed, 0, "baseline"),
+                     on_transcript=lambda _i, _o, tr: fh.write(tr.to_json_str() + "\n"))
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK
 
 
@@ -247,37 +249,31 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
         raise ConfigError(f"sweep values must be a list, got {values!r}")
     if axis not in ("ell", "n", "t", "trials"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    ints = [read_int(v, "sweep value") for v in values]
-    if axis == "trials" and min(ints) < 1:
-        raise ConfigError(f"sweep trials must be >= 1, got {min(ints)}")
     ids = config.profile.adversary_ids
     if not ids:
         raise ConfigError("sweep needs at least one adversary in the profile")
     first = ids[0]
     attack_names = config.attacks or ["share-substitution"]
-    points = []  # (value, protocol, trials), all built before any trial runs
-    for value, number in zip(values, ints):
-        if axis == "trials":
-            points.append((value, config.protocol, number))
-            continue
+    raw = config.raw
+    points = []  # (value, config), every point built and checked before any trial runs
+    for value in values:
+        point = (dict(raw, trials=value) if axis == "trials"
+                 else dict(raw, protocol=dict(raw["protocol"], **{axis: value})))
         try:
-            protocol = protocol_from_json(dict(config.raw["protocol"], **{axis: number}))
+            points.append((value, ExperimentConfig(point)))
         except ConfigError as exc:
             print(f"config error at {axis}={value}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        points.append((value, protocol, config.trials))
     lines = _report_header(config) + [
         "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
     ]
-    for value, protocol, trials in points:
-        for entry in catalog_for(protocol.variant, attack_names):
-            strategies = {j: PassiveGuess(protocol) for j in ids}
-            strategies[first] = entry.factory(protocol)
-            stats = run_trials(protocol, config.profile, strategies, config.table,
-                               trials, config.master_seed)
+    for value, point in points:
+        for entry in catalog_for(point.protocol.variant, attack_names):
+            stats = run_cell(point.protocol, point.profile, point.table, point.trials,
+                             point.master_seed, {first: entry.name})
             undetected_wrong = stats.rate(lambda o: not o.suc and first not in o.detect)
             lines.append(
-                f"{axis},{value},{entry.name},{trials},{stats.suc_rate:.6f},"
+                f"{axis},{value},{entry.name},{point.trials},{stats.suc_rate:.6f},"
                 f"{stats.detect_rate[first]:.6f},{undetected_wrong:.6f},"
                 f"{stats.utility_mean[first]:.6f}"
             )

@@ -24,6 +24,7 @@ from .play import (
     GameStats,
     outcome_of,
     play_game,
+    run_cell,
     run_trials,
     trial_seed,
 )

@@ -116,8 +116,7 @@ def requirement_table(u: dict[str, float], lam: int, n: int, d: int, ts: list[in
     corruption budget.  The primed values equal the plain ones; with lam = 1
     the double-primed ones do too."""
     u1, u2, u3, u4 = (u[f"u{i}"] for i in range(1, 5))
-    pp = "pp" if lam > 1 else ""
-    u1pp, u2pp, u3pp, u4pp = (u[f"u{i}{pp}"] for i in range(1, 5))
+    u1pp, u2pp, u3pp, u4pp = (u[f"u{i}pp"] for i in range(1, 5))
     rows: dict[str, tuple[str, object]] = {}
 
     def row(name, inputs, calc, *args):

@@ -13,8 +13,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .attacks import PassiveGuess, catalog_for
-from .play import run_trials
+from .attacks import catalog_for
+from .play import run_cell
 from .utility import UtilityTable
 
 
@@ -55,19 +55,14 @@ def cell_seed(master_seed: int, j: int, attack: str) -> int:
 def nash_catalog_check(protocol, profile, table: UtilityTable, trials: int,
                        master_seed: int, attack_names=None) -> list[ReportRow]:
     entries = catalog_for(protocol.variant, attack_names)
-    ids = profile.adversary_ids
-    passive = {j: PassiveGuess(protocol) for j in ids}
-    baseline = run_trials(protocol, profile, passive, table, trials,
-                          cell_seed(master_seed, 0, "baseline"))
+    baseline = run_cell(protocol, profile, table, trials, cell_seed(master_seed, 0, "baseline"))
     rows = []
-    for j in ids:
+    for j in profile.adversary_ids:
         base_mean = baseline.utility_mean[j]
         base_ci = baseline.utility_ci95[j]
         for entry in entries:
-            strategies = dict(passive)
-            strategies[j] = entry.factory(protocol)
-            stats = run_trials(protocol, profile, strategies, table, trials,
-                               cell_seed(master_seed, j, entry.name))
+            stats = run_cell(protocol, profile, table, trials,
+                             cell_seed(master_seed, j, entry.name), {j: entry.name})
             threshold = base_mean + math.hypot(base_ci, stats.utility_ci95[j])
             rows.append(ReportRow(
                 protocol=protocol.variant,

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ..transport import CorruptionProfile, Transcript, derive_rng, execute
+from .attacks import catalog_for
 from .utility import Outcome, UtilityTable
 
 
@@ -122,3 +123,19 @@ def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
         if on_transcript is not None:
             on_transcript(idx, outcome, transcript)
     return GameStats(counts, tuple(sorted(strategies)), table)
+
+
+def run_cell(protocol, profile: CorruptionProfile, table: UtilityTable, trials: int,
+             master_seed: int, deviations=None, on_transcript=None) -> GameStats:
+    """`run_trials` on one cell of the equilibrium test: adversary j plays
+    the catalog attack named `deviations[j]` and every other adversary of
+    `profile` is passive (no `deviations`: the all-passive baseline).  A
+    name that does not apply to the protocol is `catalog_for`'s ValueError."""
+    names = dict.fromkeys(profile.adversary_ids, "passive")
+    for j, name in (deviations or {}).items():
+        if j not in names:
+            raise ValueError(f"deviation for adversary {j}, who is not in the profile")
+        names[j] = name
+    strategies = {j: catalog_for(protocol.variant, [name])[0].factory(protocol)
+                  for j, name in names.items()}
+    return run_trials(protocol, profile, strategies, table, trials, master_seed, on_transcript)

@@ -88,7 +88,7 @@ class UtilityTable:
         if not self.others_detected_bonus > 0:
             raise UtilityError("multi-adversary model needs a positive bonus")
         u = derive_u_values(self, lam=lam)
-        if not u["u1p"] > max(u["u2p"], u["u3pp"]):
+        if not u["u1"] > max(u["u2"], u["u3pp"]):
             raise UtilityError("derived u1' <= max(u2', u3'')")
 
     def to_json(self) -> dict:
@@ -113,26 +113,19 @@ class UtilityTable:
 
 
 def derive_u_values(table: UtilityTable, lam: int = 1) -> dict[str, float]:
-    """Expected payoffs at uniform-guess rate 1/|M| per (suc, detect) cell.
-
-    With lam > 1, the primed values coincide with the unprimed ones (no other
-    adversary detected) and the double-primed ones add bonus*(lam-1) (all
-    others detected).
+    """Expected payoffs at uniform-guess rate 1/|M| per (suc, detect) cell:
+    u1..u4, and u1pp..u4pp, which add bonus*(lam-1) (all others detected;
+    equal to u1..u4 at lam = 1).  The primed values (no other adversary
+    detected) are u1..u4 themselves.
     """
     inv_m = 1.0 / table.message_space_size
 
     def u(s, d):
         return inv_m * table.base[(1, s, d)] + (1 - inv_m) * table.base[(0, s, d)]
 
-    out = {"u1": u(0, 0), "u2": u(1, 0), "u3": u(0, 1), "u4": u(1, 1)}
-    if lam > 1:
-        extra = table.others_detected_bonus * (lam - 1)
-        out.update(
-            u1p=out["u1"], u2p=out["u2"], u3p=out["u3"], u4p=out["u4"],
-            u1pp=out["u1"] + extra, u2pp=out["u2"] + extra,
-            u3pp=out["u3"] + extra, u4pp=out["u4"] + extra,
-        )
-    return out
+    plain = {"u1": u(0, 0), "u2": u(1, 0), "u3": u(0, 1), "u4": u(1, 1)}
+    extra = table.others_detected_bonus * (lam - 1)
+    return plain | {f"{k}pp": v + extra for k, v in plain.items()}
 
 
 # Guess-indifferent witness table: derived u values are exactly (3, 2, 1, 0).

@@ -28,27 +28,3 @@ VARIANTS: dict[str, type[Protocol]] = {
     P3: CissProtocol,
     "STRAWMAN": StrawmanProtocol,
 }
-
-__all__ = [
-    "Protocol",
-    "ProtocolError",
-    "VARIANTS",
-    "P1",
-    "P2",
-    "P3",
-    "CissProtocol",
-    "ciss_receiver_decode",
-    "ciss_sender_encode",
-    "mismatch_lists",
-    "RssProtocol",
-    "rss_receive",
-    "rss_send",
-    "SjstProtocol",
-    "sjst_finalize_receiver",
-    "sjst_round1_sender",
-    "sjst_round2_receiver",
-    "sjst_round3_sender",
-    "StrawmanProtocol",
-    "strawman_receive",
-    "strawman_send",
-]

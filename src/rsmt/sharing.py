@@ -281,6 +281,8 @@ def robust_share(
 
 def robust_reconstruct(spec: RobustSharingSpec, subset: Mapping[int, Sequence[int]]):
     """Shamir-reconstruct each coordinate (ThresholdError below t+1), then AMD-decode."""
+    if any(len(vec) != spec.share_len for vec in subset.values()):
+        raise SharingError(f"share vectors must have length {spec.share_len}")
     codeword = tuple(
         shamir_reconstruct(spec.inner, {i: vec[k] for i, vec in subset.items()})
         for k in range(spec.share_len)

@@ -9,13 +9,12 @@ import random
 
 from rsmt.field import FieldSpec
 from rsmt.game import (
-    PassiveGuess,
-    Rewrite,
     SwapHalf,
     UtilityTable,
     catalog_for,
     derive_u_values,
     nash_catalog_check,
+    run_cell,
     run_trials,
     witness_table,
 )
@@ -103,8 +102,8 @@ def test_05_sjst_reliability_bound():
     profile = CorruptionProfile({1: frozenset({1, 2})})
     trials = 1_000_000
     bound = (spec.n - 1) * 2.0 ** (1 - spec.ell)  # 2^-7
-    stats = run_trials(spec, profile, {1: Rewrite(spec, "substitute")},
-                       witness_table(spec.message_space_size()), trials, 505)
+    stats = run_cell(spec, profile, witness_table(spec.message_space_size()), trials, 505,
+                     {1: "share-substitution"})
     rate = stats.rate(lambda o: not o.suc)
     limit = bound + three_sigma(bound, trials)
     report(5, "pd-undetected-wrong-rate", rate <= limit,
@@ -115,8 +114,8 @@ def test_06_minority_detection_bound():
     spec = CissProtocol(P1, 5, FieldSpec.binary(16), 1, 16)
     profile = CorruptionProfile({1: frozenset({3})})
     trials = 100_000
-    stats = run_trials(spec, profile, {1: Rewrite(spec, "substitute")},
-                       witness_table(spec.message_space_size()), trials, 606)
+    stats = run_cell(spec, profile, witness_table(spec.message_space_size()), trials, 606,
+                     {1: "share-substitution"})
     rate = stats.rate(lambda o: o.suc and 1 in o.detect)
     miss = (spec.n + 1) ** 2 * 2.0 ** -(spec.ell + 1)
     floor = 1.0 - miss - three_sigma(miss, trials)
@@ -213,15 +212,13 @@ def test_11_robust_mixed_model_reliability(tmp_path):
     dump = tmp_path / "failed_transcripts.jsonl"
     with dump.open("w") as fh:
         for entry in attacks:
-            strategies = {1: entry.factory(proto), 2: PassiveGuess(proto)}
-
             def dump_failed(idx, outcome, transcript, _fh=fh, _a=entry.name):
                 if not outcome.suc:
                     _fh.write(f'{{"attack":"{_a}","transcript":'
                               + transcript.to_json_str() + "}\n")
 
-            stats = run_trials(proto, profile, strategies, table, per_attack,
-                               1100 + attacks.index(entry), on_transcript=dump_failed)
+            stats = run_cell(proto, profile, table, per_attack, 1100 + attacks.index(entry),
+                             {1: entry.name}, on_transcript=dump_failed)
             total += per_attack
             failures += sum(c for o, c in stats.counts.items() if not o.suc)
     rate = 1.0 - failures / total

@@ -133,7 +133,7 @@ def test_bounds_compose_with_witness_table():
     u = derive_u_values(witness_table(16, bonus=0.4), lam=3)
     assert required_ell_pd(u["u1"], u["u2"], u["u3"], u["u4"], 2) == 2
     ell = required_ell_p3(
-        (u["u1p"], u["u2p"], u["u4p"]), (u["u1pp"], u["u2pp"], u["u4pp"]), 7
+        (u["u1"], u["u2"], u["u4"]), (u["u1pp"], u["u2pp"], u["u4pp"]), 7
     )
     assert ell >= required_ell_p1(u["u1"], u["u2"], u["u4"], 7)
 

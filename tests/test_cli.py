@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rsmt
 import rsmt.cli
+import rsmt.game.play
 from rsmt.cli import (
     EXIT_CONFIG,
     EXIT_FLAG,
@@ -20,9 +21,8 @@ from rsmt.cli import (
     protocol_from_json,
 )
 from rsmt.field import FieldSpec
-from rsmt.game.attacks import PassiveGuess
 from rsmt.game.nash import CSV_COLUMNS, cell_seed
-from rsmt.game.play import run_trials
+from rsmt.game.play import run_cell
 from rsmt.game.utility import witness_table
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
@@ -292,9 +292,8 @@ def test_simulate_dump_transcript(tmp_path):
     # the dumped trial is one the report scored: the passive baseline's first
     cfg = ExperimentConfig(P1_CONFIG)
     scored = []
-    run_trials(cfg.protocol, cfg.profile, {1: PassiveGuess(cfg.protocol)}, cfg.table, 1,
-               cell_seed(cfg.master_seed, 0, "baseline"),
-               on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
+    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, cell_seed(cfg.master_seed, 0, "baseline"),
+             on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
     assert dump.read_text() == scored[0] + "\n"
 
 
@@ -383,8 +382,6 @@ def test_flags_without_effect_are_usage_errors(argv):
     ("simulate", {"trials": "x"}, "trials must be an integer, got 'x'"),
     ("simulate", {"master_seed": "x"}, "master_seed must be an integer, got 'x'"),
     ("bounds", {"alpha": "x"}, "alpha must be a number, got 'x'"),
-    ("sweep", {"sweep": {"axis": "ell", "values": ["x"]}},
-     "sweep value must be an integer, got 'x'"),
     ("simulate", {"protocol": dict(P1_CONFIG["protocol"], n=5.9)},
      "n must be an integer, got 5.9"),
     ("simulate", {"trials": 2.5}, "trials must be an integer, got 2.5"),
@@ -407,7 +404,7 @@ def test_flags_without_effect_are_usage_errors(argv):
      "message_space_size must be an integer, got 256.7"),
     ("bounds", {"utility": {"base": WITNESS_BASE, "message_space_size": 16}},
      "message_space_size 16 differs from the protocol's 256"),
-], ids=["n", "trials", "master_seed", "alpha", "sweep-values", "n-fractional",
+], ids=["n", "trials", "master_seed", "alpha", "n-fractional",
         "trials-fractional", "ell-bool", "field-m", "channel-fractional", "alpha-bool",
         "base-string", "base-bool", "base-overflow", "bonus-bool", "size-fractional",
         "size-mismatch"])
@@ -442,7 +439,7 @@ def test_keys_the_protocol_does_not_read_fail_before_any_trial(
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
     monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
     path = write_config(tmp_path, dict(P1_CONFIG, **change))
     assert main([command, "--config", path]) == EXIT_CONFIG
@@ -465,7 +462,7 @@ def test_config_of_the_wrong_shape_names_the_field(tmp_path, capsys, monkeypatch
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
     assert main([command, "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
@@ -483,7 +480,7 @@ def test_attacks_are_read_strictly(tmp_path, capsys, monkeypatch, command, attac
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
     monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
     cfg = dict(P1_CONFIG, attacks=attacks, sweep={"axis": "ell", "values": [8]})
     assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -495,11 +492,51 @@ def test_sweep_without_adversaries_fails_before_any_trial(tmp_path, capsys, monk
     def no_trials(*args, **kwargs):
         raise AssertionError("run_trials called")
 
-    monkeypatch.setattr(rsmt.cli, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
     cfg = dict(P1_CONFIG, profile={"assignments": {}},
                sweep={"axis": "ell", "values": [8]})
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
     assert "at least one adversary" in capsys.readouterr().err
+
+
+SJST_N8 = {"variant": "SJST", "n": 8, "ell": 8, "k": 8}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sweep": {"axis": "ell", "values": [8, "x"]}},
+     "config error at ell=x: bad protocol config: ell must be an integer, got 'x'"),
+    ({"sweep": {"axis": "trials", "values": [20, 0]}},
+     "config error at trials=0: trials must be >= 1, got 0"),
+    ({"sweep": {"axis": "trials", "values": [2.5]}},
+     "config error at trials=2.5: trials must be an integer, got 2.5"),
+    ({"protocol": SJST_N8, "profile": {"assignments": {"1": [5]}},
+      "sweep": {"axis": "n", "values": [8, 3]}},
+     "config error at n=3: bad corruption profile: adversary 1 corrupts nonexistent "
+     "channels [5]"),
+], ids=["ell-not-an-int", "trials-zero", "trials-fractional", "channel-beyond-n"])
+def test_every_sweep_point_is_checked_as_a_full_config_before_any_trial(
+        tmp_path, capsys, monkeypatch, change, message):
+    # the first value of each sweep is a valid point, and still no trial runs
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    path = write_config(tmp_path, dict(P1_CONFIG, **change))
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
+def test_channel_outside_one_to_n_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    cfg = dict(P1_CONFIG, profile={"assignments": {"1": [9]}},
+               sweep={"axis": "ell", "values": [8]})
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: bad corruption profile: adversary 1 corrupts nonexistent channels [9]\n")
 
 
 # --- golden reports ----------------------------------------------------------
@@ -556,13 +593,61 @@ ell,4,passive,200,1.000000,0.000000,0.000000,2.000000
 ell,4,share-substitution,200,0.980000,0.980000,0.020000,0.060000
 ell,4,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 """
+# Captured before sweep points became full configs: one sweep per axis kind
+# (a protocol size, the trial count, a threshold on another protocol).
+SJST_N_SWEEP_CONFIG = {
+    "protocol": {"variant": "SJST", "n": 3, "ell": 4, "k": 8},
+    "profile": {"assignments": {"1": [1, 2]}},
+    "attacks": ["passive", "share-substitution"],
+    "trials": 120,
+    "sweep": {"axis": "n", "values": [3, 5]},
+}
+SJST_N_SWEEP_ROWS = f"""\
+# master_seed 4
+{PROVENANCE}
+axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
+n,3,passive,120,1.000000,0.000000,0.000000,2.000000
+n,3,share-substitution,120,0.925000,1.000000,0.000000,0.075000
+n,5,passive,120,1.000000,0.000000,0.000000,2.000000
+n,5,share-substitution,120,0.891667,1.000000,0.000000,0.108333
+"""
+P1_TRIALS_SWEEP_ROWS = f"""\
+# master_seed 5
+{PROVENANCE}
+axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
+trials,30,share-substitution,30,1.000000,1.000000,0.000000,0.000000
+trials,80,share-substitution,80,0.987500,0.987500,0.012500,0.037500
+"""
+RSS_T_SWEEP_CONFIG = {
+    "protocol": {"variant": "RSS", "n": 5, "t": 1, "d": 1, "field": {"kind": "prime", "p": 11}},
+    "profile": {"assignments": {"1": [1]}},
+    "attacks": ["passive", "block-channel", "share-substitution"],
+    "trials": 100,
+    "sweep": {"axis": "t", "values": [1, 2]},
+}
+RSS_T_SWEEP_ROWS = f"""\
+# master_seed 6
+{PROVENANCE}
+axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
+t,1,passive,100,1.000000,0.000000,0.000000,2.000000
+t,1,block-channel,100,0.000000,1.000000,0.000000,1.000000
+t,1,share-substitution,100,0.000000,0.930000,0.070000,1.140000
+t,2,passive,100,1.000000,0.000000,0.000000,2.000000
+t,2,block-channel,100,0.000000,1.000000,0.000000,1.000000
+t,2,share-substitution,100,0.020000,0.880000,0.100000,1.220000
+"""
 
 
 @pytest.mark.parametrize("argv, config, code, rows", [
     (["simulate", "--seed", "2", "--trials", "50"], STRAWMAN_CONFIG, EXIT_FLAG, STRAWMAN_ROWS),
     (["simulate", "--seed", "3", "--trials", "60"], P1_CONFIG, EXIT_OK, P1_ROWS),
     (["sweep", "--seed", "1"], SJST_SWEEP_CONFIG, EXIT_OK, SJST_SWEEP_ROWS),
-], ids=["simulate-strawman", "simulate-p1", "sweep-sjst"])
+    (["sweep", "--seed", "4"], SJST_N_SWEEP_CONFIG, EXIT_OK, SJST_N_SWEEP_ROWS),
+    (["sweep", "--seed", "5"], dict(P1_CONFIG, sweep={"axis": "trials", "values": [30, 80]}),
+     EXIT_OK, P1_TRIALS_SWEEP_ROWS),
+    (["sweep", "--seed", "6"], RSS_T_SWEEP_CONFIG, EXIT_OK, RSS_T_SWEEP_ROWS),
+], ids=["simulate-strawman", "simulate-p1", "sweep-sjst", "sweep-sjst-n", "sweep-p1-trials",
+        "sweep-rss-t"])
 def test_fixed_seed_report_is_golden(tmp_path, argv, config, code, rows):
     out = tmp_path / "report.csv"
     path = write_config(tmp_path, config)

@@ -29,14 +29,13 @@ def test_demo_runs(path, capsys):
 
 
 def _without_reexports(path: Path) -> str:
-    """The text of `path`; of an `__init__.py`, less its imports and `__all__`."""
+    """The text of `path`; of an `__init__.py`, less its imports."""
     text = path.read_text()
     if path.name != "__init__.py":
         return text
     lines = text.splitlines()
     for node in ast.parse(text).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-                isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
     return "\n".join(lines)
 

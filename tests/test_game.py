@@ -27,6 +27,7 @@ from rsmt.game import (
     derive_u_values,
     nash_catalog_check,
     play_game,
+    run_cell,
     run_trials,
     trial_seed,
     witness_table,
@@ -75,8 +76,12 @@ def test_table_validation_names_violations():
 def test_multi_adversary_double_primed_values():
     table = witness_table(16, bonus=0.4)
     u = derive_u_values(table, lam=3)
-    assert u["u3pp"] == pytest.approx(u["u3p"] + 0.8)
-    assert u["u1p"] == u["u1"]
+    assert u["u3pp"] == pytest.approx(u["u3"] + 0.8)
+    assert set(u) == {f"u{i}{pp}" for i in range(1, 5) for pp in ("", "pp")}
+    # one key set at every lam: with no other adversary the bonus adds nothing
+    single = derive_u_values(table)
+    assert set(single) == set(u)
+    assert all(single[f"u{i}pp"] == single[f"u{i}"] == u[f"u{i}"] for i in range(1, 5))
     table.validate_multi(3)
     with pytest.raises(UtilityError):
         witness_table(16).validate_multi(3)  # bonus must be positive
@@ -362,6 +367,20 @@ def test_nash_report_shape_and_passive_rows():
     assert passive_row.mean == pytest.approx(2.0)
     assert not passive_row.flag
     assert all(len(r.as_csv_fields()) == 8 for r in rows)
+
+
+def test_run_cell_plays_the_named_deviation_against_passive_others():
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
+    strategies = {1: PassiveGuess(PROTO1), 2: Rewrite(PROTO1, "substitute")}
+    cell = run_cell(PROTO1, prof, TABLE, 60, 17, {2: "share-substitution"})
+    assert cell == run_trials(PROTO1, prof, strategies, TABLE, 60, 17)
+    baseline = run_cell(PROTO1, prof, TABLE, 60, 17)
+    assert baseline == run_trials(PROTO1, prof, {1: PassiveGuess(PROTO1), 2: PassiveGuess(PROTO1)},
+                                  TABLE, 60, 17)
+    with pytest.raises(ValueError, match="'length-tamper' does not apply to P1"):
+        run_cell(PROTO1, prof, TABLE, 1, 17, {1: "length-tamper"})
+    with pytest.raises(ValueError, match="adversary 3, who is not in the profile"):
+        run_cell(PROTO1, prof, TABLE, 1, 17, {3: "passive"})
 
 
 def test_nash_zero_flags_at_required_ell():

@@ -454,6 +454,14 @@ def test_robust_reconstruct_needs_t_plus_one():
         robust_reconstruct(RSPEC, {1: shares[1]})
 
 
+def test_robust_reconstruct_rejects_share_vectors_of_the_wrong_length():
+    shares = robust_share(RSPEC, [1], random.Random(0))
+    assert RSPEC.share_len == 3
+    for bad in (shares[1][:2], shares[1] + (1,)):
+        with pytest.raises(SharingError, match="share vectors must have length 3"):
+            robust_reconstruct(RSPEC, {1: bad, 2: shares[2]})
+
+
 def test_robust_privacy_exhaustive():
     # t=1: the distribution of any single share vector is identical for all
     # secrets.  Enumerate all randomness: x and one coefficient per coordinate.
