@@ -30,6 +30,7 @@ from .transport import (
     SimulationFault,
     Transcript,
     derive_rng,
+    derive_streams,
     execute,
     view_of,
 )

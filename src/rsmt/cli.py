@@ -171,6 +171,14 @@ def check_tag_budget(config: ExperimentConfig) -> list[str]:
     return [] if problem is None else [problem]
 
 
+def _adversary_ids(config: ExperimentConfig, command: str) -> tuple[int, ...]:
+    """The profile's adversary ids; a run with none has no deviation to test."""
+    ids = config.profile.adversary_ids
+    if not ids:
+        raise ConfigError(f"{command} needs at least one adversary in the profile")
+    return ids
+
+
 def _report_header(config: ExperimentConfig) -> list[str]:
     import platform  # about 4 ms to import, and only report headers read it
 
@@ -204,6 +212,7 @@ def cmd_bounds(config: ExperimentConfig, out: str | None) -> int:
 
 def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str | None,
                  allow_underspec: bool) -> int:
+    _adversary_ids(config, "simulate")
     problems = check_tag_budget(config)
     if problems and not allow_underspec:
         for msg in problems:
@@ -249,10 +258,7 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
         raise ConfigError(f"sweep values must be a list, got {values!r}")
     if axis not in ("ell", "n", "t", "trials"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    ids = config.profile.adversary_ids
-    if not ids:
-        raise ConfigError("sweep needs at least one adversary in the profile")
-    first = ids[0]
+    first = _adversary_ids(config, "sweep")[0]
     attack_names = config.attacks or ["share-substitution"]
     raw = config.raw
     points = []  # (value, config), every point built and checked before any trial runs

@@ -11,7 +11,8 @@ multiplication two lookups; larger m (up to 32) falls back to
 shift-and-reduce, chosen here in each operation, never by the caller.
 `mul_row` computes a*x + y along a row of x and y in one
 comprehension for every kind of field; `interpolate` sums the cached
-Lagrange basis rows of a point set, one `mul_row` per point.  `ints_below`
+Lagrange basis rows of a point set, one `mul_row` per point, and
+`interpolate_at_zero` takes only their constant entries.  `ints_below`
 is the one rule for field and wire values, which every receiver and the
 sharing layer apply.
 """
@@ -19,8 +20,9 @@ sharing layer apply.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .config import check_keys, read_int
@@ -362,3 +364,12 @@ def interpolate(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> list[i
     for y, row in zip(ys, _lagrange_rows(spec, tuple(xs))):
         coeffs = spec.mul_row(y, row, coeffs)
     return coeffs
+
+
+def interpolate_at_zero(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> int:
+    """The constant term of `interpolate(spec, xs, ys)`: the ys times the
+    constant entries of the cached Lagrange basis rows, summed."""
+    if len(ys) != len(xs):
+        raise FieldError("need one y value per x value")
+    terms = map(spec.mul_int, ys, [row[0] for row in _lagrange_rows(spec, tuple(xs))])
+    return sum(terms) % spec.p if spec.kind == "prime" else reduce(operator.xor, terms, 0)

@@ -22,11 +22,11 @@ from .bounds import (
 from .nash import CSV_COLUMNS, ReportRow, nash_catalog_check
 from .play import (
     GameStats,
+    block_seed,
     outcome_of,
     play_game,
     run_cell,
     run_trials,
-    trial_seed,
 )
 from .utility import (
     Outcome,

@@ -2,10 +2,15 @@
 
 A single play samples a uniform message, runs the protocol under a corruption
 profile and per-adversary strategies, and records its Outcome.  A run counts
-how many plays ended in each Outcome, under derived per-trial seeds, so results
-are reproducible from (config, master_seed) alone and the counts of disjoint
-trial ranges merge by Counter addition.  Rates and utility statistics derive
-from the counts; utility mean and variance are computed exactly.
+how many plays ended in each Outcome.  Its trials go in blocks of
+`BLOCK_TRIALS`: block b makes its streams once, from `block_seed(master_seed,
+b)`, and its trials draw from them in turn, so trial i is block i // B at
+offset i % B and replaying it re-runs the up to B - 1 trials before it in its
+block.  Results are reproducible from (config, master_seed) alone, a run's
+first T trials are those of any longer run, and the counts of trial ranges
+that start and end at block boundaries merge by Counter addition.  Rates and
+utility statistics derive from the counts; utility mean and variance are
+computed exactly.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ..transport import CorruptionProfile, Transcript, derive_rng, execute
+from ..transport import (BLOCK_TRIALS, CorruptionProfile, Streams, Transcript,
+                         derive_streams, execute)
 from .attacks import catalog_for
 from .utility import Outcome, UtilityTable
 
 
-def trial_seed(master_seed: int, index: int) -> int:
-    digest = hashlib.sha256(f"{master_seed}:trial:{index}".encode()).digest()
+def block_seed(master_seed: int, block: int) -> int:
+    digest = hashlib.sha256(f"{master_seed}:block:{block}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -40,15 +46,15 @@ def outcome_of(transcript: Transcript, profile: CorruptionProfile) -> Outcome:
     )
 
 
-def play_game(protocol, profile, strategies, master_seed: int):
+def play_game(protocol, profile, strategies, streams: Streams):
     """One play: returns (Outcome, Transcript).  A profile may be fixed or a
     callable sampling one per trial (attacks that pick a uniformly random
     corrupted subset); it, the message, the sender and the receiver draw in
-    that order from the one honest stream."""
-    honest = derive_rng(master_seed, "honest")
+    that order from the honest stream of `streams`."""
+    honest = streams.honest
     resolved = profile(honest) if callable(profile) else profile
     m = protocol.sample_message(honest)
-    transcript = execute(protocol, m, resolved, strategies, master_seed, honest)
+    transcript = execute(protocol, m, resolved, strategies, streams)
     return outcome_of(transcript, resolved), transcript
 
 
@@ -106,23 +112,25 @@ class GameStats:
 
 def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
                master_seed: int, on_transcript=None) -> GameStats:
-    """Count the outcomes of independent plays.
+    """Count the outcomes of independent plays, block by block.
 
     `strategies` maps each adversary id to its strategy; statistics are
-    reported for those ids.  `on_transcript(index, outcome, transcript)` lets
-    callers dump transcripts of interest (e.g. failed deliveries) without
-    rerunning.
+    reported for those ids, and each block makes one stream per id.
+    `on_transcript(index, outcome, transcript)` lets callers dump transcripts
+    of interest (e.g. failed deliveries) without rerunning.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    ids = tuple(sorted(strategies))
     counts = Counter()
-    for idx in range(trials):
-        outcome, transcript = play_game(protocol, profile, strategies,
-                                        trial_seed(master_seed, idx))
-        counts[outcome] += 1
-        if on_transcript is not None:
-            on_transcript(idx, outcome, transcript)
-    return GameStats(counts, tuple(sorted(strategies)), table)
+    for start in range(0, trials, BLOCK_TRIALS):
+        streams = derive_streams(block_seed(master_seed, start // BLOCK_TRIALS), ids)
+        for idx in range(start, min(trials, start + BLOCK_TRIALS)):
+            outcome, transcript = play_game(protocol, profile, strategies, streams)
+            counts[outcome] += 1
+            if on_transcript is not None:
+                on_transcript(idx, outcome, transcript)
+    return GameStats(counts, ids, table)
 
 
 def run_cell(protocol, profile: CorruptionProfile, table: UtilityTable, trials: int,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .field import FieldSpec, interpolate, ints_below, poly_eval, vanishing_poly
+from .field import (FieldSpec, interpolate, interpolate_at_zero, ints_below, poly_eval,
+                    vanishing_poly)
 
 
 class SharingError(ValueError):
@@ -130,7 +131,7 @@ def shamir_reconstruct(spec: SharingSpec, subset: Mapping[int, int]) -> int:
     f = spec.field
     _check_points(spec, subset)
     _check_values(f, subset.values(), "share")
-    return interpolate(f, list(subset), list(subset.values()))[0]
+    return interpolate_at_zero(f, list(subset), list(subset.values()))
 
 
 def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int):

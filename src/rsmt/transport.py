@@ -10,12 +10,15 @@ for all adversaries; detection declarations of a public-channel protocol
 join it where they are emitted.  The finished transcript keeps that history,
 and `view_of` derives an adversary's final view from it.  Everything is a
 pure function of (protocol config, message, corruption profile, strategy
-code, master seed).
+code, random streams).
 
-Random streams, layout `RNG_STREAM`: the honest parties (profile sampler,
-message sampler, sender, receiver) draw in execution order from one stream,
-`derive_rng(seed, "honest")`; adversary j draws only from its own
-`derive_rng(seed, f"adv-{j}")`, so no strategy holds the honest stream.
+Random streams, layout `RNG_STREAM`: `derive_streams(seed, ids)` makes one
+stream for the honest parties (profile sampler, message sampler, sender,
+receiver), `derive_rng(seed, "honest")`, then one per adversary id j,
+`derive_rng(seed, f"adv-{j}")`, so no strategy holds the honest stream.  A
+game run makes them once per block of `BLOCK_TRIALS` trials (see
+`rsmt.game.play`), and each execution draws on from where the previous one
+stopped; `execute` given a seed makes them for that one execution.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .sharing import FAIL
 
-RNG_STREAM = "v1"
+RNG_STREAM = "v2"
+# Trials that share one set of streams; fixed by the stream version.
+BLOCK_TRIALS = 256
 SENDER_TO_RECEIVER = "s->r"
 RECEIVER_TO_SENDER = "r->s"
 
@@ -62,10 +67,23 @@ class _Empty:
 EMPTY = _Empty()
 
 
-def derive_rng(master_seed: int, label: str) -> random.Random:
+def derive_rng(seed: int, label: str) -> random.Random:
     """Independent, reproducible rng stream for one party."""
-    digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest, "big"))
+
+
+class Streams(NamedTuple):
+    """The honest parties' stream and each adversary id's own stream."""
+
+    honest: random.Random
+    adversaries: Mapping[int, random.Random]
+
+
+def derive_streams(seed: int, adversary_ids) -> Streams:
+    """The honest stream, then one stream per adversary id in the given order."""
+    return Streams(derive_rng(seed, "honest"),
+                   {j: derive_rng(seed, f"adv-{j}") for j in adversary_ids})
 
 
 @dataclass(frozen=True)
@@ -193,8 +211,8 @@ def _payload_json(p):
 class Engine:
     """Single-execution channel simulator handed to a protocol's run()."""
 
-    def __init__(self, n: int, profile: CorruptionProfile, strategies, master_seed: int,
-                 uses_public: bool, honest_rng: random.Random | None = None):
+    def __init__(self, n: int, profile: CorruptionProfile, strategies, streams: Streams,
+                 uses_public: bool):
         profile.validate_for(n)
         missing = [j for j in profile.adversary_ids if j not in strategies]
         if missing:
@@ -203,11 +221,7 @@ class Engine:
         self.profile = profile
         self.strategies = dict(strategies)
         self.uses_public = uses_public
-        # the sender's and receiver's stream; a game play passes the one its
-        # message came from
-        self.honest_rng = (derive_rng(master_seed, "honest") if honest_rng is None
-                           else honest_rng)
-        self.adv_rngs = {j: derive_rng(master_seed, f"adv-{j}") for j in profile.adversary_ids}
+        self.honest_rng, self.adv_rngs = streams
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
         self.public_history: list[tuple[int, Any]] = []
@@ -257,13 +271,14 @@ def _channel_set(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-def execute(protocol, m, profile: CorruptionProfile, strategies, master_seed: int,
-            honest_rng: random.Random | None = None) -> Transcript:
-    """Run `protocol` on message m under the given corruption and strategies;
-    the sender and receiver draw from `honest_rng`, by default a fresh honest
-    stream of `master_seed`."""
-    engine = Engine(protocol.n, profile, strategies, master_seed, protocol.uses_public,
-                    honest_rng)
+def execute(protocol, m, profile: CorruptionProfile, strategies,
+            streams: Streams | int) -> Transcript:
+    """Run `protocol` on message m under the given corruption and strategies,
+    drawing from `streams`; an int is a master seed, whose streams for the
+    profile's adversaries `derive_streams` makes."""
+    if not isinstance(streams, Streams):
+        streams = derive_streams(streams, profile.adversary_ids)
+    engine = Engine(protocol.n, profile, strategies, streams, protocol.uses_public)
     output = protocol.run(engine, m)
     transcript = Transcript(engine.rounds, engine.detect_events, output, {}, m,
                             engine.public_history)

@@ -41,7 +41,7 @@ WITNESS_BASE = witness_table().to_json()["base"]
 
 # The third header line of every bounds/simulate/sweep report.
 PROVENANCE = (f"# provenance rsmt={rsmt.__version__} python={platform.python_version()} "
-              f"rng_stream=v1")
+              f"rng_stream=v2")
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -196,7 +196,7 @@ def test_report_header_carries_provenance(tmp_path, command):
     out = tmp_path / "report.csv"
     main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert out.read_text().splitlines()[1:3] == ["# master_seed 11", PROVENANCE]
-    assert rsmt.RNG_STREAM == "v1"
+    assert rsmt.RNG_STREAM == "v2"
 
 
 def test_bounds_and_simulate_agree_for_several_adversaries(tmp_path, capsys):
@@ -499,6 +499,21 @@ def test_sweep_without_adversaries_fails_before_any_trial(tmp_path, capsys, monk
     assert "at least one adversary" in capsys.readouterr().err
 
 
+def test_simulate_without_adversaries_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
+    out = tmp_path / "report.csv"
+    cfg = dict(P1_CONFIG, profile={"assignments": {}})
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: simulate needs at least one adversary in the profile\n")
+    assert not out.exists()
+
+
 SJST_N8 = {"variant": "SJST", "n": 8, "ell": 8, "k": 8}
 
 
@@ -555,22 +570,22 @@ STRAWMAN_ROWS = f"""\
 {PROVENANCE}
 protocol,adversary,attack,trials,mean,ci95,threshold,flag
 STRAWMAN,1,passive,50,0.400000,0.000000,0.400000,0
-STRAWMAN,1,block-channel,50,7.696000,1.136461,1.536461,1
-STRAWMAN,1,share-substitution,50,8.272000,1.022317,1.422317,1
+STRAWMAN,1,block-channel,50,8.080000,1.064394,1.464394,1
+STRAWMAN,1,share-substitution,50,8.656000,0.923327,1.323327,1
 STRAWMAN,1,share-substitution-1,50,0.400000,0.000000,0.400000,0
-STRAWMAN,1,swap-half,50,8.656000,0.923327,1.323327,1
+STRAWMAN,1,swap-half,50,7.696000,1.136461,1.536461,1
 """
 P1_ROWS = f"""\
 # master_seed 3
 {PROVENANCE}
 protocol,adversary,attack,trials,mean,ci95,threshold,flag
 P1,1,passive,60,2.000000,0.000000,2.000000,0
-P1,1,block-channel,60,0.150000,0.165443,2.165443,0
-P1,1,share-substitution,60,0.000000,0.000000,2.000000,0
-P1,1,share-substitution-1,60,0.000000,0.000000,2.000000,0
+P1,1,block-channel,60,0.000000,0.000000,2.000000,0
+P1,1,share-substitution,60,0.050000,0.097180,2.097180,0
+P1,1,share-substitution-1,60,0.033333,0.064787,2.064787,0
 P1,1,tag-framing,60,2.000000,0.000000,2.000000,0
-P1,1,mask-framing,60,0.100000,0.136263,2.136263,0
-P1,1,swap-half,60,0.150000,0.165443,2.165443,0
+P1,1,mask-framing,60,0.050000,0.097180,2.097180,0
+P1,1,swap-half,60,0.050000,0.097180,2.097180,0
 """
 SJST_SWEEP_CONFIG = {
     "protocol": {"variant": "SJST", "n": 3, "ell": 2, "k": 8},
@@ -587,10 +602,10 @@ SJST_SWEEP_ROWS = f"""\
 {PROVENANCE}
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 ell,2,passive,200,1.000000,0.000000,0.000000,2.000000
-ell,2,share-substitution,200,0.775000,0.775000,0.225000,0.675000
+ell,2,share-substitution,200,0.700000,0.700000,0.300000,0.900000
 ell,2,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 ell,4,passive,200,1.000000,0.000000,0.000000,2.000000
-ell,4,share-substitution,200,0.980000,0.980000,0.020000,0.060000
+ell,4,share-substitution,200,0.940000,0.940000,0.060000,0.180000
 ell,4,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 """
 # Captured before sweep points became full configs: one sweep per axis kind
@@ -607,15 +622,15 @@ SJST_N_SWEEP_ROWS = f"""\
 {PROVENANCE}
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 n,3,passive,120,1.000000,0.000000,0.000000,2.000000
-n,3,share-substitution,120,0.925000,1.000000,0.000000,0.075000
+n,3,share-substitution,120,0.875000,0.991667,0.008333,0.141667
 n,5,passive,120,1.000000,0.000000,0.000000,2.000000
-n,5,share-substitution,120,0.891667,1.000000,0.000000,0.108333
+n,5,share-substitution,120,0.866667,0.991667,0.008333,0.150000
 """
 P1_TRIALS_SWEEP_ROWS = f"""\
 # master_seed 5
 {PROVENANCE}
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
-trials,30,share-substitution,30,1.000000,1.000000,0.000000,0.000000
+trials,30,share-substitution,30,0.966667,0.966667,0.033333,0.100000
 trials,80,share-substitution,80,0.987500,0.987500,0.012500,0.037500
 """
 RSS_T_SWEEP_CONFIG = {
@@ -631,10 +646,10 @@ RSS_T_SWEEP_ROWS = f"""\
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 t,1,passive,100,1.000000,0.000000,0.000000,2.000000
 t,1,block-channel,100,0.000000,1.000000,0.000000,1.000000
-t,1,share-substitution,100,0.000000,0.930000,0.070000,1.140000
+t,1,share-substitution,100,0.020000,0.940000,0.040000,1.100000
 t,2,passive,100,1.000000,0.000000,0.000000,2.000000
 t,2,block-channel,100,0.000000,1.000000,0.000000,1.000000
-t,2,share-substitution,100,0.020000,0.880000,0.100000,1.220000
+t,2,share-substitution,100,0.010000,0.900000,0.090000,1.190000
 """
 
 

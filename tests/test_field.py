@@ -22,6 +22,7 @@ from rsmt.field import (
     _is_prime,
     _lagrange_rows,
     interpolate,
+    interpolate_at_zero,
     poly_eval,
 )
 from rsmt.protocols import SjstProtocol
@@ -245,6 +246,8 @@ def test_interpolate_duplicate_x_raises():
         interpolate(GF7, [], [])
     with pytest.raises(FieldError):
         interpolate(GF7, [1, 2], [1])
+    with pytest.raises(FieldError):
+        interpolate_at_zero(GF7, [1, 2], [1])
 
 
 def test_interpolate_roundtrip_random():
@@ -321,6 +324,7 @@ def test_interpolate_equals_reference(case):
     assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
     # a repeated point set goes through the cached inverse differences
     assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
+    assert interpolate_at_zero(spec, xs, ys) == reference_interpolate(spec, xs, ys)[0]
 
 
 @pytest.mark.parametrize("spec", _FIELDS, ids=repr)

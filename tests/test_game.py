@@ -13,7 +13,7 @@ from rsmt.field import FieldSpec
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.protocols.ciss import P1, P2, P3
 from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
-from rsmt.transport import CorruptionProfile
+from rsmt.transport import BLOCK_TRIALS, CorruptionProfile, derive_streams
 from rsmt.game import (
     BlockChannels,
     GameStats,
@@ -23,15 +23,17 @@ from rsmt.game import (
     UtilityError,
     UtilityTable,
     WITNESS_BASE,
+    block_seed,
     catalog_for,
     derive_u_values,
     nash_catalog_check,
     play_game,
     run_cell,
     run_trials,
-    trial_seed,
     witness_table,
 )
+
+from block_walk import walk_trials
 
 GF256 = FieldSpec.binary(8)
 PROTO1 = CissProtocol(P1, 5, GF256, 1, 8)
@@ -100,12 +102,13 @@ def test_table_json_roundtrip():
 
 
 def test_all_passive_yields_u_values():
-    outcome, transcript = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, 123)
+    outcome, transcript = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)},
+                                    derive_streams(123, (1,)))
     assert outcome.suc == 1 and outcome.detect == frozenset()
     # utility is base(guess, 1, 0): 2.0 for the witness table either way
     assert GameStats(Counter({outcome: 1}), (1,), TABLE).utility_mean == {1: 2.0}
     # replaying the same seed reproduces everything
-    o2, t2 = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, 123)
+    o2, t2 = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, derive_streams(123, (1,)))
     assert o2 == outcome
     assert t2.to_json_str() == transcript.to_json_str()
 
@@ -132,8 +135,8 @@ def test_run_trials_rejects_no_trials(trials):
         run_trials(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, TABLE, trials, 9)
 
 
-def test_trial_seeds_are_distinct():
-    seeds = {trial_seed(5, i) for i in range(1000)}
+def test_block_seeds_are_distinct():
+    seeds = {block_seed(5, b) for b in range(1000)}
     assert len(seeds) == 1000
 
 
@@ -143,7 +146,7 @@ def test_multi_adversary_bonus_applied():
     table = witness_table(PROTO1.message_space_size(), bonus=0.25)
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
     strategies = {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)}
-    outcome, _ = play_game(PROTO1, prof, strategies, 17)
+    outcome, _ = play_game(PROTO1, prof, strategies, derive_streams(17, (1, 2)))
     assert outcome.suc == 1 and outcome.detect == {1}
     stats = GameStats(Counter({outcome: 1}), (1, 2), table)
     assert stats.utility_mean[2] == table.base[(int(2 in outcome.guess), 1, 0)] + 0.25
@@ -156,7 +159,7 @@ def test_detect_attribution_requires_tampering():
     strategies = {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)}
     caught = 0
     for seed in range(50):
-        outcome, _ = play_game(PROTO1, prof, strategies, seed)
+        outcome, _ = play_game(PROTO1, prof, strategies, derive_streams(seed, (1, 2)))
         assert 2 not in outcome.detect
         caught += 1 in outcome.detect
     assert caught > 45  # tamperer itself escapes only on hash collisions
@@ -172,7 +175,7 @@ def test_rss_detection_is_global():
     strategies = {1: Rewrite(rss, "substitute"), 2: PassiveGuess(rss)}
     flagged_both = 0
     for seed in range(50):
-        outcome, _ = play_game(rss, prof, strategies, seed)
+        outcome, _ = play_game(rss, prof, strategies, derive_streams(seed, (1, 2)))
         if 1 in outcome.detect:
             assert 2 in outcome.detect
             flagged_both += 1
@@ -198,8 +201,7 @@ def random_pair_profile(rng):
 def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
     """Utility mean and CI scored one play at a time, in exact arithmetic."""
     samples = {j: [] for j in strategies}
-    for idx in range(trials):
-        outcome, _ = play_game(protocol, profile, strategies, trial_seed(master_seed, idx))
+    for outcome, _ in walk_trials(protocol, profile, strategies, trials, master_seed):
         for j, payoffs in samples.items():
             d = int(j in outcome.detect)
             payoffs.append(Fraction(table.payoff(
@@ -216,7 +218,7 @@ def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
     (STRAWMAN, random_pair_profile, {1: SwapHalf(STRAWMAN)}, STRAWMAN_TABLE),
 ], ids=["p1-two-adversaries-bonus-0.1", "strawman-callable-profile"])
 def test_statistics_equal_exact_per_trial_oracle(protocol, profile, strategies, table):
-    trials = 400
+    trials = BLOCK_TRIALS + 144  # a full block and part of the next
     stats = run_trials(protocol, profile, strategies, table, trials, 31)
     assert sum(stats.counts.values()) == stats.trials == trials
     mean, ci = per_trial_oracle(protocol, profile, strategies, table, trials, 31)
@@ -227,13 +229,14 @@ def test_statistics_equal_exact_per_trial_oracle(protocol, profile, strategies, 
 def test_counts_cover_every_trial_and_give_the_rates():
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
     strategies = {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)}
-    stats = run_trials(PROTO1, prof, strategies, TABLE, 200, 4)
-    outcomes = [play_game(PROTO1, prof, strategies, trial_seed(4, i))[0] for i in range(200)]
+    trials = BLOCK_TRIALS + 44  # a full block and part of the next
+    stats = run_trials(PROTO1, prof, strategies, TABLE, trials, 4)
+    outcomes = [o for o, _ in walk_trials(PROTO1, prof, strategies, trials, 4)]
     assert stats.counts == Counter(outcomes)
-    assert stats.suc_rate == sum(o.suc for o in outcomes) / 200
+    assert stats.suc_rate == sum(o.suc for o in outcomes) / trials
     for j in (1, 2):
-        assert stats.guess_rate[j] == sum(j in o.guess for o in outcomes) / 200
-        assert stats.detect_rate[j] == sum(j in o.detect for o in outcomes) / 200
+        assert stats.guess_rate[j] == sum(j in o.guess for o in outcomes) / trials
+        assert stats.detect_rate[j] == sum(j in o.detect for o in outcomes) / trials
 
 
 _payoffs = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -423,7 +426,7 @@ P3_WIDE_GOLDEN = {
 }
 # SHA-256 over every transcript's JSON, attacks in catalog order: pins each
 # payload, draw and decode, not only the outcome cells.
-P3_WIDE_TRANSCRIPTS = "fac35f262c70489a58cb830321c37599aece54013aed49c60ff62683ede141bb"
+P3_WIDE_TRANSCRIPTS = "c07be1c8269b9f0ffb0202bd33e19fb99243f1a603d97a496aca0c9ff9df3131"
 
 
 def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
@@ -449,36 +452,36 @@ SJST_SWEEP_PROFILE = CorruptionProfile({1: frozenset({1, 2})})
 # and master seed 2026, SHA-256 of trial 0's transcript JSON), for SJST with
 # k = l = 8 under every SJST catalog attack.
 SJST_SWEEP_GOLDEN = {
-    (3, "passive"): ({(1, (), ()): 200},
-                     "fce49e7a84e70f0f45415587c6c7ad74a40c117ad2496f2105805c74c6692907"),
-    (3, "block-channel"): ({(1, (), (1,)): 200},
-                           "07d21126dbe9283d179ff86e8b521e91839b00b2d7669cd45fe94369b7543cbd"),
-    (3, "share-substitution"): ({(0, (), (1,)): 2, (1, (), (1,)): 198},
-                                "330637cbdcbaf63054c396c0a79a18fb3c530866987b656f9d21a2ed084e7429"),
-    (3, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
-                                  "14073bbb3f32677b79adbbcf6414fa835edf5f47052d0a9d308dec08f4405bd7"),
+    (3, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
+                     "d79e0536b3f96c1d6607654970a6ccb744170408c57f316e916cb79337d64d00"),
+    (3, "block-channel"): ({(1, (), (1,)): 198, (1, (1,), (1,)): 2},
+                           "557e0d9b79ee0690767c8083b3ffab981128fb0c927ad738ff6df883afeea826"),
+    (3, "share-substitution"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
+                                "75e0dda14e3878b40ff47f58e2a4d502b08c7fb407959d00b6d73e767e563738"),
+    (3, "share-substitution-1"): ({(1, (), (1,)): 200},
+                                  "a612522cf9b867dc1e0163ac50c36643d36a05d0b3c9d21f7b82e27e65e3ac9d"),
     (3, "length-tamper"): ({(1, (), (1,)): 200},
-                           "34a4e7d6bc55a8e75d757f24b42ede909a3064456f8e66c9f9747b3c5b5a7c8a"),
-    (8, "passive"): ({(1, (), ()): 200},
-                     "ff815fd3fe519964b91606602564a98ffab9e84410b50cfcca782b1009823cce"),
-    (8, "block-channel"): ({(1, (), (1,)): 200},
-                           "f3d5268bfc1f9719c6aac66f5a3d82170ed345b0609c2822be508214b47b30d8"),
-    (8, "share-substitution"): ({(0, (), (1,)): 2, (1, (), (1,)): 198},
-                                "c35241b7c9d4136ebd65e25a68a4fc5244763836b36d7b9ef378dcea37a353d9"),
-    (8, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
-                                  "ca799aa171badff83e34d2c341c8c392a7a68c247f1522bae7dd733af43558b6"),
+                           "02e5edc2fe6626cb24879a883042a8942933a5d76a53f7f60a8c530b2b79be0e"),
+    (8, "passive"): ({(1, (), ()): 198, (1, (1,), ()): 2},
+                     "509ec699b5af6a4a4e3d25541230f1d44831ba48b139f3af64adc7c821dc2056"),
+    (8, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
+                           "0c7ec8b3b6f0d722ba27d7a33602df2d6a1117dd5c08dc8964c515769bc283d6"),
+    (8, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
+                                "6771eacb227e05b10d66f7747ec00925ec8612c5e8ccaddb7b103129e7f19432"),
+    (8, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 199},
+                                  "64ca5609820a3862e861a32f236ce3c0ed9617fb56c700f9f097c9475f9cec5a"),
     (8, "length-tamper"): ({(1, (), (1,)): 200},
-                           "f27bb73bfb1e24e810db602ae90ffb27a4f49ca415adc46bf1ef97a5e0ac9d70"),
-    (16, "passive"): ({(1, (), ()): 200},
-                      "aa2ab02bf86d7c892598632364653084542fdf29a5e9cc528143cac749b8aab0"),
+                           "118b62db3453a5662839f1187e0b63c985ea8676013cd7cb6cd1bf78a33d516b"),
+    (16, "passive"): ({(1, (), ()): 198, (1, (1,), ()): 2},
+                      "b17710c9b46f31488c6550bc6448a39e69d5020cfa49a1f90c1f6d83c22d074d"),
     (16, "block-channel"): ({(1, (), (1,)): 200},
-                            "65fd6e8f4ad94dc22d8e082b374062ced932180fec22321f6b146984448f7a40"),
-    (16, "share-substitution"): ({(0, (), (1,)): 2, (1, (), (1,)): 198},
-                                 "5f712dc6c960d381eb2a301122ec646e9f3b5d82bf085dd1a15f539af24841fe"),
-    (16, "share-substitution-1"): ({(0, (), ()): 2, (1, (), (1,)): 197, (1, (1,), (1,)): 1},
-                                   "96220eea3055cbce0b422e8ffbb8b23d58e1758dd00b8424b52fae694e748504"),
+                            "15cb4b0bcd8ad41706a7183f47fb25f2e8275964968630ec06caacb85bb16e82"),
+    (16, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
+                                 "8b49c75d077eebb088c254d431ad437216b68883935c30c14a66daf69fa0de24"),
+    (16, "share-substitution-1"): ({(1, (), (1,)): 200},
+                                   "c927e60b395226cc2cc89deab8f5b5725354ceddc8f4d81e687308d637fb020d"),
     (16, "length-tamper"): ({(1, (), (1,)): 200},
-                            "b307df7cab7843af7c63bf0afb2fc27d4512691c854c954eca5cec875721e279"),
+                            "e87f5359578881cd1f391e191c904c504cfb4470d4d4811ed53c809ca0b83d29"),
 }
 
 

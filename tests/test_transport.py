@@ -1,11 +1,13 @@
 import copy
+import itertools
 import json
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import rsmt.game.play
 import rsmt.transport
 from rsmt.field import FieldSpec
 from rsmt.game import Rewrite, play_game, run_trials, witness_table
@@ -13,11 +15,14 @@ from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProt
 from rsmt.protocols.ciss import P1, P2, P3
 from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import (
+    BLOCK_TRIALS,
     EMPTY,
     AdversaryStrategy,
     CorruptionProfile,
+    Engine,
     SimulationFault,
     derive_rng,
+    derive_streams,
     execute,
     view_of,
 )
@@ -43,7 +48,7 @@ def test_derive_rng_deterministic_and_label_separated():
     assert derive_rng(7, "adv-1").random() != derive_rng(8, "adv-1").random()
 
 
-# --- the random-stream layout (RNG_STREAM v1) -------------------------------
+# --- the random-stream layout (RNG_STREAM v2) -------------------------------
 
 
 STREAM_PROTOCOLS = {
@@ -61,13 +66,12 @@ def _record_derivations(monkeypatch):
     caller looked `derive_rng` up."""
     made = []
 
-    def recording(master_seed, label):
-        rng = derive_rng(master_seed, label)
+    def recording(seed, label):
+        rng = derive_rng(seed, label)
         made.append((label, rng))
         return rng
 
     monkeypatch.setattr(rsmt.transport, "derive_rng", recording)
-    monkeypatch.setattr(rsmt.game.play, "derive_rng", recording)
     return made
 
 
@@ -92,18 +96,21 @@ class _DrawsAndRecords(AdversaryStrategy):
 
 
 @pytest.mark.parametrize("variant", sorted(STREAM_PROTOCOLS))
-def test_a_trial_derives_one_honest_stream_and_one_per_adversary(monkeypatch, variant):
+def test_a_block_derives_one_honest_stream_and_one_per_adversary(monkeypatch, variant):
     protocol = STREAM_PROTOCOLS[variant]
     made = _record_derivations(monkeypatch)
     prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
     strategies = {1: _DrawsAndRecords(protocol), 2: _DrawsAndRecords(protocol)}
-    run_trials(protocol, prof, strategies, witness_table(protocol.message_space_size()), 4, 3)
-    assert [label for label, _ in made] == ["honest", "adv-1", "adv-2"] * 4
+    trials = 2 * BLOCK_TRIALS + 1  # two full blocks and one trial of a third
+    run_trials(protocol, prof, strategies, witness_table(protocol.message_space_size()),
+               trials, 3)
+    assert [label for label, _ in made] == ["honest", "adv-1", "adv-2"] * 3
     honest = {id(rng) for label, rng in made if label == "honest"}
     for j, strategy in strategies.items():
-        assert strategy.rngs and not honest & set(map(id, strategy.rngs))
-        own = {id(rng) for label, rng in made if label == f"adv-{j}"}
-        assert set(map(id, strategy.rngs)) <= own
+        assert len(strategy.rngs) >= trials and not honest & set(map(id, strategy.rngs))
+        own = [id(rng) for label, rng in made if label == f"adv-{j}"]
+        # the strategy is handed block 0's stream, then block 1's, then block 2's
+        assert [k for k, _ in itertools.groupby(map(id, strategy.rngs))] == own
 
 
 class _DrawsNothingVisible(AdversaryStrategy):
@@ -114,10 +121,35 @@ class _DrawsNothingVisible(AdversaryStrategy):
         return {}
 
 
+_PREFIX_TRIALS = (1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_PREFIX_TRIALS), st.sampled_from(_PREFIX_TRIALS),
+       st.integers(0, 2**32))
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(t1, t2, seed):
+    t1, t2 = sorted((t1, t2))
+    protocol = SjstProtocol(3, 2, 8)  # 2-bit tags: substitution often goes unseen
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
+    strategies = {1: Rewrite(protocol, "substitute"), 2: _DrawsNothingVisible()}
+    table = witness_table(protocol.message_space_size())
+
+    def played(trials):
+        seen = []
+        run_trials(protocol, prof, strategies, table, trials, seed,
+                   on_transcript=lambda i, o, tr: seen.append((i, o, tr.to_json_str())))
+        return seen
+
+    longer = played(t2)
+    assert [i for i, _, _ in longer] == list(range(t2))
+    assert played(t1) == longer[:t1]
+
+
 def test_sjst_transcript_replays_from_the_honest_stream():
     protocol, seed = SjstProtocol(3, 4, 8), 41
     prof = CorruptionProfile({1: frozenset({2})})
-    _, tr = play_game(protocol, prof, {1: _DrawsNothingVisible()}, seed)
+    _, tr = play_game(protocol, prof, {1: _DrawsNothingVisible()},
+                      derive_streams(seed, (1,)))
     # the honest stream by hand: message, round-1 pairs (r_i, R_i), then the
     # round-2 keys (a_i, b_i), ascending channel
     rng = derive_rng(seed, "honest")
@@ -142,7 +174,7 @@ def test_callable_profile_draws_first_from_the_honest_stream():
         return CorruptionProfile({1: frozenset({rng.randrange(1, 4)})})
 
     protocol = SjstProtocol(3, 4, 8)
-    _, tr = play_game(protocol, sampler, {1: AdversaryStrategy()}, 9)
+    _, tr = play_game(protocol, sampler, {1: AdversaryStrategy()}, derive_streams(9, (1,)))
     rng = derive_rng(9, "honest")
     assert states == [rng.getstate()]
     rng.randrange(1, 4)
@@ -297,10 +329,8 @@ def test_final_view_is_view_of_with_detects_in_emission_order():
 
 
 def test_public_send_requires_public_protocol():
-    from rsmt.transport import Engine
-
     prof = CorruptionProfile({1: frozenset({1})})
-    eng = Engine(3, prof, {1: AdversaryStrategy()}, 1, uses_public=False)
+    eng = Engine(3, prof, {1: AdversaryStrategy()}, derive_streams(1, (1,)), uses_public=False)
     with pytest.raises(SimulationFault):
         eng.send_public("s->r", (1, 2))
     with pytest.raises(SimulationFault):
