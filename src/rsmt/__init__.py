@@ -28,7 +28,6 @@ from .transport import (
     CorruptionProfile,
     Engine,
     SimulationFault,
-    Transcript,
     derive_rng,
     derive_streams,
     execute,

@@ -15,6 +15,7 @@ flag raised, 3 config error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -25,7 +26,7 @@ from .game.nash import CSV_COLUMNS, cell_seed, nash_catalog_check
 from .game.play import run_cell
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
 from .game.attacks import catalog_for
-from .privacy import CHECKS, EnumerationTooLarge
+from .privacy import CHECKS
 from .protocols import VARIANTS
 from .transport import RNG_STREAM, CorruptionProfile
 
@@ -188,13 +189,20 @@ def _report_header(config: ExperimentConfig) -> list[str]:
             f"rng_stream={RNG_STREAM}"]
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _open_for_writing(path: str):
+    """`path` opened for writing; commands open their outputs before any
+    trial runs, so a path that cannot be written is a ConfigError up front."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _report_file(path: str | None):
+    """Where a report goes: stdout for None or "-", else the opened `path`."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return _open_for_writing(path)
 
 
 def cmd_bounds(config: ExperimentConfig, out: str | None) -> int:
@@ -205,8 +213,8 @@ def cmd_bounds(config: ExperimentConfig, out: str | None) -> int:
         elif isinstance(value, float):
             value = f"{value:g}"
         rows.append(f"{name},{inputs},{value}")
-    lines = _report_header(config) + ["bound,inputs,value"] + rows
-    _write_lines(out, lines)
+    with _report_file(out) as fh:
+        fh.write("\n".join(_report_header(config) + ["bound,inputs,value"] + rows) + "\n")
     return EXIT_OK
 
 
@@ -219,19 +227,21 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
             print(f"config error: {msg} (use --allow-underspec to probe anyway)",
                   file=sys.stderr)
         return EXIT_CONFIG
-    rows = nash_catalog_check(
-        config.protocol, config.profile, config.table, config.trials,
-        config.master_seed, attack_names=config.attacks,
-    )
-    lines = _report_header(config) + [",".join(CSV_COLUMNS)]
-    lines += [",".join(r.as_csv_fields()) for r in rows]
-    _write_lines(out, lines)
-    if dump_transcript is not None:
-        # the passive baseline's first trial, which the report scored
-        with open(dump_transcript, "w", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(_report_file(out))
+        dump = (None if dump_transcript is None
+                else files.enter_context(_open_for_writing(dump_transcript)))
+        rows = nash_catalog_check(
+            config.protocol, config.profile, config.table, config.trials,
+            config.master_seed, attack_names=config.attacks,
+        )
+        lines = _report_header(config) + [",".join(CSV_COLUMNS)]
+        fh.write("\n".join(lines + [",".join(r.as_csv_fields()) for r in rows]) + "\n")
+        if dump is not None:
+            # the passive baseline's first trial, which the report scored
             run_cell(config.protocol, config.profile, config.table, 1,
                      cell_seed(config.master_seed, 0, "baseline"),
-                     on_transcript=lambda _i, _o, tr: fh.write(tr.to_json_str() + "\n"))
+                     on_transcript=lambda _i, _o, engine: dump.write(engine.to_json_str() + "\n"))
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK
 
 
@@ -239,12 +249,13 @@ def cmd_verify(out: str | None) -> int:
     """Exhaustive checks at fixed tiny parameters; exact counts vs bounds."""
     lines = []
     failures = 0
-    for name, bound, run in CHECKS:
-        observed, ok = run()
-        failures += not ok
-        lines.append(f"{name}: observed={observed} bound={bound} [{'pass' if ok else 'FAIL'}]")
-    lines.append(f"FAILURES: {failures}" if failures else "all checks passed")
-    _write_lines(out, lines)
+    with _report_file(out) as fh:
+        for name, bound, run in CHECKS:
+            observed, ok = run()
+            failures += not ok
+            lines.append(f"{name}: observed={observed} bound={bound} [{'pass' if ok else 'FAIL'}]")
+        lines.append(f"FAILURES: {failures}" if failures else "all checks passed")
+        fh.write("\n".join(lines) + "\n")
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -273,17 +284,18 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
     lines = _report_header(config) + [
         "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
     ]
-    for value, point in points:
-        for entry in catalog_for(point.protocol.variant, attack_names):
-            stats = run_cell(point.protocol, point.profile, point.table, point.trials,
-                             point.master_seed, {first: entry.name})
-            undetected_wrong = stats.rate(lambda o: not o.suc and first not in o.detect)
-            lines.append(
-                f"{axis},{value},{entry.name},{point.trials},{stats.suc_rate:.6f},"
-                f"{stats.detect_rate[first]:.6f},{undetected_wrong:.6f},"
-                f"{stats.utility_mean[first]:.6f}"
-            )
-    _write_lines(out, lines)
+    with _report_file(out) as fh:
+        for value, point in points:
+            for entry in catalog_for(point.protocol.variant, attack_names):
+                stats = run_cell(point.protocol, point.profile, point.table, point.trials,
+                                 point.master_seed, {first: entry.name})
+                undetected_wrong = stats.rate(lambda o: not o.suc and first not in o.detect)
+                lines.append(
+                    f"{axis},{value},{entry.name},{point.trials},{stats.suc_rate:.6f},"
+                    f"{stats.detect_rate[first]:.6f},{undetected_wrong:.6f},"
+                    f"{stats.utility_mean[first]:.6f}"
+                )
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -307,22 +319,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            try:
-                return cmd_verify(args.out)
-            except EnumerationTooLarge as exc:
-                print(f"refusing: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            return cmd_verify(args.out)
         config = load_config(args.config, args)
         if args.command == "bounds":
             return cmd_bounds(config, args.out)
         if args.command == "simulate":
             return cmd_simulate(config, args.out, args.dump_transcript, args.allow_underspec)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.out)
+        return cmd_sweep(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -107,11 +107,8 @@ def _gf2_irreducible(poly: int, m: int) -> bool:
 
 def smallest_irreducible_poly(m: int) -> int:
     """Lexicographically smallest irreducible polynomial of degree m."""
-    for low in range(1, 1 << m, 2):
-        candidate = (1 << m) | low
-        if _gf2_irreducible(candidate, m):
-            return candidate
-    raise FieldError(f"no irreducible polynomial of degree {m} found")
+    # one exists for every degree, so the search always ends
+    return next(poly for poly in range((1 << m) | 1, 2 << m, 2) if _gf2_irreducible(poly, m))
 
 
 class FieldSpec:

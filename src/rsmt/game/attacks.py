@@ -49,9 +49,10 @@ class BlockChannels(RandomGuessStrategy):
 
 
 class Rewrite(RandomGuessStrategy):
-    """Rewrites owned first-round payloads (the lowest `limit` channels, or
-    all) with the protocol method `hook`, e.g. `substitute` for fresh shares
-    or `frame_tags` for random cross-tags."""
+    """Rewrites the owned payloads (the lowest `limit` channels, or all) with
+    the protocol method `hook`, e.g. `substitute` for fresh shares or
+    `frame_tags` for random cross-tags.  Every protocol sends one channel
+    round, so this is the only round a strategy is asked about."""
 
     def __init__(self, protocol: Protocol, hook: str, limit: int | None = None):
         super().__init__(protocol)
@@ -59,8 +60,6 @@ class Rewrite(RandomGuessStrategy):
         self.limit = limit
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
-        if round_index != 0:
-            return {}
         return {c: self.rewrite(own_payloads[c], rng) for c in sorted(own_payloads)[: self.limit]}
 
 
@@ -77,8 +76,6 @@ class SwapHalf(RandomGuessStrategy):
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         p = self.protocol
-        if round_index != 0:
-            return {}
         fake = self.encode(p.sample_message(rng), rng)
         out = {c: fake[c] for c in own_payloads}
         t = len(own_payloads)

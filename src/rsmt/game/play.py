@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ..transport import (BLOCK_TRIALS, CorruptionProfile, Streams, Transcript,
-                         derive_streams, execute)
+from ..transport import BLOCK_TRIALS, CorruptionProfile, Engine, Streams, derive_streams, execute
 from .attacks import catalog_for
 from .utility import Outcome, UtilityTable
 
@@ -33,29 +32,30 @@ def block_seed(master_seed: int, block: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def outcome_of(transcript: Transcript, profile: CorruptionProfile) -> Outcome:
-    m = transcript.message
-    events = transcript.detect_events
+def outcome_of(engine: Engine, profile: CorruptionProfile) -> Outcome:
+    """How the execution that `engine` ran ended."""
+    m = engine.message
+    events = engine.detect_events
     detected_channels = {ch for ch, _ in events} if events else None
     ids = profile.adversary_ids
     return Outcome(
-        suc=int(transcript.receiver_output == m),
-        guess=frozenset(j for j in ids if transcript.adversary_outputs.get(j) == m),
+        suc=int(engine.receiver_output == m),
+        guess=frozenset(j for j in ids if engine.adversary_outputs.get(j) == m),
         detect=frozenset(j for j in ids if not profile.channels_of(j).isdisjoint(
             detected_channels)) if events else frozenset(),
     )
 
 
 def play_game(protocol, profile, strategies, streams: Streams):
-    """One play: returns (Outcome, Transcript).  A profile may be fixed or a
-    callable sampling one per trial (attacks that pick a uniformly random
-    corrupted subset); it, the message, the sender and the receiver draw in
-    that order from the honest stream of `streams`."""
+    """One play: returns (Outcome, the engine that ran it).  A profile may be
+    fixed or a callable sampling one per trial (attacks that pick a uniformly
+    random corrupted subset); it, the message, the sender and the receiver
+    draw in that order from the honest stream of `streams`."""
     honest = streams.honest
     resolved = profile(honest) if callable(profile) else profile
     m = protocol.sample_message(honest)
-    transcript = execute(protocol, m, resolved, strategies, streams)
-    return outcome_of(transcript, resolved), transcript
+    engine = execute(protocol, m, resolved, strategies, streams)
+    return outcome_of(engine, resolved), engine
 
 
 @dataclass
@@ -116,8 +116,9 @@ def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
 
     `strategies` maps each adversary id to its strategy; statistics are
     reported for those ids, and each block makes one stream per id.
-    `on_transcript(index, outcome, transcript)` lets callers dump transcripts
-    of interest (e.g. failed deliveries) without rerunning.
+    `on_transcript(index, outcome, engine)` hands each play's engine, its
+    transcript, to callers that dump those of interest (e.g. failed
+    deliveries) without rerunning.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -126,10 +127,10 @@ def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
     for start in range(0, trials, BLOCK_TRIALS):
         streams = derive_streams(block_seed(master_seed, start // BLOCK_TRIALS), ids)
         for idx in range(start, min(trials, start + BLOCK_TRIALS)):
-            outcome, transcript = play_game(protocol, profile, strategies, streams)
+            outcome, engine = play_game(protocol, profile, strategies, streams)
             counts[outcome] += 1
             if on_transcript is not None:
-                on_transcript(idx, outcome, transcript)
+                on_transcript(idx, outcome, engine)
     return GameStats(counts, ids, table)
 
 

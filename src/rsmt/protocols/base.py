@@ -47,7 +47,7 @@ class Protocol:
         raise NotImplementedError
 
     def substitute(self, payload, rng: random.Random):
-        """A first-round payload with the share-bearing part replaced by
+        """A channel payload with the share-bearing part replaced by
         fresh uniform values, everything else kept."""
         raise NotImplementedError
 

@@ -18,8 +18,10 @@ The three variants differ in threshold and in how the lists drive the output:
     endpoints into L; any non-empty L aborts with FAIL after declaring
     detection — a framing attempt self-incriminates.
   ROBUST ("P3", threshold floor((n-1)/3)): the majority list only drives
-    detection; the message is rebuilt from all n shares through
-    error-correcting reconstruction tolerating floor((n-1)/3) bad shares.
+    detection, and no list is declared without one; the message is rebuilt
+    from all n shares through error-correcting reconstruction tolerating
+    floor((n-1)/3) bad shares, so it is delivered whenever at most that
+    many channels are tampered, majority or not.
 """
 
 from __future__ import annotations
@@ -236,21 +238,22 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
         return _reconstruct_plain(spec, parsed, range(1, spec.n + 1)), []
 
     majority = _majority_list(spec, lists)
-    if majority is None:
-        return FAIL, []
     if spec.variant == P1:
+        if majority is None:
+            return FAIL, []
+        # The channels whose lists agree on `majority` are not in it, so
+        # more than t shares are left to rebuild from.
         good = [i for i in range(1, spec.n + 1) if i not in majority]
-        if len(good) <= spec.t:
-            return FAIL, list(majority)
         return _reconstruct_plain(spec, parsed, good), list(majority)
 
-    # ROBUST variant: the list only drives detection; reconstruction uses all
-    # n shares with error correction.
+    # ROBUST variant: the list only drives detection (none without a
+    # majority); reconstruction uses all n shares with error correction.
+    detected = list(majority or ())
     out = []
     for k in range(spec.d):
         shares = {i: parsed[i][0][k] for i in range(1, spec.n + 1)}
         got = rs_reconstruct(spec.sharing, shares, max_errors=spec.t)
         if got is FAIL:
-            return FAIL, list(majority)
+            return FAIL, detected
         out.append(got)
-    return tuple(out), list(majority)
+    return tuple(out), detected

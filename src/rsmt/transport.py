@@ -7,10 +7,10 @@ id) gets a rushing look at its own corrupted channels and may return
 replacements for them — and only them.  The public channel is observable by
 everyone and can never be altered, so the engine keeps one public history
 for all adversaries; detection declarations of a public-channel protocol
-join it where they are emitted.  The finished transcript keeps that history,
-and `view_of` derives an adversary's final view from it.  Everything is a
-pure function of (protocol config, message, corruption profile, strategy
-code, random streams).
+join it where they are emitted.  The engine that ran an execution is its
+transcript: it keeps that history, and `view_of` derives an adversary's
+final view from it.  Everything is a pure function of (protocol config,
+message, corruption profile, strategy code, random streams).
 
 Random streams, layout `RNG_STREAM`: `derive_streams(seed, ids)` makes one
 stream for the honest parties (profile sampler, message sampler, sender,
@@ -163,39 +163,6 @@ class AdversaryView:
                 for r in self.records if r.pre]
 
 
-@dataclass
-class Transcript:
-    rounds: list[RoundRecord]
-    detect_events: list[tuple[int, int]]  # (channel, round index)
-    receiver_output: Any
-    adversary_outputs: dict[int, Any]
-    message: Any = None
-    public_history: list[tuple[int, Any]] = dc_field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "index": r.index,
-                    "direction": r.direction,
-                    "pre": {str(c): _payload_json(p) for c, p in r.pre.items()},
-                    "post": {str(c): _payload_json(p) for c, p in r.post.items()},
-                    "public": _payload_json(r.public),
-                }
-                for r in self.rounds
-            ],
-            "detect_events": [list(ev) for ev in self.detect_events],
-            "receiver_output": _payload_json(self.receiver_output),
-            "adversary_outputs": {
-                str(j): _payload_json(g) for j, g in self.adversary_outputs.items()
-            },
-            "message": _payload_json(self.message),
-        }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-
 def _payload_json(p):
     if p is EMPTY:
         return {"empty": True}
@@ -209,7 +176,10 @@ def _payload_json(p):
 
 
 class Engine:
-    """Single-execution channel simulator handed to a protocol's run()."""
+    """Single-execution channel simulator handed to a protocol's run(), and
+    the transcript of that execution: the rounds, detection events and
+    public history it records, plus the message, the receiver's output and
+    each adversary's final guess, which `execute` fills in."""
 
     def __init__(self, n: int, profile: CorruptionProfile, strategies, streams: Streams,
                  uses_public: bool):
@@ -225,6 +195,9 @@ class Engine:
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
         self.public_history: list[tuple[int, Any]] = []
+        self.message: Any = None
+        self.receiver_output: Any = None
+        self.adversary_outputs: dict[int, Any] = {}
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Deliver one round of channel payloads; returns post-tamper payloads."""
@@ -265,6 +238,29 @@ class Engine:
             # adversary learns about them.
             self.public_history.append((round_idx, ("DETECT", channel)))
 
+    def to_json(self) -> dict:
+        return {
+            "rounds": [
+                {
+                    "index": r.index,
+                    "direction": r.direction,
+                    "pre": {str(c): _payload_json(p) for c, p in r.pre.items()},
+                    "post": {str(c): _payload_json(p) for c, p in r.post.items()},
+                    "public": _payload_json(r.public),
+                }
+                for r in self.rounds
+            ],
+            "detect_events": [list(ev) for ev in self.detect_events],
+            "receiver_output": _payload_json(self.receiver_output),
+            "adversary_outputs": {
+                str(j): _payload_json(g) for j, g in self.adversary_outputs.items()
+            },
+            "message": _payload_json(self.message),
+        }
+
+    def to_json_str(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+
 
 @functools.lru_cache(maxsize=64)
 def _channel_set(n: int) -> frozenset[int]:
@@ -272,24 +268,23 @@ def _channel_set(n: int) -> frozenset[int]:
 
 
 def execute(protocol, m, profile: CorruptionProfile, strategies,
-            streams: Streams | int) -> Transcript:
+            streams: Streams | int) -> Engine:
     """Run `protocol` on message m under the given corruption and strategies,
     drawing from `streams`; an int is a master seed, whose streams for the
-    profile's adversaries `derive_streams` makes."""
+    profile's adversaries `derive_streams` makes.  Returns the engine that
+    ran, which is the execution's transcript."""
     if not isinstance(streams, Streams):
         streams = derive_streams(streams, profile.adversary_ids)
     engine = Engine(protocol.n, profile, strategies, streams, protocol.uses_public)
-    output = protocol.run(engine, m)
-    transcript = Transcript(engine.rounds, engine.detect_events, output, {}, m,
-                            engine.public_history)
+    engine.message = m
+    engine.receiver_output = protocol.run(engine, m)
     for j in profile.adversary_ids:
-        view = view_of(transcript, profile, j)
-        transcript.adversary_outputs[j] = strategies[j].final_guess(view, engine.adv_rngs[j])
-    return transcript
+        view = view_of(engine, profile, j)
+        engine.adversary_outputs[j] = strategies[j].final_guess(view, engine.adv_rngs[j])
+    return engine
 
 
-def view_of(transcript: Transcript, profile: CorruptionProfile, j: int) -> AdversaryView:
-    """Adversary j's view of a finished transcript: its own channels in every
+def view_of(engine: Engine, profile: CorruptionProfile, j: int) -> AdversaryView:
+    """Adversary j's view of a finished execution: its own channels in every
     round plus the whole public history, detection declarations included."""
-    return AdversaryView(profile.channels_of(j), list(transcript.public_history),
-                         transcript.rounds)
+    return AdversaryView(profile.channels_of(j), list(engine.public_history), engine.rounds)

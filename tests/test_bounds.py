@@ -88,6 +88,13 @@ def test_rss_requires_strict_timidity():
         required_delta_rss(U1, U3, U3)  # u2 == u3
 
 
+def test_calculators_name_the_order_they_need():
+    with pytest.raises(BoundError, match="requires u1 > u3"):
+        required_delta_rss(1.0, 2.0, 1.5)  # u2 > u3, but u1 <= u3
+    with pytest.raises(BoundError, match="need u1 >= u2 > u4"):
+        required_ell_p1(1.0, 2.0, 0.0, 5)  # u1 < u2
+
+
 def test_rss_delta_scales():
     # doubling the failure gap halves the admissible delta
     assert required_delta_rss(5.0, U2, U3) == 0.25

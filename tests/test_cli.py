@@ -360,6 +360,82 @@ def test_verify_exit_paths(tmp_path, monkeypatch):
     ]
 
 
+def _refuse_work(monkeypatch):
+    """Make any trial or verify check fail the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(rsmt.game.play, "run_trials", no_work)
+    monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_work)
+    monkeypatch.setattr(rsmt.cli, "CHECKS", (Check("no-work", 0, no_work),))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("bounds", "--out"), ("simulate", "--out"), ("simulate", "--dump-transcript"),
+    ("sweep", "--out"), ("verify", "--out"),
+])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command, flag, where):
+    _refuse_work(monkeypatch)
+    bad = tmp_path / "absent" / "r.csv" if where == "missing-directory" else tmp_path
+    argv = [command, flag, str(bad)]
+    if command != "verify":
+        cfg = dict(P1_CONFIG, sweep={"axis": "ell", "values": [8]})
+        argv += ["--config", write_config(tmp_path, cfg)]
+    if flag == "--dump-transcript":
+        argv += ["--out", str(tmp_path / "report.csv")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {bad}: ") and err.count("\n") == 1
+
+
+RSS_CONFIG = {"protocol": {"variant": "RSS", "n": 3, "t": 1, "d": 1,
+                           "field": {"kind": "prime", "p": 251}},
+              "profile": {"assignments": {"1": [1]}}}
+# Timid but not strictly timid: u = (3, 1, 1, 0), so u2 = u3.
+U2_IS_U3 = {"base": {"000": 3.0, "100": 3.0, "010": 1.0, "110": 1.0,
+                     "001": 1.0, "101": 1.0, "011": 0.0, "111": 0.0}}
+
+
+def test_table_that_is_timid_but_not_strictly_timid(tmp_path, capsys):
+    path = write_config(tmp_path, dict(RSS_CONFIG, utility=U2_IS_U3))
+    assert main(["bounds", "--config", path]) == EXIT_OK
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[4:])
+    inapplicable = "-,N/A (inapplicable: requires u2 > u3 (strictly timid))"
+    assert rows["rss-delta"] == rows["rss-field-bits"] == inapplicable
+    assert rows["pd-tag-bits"] == "u=(3;1;1;0) t=1 alpha=None,3"  # it needs no u2 > u3
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: bound calculator inapplicable: inapplicable: requires u2 > u3 "
+        "(strictly timid) (use --allow-underspec to probe anyway)\n")
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("bounds", {"utility": {"base": dict(WITNESS_BASE, **{"100": 2.5})}},
+     "utility table not admissible: base(1,0,0) < base(0,0,0): payoff must not decrease "
+     "in guess"),
+    ("bounds", {"utility": {"base": WITNESS_BASE, "others_detected_bonus": -1}},
+     "bad utility table: others-detected bonus must be >= 0"),
+    ("sweep", {"sweep": {"axis": "k", "values": [8]}}, "unknown sweep axis 'k'"),
+    ("bounds", {"protocol": dict(P1_CONFIG["protocol"],
+                                 field={"kind": "binary", "m": 4, "poly": 0x11B})},
+     "bad protocol config: poly 0x11b is not irreducible of degree 4"),
+    ("simulate", {"protocol": dict(P1_CONFIG["protocol"], d=0)},
+     "bad protocol config: message length d must be >= 1"),
+    ("simulate", {"protocol": {"variant": "STRAWMAN", "n": 2,
+                               "field": {"kind": "prime", "p": 7}}},
+     "bad protocol config: n=2 leaves no sharing threshold"),
+], ids=["guess-lowers-payoff", "negative-bonus", "sweep-axis", "poly-degree", "d-zero",
+        "strawman-n2"])
+def test_reachable_config_errors_exit_3(tmp_path, capsys, monkeypatch, command, change,
+                                        message):
+    _refuse_work(monkeypatch)
+    assert main([command, "--config", write_config(tmp_path, dict(P1_CONFIG, **change))]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--seed", "1"],
     ["verify", "--trials", "10"],

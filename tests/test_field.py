@@ -102,6 +102,13 @@ def test_binary_rejects_large_m():
         FieldSpec.binary(33)
     with pytest.raises(FieldError):
         FieldSpec.binary(0)
+    with pytest.raises(FieldError, match="extension degree m=0 out of range"):
+        FieldSpec("binary", m=0, poly=0x3)  # the constructor checks it too
+
+
+def test_field_constructor_names_an_unknown_kind():
+    with pytest.raises(FieldError, match="unknown field kind 'ternary'"):
+        FieldSpec("ternary")
 
 
 def test_binary_without_default_poly_rejects_m_above_32_at_once():

@@ -85,6 +85,8 @@ def test_multi_adversary_double_primed_values():
     assert set(single) == set(u)
     assert all(single[f"u{i}pp"] == single[f"u{i}"] == u[f"u{i}"] for i in range(1, 5))
     table.validate_multi(3)
+    with pytest.raises(UtilityError, match="needs lam >= 2"):
+        table.validate_multi(1)
     with pytest.raises(UtilityError):
         witness_table(16).validate_multi(3)  # bonus must be positive
     with pytest.raises(UtilityError):
@@ -326,6 +328,67 @@ def test_p3_wide_substitution_on_one_channel_always_delivers():
         stats = run_trials(p3, prof, {1: Rewrite(p3, "substitute")},
                            witness_table(p3.message_space_size()), 100, channel)
         assert stats.suc_rate == 1.0
+
+
+# Small fields and short tags make tag collisions, and with them rounds
+# whose mismatch lists have no majority, common.
+_SMALL_FIELDS = [FieldSpec.binary(m) for m in (3, 4, 5, 8)] + [FieldSpec.prime(p) for p in (7, 17)]
+
+
+@st.composite
+def _p3_attacked(draw):
+    """P3 over (n, field, d, l) with one adversary owning 1..t channels."""
+    field = draw(st.sampled_from(_SMALL_FIELDS))
+    n = draw(st.integers(4, min(13, field.q - 1)))
+    d = draw(st.integers(1, 2))
+    p3 = CissProtocol(P3, n, field, d, draw(st.integers(1, min(4, d * field.elem_bits))))
+    channels = draw(st.sets(st.integers(1, n), min_size=1, max_size=p3.t))
+    return p3, CorruptionProfile({1: frozenset(channels)})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_p3_attacked(), st.integers(0, 2**32))
+def test_p3_delivers_under_every_catalog_attack_up_to_t_channels(case, seed):
+    # P3 reconstructs from all n shares with error correction, so whether
+    # the mismatch lists agree on a majority must not decide delivery.
+    p3, prof = case
+    table = witness_table(p3.message_space_size())
+    for entry in catalog_for(P3):
+        stats = run_cell(p3, prof, table, 12, seed, {1: entry.name})
+        assert stats.suc_rate == 1.0, entry.name
+
+
+@st.composite
+def _any_protocol(draw):
+    """Every variant over its parameters: (n, field, d, l), or (n, k, l)
+    for SJST."""
+    variant = draw(st.sampled_from(["SJST", "RSS", P1, P2, P3, "STRAWMAN"]))
+    if variant == "SJST":
+        k = draw(st.integers(1, 16))
+        return SjstProtocol(draw(st.integers(1, 8)), draw(st.integers(1, k)), k)
+    field = draw(st.sampled_from(_SMALL_FIELDS))
+    low = {"RSS": 2, P1: 3, P2: 2, P3: 4, "STRAWMAN": 3}[variant]
+    n = draw(st.integers(low, min(10, field.q - 1)))
+    if variant == "STRAWMAN":
+        return StrawmanProtocol(n, field)
+    d = draw(st.integers(1, 3))
+    if variant == "RSS":
+        d = d if (d + 2) % field.char else d + 1
+        return RssProtocol(RobustSharingSpec(AmdSpec(field, d),
+                                             SharingSpec(draw(st.integers(1, n - 1)), n, field)))
+    return CissProtocol(variant, n, field, d, draw(st.integers(1, min(6, d * field.elem_bits))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_any_protocol(), st.data())
+def test_passive_runs_deliver_and_flag_nothing(protocol, data):
+    channels = data.draw(st.sets(st.integers(1, protocol.n), min_size=1))
+    prof = CorruptionProfile({1: frozenset(channels)})
+    detects = []
+    stats = run_cell(protocol, prof, witness_table(protocol.message_space_size()), 8,
+                     data.draw(st.integers(0, 2**32)),
+                     on_transcript=lambda _i, _o, engine: detects.extend(engine.detect_events))
+    assert stats.suc_rate == 1.0 and detects == []
 
 
 def test_length_tamper_always_detected():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import rsmt.privacy
 
 from rsmt.field import FieldSpec
+from rsmt.hashing import HashFamilySpec
 from rsmt.privacy import (
     EnumerationTooLarge,
     ForcedDraws,
@@ -17,6 +18,7 @@ from rsmt.privacy import (
     _max_distance,
     amd_failure_max,
     ciss_view_distance,
+    hash_pairs_uniform,
     rss_view_distance,
     shamir_privacy_distance,
     view_distance,
@@ -125,6 +127,18 @@ def test_shamir_t_shares_reveal_nothing():
 def test_amd_failure_is_exactly_d_plus_1_over_q():
     assert amd_failure_max(GF5, 1) == Fraction(2, 5)
     assert amd_failure_max(GF7, 1) == Fraction(2, 7)
+
+
+class _NoSlopeFamily(HashFamilySpec):
+    """Only the a = 0 members: every input gets the same tag."""
+
+    def members(self):
+        return ((0, b) for b in range(1 << self.domain_bits))
+
+
+def test_pair_uniformity_check_can_fail():
+    assert hash_pairs_uniform(HashFamilySpec(3, 1))
+    assert not hash_pairs_uniform(_NoSlopeFamily(3, 1))
 
 
 def test_rss_view_is_independent_of_message():

@@ -115,6 +115,8 @@ def test_threshold_formulas():
         CissProtocol(P3, 3, GF256, 1, 8)  # floor(2/3) = 0
     with pytest.raises(ProtocolError):
         CissProtocol(P1, 5, GF256, 1, 9)  # ell > serialized share width
+    with pytest.raises(ProtocolError, match="unknown variant 'P9'"):
+        CissProtocol("P9", 5, GF256, 1, 8)
 
 
 def test_encode_structure_and_tag_oracle():

@@ -337,6 +337,22 @@ def test_public_send_requires_public_protocol():
         eng.emit_detect(9)
 
 
+class _DropsChannel:
+    """A protocol whose one round leaves out its last channel."""
+
+    n = 3
+    uses_public = False
+
+    def run(self, engine, m):
+        return engine.send_round("s->r", {1: m, 2: m})
+
+
+def test_a_round_without_every_channel_is_a_simulation_fault():
+    prof = CorruptionProfile({1: frozenset({1})})
+    with pytest.raises(SimulationFault, match="exactly one payload per channel"):
+        execute(_DropsChannel(), 1, prof, {1: AdversaryStrategy()}, 0)
+
+
 def test_transcript_json_serializes_payload_kinds():
     prof = CorruptionProfile({1: frozenset({1})})
     tr = execute(PROTO, (3,), prof, {1: _Blocks()}, 6)
