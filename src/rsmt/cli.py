@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -189,23 +190,26 @@ def _report_header(config: ExperimentConfig) -> list[str]:
             f"rng_stream={RNG_STREAM}"]
 
 
-def _open_for_writing(path: str):
-    """`path` opened for writing; commands open their outputs before any
-    trial runs, so a path that cannot be written is a ConfigError up front."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+@contextlib.contextmanager
+def _outputs(*paths):
+    """The files `paths` name ("-" is stdout, None no file), opened before any work
+    runs.  Each is first opened to append, so a path that cannot be written is
+    a ConfigError that empties no file and removes the files this call made."""
+    named = [p for p in paths if p not in (None, "-")]
+    new = [p for p in named if not os.path.exists(p)]
+    for path in named:
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            for made in filter(os.path.exists, new):
+                os.remove(made)
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with contextlib.ExitStack() as stack:
+        yield [None if p is None else sys.stdout if p == "-"
+               else stack.enter_context(open(p, "w", encoding="utf-8")) for p in paths]
 
 
-def _report_file(path: str | None):
-    """Where a report goes: stdout for None or "-", else the opened `path`."""
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return _open_for_writing(path)
-
-
-def cmd_bounds(config: ExperimentConfig, out: str | None) -> int:
+def cmd_bounds(config: ExperimentConfig, out: str) -> int:
     rows = []
     for name, (inputs, value) in _requirements(config).items():
         if isinstance(value, BoundError):
@@ -213,12 +217,12 @@ def cmd_bounds(config: ExperimentConfig, out: str | None) -> int:
         elif isinstance(value, float):
             value = f"{value:g}"
         rows.append(f"{name},{inputs},{value}")
-    with _report_file(out) as fh:
+    with _outputs(out) as (fh,):
         fh.write("\n".join(_report_header(config) + ["bound,inputs,value"] + rows) + "\n")
     return EXIT_OK
 
 
-def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str | None,
+def cmd_simulate(config: ExperimentConfig, out: str, dump_transcript: str | None,
                  allow_underspec: bool) -> int:
     _adversary_ids(config, "simulate")
     problems = check_tag_budget(config)
@@ -227,10 +231,7 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
             print(f"config error: {msg} (use --allow-underspec to probe anyway)",
                   file=sys.stderr)
         return EXIT_CONFIG
-    with contextlib.ExitStack() as files:
-        fh = files.enter_context(_report_file(out))
-        dump = (None if dump_transcript is None
-                else files.enter_context(_open_for_writing(dump_transcript)))
+    with _outputs(out, dump_transcript) as (fh, dump):
         rows = nash_catalog_check(
             config.protocol, config.profile, config.table, config.trials,
             config.master_seed, attack_names=config.attacks,
@@ -245,11 +246,11 @@ def cmd_simulate(config: ExperimentConfig, out: str | None, dump_transcript: str
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK
 
 
-def cmd_verify(out: str | None) -> int:
+def cmd_verify(out: str) -> int:
     """Exhaustive checks at fixed tiny parameters; exact counts vs bounds."""
     lines = []
     failures = 0
-    with _report_file(out) as fh:
+    with _outputs(out) as (fh,):
         for name, bound, run in CHECKS:
             observed, ok = run()
             failures += not ok
@@ -259,7 +260,7 @@ def cmd_verify(out: str | None) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
+def cmd_sweep(config: ExperimentConfig, out: str) -> int:
     sweep = config.sweep
     if not isinstance(sweep, dict) or not sweep.get("axis") or not sweep.get("values"):
         raise ConfigError("sweep requires {'axis': ..., 'values': [...]} in config")
@@ -284,7 +285,7 @@ def cmd_sweep(config: ExperimentConfig, out: str | None) -> int:
     lines = _report_header(config) + [
         "axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean"
     ]
-    with _report_file(out) as fh:
+    with _outputs(out) as (fh,):
         for value, point in points:
             for entry in catalog_for(point.protocol.variant, attack_names):
                 stats = run_cell(point.protocol, point.profile, point.table, point.trials,
@@ -310,10 +311,10 @@ def main(argv=None) -> int:
             sp.add_argument("--config", required=True, help="experiment config JSON")
             sp.add_argument("--seed", type=int, default=None, help="master seed override")
             sp.add_argument("--trials", type=int, default=None, help="trial count override")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--out", default="-", help="output path (default stdout)")
         if name == "simulate":
             sp.add_argument("--dump-transcript", default=None,
-                            help="write one replayable transcript")
+                            help="write one replayable transcript (- for stdout)")
             sp.add_argument("--allow-underspec", action="store_true",
                             help="run even when the tag budget is below the required bound")
     args = parser.parse_args(argv)

@@ -9,12 +9,12 @@ For m <= 16 one loop precomputes a log/exp table pair from the first
 generator it finds (lists up to m = 12, compact `array('H')` above), making
 multiplication two lookups; larger m (up to 32) falls back to
 shift-and-reduce, chosen here in each operation, never by the caller.
-`mul_row` computes a*x + y along a row of x and y in one
-comprehension for every kind of field; `interpolate` sums the cached
-Lagrange basis rows of a point set, one `mul_row` per point, and
-`interpolate_at_zero` takes only their constant entries.  `ints_below`
-is the one rule for field and wire values, which every receiver and the
-sharing layer apply.
+`mul_row` computes a*x + y along a row of x and y in one comprehension
+for every kind of field; `interpolate` sums the cached Lagrange basis rows
+of a point set, one `mul_row` per point, and `interpolate_at_zero` and
+`lagrange_values` take the rows' values at 0 or at other points.
+`ints_below` is the one rule for field and wire values, which every
+receiver and the sharing layer apply.
 """
 
 from __future__ import annotations
@@ -348,6 +348,12 @@ def _lagrange_rows(spec: FieldSpec, xs: tuple[int, ...]) -> tuple[tuple[int, ...
             quot[j] = spec.add_int(quot[j], spec.mul_int(a, quot[j + 1]))
         rows.append(tuple(spec.mul_row(spec.inv_int(poly_eval(spec, quot, a)), quot, [0] * k)))
     return tuple(rows)
+
+
+@lru_cache(maxsize=1024)
+def lagrange_values(spec: FieldSpec, xs: tuple[int, ...], at: tuple[int, ...]):
+    """Row i holds the Lagrange basis row of xs[i] evaluated at each point of `at`."""
+    return tuple(tuple(poly_eval(spec, row, a) for a in at) for row in _lagrange_rows(spec, xs))
 
 
 def interpolate(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> list[int]:

@@ -246,12 +246,13 @@ def ciss_receiver_decode(spec: CissProtocol, payloads):
         good = [i for i in range(1, spec.n + 1) if i not in majority]
         return _reconstruct_plain(spec, parsed, good), list(majority)
 
-    # ROBUST variant: the list only drives detection (none without a
-    # majority); reconstruction uses all n shares with error correction.
+    # ROBUST variant: the list drives detection (none without a majority) and
+    # goes last, so the decoder's candidate comes from unflagged shares.
     detected = list(majority or ())
+    order = [i for i in range(1, spec.n + 1) if i not in detected] + detected
     out = []
     for k in range(spec.d):
-        shares = {i: parsed[i][0][k] for i in range(1, spec.n + 1)}
+        shares = {i: parsed[i][0][k] for i in order}
         got = rs_reconstruct(spec.sharing, shares, max_errors=spec.t)
         if got is FAIL:
             return FAIL, detected

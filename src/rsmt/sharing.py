@@ -2,9 +2,9 @@
 
 Secrets, shares and codewords are canonical field integers, and share i of
 an n-share sharing sits at evaluation point i.  Three layers:
-  * Shamir sharing with plain and error-correcting reconstruction (Gao's
-    extended-Euclid Reed-Solomon decoder, done at once when the interpolant
-    of all n shares has degree <= t; its polynomial steps run on `mul_row`),
+  * Shamir sharing with plain and error-correcting reconstruction (a
+    candidate codeword through t+1 shares, then Gao's extended-Euclid
+    Reed-Solomon decoder if it fails; polynomial steps run on `mul_row`),
   * an algebraic manipulation detection code whose codeword is the flat
     tuple (s_1, ..., s_d, x, x^(d+2) + sum s_i x^i),
   * their composition: coordinate-wise Shamir sharing of the AMD codeword,
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .field import (FieldSpec, interpolate, interpolate_at_zero, ints_below, poly_eval,
-                    vanishing_poly)
+from .field import (FieldSpec, interpolate, interpolate_at_zero, ints_below, lagrange_values,
+                    poly_eval, vanishing_poly)
 
 
 class SharingError(ValueError):
@@ -138,10 +138,14 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     """Error-correcting reconstruction tolerating up to `max_errors` bad shares.
 
     Returns the unique secret whose degree-<=t sharing agrees with at least
-    n - max_errors of the given shares, or FAIL if none exists.  Gao's
-    decoder: interpolate all n shares to g1, run the extended Euclidean
-    algorithm on (prod (x - i), g1) until the remainder g has degree
-    < (n + t + 1)/2, with g = u*prod + v*g1; the codeword polynomial is g/v.
+    n - max_errors of the given shares, or FAIL if none exists.  First the
+    candidate through the first t+1 shares in the mapping's order, returned
+    when n - e shares agree with it: two such polynomials of degree <= t
+    agree on n - 2e >= t+1 points, so they are equal, and the order picks
+    only whether Gao's decoder runs, never the result.  Gao: interpolate all
+    n shares to g1, run the extended Euclidean algorithm on (prod (x - i),
+    g1) until the remainder g has degree < (n + t + 1)/2, with g = u*prod +
+    v*g1; the codeword polynomial is g/v.
     """
     e = max_errors
     if type(e) is not int or e < 0:
@@ -156,10 +160,13 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     f = spec.field
     ys = [shares[i] for i in xs]
     _check_values(f, ys, "share")
-
+    order = [*map(int, shares)]  # the keys equal 1..n; as ints, for the cache
+    at = [0] * (n - k + 1)  # the candidate at 0, then at the other n - t - 1 points
+    for i, row in zip(order, lagrange_values(f, tuple(order[:k]), (0, *order[k:]))):
+        at = f.mul_row(shares[i], row, at)
+    if sum(a != shares[i] for a, i in zip(at[1:], order[k:])) <= e:
+        return at[0]
     r1 = _trim(interpolate(f, xs, ys))
-    if len(r1) <= k:  # every share lies on r1
-        return r1[0] if r1 else 0
     r0 = spec.vanishing
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n + k:

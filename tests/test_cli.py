@@ -390,6 +390,44 @@ def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypa
     assert err.startswith(f"config error: cannot write {bad}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("report", ["new", "existing"])
+def test_refused_simulate_leaves_no_file_behind(tmp_path, capsys, monkeypatch, report):
+    # the report path opens, the dump path does not: the refusal removes the
+    # report file it created and leaves one that was there as it was
+    _refuse_work(monkeypatch)
+    out = tmp_path / "r.csv"
+    if report == "existing":
+        out.write_text("an earlier report\n")
+    argv = ["simulate", "--config", write_config(tmp_path, P1_CONFIG), "--out", str(out),
+            "--dump-transcript", str(tmp_path / "absent" / "t.json")]
+    assert main(argv) == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+    if report == "existing":
+        assert out.read_text() == "an earlier report\n"
+    else:
+        assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["cfg.json"] + (["r.csv"] if report == "existing" else []))
+
+
+def test_simulate_dump_transcript_to_stdout(tmp_path, capsys, monkeypatch):
+    # "-" is stdout for the dump as for the report: the transcript follows
+    # the report there, and no file named "-" appears
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, P1_CONFIG)
+    assert main(["simulate", "--config", path, "--trials", "5", "--out", "-",
+                 "--dump-transcript", "-"]) == EXIT_OK
+    report = capsys.readouterr().out
+    assert main(["simulate", "--config", path, "--trials", "5"]) == EXIT_OK
+    alone = capsys.readouterr().out
+    cfg = ExperimentConfig(P1_CONFIG)
+    scored = []
+    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, cell_seed(cfg.master_seed, 0, "baseline"),
+             on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
+    assert report == alone + scored[0] + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 RSS_CONFIG = {"protocol": {"variant": "RSS", "n": 3, "t": 1, "d": 1,
                            "field": {"kind": "prime", "p": 251}},
               "profile": {"assignments": {"1": [1]}}}

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsmt import sharing
 from rsmt.field import FieldSpec, poly_eval
+from rsmt.game.attacks import catalog_for
+from rsmt.game.play import run_cell
+from rsmt.game.utility import witness_table
 from rsmt.privacy import ForcedDraws
+from rsmt.protocols import CissProtocol
+from rsmt.protocols.ciss import P3
 from rsmt.sharing import (
     FAIL,
     AmdSpec,
@@ -23,6 +29,7 @@ from rsmt.sharing import (
     shamir_reconstruct,
     shamir_share,
 )
+from rsmt.transport import CorruptionProfile
 
 from rs_oracle import rs_reconstruct_bruteforce
 
@@ -325,6 +332,8 @@ def _decoding_params(draw):
 
 
 def _assert_matches_oracle(spec, shares, e):
+    # The oracle reads the shares in index order; the decoder's candidate
+    # comes from the first t+1 in the mapping's order, which must not matter.
     got = rs_reconstruct(spec, shares, max_errors=e)
     want = rs_reconstruct_bruteforce(spec, shares, max_errors=e)
     assert got is want or got == want
@@ -335,7 +344,7 @@ def _assert_matches_oracle(spec, shares, e):
 def test_rs_reconstruct_matches_bruteforce_on_random_vectors(params, data):
     spec, e = params
     values = st.integers(0, spec.field.q - 1)
-    shares = {i: data.draw(values) for i in range(1, spec.n + 1)}
+    shares = {i: data.draw(values) for i in data.draw(st.permutations(range(1, spec.n + 1)))}
     _assert_matches_oracle(spec, shares, e)
 
 
@@ -351,21 +360,43 @@ def test_rs_reconstruct_matches_bruteforce_on_codewords_plus_errors(params, data
     bad = data.draw(st.sets(st.integers(1, spec.n), max_size=min(spec.n, e + 2)))
     for i in bad:
         shares[i] = f.add_int(shares[i], data.draw(st.integers(1, f.q - 1)))
-    _assert_matches_oracle(spec, shares, e)
+    order = data.draw(st.permutations(range(1, spec.n + 1)))
+    _assert_matches_oracle(spec, {i: shares[i] for i in order}, e)
 
 
 @pytest.mark.parametrize("errors", range(6))
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(coeffs=st.lists(st.integers(0, 2 ** 16 - 1), min_size=6, max_size=6), data=st.data())
 def test_rs_reconstruct_matches_bruteforce_at_p3_wide_parameters(errors, coeffs, data):
-    # GF(2^16), n = 16, t = 5: every error count the decoder must correct
+    # GF(2^16), n = 16, t = 5: every error count the decoder must correct,
+    # with the shares in a drawn order, the bad ones last (the candidate
+    # through the first t+1 passes) and the bad ones first (it fails, and
+    # Gao's decoder runs)
     spec = SharingSpec(t=5, n=16, field=FieldSpec.binary(16))
     shares = shamir_share(spec, coeffs[0], ForcedDraws(coeffs[1:]))
     bad = data.draw(st.lists(st.integers(1, 16), min_size=errors, max_size=errors, unique=True))
     for i in bad:
         shares[i] ^= data.draw(st.integers(1, 2 ** 16 - 1))
-    assert rs_reconstruct(spec, shares, max_errors=5) == coeffs[0]
+    good = [i for i in data.draw(st.permutations(range(1, 17))) if i not in bad]
+    for order in (good + bad, bad + good):
+        assert rs_reconstruct(spec, {i: shares[i] for i in order}, max_errors=5) == coeffs[0]
     _assert_matches_oracle(spec, shares, 5)
+
+
+def test_p3_wide_receiver_decodes_every_catalog_attack_without_gao(monkeypatch):
+    # P3 lists the channels outside its majority list first, so under every
+    # catalog attack on channels {1..4} the candidate codeword passes and the
+    # Euclid loop (`_poly_divmod`) never runs.
+    calls = []
+    divmod_ = sharing._poly_divmod
+    monkeypatch.setattr(sharing, "_poly_divmod", lambda *a: calls.append(a) or divmod_(*a))
+    protocol = CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16)
+    profile = CorruptionProfile({1: frozenset({1, 2, 3, 4})}, malicious_id=1)
+    table = witness_table(protocol.message_space_size())
+    for entry in catalog_for(P3):
+        stats = run_cell(protocol, profile, table, 20, 2026, {1: entry.name})
+        assert stats.suc_rate == 1.0, entry.name
+    assert calls == []
 
 
 # --- AMD code ---------------------------------------------------------------
