@@ -7,10 +7,12 @@ The Shamir and RSS view checks (and the tests' SJST check) go through one
 enumerator, `view_distance`: it runs the production code (`shamir_share`,
 `robust_share`) once per secret and per point of the product of the draws'
 ranges, with a `ForcedDraws` stand-in for the rng that
-must serve exactly the draws the code makes, so each check sees the draw
-path the simulator runs.  The AMD check drives `amd_encode` and the CISS
-view check drives `ciss_sender_encode` the same way; the CISS check counts
-the masks without drawing them (see `ciss_view_distance`).
+must serve exactly the draws the code makes (checked by `finish`), so each
+check sees the draw path the simulator runs.  The AMD check drives
+`amd_encode` the same way, once per (message, x), and decodes each codeword
+under every offset; the CISS view check drives `ciss_sender_encode` the same
+way and counts the masks without drawing them: it enumerates only the masks
+whose two ends are both corrupted (see `ciss_view_distance`).
 `CHECKS` fixes the parameters: it is the one table that `rsmt verify` prints
 and the acceptance suite asserts.  The regimes are deliberately tiny so each
 check finishes in seconds.
@@ -25,7 +27,7 @@ from fractions import Fraction
 from operator import itemgetter, sub
 from typing import Callable, NamedTuple
 
-from .field import FieldSpec
+from .field import FieldSpec, ints_below
 from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
 from .protocols.ciss import P1, TAGS, CissProtocol, ciss_sender_encode, slot
 from .sharing import (
@@ -65,6 +67,14 @@ class ForcedDraws:
     def finish(self) -> None:
         if next(self._values, None) is not None:
             raise RuntimeError("drew fewer random values than were forced")
+
+
+def _forced(point, fn, *args):
+    """`fn(*args, rng)` with `rng` a `ForcedDraws` of `point` that it must use up."""
+    rng = ForcedDraws(point)
+    out = fn(*args, rng)
+    rng.finish()
+    return out
 
 
 class EnumerationTooLarge(ValueError):
@@ -119,12 +129,7 @@ def view_distance(secrets, radices, run, subsets) -> Fraction:
     for s, secret in enumerate(secrets):
         points = itertools.product(*map(range, radices))
         while chunk := list(itertools.islice(points, 4096)):
-            runs = []
-            for point in chunk:
-                rng = ForcedDraws(point)
-                runs.append(run(secret, rng))
-                rng.finish()
-            payloads, publics = zip(*runs)
+            payloads, publics = zip(*(_forced(point, run, secret) for point in chunk))
             for d, subset in zip(dists, subsets):
                 d[s].update(zip(publics, *(map(itemgetter(i), payloads) for i in subset)))
     return max(_max_distance(d, states) for d in dists)
@@ -163,18 +168,19 @@ def shamir_privacy_distance(field: FieldSpec, t: int, n: int) -> Fraction:
 def amd_failure_max(field: FieldSpec, d: int) -> Fraction:
     """Exact max over messages and nonzero additive offsets of the
     probability (over encoding randomness) that a manipulated codeword
-    decodes to a *different* valid message."""
+    decodes to a *different* valid message.  Each (message, x) is encoded
+    once; each of its codewords is decoded under every nonzero offset."""
     spec = AmdSpec(field, d)
     q = field.q
     _check_size(q ** d * q ** (d + 2) * q)
     worst = Fraction(0)
     for msg in itertools.product(range(q), repeat=d):
+        codewords = [_forced((x,), amd_encode, spec, msg) for x in range(q)]
         for delta in itertools.product(range(q), repeat=d + 2):
             if all(v == 0 for v in delta):
                 continue
             accepted = 0
-            for x in range(q):
-                cw = amd_encode(spec, msg, ForcedDraws((x,)))
+            for cw in codewords:
                 out = amd_decode(spec, tuple(map(field.add_int, cw, delta)))
                 if out is not FAIL and out != msg:
                     accepted += 1
@@ -206,50 +212,48 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     of drawn.  That count relies on the payload layout `ciss.py` documents:
     mask r_{a,b} enters the view only as T_{a,b} xor r_{a,b} in channel a's
     tags (when a is corrupted) and as r_{a,b} in channel b's masks (when b
-    is corrupted), so with r_{a,b} = 0 the payload shows T_{a,b}.  Each view
-    is packed one to one into an int: one bit field per view-relevant mask,
-    holding what the mask's corrupted ends show, with the index of the
-    mask-free part (the corrupted shares and keys) above them.
-    `itertools.product` and `Counter.update` count every combination of the
-    2^l values of each mask in C.
+    is corrupted), so with r_{a,b} = 0 the payload shows T_{a,b}.
+
+    A mask with one corrupted end shows one value, r or T xor r, which is
+    uniform on [0, 2^l) and independent of the rest of the view whenever
+    T < 2^l: a one-time pad.  It multiplies every message's counts by the
+    same uniform factor, which leaves the distance unchanged, so only the
+    masks with both ends in C are enumerated.  Each corrupted channel's tags
+    must therefore lie in [0, 2^l), else RuntimeError.  Each view is packed
+    one to one into an int: the index of the mask-free part (the corrupted
+    shares and keys) above one 2l-bit field (T xor r, r) per mask in C x C,
+    with all 2^l values of each counted through `itertools.product`.  The
+    size guard still counts every state the view ranges over, one-end masks
+    included.
     """
     n, ell = spec.n, spec.ell
     c_set = _channels(corrupted, n)
     if len(c_set) > spec.t:
         raise ValueError("corrupted set exceeds the sharing threshold")
-    channels = range(1, n + 1)
     radices = [spec.field.q] * (spec.d * spec.t)
-    for i in channels:
+    for i in range(1, n + 1):
         radices += [1 << spec.family.domain_bits if i in c_set else 1] * 2
     radices += [1] * (n * (n - 1))
-    mask_pairs = [(a, b) for a in channels for b in channels
-                  if a != b and (a in c_set or b in c_set)]
-    states = math.prod(radices) * (1 << ell) ** len(mask_pairs)
-    _check_size(spec.message_space_size() * states)  # every message, as in view_distance
+    both = list(itertools.permutations(c_set, 2))  # masks with both ends corrupted
+    one_end = 2 * len(c_set) * (n - len(c_set))
+    states = math.prod(radices) * (1 << ell) ** len(both)  # views counted per message
+    # the guard counts every state and every message, as in view_distance
+    _check_size(spec.message_space_size() * states * (1 << ell) ** one_end)
     values = range(1 << ell)
-    # bit offset of each pair's entry: l bits per corrupted end of the pair
-    shifts = list(itertools.accumulate((ell * ((a in c_set) + (b in c_set))
-                                        for a, b in mask_pairs), initial=0))
+    shift = 2 * ell * len(both)
     bases = {}  # mask-free part -> its index, shared by every message
     dists = []
     for msg in itertools.product(range(spec.field.q), repeat=spec.d):
         counts = Counter()
         for point in itertools.product(*map(range, radices)):
-            rng = ForcedDraws(point)
-            payloads = ciss_sender_encode(spec, msg, rng)
-            rng.finish()
-            base = tuple(payloads[a][:2] for a in c_set)
-            fields = [(bases.setdefault(base, len(bases)) << shifts[-1],)]
-            for shift, (a, b) in zip(shifts, mask_pairs):
-                if a not in c_set:
-                    fields.append([r << shift for r in values])
-                    continue
-                tag = payloads[a][TAGS][slot(a, b)]
-                if b in c_set:
-                    fields.append([((tag ^ r) << ell | r) << shift for r in values])
-                else:
-                    fields.append([(tag ^ r) << shift for r in values])
-            counts.update(map(sum, itertools.product(*fields)))
+            payloads = _forced(point, ciss_sender_encode, spec, msg)
+            for a in c_set:
+                if not ints_below(payloads[a][TAGS], 1 << ell, n - 1):
+                    raise RuntimeError(f"channel {a} shows a tag outside range({1 << ell})")
+            base = bases.setdefault(tuple(payloads[a][:2] for a in c_set), len(bases)) << shift
+            fields = [[((payloads[a][TAGS][slot(a, b)] ^ r) << ell | r) << 2 * ell * k
+                       for r in values] for k, (a, b) in enumerate(both)]
+            counts.update(base + sum(f) for f in itertools.product(*fields))
         dists.append(counts)
     return _max_distance(dists, states)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,7 @@ from rsmt.privacy import (
     view_distance,
 )
 from rsmt.protocols import CissProtocol, SjstProtocol
-from rsmt.protocols.ciss import P1, P2, ciss_sender_encode
+from rsmt.protocols.ciss import MASKS, P1, P2, TAGS, ciss_sender_encode, slot
 from rsmt.protocols.sjst import sjst_round1_sender, sjst_round2_receiver, sjst_round3_sender
 from rsmt.sharing import (
     AmdSpec,
@@ -129,6 +130,12 @@ def test_amd_failure_is_exactly_d_plus_1_over_q():
     assert amd_failure_max(GF7, 1) == Fraction(2, 7)
 
 
+def test_amd_check_raises_when_the_encoder_draws_fewer_than_forced(monkeypatch):
+    monkeypatch.setattr(rsmt.privacy, "amd_encode", lambda spec, s, rng: (*s, 0, 0))
+    with pytest.raises(RuntimeError, match="drew fewer random values than were forced"):
+        amd_failure_max(GF5, 1)
+
+
 class _NoSlopeFamily(HashFamilySpec):
     """Only the a = 0 members: every input gets the same tag."""
 
@@ -207,6 +214,98 @@ def test_ciss_view_check_equals_full_enumeration(monkeypatch, encode, expected):
     monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", encode)
     assert (ciss_view_distance(spec, frozenset({2}))
             == _ciss_full_enumeration(spec, frozenset({2}), encode) == expected)
+
+
+def _ciss_all_masks(spec, corrupted, encode) -> Fraction:
+    """The CISS view check with one bit field per mask that has a corrupted
+    end, every value of each counted: `ciss_view_distance` before the masks
+    with one corrupted end were factored out."""
+    n, ell = spec.n, spec.ell
+    c_set = sorted(corrupted)
+    channels = range(1, n + 1)
+    radices = [spec.field.q] * (spec.d * spec.t)
+    for i in channels:
+        radices += [1 << spec.family.domain_bits if i in c_set else 1] * 2
+    radices += [1] * (n * (n - 1))
+    mask_pairs = [(a, b) for a in channels for b in channels
+                  if a != b and (a in c_set or b in c_set)]
+    states = math.prod(radices) * (1 << ell) ** len(mask_pairs)
+    values = range(1 << ell)
+    shifts = list(itertools.accumulate((ell * ((a in c_set) + (b in c_set))
+                                        for a, b in mask_pairs), initial=0))
+    bases = {}
+    dists = []
+    for msg in itertools.product(range(spec.field.q), repeat=spec.d):
+        counts = Counter()
+        for point in itertools.product(*map(range, radices)):
+            rng = ForcedDraws(point)
+            payloads = encode(spec, msg, rng)
+            rng.finish()
+            base = tuple(payloads[a][:2] for a in c_set)
+            fields = [(bases.setdefault(base, len(bases)) << shifts[-1],)]
+            for shift, (a, b) in zip(shifts, mask_pairs):
+                if a not in c_set:
+                    fields.append([r << shift for r in values])
+                    continue
+                tag = payloads[a][TAGS][slot(a, b)]
+                if b in c_set:
+                    fields.append([((tag ^ r) << ell | r) << shift for r in values])
+                else:
+                    fields.append([(tag ^ r) << shift for r in values])
+            counts.update(map(sum, itertools.product(*fields)))
+        dists.append(counts)
+    return _max_distance(dists, states)
+
+
+def _tag_carries_message(spec, m, rng):
+    """`ciss_sender_encode` with T_{1,2} replaced by the message's low bit:
+    channel 1 shows it xor r_{1,2}, and channel 2 shows r_{1,2}."""
+    payloads = ciss_sender_encode(spec, m, rng)
+    share, key, tags, masks = payloads[1]
+    r12 = payloads[2][MASKS][slot(2, 1)]
+    payloads[1] = (share, key, ((m[0] & 1) ^ r12, *tags[1:]), masks)
+    return payloads
+
+
+P1_GF5 = CissProtocol(P1, 3, GF5, 1, 2)
+P2_GF4 = CissProtocol(P2, 3, GF4, 1, 1)
+ALL_MASK_CASES = {
+    # name: (spec, corrupted, encoder, distance)
+    **{f"P1-GF5-{c}": (P1_GF5, frozenset({c}), ciss_sender_encode, 0) for c in (1, 2, 3)},
+    "P2-GF4-12-honest": (P2_GF4, frozenset({1, 2}), ciss_sender_encode, 0),
+    "P2-GF4-12-leaky": (P2_GF4, frozenset({1, 2}), _leaky(1), Fraction(1, 4)),
+    "P2-GF4-12-tag": (P2_GF4, frozenset({1, 2}), _tag_carries_message, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALL_MASK_CASES))
+def test_ciss_view_check_equals_the_all_masks_count(monkeypatch, case):
+    spec, corrupted, encode, expected = ALL_MASK_CASES[case]
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", encode)
+    assert (ciss_view_distance(spec, corrupted)
+            == _ciss_all_masks(spec, corrupted, encode) == expected)
+
+
+def test_a_tag_padded_by_a_mask_with_one_corrupted_end_shows_nothing(monkeypatch):
+    # the both-ends case above reads the low bit; one end alone sees a pad
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", _tag_carries_message)
+    for c in (1, 2):
+        assert (ciss_view_distance(P2_GF4, frozenset({c}))
+                == _ciss_full_enumeration(P2_GF4, frozenset({c}), _tag_carries_message) == 0)
+
+
+def test_ciss_view_check_rejects_a_tag_wider_than_l_bits(monkeypatch):
+    # a wider tag would spill into the next bit field of the packed view
+    def wide(spec, m, rng):
+        payloads = ciss_sender_encode(spec, m, rng)
+        share, key, tags, masks = payloads[1]
+        payloads[1] = (share, key, (*tags[:-1], 1 << spec.ell), masks)
+        return payloads
+
+    monkeypatch.setattr(rsmt.privacy, "ciss_sender_encode", wide)
+    with pytest.raises(RuntimeError, match=r"channel 1 shows a tag outside range\(4\)"):
+        ciss_view_distance(P1_GF5, frozenset({1}))
+    assert ciss_view_distance(P1_GF5, frozenset({2})) == 0  # channel 1 is not shown
 
 
 def test_ciss_rejects_oversized_subset():
