@@ -50,10 +50,12 @@ def protocol_from_json(obj: dict):
 
 def profile_from_json(obj: dict) -> CorruptionProfile:
     try:
-        assignments = {
-            read_int(j, "adversary id"): frozenset(read_int(c, "channel") for c in chans)
-            for j, chans in read_object(obj["assignments"], "assignments").items()
-        }
+        assignments = {}
+        for j, chans in read_object(obj["assignments"], "assignments").items():
+            j = read_int(j, "adversary id")
+            if not isinstance(chans, list):
+                raise ConfigError(f"adversary {j} channels must be a JSON list, got {chans!r}")
+            assignments[j] = frozenset(read_int(c, "channel") for c in chans)
         malicious = obj.get("malicious_id")
         return CorruptionProfile(
             assignments, None if malicious is None else read_int(malicious, "malicious_id")

@@ -11,8 +11,8 @@ multiplication two lookups; larger m (up to 32) falls back to
 shift-and-reduce, chosen here in each operation, never by the caller.
 `mul_row` computes a*x + y along a row of x and y in one comprehension
 for every kind of field; `interpolate` sums the cached Lagrange basis rows
-of a point set, one `mul_row` per point, and `interpolate_at_zero` and
-`lagrange_values` take the rows' values at 0 or at other points.
+of a point set, one `mul_row` per point, and `interpolate_at` (through the
+`lagrange_values` cache) and `interpolate_at_zero` take values at points.
 `ints_below` is the one rule for field and wire values, which every
 receiver and the sharing layer apply.
 """
@@ -53,7 +53,7 @@ DEFAULT_BINARY_POLYS = {
     16: 0x1100B,
 }
 
-_MAX_BINARY_M = 32
+MAX_BINARY_M = 32
 _TABLE_MAX_M = 16
 _LIST_MAX_M = 12
 
@@ -138,8 +138,8 @@ class FieldSpec:
             self._exp = None
             self._log = None
         elif kind == "binary":
-            if not 1 <= m <= _MAX_BINARY_M:
-                raise FieldError(f"extension degree m={m} out of range 1..{_MAX_BINARY_M}")
+            if not 1 <= m <= MAX_BINARY_M:
+                raise FieldError(f"extension degree m={m} out of range 1..{MAX_BINARY_M}")
             if not _gf2_irreducible(poly, m):
                 raise FieldError(f"poly {poly:#x} is not irreducible of degree {m}")
             self.p = 2
@@ -170,8 +170,8 @@ class FieldSpec:
 
     @classmethod
     def binary(cls, m: int, poly: int | None = None) -> "FieldSpec":
-        if not 1 <= m <= _MAX_BINARY_M:
-            raise FieldError(f"extension degree m={m} out of range 1..{_MAX_BINARY_M}")
+        if not 1 <= m <= MAX_BINARY_M:
+            raise FieldError(f"extension degree m={m} out of range 1..{MAX_BINARY_M}")
         if poly is None:
             poly = DEFAULT_BINARY_POLYS.get(m)
             if poly is None:
@@ -367,6 +367,18 @@ def interpolate(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> list[i
     for y, row in zip(ys, _lagrange_rows(spec, tuple(xs))):
         coeffs = spec.mul_row(y, row, coeffs)
     return coeffs
+
+
+def interpolate_at(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int],
+                   at: Sequence[int]) -> list[int]:
+    """The values at each point of `at` of `interpolate(spec, xs, ys)`: one
+    `mul_row` per point, by ys[i], of the cached `lagrange_values` row of xs[i]."""
+    if len(ys) != len(xs):
+        raise FieldError("need one y value per x value")
+    out = [0] * len(at)
+    for y, row in zip(ys, lagrange_values(spec, tuple(xs), tuple(at))):
+        out = spec.mul_row(y, row, out)
+    return out
 
 
 def interpolate_at_zero(spec: FieldSpec, xs: Sequence[int], ys: Sequence[int]) -> int:

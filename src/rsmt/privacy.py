@@ -3,16 +3,14 @@
 Every function enumerates ALL randomness relevant to the quantity under test
 and returns an exact worst-case figure (statistical distance or failure
 probability) as a fraction of integer counts — no sampling, no tolerance.
-The Shamir and RSS view checks (and the tests' SJST check) go through one
-enumerator, `view_distance`: it runs the production code (`shamir_share`,
-`robust_share`) once per secret and per point of the product of the draws'
-ranges, with a `ForcedDraws` stand-in for the rng that
-must serve exactly the draws the code makes (checked by `finish`), so each
-check sees the draw path the simulator runs.  The AMD check drives
-`amd_encode` the same way, once per (message, x), and decodes each codeword
-under every offset; the CISS view check drives `ciss_sender_encode` the same
-way and counts the masks without drawing them: it enumerates only the masks
-whose two ends are both corrupted (see `ciss_view_distance`).
+Every view check goes through one enumerator, `view_distance`: it runs the
+production code (`shamir_share`, `robust_share`, `ciss_sender_encode`; the
+SJST rounds in the tests) once per secret and per point of the product of
+the draws' ranges, with a `ForcedDraws` stand-in for the rng that must
+serve exactly the draws the code makes (checked by `finish`), so each check
+sees the draw path the simulator runs.  The AMD check drives `amd_encode`
+the same way, once per (message, x), and decodes each codeword under every
+offset.
 `CHECKS` fixes the parameters: it is the one table that `rsmt verify` prints
 and the acceptance suite asserts.  The regimes are deliberately tiny so each
 check finishes in seconds.
@@ -29,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .field import FieldSpec, ints_below
 from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
-from .protocols.ciss import P1, TAGS, CissProtocol, ciss_sender_encode, slot
+from .protocols.ciss import P1, CissProtocol, ciss_sender_encode, slot
 from .sharing import (
     FAIL,
     AmdSpec,
@@ -203,28 +201,19 @@ def rss_view_distance(spec: RobustSharingSpec, *corrupted) -> Fraction:
 
 def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fraction:
     """Exact worst-case view distance for one corrupted subset of the
-    one-round list protocols.
-
-    Runs the production `ciss_sender_encode` once per message, per point of
-    the sharing coefficients and per hash key of each corrupted channel.
-    Every other draw (the honest channels' keys and all masks) is forced to
-    0: the keys never enter the view, and the masks are counted here instead
-    of drawn.  That count relies on the payload layout `ciss.py` documents:
-    mask r_{a,b} enters the view only as T_{a,b} xor r_{a,b} in channel a's
-    tags (when a is corrupted) and as r_{a,b} in channel b's masks (when b
-    is corrupted), so with r_{a,b} = 0 the payload shows T_{a,b}.
-
-    A mask with one corrupted end shows one value, r or T xor r, which is
-    uniform on [0, 2^l) and independent of the rest of the view whenever
-    T < 2^l: a one-time pad.  It multiplies every message's counts by the
-    same uniform factor, which leaves the distance unchanged, so only the
-    masks with both ends in C are enumerated.  Each corrupted channel's tags
-    must therefore lie in [0, 2^l), else RuntimeError.  Each view is packed
-    one to one into an int: the index of the mask-free part (the corrupted
-    shares and keys) above one 2l-bit field (T xor r, r) per mask in C x C,
-    with all 2^l values of each counted through `itertools.product`.  The
-    size guard still counts every state the view ranges over, one-end masks
-    included.
+    one-round list protocols: `view_distance` over the production
+    `ciss_sender_encode`, per message, sharing point and hash key of each
+    corrupted channel, with every other draw (honest keys, all masks) forced
+    to 0.  By the payload layout `ciss.py` documents, mask r_{a,b} shows only
+    as T_{a,b} xor r_{a,b} in channel a's tags and as r_{a,b} in channel b's
+    masks.  With one end corrupted it shows one of the two, uniform on
+    [0, 2^l) and independent of the rest of the view when T < 2^l (a
+    one-time pad); with both, the pair is a bijection of (T_{a,b}, r_{a,b})
+    with r uniform and independent of the rest.  Either way leaving r out
+    multiplies every message's counts by the same factor and keeps the
+    distance, so channel a shows its share, its key and T_{a,b} for each
+    corrupted b != a.  Its tags must lie in [0, 2^l), else RuntimeError.
+    The size guard counts every state, the masks included.
     """
     n, ell = spec.n, spec.ell
     c_set = _channels(corrupted, n)
@@ -234,28 +223,23 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     for i in range(1, n + 1):
         radices += [1 << spec.family.domain_bits if i in c_set else 1] * 2
     radices += [1] * (n * (n - 1))
-    both = list(itertools.permutations(c_set, 2))  # masks with both ends corrupted
-    one_end = 2 * len(c_set) * (n - len(c_set))
-    states = math.prod(radices) * (1 << ell) ** len(both)  # views counted per message
+    shown = len(c_set) * (2 * n - len(c_set) - 1)  # masks with a corrupted end
     # the guard counts every state and every message, as in view_distance
-    _check_size(spec.message_space_size() * states * (1 << ell) ** one_end)
-    values = range(1 << ell)
-    shift = 2 * ell * len(both)
-    bases = {}  # mask-free part -> its index, shared by every message
-    dists = []
-    for msg in itertools.product(range(spec.field.q), repeat=spec.d):
-        counts = Counter()
-        for point in itertools.product(*map(range, radices)):
-            payloads = _forced(point, ciss_sender_encode, spec, msg)
-            for a in c_set:
-                if not ints_below(payloads[a][TAGS], 1 << ell, n - 1):
-                    raise RuntimeError(f"channel {a} shows a tag outside range({1 << ell})")
-            base = bases.setdefault(tuple(payloads[a][:2] for a in c_set), len(bases)) << shift
-            fields = [[((payloads[a][TAGS][slot(a, b)] ^ r) << ell | r) << 2 * ell * k
-                       for r in values] for k, (a, b) in enumerate(both)]
-            counts.update(base + sum(f) for f in itertools.product(*fields))
-        dists.append(counts)
-    return _max_distance(dists, states)
+    _check_size(spec.message_space_size() * math.prod(radices) * (1 << ell) ** shown)
+    slots = {a: [slot(a, b) for b in c_set if b != a] for a in c_set}
+
+    def run(msg, rng):
+        payloads = ciss_sender_encode(spec, msg, rng)
+        view = {}
+        for a, both in slots.items():
+            share, key, tags, _masks = payloads[a]
+            if not ints_below(tags, 1 << ell, n - 1):
+                raise RuntimeError(f"channel {a} shows a tag outside range({1 << ell})")
+            view[a] = (share, key, *map(tags.__getitem__, both))
+        return view, None
+
+    return view_distance(itertools.product(range(spec.field.q), repeat=spec.d),
+                         radices, run, [c_set])
 
 
 class Check(NamedTuple):

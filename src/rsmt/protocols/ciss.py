@@ -31,7 +31,7 @@ from collections import Counter
 from itertools import chain, repeat
 
 from ..config import check_keys, read_ints
-from ..field import FieldSpec, ints_below
+from ..field import MAX_BINARY_M, FieldSpec, ints_below
 from ..hashing import HashFamilySpec
 from ..sharing import FAIL, SharingSpec, _share_rows, rs_reconstruct, shamir_reconstruct
 from .base import OneRoundProtocol, ProtocolError
@@ -73,6 +73,9 @@ class CissProtocol(OneRoundProtocol):
         if d < 1:
             raise ProtocolError("message length d must be >= 1")
         domain_bits = d * field.elem_bits
+        if domain_bits > MAX_BINARY_M:
+            raise ProtocolError(f"d={d} elements of {field.elem_bits} bits make a "
+                                f"{domain_bits}-bit hash domain, over the {MAX_BINARY_M}-bit limit")
         if not 1 <= ell <= domain_bits:
             raise ProtocolError(
                 f"need 1 <= ell <= {domain_bits} (serialized share width), got {ell}"

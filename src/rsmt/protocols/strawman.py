@@ -12,10 +12,11 @@ of a random message makes the decoding ambiguous on purpose.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from ..config import check_keys, read_int
-from ..field import FieldSpec, interpolate, ints_below, poly_eval
+from ..field import FieldSpec, interpolate_at, ints_below
 from ..sharing import SharingSpec, _share_rows
 from .base import OneRoundProtocol, ProtocolError
 
@@ -60,14 +61,11 @@ def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, in
 
 def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:
     f = spec.field
-    values = {}
-    for i in range(1, spec.n + 1):
-        v = payloads[i]
-        values[i] = v if ints_below((v,), f.q, 1) else 0
-    best = None  # (agreement, poly) — maximal agreement, then lex-first
-    for subset in itertools.combinations(sorted(values), spec.t + 1):
-        poly = interpolate(f, subset, [values[i] for i in subset])
-        agreement = sum(1 for i in values if poly_eval(f, poly, i) == values[i])
-        if best is None or agreement > best[0]:
-            best = (agreement, poly)
-    return (best[1][0],)
+    xs = range(1, spec.n + 1)
+    at = (0, *xs)  # the secret, then every channel's point
+    ys = [v if ints_below((v,), f.q, 1) else 0 for v in map(payloads.__getitem__, xs)]
+    candidates = (interpolate_at(f, subset, [ys[i - 1] for i in subset], at)
+                  for subset in itertools.combinations(xs, spec.t + 1))
+    # maximal agreement with the shares; `max` keeps the lex-first subset on a tie
+    best = max(candidates, key=lambda values: sum(map(operator.eq, values[1:], ys)))
+    return (best[0],)

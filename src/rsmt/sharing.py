@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .field import (FieldSpec, interpolate, interpolate_at_zero, ints_below, lagrange_values,
+from .field import (FieldSpec, interpolate, interpolate_at, interpolate_at_zero, ints_below,
                     poly_eval, vanishing_poly)
 
 
@@ -161,9 +161,8 @@ def rs_reconstruct(spec: SharingSpec, shares: Mapping[int, int], max_errors: int
     ys = [shares[i] for i in xs]
     _check_values(f, ys, "share")
     order = [*map(int, shares)]  # the keys equal 1..n; as ints, for the cache
-    at = [0] * (n - k + 1)  # the candidate at 0, then at the other n - t - 1 points
-    for i, row in zip(order, lagrange_values(f, tuple(order[:k]), (0, *order[k:]))):
-        at = f.mul_row(shares[i], row, at)
+    # the candidate at 0, then at the other n - t - 1 points
+    at = interpolate_at(f, order[:k], [shares[i] for i in order[:k]], (0, *order[k:]))
     if sum(a != shares[i] for a, i in zip(at[1:], order[k:])) <= e:
         return at[0]
     r1 = _trim(interpolate(f, xs, ys))

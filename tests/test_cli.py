@@ -464,8 +464,12 @@ def test_table_that_is_timid_but_not_strictly_timid(tmp_path, capsys):
     ("simulate", {"protocol": {"variant": "STRAWMAN", "n": 2,
                                "field": {"kind": "prime", "p": 7}}},
      "bad protocol config: n=2 leaves no sharing threshold"),
+    ("simulate", {"protocol": dict(P1_CONFIG["protocol"], field={"kind": "binary", "m": 16},
+                                   d=3)},
+     "bad protocol config: d=3 elements of 16 bits make a 48-bit hash domain, over the "
+     "32-bit limit"),
 ], ids=["guess-lowers-payoff", "negative-bonus", "sweep-axis", "poly-degree", "d-zero",
-        "strawman-n2"])
+        "strawman-n2", "hash-domain-48-bits"])
 def test_reachable_config_errors_exit_3(tmp_path, capsys, monkeypatch, command, change,
                                         message):
     _refuse_work(monkeypatch)
@@ -569,8 +573,12 @@ def test_keys_the_protocol_does_not_read_fail_before_any_trial(
      "sweep values must be a list, got 16"),
     ("bounds", dict(P1_CONFIG, utility={"base": [1, 2]}),
      "base must be a JSON object, got [1, 2]"),
+    ("simulate", dict(P1_CONFIG, profile={"assignments": {"1": "12"}}),
+     "bad corruption profile: adversary 1 channels must be a JSON list, got '12'"),
+    ("bounds", dict(P1_CONFIG, profile={"assignments": {"1": {"3": True}}}),
+     "bad corruption profile: adversary 1 channels must be a JSON list, got {'3': True}"),
 ], ids=["top-level-list", "assignments-list", "sweep-list", "sweep-values-int",
-        "utility-base-list"])
+        "utility-base-list", "channels-string", "channels-object"])
 def test_config_of_the_wrong_shape_names_the_field(tmp_path, capsys, monkeypatch,
                                                   command, config, message):
     def no_trials(*args, **kwargs):

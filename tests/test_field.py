@@ -22,6 +22,7 @@ from rsmt.field import (
     _is_prime,
     _lagrange_rows,
     interpolate,
+    interpolate_at,
     interpolate_at_zero,
     poly_eval,
 )
@@ -332,6 +333,25 @@ def test_interpolate_equals_reference(case):
     # a repeated point set goes through the cached inverse differences
     assert interpolate(spec, xs, ys) == reference_interpolate(spec, xs, ys)
     assert interpolate_at_zero(spec, xs, ys) == reference_interpolate(spec, xs, ys)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_points(), st.data())
+def test_interpolate_at_equals_the_reference_polynomial_at_each_point(case, data):
+    spec, xs, ys = case
+    at = data.draw(st.lists(st.integers(0, spec.q - 1), max_size=6))
+    coeffs = reference_interpolate(spec, xs, ys)
+    want = [poly_eval(spec, coeffs, a) for a in at]
+    assert interpolate_at(spec, xs, ys, at) == want
+    assert interpolate_at(spec, tuple(xs), ys, tuple(at)) == want  # a cached row set
+    assert interpolate_at(spec, xs, ys, xs) == ys
+
+
+def test_interpolate_at_needs_one_y_per_x():
+    with pytest.raises(FieldError):
+        interpolate_at(GF7, [1, 2], [1], [0])
+    with pytest.raises(FieldError):
+        interpolate_at(GF7, [1, 1], [1, 2], [0])
 
 
 @pytest.mark.parametrize("spec", _FIELDS, ids=repr)

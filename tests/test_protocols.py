@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from operator import attrgetter
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsmt.field import FieldSpec
+from rsmt.field import MAX_BINARY_M, FieldSpec, interpolate, ints_below, poly_eval
 from rsmt.privacy import ForcedDraws
 from rsmt.protocols import (
     CissProtocol,
@@ -117,6 +118,18 @@ def test_threshold_formulas():
         CissProtocol(P1, 5, GF256, 1, 9)  # ell > serialized share width
     with pytest.raises(ProtocolError, match="unknown variant 'P9'"):
         CissProtocol("P9", 5, GF256, 1, 8)
+
+
+@pytest.mark.parametrize("field, d, bits", [(FieldSpec.binary(16), 3, 48),
+                                            (FieldSpec.prime(65521), 3, 48),
+                                            (FieldSpec.binary(17), 2, 34)],
+                         ids=["GF(2^16)-d3", "GF(65521)-d3", "GF(2^17)-d2"])
+def test_a_hash_domain_beyond_the_widest_binary_field_is_a_protocol_error(field, d, bits):
+    with pytest.raises(ProtocolError, match=f"d={d} elements of {field.elem_bits} bits make "
+                       f"a {bits}-bit hash domain, over the {MAX_BINARY_M}-bit limit"):
+        CissProtocol(P1, 5, field, d, 8)
+    # one element fewer fits
+    assert CissProtocol(P1, 5, field, d - 1, 8).family.domain_bits == (d - 1) * field.elem_bits
 
 
 def test_encode_structure_and_tag_oracle():
@@ -445,6 +458,53 @@ def test_strawman_prefers_max_agreement():
     payloads = strawman_send(p, m, rng)
     payloads[4] = (payloads[4] + 1) % 16  # one bad share, three consistent
     assert strawman_receive(p, payloads) == m
+
+
+def _strawman_receive_by_polynomials(p, payloads):
+    """Reference STRAWMAN decoder: interpolate every (t+1)-subset to its
+    coefficients, Horner-evaluate them at all n points, keep the lex-first
+    polynomial of maximal agreement and output its constant term."""
+    f = p.field
+    values = {i: payloads[i] if ints_below((payloads[i],), f.q, 1) else 0
+              for i in range(1, p.n + 1)}
+    best = None
+    for subset in itertools.combinations(sorted(values), p.t + 1):
+        poly = interpolate(f, subset, [values[i] for i in subset])
+        agreement = sum(1 for i in values if poly_eval(f, poly, i) == values[i])
+        if best is None or agreement > best[0]:
+            best = (agreement, poly)
+    return (best[1][0],)
+
+
+@st.composite
+def _strawman_rounds(draw):
+    """A STRAWMAN round: honest, with some shares rewritten (to field
+    values, out-of-range ints or non-ints), or with a swap-half substitution
+    of a sharing of a second message, which ties when the halves are equal."""
+    field = draw(st.sampled_from([FieldSpec.prime(11), FieldSpec.binary(4),
+                                  FieldSpec.binary(8)]))
+    p = StrawmanProtocol(draw(st.integers(3, 9)), field)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    payloads = strawman_send(p, p.sample_message(rng), rng)
+    kind = draw(st.sampled_from(["honest", "rewrite", "swap-half"]))
+    if kind == "rewrite":
+        value = st.one_of(st.integers(0, field.q - 1), st.integers(field.q, 2 * field.q),
+                          st.sampled_from([-1, True, 1.0, "1", None]))
+        for c in draw(st.sets(st.integers(1, p.n), max_size=p.n)):
+            payloads[c] = draw(value)
+    elif kind == "swap-half":
+        fake = strawman_send(p, p.sample_message(rng), rng)
+        owned = draw(st.sets(st.integers(1, p.n), min_size=p.n // 2, max_size=p.n // 2))
+        payloads.update({c: fake[c] for c in owned})
+    return p, payloads
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_strawman_rounds())
+@example((StrawmanProtocol(4, FieldSpec.binary(4)), {1: 3, 2: 5, 3: 9, 4: 12}))
+def test_strawman_receive_equals_the_subset_polynomial_decoder(case):
+    p, payloads = case
+    assert strawman_receive(p, payloads) == _strawman_receive_by_polynomials(p, payloads)
 
 
 # --- copying -------------------------------------------------------------------
