@@ -104,8 +104,12 @@ class ExperimentConfig:
             if self.table.message_space_size != size:
                 raise ConfigError(f"message_space_size {self.table.message_space_size} differs "
                                   f"from the protocol's {size}")
+        lam = len(self.profile.adversary_ids)
         try:
-            self.table.validate_timid()
+            if lam >= 2:
+                self.table.validate_multi(lam)
+            else:
+                self.table.validate_timid()
         except UtilityError as exc:
             raise ConfigError(f"utility table not admissible: {exc}") from exc
         self.attacks = attacks_from_json(obj.get("attacks"), self.protocol.variant)
@@ -216,8 +220,8 @@ def cmd_bounds(config: ExperimentConfig, out: str) -> int:
     for name, (inputs, value) in _requirements(config).items():
         if isinstance(value, BoundError):
             value = f"N/A ({value})"
-        elif isinstance(value, float):
-            value = f"{value:g}"
+        elif not isinstance(value, int):
+            value = f"{float(value):g}"
         rows.append(f"{name},{inputs},{value}")
     with _outputs(out) as (fh,):
         fh.write("\n".join(_report_header(config) + ["bound,inputs,value"] + rows) + "\n")

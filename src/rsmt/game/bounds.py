@@ -3,9 +3,10 @@ make the passive profile an equilibrium, one per protocol family.
 
 Each function takes the derived u values (see game.utility) and returns the
 minimal integer tag length l (at least 1), or the maximal admissible
-detection-failure probability delta.  `requirement_table` evaluates all of
-them for one configuration; `rsmt bounds` prints it and each protocol names
-the row (`Protocol.bound`) that `rsmt simulate` checks it against.
+detection-failure probability delta, an exact Fraction.  `requirement_table`
+evaluates all of them for one configuration; `rsmt bounds` prints it and each
+protocol names the row (`Protocol.bound`) that `rsmt simulate` checks it
+against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def required_ell_pd(u1: float, u2: float, u3: float, u4: float, t: int,
         alpha = (u2 - u4) / 2
     e1, e2, e3, e4, a = map(Fraction, (u1, u2, u3, u4, alpha))
     if not 0 < a < e2 - e4:
-        raise BoundError(f"alpha={alpha} outside (0, u2-u4)=(0, {u2 - u4})")
+        raise BoundError(f"alpha={alpha} outside (0, u2-u4)=(0, {float(u2 - u4)})")
     if not (e3 > e4 and e1 > e3):
         raise BoundError("need u1 > u3 > u4")
     term1 = 1 + _ceil_log2(t * (e3 - e4) / (e2 - e4 - a))
@@ -56,14 +57,9 @@ def required_ell_pd_multi(u1p: float, u2p: float, u3p: float, u4p: float,
     return max(required_ell_pd(u1p, u2p, u3p, u4p, t, alpha=alpha) for t in ts)
 
 
-def required_delta_rss(u1: float, u2: float, u3: float) -> float:
+def required_delta_rss(u1: float, u2: float, u3: float) -> Fraction:
     """Maximal detection-failure probability for the robust-sharing protocol
-    against a strictly timid adversary: delta <= (u2-u3)/(u1-u3)."""
-    return float(_delta_rss(u1, u2, u3))
-
-
-def _delta_rss(u1: float, u2: float, u3: float) -> Fraction:
-    """`required_delta_rss` as the exact ratio of the inputs' values."""
+    against a strictly timid adversary: delta <= (u2-u3)/(u1-u3), exactly."""
     e1, e2, e3 = map(Fraction, (u1, u2, u3))
     if not e2 > e3:
         raise BoundError("inapplicable: requires u2 > u3 (strictly timid)")
@@ -76,7 +72,7 @@ def required_ell_rss(u1: float, u2: float, u3: float, d: int) -> int:
     """Field bits so that the robust sharing's (d+1)/q failure rate meets
     required_delta_rss: l >= log2(d+1) + log2((u1-u3)/(u2-u3)), decided
     exactly as 2^l >= (d+1)(u1-u3)/(u2-u3)."""
-    return max(1, _ceil_log2((d + 1) / _delta_rss(u1, u2, u3)))
+    return max(1, _ceil_log2((d + 1) / required_delta_rss(u1, u2, u3)))
 
 
 def required_ell_p1(u1: float, u2: float, u4: float, n: int) -> int:
@@ -107,7 +103,7 @@ def required_ell_p3(u_prime: tuple[float, float, float],
     )
 
 
-def requirement_table(u: dict[str, float], lam: int, n: int, d: int, ts: list[int],
+def requirement_table(u: dict[str, Fraction], lam: int, n: int, d: int, ts: list[int],
                       alpha: float | None = None) -> dict[str, tuple[str, object]]:
     """Every family's requirement as row name -> (inputs, value); value is
     the calculator's result, or the BoundError it raised (inputs "-").
@@ -125,9 +121,10 @@ def requirement_table(u: dict[str, float], lam: int, n: int, d: int, ts: list[in
         except BoundError as exc:
             rows[name] = ("-", exc)
 
-    row("pd-tag-bits", f"u=({u1:g};{u2:g};{u3:g};{u4:g}) t={';'.join(map(str, ts))} alpha={alpha}",
+    g1, g2, g3, g4 = (f"{float(x):g}" for x in (u1, u2, u3, u4))
+    row("pd-tag-bits", f"u=({g1};{g2};{g3};{g4}) t={';'.join(map(str, ts))} alpha={alpha}",
         required_ell_pd_multi, u1, u2, u3, u4, ts, alpha)
-    row("rss-delta", f"u=({u1:g};{u2:g};{u3:g})", required_delta_rss, u1, u2, u3)
+    row("rss-delta", f"u=({g1};{g2};{g3})", required_delta_rss, u1, u2, u3)
     row("rss-field-bits", f"d={d}", required_ell_rss, u1, u2, u3, d)
     row("minority-tag-bits", f"n={n}", required_ell_p1, u1, u2, u4, n)
     row("unanimous-tag-bits", "multi" if lam > 1 else "single",

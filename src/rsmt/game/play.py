@@ -93,8 +93,8 @@ class GameStats:
         n = self.trials
         out = {}
         for j in self.ids:
-            payoff = {o: Fraction(self.table.payoff(int(j in o.guess), o.suc, int(j in o.detect),
-                                                    others_detected=len(o.detect - {j})))
+            payoff = {o: self.table.payoff(int(j in o.guess), o.suc, int(j in o.detect),
+                                           others_detected=len(o.detect - {j}))
                       for o in self.counts}
             mean = sum(c * payoff[o] for o, c in self.counts.items()) / n
             out[j] = mean, sum(c * (payoff[o] - mean) ** 2 for o, c in self.counts.items()) / n

@@ -1,11 +1,11 @@
 """Outcome and utility model for the transmission game.
 
 One game run produces, per adversary j, the bits (guess_j, detect_j) and the
-global bit suc.  A utility table assigns a base payoff to each (guess, suc,
-detect_self) triple; in the multi-adversary model every *other* adversary
-that gets detected adds a fixed bonus.  The derived values u_1..u_4 are the
-expected payoffs at the uniform-guess rate 1/|M| for the four (suc, detect)
-combinations:
+global bit suc.  A utility table assigns a base payoff, held as an exact
+`Fraction`, to each (guess, suc, detect_self) triple; in the multi-adversary
+model every *other* adversary that gets detected adds a fixed bonus.  The
+derived values u_1..u_4 are the exact expected payoffs at the uniform-guess
+rate 1/|M| for the four (suc, detect) combinations:
 
     u_1: suc=0, detect=0     u_2: suc=1, detect=0
     u_3: suc=0, detect=1     u_4: suc=1, detect=1
@@ -20,6 +20,7 @@ and u''_i = u'_i + b*(lam - 1) (all others detected).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from ..config import read_int, read_number, read_object
@@ -43,26 +44,28 @@ class Outcome(NamedTuple):
 class UtilityTable:
     """base[(guess, suc, detect_self)] -> payoff; bonus per other detected."""
 
-    base: Mapping[tuple[int, int, int], float]
+    base: Mapping[tuple[int, int, int], Fraction]
     message_space_size: int
-    others_detected_bonus: float = 0.0
+    others_detected_bonus: Fraction = Fraction(0)
 
     def __post_init__(self):
-        table = dict(self.base)
+        table = {key: Fraction(v) for key, v in self.base.items()}
         expected = {(g, s, d) for g in (0, 1) for s in (0, 1) for d in (0, 1)}
         if set(table) != expected:
             raise UtilityError("base table must cover all (guess, suc, detect) triples")
         object.__setattr__(self, "base", table)
+        object.__setattr__(self, "others_detected_bonus", Fraction(self.others_detected_bonus))
         if self.message_space_size < 2:
             raise UtilityError("message space must have at least 2 elements")
         if self.others_detected_bonus < 0:
             raise UtilityError("others-detected bonus must be >= 0")
 
-    def payoff(self, guess: int, suc: int, detect_self: int, others_detected: int = 0) -> float:
+    def payoff(self, guess: int, suc: int, detect_self: int, others_detected: int = 0) -> Fraction:
         return self.base[(guess, suc, detect_self)] + self.others_detected_bonus * others_detected
 
     def validate_timid(self) -> None:
-        """Raise naming the violated inequality unless the table is timid."""
+        """Raise naming the violated inequality unless the table is timid.  As
+        0 < 1/|M| < 1, these imply u1 > max(u2, u3) and min(u2, u3) > u4."""
         b = self.base
         for s in (0, 1):
             for d in (0, 1):
@@ -75,11 +78,6 @@ class UtilityTable:
             for s in (0, 1):
                 if not b[(g, s, 0)] > b[(g, s, 1)]:
                     raise UtilityError(f"base({g},{s},0) <= base({g},{s},1): detection must cost strictly")
-        u = derive_u_values(self)
-        if not u["u1"] > max(u["u2"], u["u3"]):
-            raise UtilityError("derived u1 <= max(u2, u3)")
-        if not min(u["u2"], u["u3"]) > u["u4"]:
-            raise UtilityError("derived min(u2, u3) <= u4")
 
     def validate_multi(self, lam: int) -> None:
         self.validate_timid()
@@ -93,32 +91,30 @@ class UtilityTable:
 
     def to_json(self) -> dict:
         return {
-            "base": {f"{g}{s}{d}": v for (g, s, d), v in sorted(self.base.items())},
+            "base": {f"{g}{s}{d}": float(v) for (g, s, d), v in sorted(self.base.items())},
             "message_space_size": self.message_space_size,
-            "others_detected_bonus": self.others_detected_bonus,
+            "others_detected_bonus": float(self.others_detected_bonus),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "UtilityTable":
-        base = {}
-        for key, v in read_object(obj["base"], "base").items():
-            g, s, d = (int(ch) for ch in key)
-            base[(g, s, d)] = float(read_number(v, f"base {key}"))
+        base = {tuple(int(ch) for ch in key): read_number(v, f"base {key}")
+                for key, v in read_object(obj["base"], "base").items()}
         return cls(
             base=base,
             message_space_size=read_int(obj["message_space_size"], "message_space_size"),
-            others_detected_bonus=float(read_number(obj.get("others_detected_bonus", 0.0),
-                                                    "others_detected_bonus")),
+            others_detected_bonus=read_number(obj.get("others_detected_bonus", 0),
+                                              "others_detected_bonus"),
         )
 
 
-def derive_u_values(table: UtilityTable, lam: int = 1) -> dict[str, float]:
+def derive_u_values(table: UtilityTable, lam: int = 1) -> dict[str, Fraction]:
     """Expected payoffs at uniform-guess rate 1/|M| per (suc, detect) cell:
     u1..u4, and u1pp..u4pp, which add bonus*(lam-1) (all others detected;
     equal to u1..u4 at lam = 1).  The primed values (no other adversary
     detected) are u1..u4 themselves.
     """
-    inv_m = 1.0 / table.message_space_size
+    inv_m = Fraction(1, table.message_space_size)
 
     def u(s, d):
         return inv_m * table.base[(1, s, d)] + (1 - inv_m) * table.base[(0, s, d)]

@@ -41,10 +41,11 @@ class RssProtocol(OneRoundProtocol):
     def substitute(self, payload, rng: random.Random) -> tuple[int, ...]:
         return tuple(rng.randrange(self.field.q) for _ in range(self.sharing.share_len))
 
-    def budget_problem(self, need: float) -> str | None:
+    def budget_problem(self, need) -> str | None:
         """`need` is the largest admissible detection-failure probability."""
         if self.sharing.delta > need:
-            return f"sharing failure rate {self.sharing.delta:.4f} above bound {need:.4f}"
+            return (f"sharing failure rate {float(self.sharing.delta):.4f} above bound "
+                    f"{float(need):.4f}")
         return None
 
     def to_json(self) -> dict:

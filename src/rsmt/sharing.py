@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -233,9 +234,9 @@ class AmdSpec:
             )
 
     @property
-    def delta(self) -> float:
-        """Undetected-manipulation probability bound (d+1)/q."""
-        return (self.d + 1) / self.field.q
+    def delta(self) -> Fraction:
+        """Undetected-manipulation probability bound (d+1)/q, exactly."""
+        return Fraction(self.d + 1, self.field.q)
 
 
 def amd_encode(spec: AmdSpec, s: Sequence[int], rng: random.Random) -> tuple[int, ...]:
@@ -269,7 +270,7 @@ class RobustSharingSpec:
             raise SharingError("AMD code and inner sharing must share one field")
 
     @property
-    def delta(self) -> float:
+    def delta(self) -> Fraction:
         return self.amd.delta
 
     @property

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rsmt.game import derive_u_values, witness_table
+from rsmt.game import UtilityError, UtilityTable, derive_u_values, witness_table
 from rsmt.game.bounds import (
     BoundError,
     required_delta_rss,
@@ -15,6 +15,7 @@ from rsmt.game.bounds import (
     required_ell_pd,
     required_ell_pd_multi,
     required_ell_rss,
+    requirement_table,
 )
 
 # the 3/2/1/0 witness values used throughout
@@ -193,3 +194,73 @@ def test_each_calculator_returns_the_least_ell_of_its_exact_inequality(u4, g3, g
         assert required_ell_pd(u1, u2, u3, u4, t, alpha) == _least_ell(
             lambda ell: two ** (ell - 1) >= t * (e3 - e4) / (e2 - e4 - a)
             and two ** (t * (ell - 1)) >= (e1 - e3) / a)
+
+
+# --- exact utility tables ----------------------------------------------------
+
+
+_step = st.integers(-2, 20)
+
+
+@st.composite
+def _tables(draw):
+    """(base table in tenths, |M|, bonus in tenths): each (suc, detect) cell is
+    a guess-0 payoff plus a guess increment, drawn near the timid order so
+    that both verdicts of `validate_timid` occur."""
+    low = draw(st.integers(0, 20))
+    at0 = {(1, 1): low, (0, 1): low + draw(_step), (1, 0): low + draw(_step)}
+    at0[(0, 0)] = max(at0.values()) + draw(_step)
+    rise = {cell: draw(_step) for cell in at0}
+    base = {(g, s, d): (at0[(s, d)] + g * rise[(s, d)]) / 10 for (s, d) in at0 for g in (0, 1)}
+    size = draw(st.sampled_from([2, 3, 5, 7, 10, 256]))
+    return base, size, draw(st.integers(0, 30)) / 10
+
+
+def _exact_u(base, size, bonus, lam):
+    """u1..u4 and u1pp..u4pp mixed in Fractions from the exact base values."""
+    w = Fraction(1, size)
+    plain = {f"u{i}": w * Fraction(base[(1, s, d)]) + (1 - w) * Fraction(base[(0, s, d)])
+             for i, (s, d) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)], 1)}
+    return plain | {f"{k}pp": v + Fraction(bonus) * (lam - 1) for k, v in plain.items()}
+
+
+def _outcome(calc, *args):
+    try:
+        return calc(*args)
+    except BoundError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_tables(), st.integers(1, 3), st.integers(3, 9), st.integers(1, 3),
+       st.sampled_from([[1], [1, 2], [2, 3]]))
+def test_exact_tables_validate_and_bound_on_their_fraction_values(drawn, lam, n, d, ts):
+    base, size, bonus = drawn
+    table = UtilityTable(base, size, bonus)
+    cells = [(s, d) for s in (0, 1) for d in (0, 1)]
+    timid = (all(base[(1, s, d)] >= base[(0, s, d)] for s, d in cells)
+             and all(base[(g, 0, d)] > base[(g, 1, d)] for g, d in cells)
+             and all(base[(g, s, 0)] > base[(g, s, 1)] for g, s in cells))
+    try:
+        table.validate_timid()
+        accepted = True
+    except UtilityError:
+        accepted = False
+    assert accepted == timid
+    u, derived = _exact_u(base, size, bonus, lam), derive_u_values(table, lam)
+    assert derived == u
+    if accepted:  # what the base-table checks imply for the derived values
+        assert u["u1"] > max(u["u2"], u["u3"]) and min(u["u2"], u["u3"]) > u["u4"]
+    rows = requirement_table(derived, lam, n, d, ts)
+    expected = {
+        "pd-tag-bits": _outcome(required_ell_pd_multi, u["u1"], u["u2"], u["u3"], u["u4"], ts),
+        "rss-delta": _outcome(required_delta_rss, u["u1"], u["u2"], u["u3"]),
+        "rss-field-bits": _outcome(required_ell_rss, u["u1"], u["u2"], u["u3"], d),
+        "minority-tag-bits": _outcome(required_ell_p1, u["u1"], u["u2"], u["u4"], n),
+        "unanimous-tag-bits": _outcome(required_ell_p2, u["u1"], u["u2"], u["u3pp"]),
+        "robust-tag-bits": _outcome(required_ell_p3, (u["u1"], u["u2"], u["u4"]),
+                                    (u["u1pp"], u["u2pp"], u["u4pp"]), n),
+    }
+    got = {name: str(value) if isinstance(value, BoundError) else value
+           for name, (_, value) in rows.items()}
+    assert got == expected

@@ -449,7 +449,37 @@ def test_table_that_is_timid_but_not_strictly_timid(tmp_path, capsys):
         "(strictly timid) (use --allow-underspec to probe anyway)\n")
 
 
+# The guess-indifferent base (3.7, 3.1, 2.9, 2.1) over GF(3): the P2 ratio
+# (u1-u3)/(u2-u3) of its exact values lies just below 4, and mixing them at
+# 1/|M| = 1/3 in floats lands a few ulps off, past 4, one bit too many.
+P2_GF3_CONFIG = {
+    "protocol": {"variant": "P2", "n": 2, "d": 1, "ell": 1, "field": {"kind": "prime", "p": 3}},
+    "profile": {"assignments": {"1": [1]}},
+    "utility": {"base": {"000": 3.7, "100": 3.7, "010": 3.1, "110": 3.1,
+                         "001": 2.9, "101": 2.9, "011": 2.1, "111": 2.1}},
+}
+
+
+def test_bounds_are_decided_on_the_exact_u_values(tmp_path, capsys):
+    assert main(["bounds", "--config", write_config(tmp_path, P2_GF3_CONFIG)]) == EXIT_OK
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[4:])
+    assert rows["unanimous-tag-bits"] == "single,1"
+    assert rows["rss-field-bits"] == "d=1,3"
+    assert check_tag_budget(ExperimentConfig(P2_GF3_CONFIG)) == []
+
+
+# Two adversaries on P2 n=4 with the witness base and bonus 5: framing the
+# other adversary pays, u3'' = 6 > u1' = 3.
+P2_BONUS_5 = {"protocol": {"variant": "P2", "n": 4, "d": 1, "ell": 8,
+                           "field": {"kind": "binary", "m": 8}},
+              "profile": {"assignments": {"1": [1, 2], "2": [3, 4]}},
+              "utility": {"base": WITNESS_BASE, "others_detected_bonus": 5},
+              "sweep": {"axis": "ell", "values": [8]}}
+
+
 @pytest.mark.parametrize("command, change, message", [
+    *((command, P2_BONUS_5, "utility table not admissible: derived u1' <= max(u2', u3'')")
+      for command in ("bounds", "simulate", "sweep")),
     ("bounds", {"utility": {"base": dict(WITNESS_BASE, **{"100": 2.5})}},
      "utility table not admissible: base(1,0,0) < base(0,0,0): payoff must not decrease "
      "in guess"),
@@ -468,8 +498,9 @@ def test_table_that_is_timid_but_not_strictly_timid(tmp_path, capsys):
                                    d=3)},
      "bad protocol config: d=3 elements of 16 bits make a 48-bit hash domain, over the "
      "32-bit limit"),
-], ids=["guess-lowers-payoff", "negative-bonus", "sweep-axis", "poly-degree", "d-zero",
-        "strawman-n2", "hash-domain-48-bits"])
+], ids=["two-adversaries-bonus-5-bounds", "two-adversaries-bonus-5-simulate",
+        "two-adversaries-bonus-5-sweep", "guess-lowers-payoff", "negative-bonus", "sweep-axis",
+        "poly-degree", "d-zero", "strawman-n2", "hash-domain-48-bits"])
 def test_reachable_config_errors_exit_3(tmp_path, capsys, monkeypatch, command, change,
                                         message):
     _refuse_work(monkeypatch)

@@ -13,10 +13,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# Defined but named by no caller: the multi-adversary admissibility test
-# waits for the runs with two or more adversaries (ROADMAP item 6).
-UNCALLED = {"validate_multi"}
-
 
 def test_demos_found():
     assert DEMOS
@@ -51,4 +47,4 @@ def test_every_definition_in_src_is_named_by_a_caller():
                and not re.fullmatch(r"__\w+__", node.name)}
     words = Counter(re.findall(r"\w+", text))
     definitions = Counter(re.findall(r"\b(?:def|class) (\w+)", text))
-    assert {name for name in defined if words[name] == definitions[name]} == UNCALLED
+    assert {name for name in defined if words[name] == definitions[name]} == set()

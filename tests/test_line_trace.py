@@ -33,8 +33,12 @@ def test_lists_the_lines_no_frame_reached(tmp_path):
     assert result == 1
     missed = line_trace.unreached(root, reached)
     assert missed == [("mod.py", 3, "return -1"), ("mod.py", 8, "raise NotImplementedError")]
-    lines, bad = line_trace.report(missed, {("mod.py", "raise NotImplementedError"): "a stub"})
-    assert bad == 1
+    allowed = {("mod.py", "raise NotImplementedError"): "a stub",
+               ("mod.py", "return 1"): "reached, so the entry is stale"}
+    lines, bad = line_trace.report(missed, allowed)
+    assert bad == 2
     assert lines == ["mod.py:3: return -1",
                      "mod.py:8: raise NotImplementedError  [allowed: a stub]",
-                     "2 unreached lines, 1 outside the allowlist"]
+                     "mod.py: stale allowlist entry, no unreached line reads: return 1",
+                     "2 unreached lines, 1 outside the allowlist, 1 stale allowlist entries"]
+    assert line_trace.report(missed[1:], allowed)[1] == 1  # the stale entry alone fails

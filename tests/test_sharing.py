@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -410,9 +411,9 @@ def test_amd_spec_validation():
 
 
 def test_amd_delta_values():
-    assert AmdSpec(GF5, 1).delta == 2 / 5
-    assert AmdSpec(GF7, 1).delta == 2 / 7
-    assert AmdSpec(FieldSpec.binary(2), 1).delta == 2 / 4
+    assert AmdSpec(GF5, 1).delta == Fraction(2, 5)
+    assert AmdSpec(GF7, 1).delta == Fraction(2, 7)
+    assert AmdSpec(FieldSpec.binary(2), 1).delta == Fraction(1, 2)
 
 
 def test_amd_encode_frozen_example():
@@ -454,7 +455,7 @@ def test_amd_manipulation_bound_exhaustive():
                 tampered = ((s + ds) % 5, (x + dx) % 5, (tag + dt) % 5)
                 if amd_decode(spec, tampered) is not FAIL:
                     accepted += 1
-            assert accepted / 5 <= spec.delta
+            assert Fraction(accepted, 5) <= spec.delta
 
 
 # --- Robust sharing ---------------------------------------------------------
@@ -466,7 +467,7 @@ def test_robust_spec_validation():
     with pytest.raises(SharingError):
         RobustSharingSpec(AmdSpec(GF7, 1), SharingSpec(t=1, n=3, field=GF5))
     assert RSPEC.share_len == 3
-    assert RSPEC.delta == 2 / 7
+    assert RSPEC.delta == Fraction(2, 7)
 
 
 def test_robust_roundtrip():

@@ -6,7 +6,8 @@ Runs pytest in this process under a `sys.settrace` line tracer that records
 only frames whose code lives under `src/rsmt`, then prints every executable
 line (a line some compiled code object of the file maps an instruction to,
 read from `co_lines`) that no frame reached.  Exit status 1 when an
-unreached line is not in `ALLOWED` or pytest failed, else 0.
+unreached line is not in `ALLOWED`, an `ALLOWED` entry matches no unreached
+line (it is stale: delete it), or pytest failed, else 0.
 
 Without arguments it runs `tests/` except `tests/test_acceptance.py`, whose
 Monte-Carlo runs take most of the suite's time, which tracing multiplies;
@@ -32,10 +33,6 @@ ALLOWED = {
         "interface stubs of `Protocol`: every protocol overrides them",
     ("cli.py", "sys.exit(main())"):
         "runs only as `python -m rsmt.cli`; the tests call `main` in-process",
-    ("game/utility.py", 'raise UtilityError("derived u1 <= max(u2, u3)")'):
-        "float-rounding net: the base-table checks above imply it in exact arithmetic",
-    ("game/utility.py", 'raise UtilityError("derived min(u2, u3) <= u4")'):
-        "float-rounding net: the base-table checks above imply it in exact arithmetic",
 }
 
 
@@ -92,14 +89,19 @@ def unreached(root: Path, reached: dict[str, set[int]]) -> list[tuple[str, int, 
 
 
 def report(missed: list[tuple[str, int, str]], allowed=ALLOWED) -> tuple[list[str], int]:
-    """The report lines and the number of unreached lines `allowed` lacks."""
+    """The report lines and the number of faults: unreached lines `allowed`
+    lacks, and entries of `allowed` that match no unreached line."""
     lines, bad = [], 0
     for rel, line, text in missed:
         reason = allowed.get((rel, text))
         bad += reason is None
         lines.append(f"{rel}:{line}: {text}" + ("" if reason is None else f"  [allowed: {reason}]"))
-    lines.append(f"{len(missed)} unreached lines, {bad} outside the allowlist")
-    return lines, bad
+    stale = sorted(set(allowed) - {(rel, text) for rel, _, text in missed})
+    lines += [f"{rel}: stale allowlist entry, no unreached line reads: {text}"
+              for rel, text in stale]
+    lines.append(f"{len(missed)} unreached lines, {bad} outside the allowlist, "
+                 f"{len(stale)} stale allowlist entries")
+    return lines, bad + len(stale)
 
 
 def main(argv=None) -> int:
