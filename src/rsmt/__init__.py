@@ -4,7 +4,7 @@ transmission protocols, and a game-theoretic evaluation harness.
 """
 
 from .field import DEFAULT_BINARY_POLYS, FieldError, FieldSpec, interpolate, poly_eval
-from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
+from .hashing import HashFamilySpec
 from .sharing import (
     FAIL,
     AmdSpec,

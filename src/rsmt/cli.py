@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -199,17 +200,25 @@ def _report_header(config: ExperimentConfig) -> list[str]:
 @contextlib.contextmanager
 def _outputs(*paths):
     """The files `paths` name ("-" is stdout, None no file), opened before any work
-    runs.  Each is first opened to append, so a path that cannot be written is
-    a ConfigError that empties no file and removes the files this call made."""
+    runs.  Each is first opened to append, so a path that cannot be written, or
+    two paths of one file (one output would overwrite the other), is a
+    ConfigError that empties no file and removes the files this call made."""
     named = [p for p in paths if p not in (None, "-")]
     new = [p for p in named if not os.path.exists(p)]
+
+    def refuse(message: str) -> ConfigError:
+        for made in filter(os.path.exists, new):
+            os.remove(made)
+        return ConfigError(message)
+
     for path in named:
         try:
             open(path, "a", encoding="utf-8").close()
         except OSError as exc:
-            for made in filter(os.path.exists, new):
-                os.remove(made)
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+            raise refuse(f"cannot write {path}: {exc}") from exc
+    for first, second in itertools.combinations(named, 2):
+        if os.path.samefile(first, second):
+            raise refuse(f"{first} and {second} are the same file")
     with contextlib.ExitStack() as stack:
         yield [None if p is None else sys.stdout if p == "-"
                else stack.enter_context(open(p, "w", encoding="utf-8")) for p in paths]

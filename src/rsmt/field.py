@@ -56,6 +56,7 @@ DEFAULT_BINARY_POLYS = {
 MAX_BINARY_M = 32
 _TABLE_MAX_M = 16
 _LIST_MAX_M = 12
+LAGRANGE_CACHE_SIZE = 1024  # point sets whose Lagrange rows and values are kept
 
 _spec_cache: dict = {}
 
@@ -332,7 +333,7 @@ def vanishing_poly(spec: FieldSpec, xs: Sequence[int]) -> list[int]:
     return poly
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=LAGRANGE_CACHE_SIZE)
 def _lagrange_rows(spec: FieldSpec, xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Row i holds the coefficients of the Lagrange basis polynomial of
     xs[i], 1 there and 0 at every other point: the vanishing polynomial of
@@ -350,7 +351,7 @@ def _lagrange_rows(spec: FieldSpec, xs: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(rows)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=LAGRANGE_CACHE_SIZE)
 def lagrange_values(spec: FieldSpec, xs: tuple[int, ...], at: tuple[int, ...]):
     """Row i holds the Lagrange basis row of xs[i] evaluated at each point of `at`."""
     return tuple(tuple(poly_eval(spec, row, a) for a in at) for row in _lagrange_rows(spec, xs))

@@ -5,7 +5,8 @@ The affine map (a, b) -> (a*x1 + b, a*x2 + b) is a bijection for x1 != x2, so
 truncating both outputs to l bits leaves every tag pair with exactly
 2^(2m-2l) preimages: the family is exactly 2^(-2l)-pairwise independent,
 comfortably inside the 2^(1-2l) budget the protocol bounds assume.
-`tag_rows` gives a one-round protocol's masked n x n tag matrix in one call.
+`tag_rows` is the family's one evaluator: it gives a one-round protocol's
+masked n x n tag matrix, or `rsmt verify`'s tags of every key, in one call.
 """
 
 from __future__ import annotations
@@ -38,23 +39,9 @@ class HashFamilySpec:
         """A uniform key (a, b)."""
         return rng.getrandbits(self.domain_bits), rng.getrandbits(self.domain_bits)
 
-    def members(self):
-        """Every key (a, b), a-major."""
-        return itertools.product(range(1 << self.domain_bits), repeat=2)
-
-    def tag(self, key: tuple[int, int], x: int) -> int:
-        """h_{a,b}(x) for key = (a, b), multiplied by the field's `mul_int`."""
-        a, b = key
-        size = self.field.q
-        if not (0 <= a < size and 0 <= b < size):
-            raise ValueError("hash coefficients outside the field")
-        if not 0 <= x < size:
-            raise ValueError(f"input does not fit in {self.domain_bits} bits")
-        return (self.field.mul_int(a, x) ^ b) & ((1 << self.range_bits) - 1)
-
     def tag_rows(self, keys: Sequence[tuple[int, int]], xs: Sequence[int],
                  masks: Iterable[Sequence[int]]) -> list[list[int]]:
-        """Row i is [tag(keys[i], x) ^ r for x, r in zip(xs, mask row i)]: the
+        """Row i is [h_{keys[i]}(x) ^ r for x, r in zip(xs, mask row i)]: the
         keys and inputs are range-checked once, and on table fields the
         inputs' logs are taken once, then one pass per key."""
         f, lm = self.field, (1 << self.range_bits) - 1
@@ -77,25 +64,3 @@ class HashFamilySpec:
                 if a else [b & lm ^ r for r in rs]
                 for (a, b), rs, la in zip(keys, masks, [log[a] - 1 for a, _ in keys])]
 
-
-def offset_collision_prob_exhaustive(
-    spec: HashFamilySpec, x1: int, c1: int, x2: int, c2: int
-) -> float:
-    """Exact Pr over the family of c1 ^ h(x1) == c2 ^ h(x2).
-
-    Enumerates all 2^(2m) members, so m is capped at 12.
-    """
-    if (x1, c1) == (x2, c2):
-        raise ValueError("pairs must be distinct")
-    m = spec.domain_bits
-    if m > 12:
-        raise ValueError(f"family of 2^{2 * m} members is too large to enumerate")
-    mask = (1 << spec.range_bits) - 1
-    field = spec.field
-    target = (c1 ^ c2) & mask
-    count = 0
-    # b cancels in h(x1) ^ h(x2), so only a matters; each a stands for 2^m b's.
-    for a in range(1 << m):
-        if (field.mul_int(a, x1) ^ field.mul_int(a, x2)) & mask == target:
-            count += 1
-    return count / (1 << m)

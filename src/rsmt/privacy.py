@@ -3,14 +3,14 @@
 Every function enumerates ALL randomness relevant to the quantity under test
 and returns an exact worst-case figure (statistical distance or failure
 probability) as a fraction of integer counts — no sampling, no tolerance.
-Every view check goes through one enumerator, `view_distance`: it runs the
-production code (`shamir_share`, `robust_share`, `ciss_sender_encode`; the
-SJST rounds in the tests) once per secret and per point of the product of
-the draws' ranges, with a `ForcedDraws` stand-in for the rng that must
-serve exactly the draws the code makes (checked by `finish`), so each check
-sees the draw path the simulator runs.  The AMD check drives `amd_encode`
-the same way, once per (message, x), and decodes each codeword under every
-offset.
+Every check enumerates through one generator, `_runs`: it runs production
+code once per point of the product of the draws' ranges, with a
+`ForcedDraws` stand-in for the rng that must serve exactly the draws the
+code makes (checked by `finish`), so each check sees the draw path the
+simulator runs.  The view checks (`view_distance`) run `shamir_share`,
+`robust_share` or `ciss_sender_encode` (the SJST rounds in the tests) per
+secret; the AMD check runs `amd_encode` per (message, x); the hash checks
+draw every key by `HashFamilySpec.sample` and tag it with `tag_rows`.
 `CHECKS` fixes the parameters: it is the one table that `rsmt verify` prints
 and the acceptance suite asserts.  The regimes are deliberately tiny so each
 check finishes in seconds.
@@ -26,7 +26,7 @@ from operator import itemgetter, sub
 from typing import Callable, NamedTuple
 
 from .field import FieldSpec, ints_below
-from .hashing import HashFamilySpec, offset_collision_prob_exhaustive
+from .hashing import HashFamilySpec
 from .protocols.ciss import P1, CissProtocol, ciss_sender_encode, slot
 from .sharing import (
     FAIL,
@@ -67,12 +67,15 @@ class ForcedDraws:
             raise RuntimeError("drew fewer random values than were forced")
 
 
-def _forced(point, fn, *args):
-    """`fn(*args, rng)` with `rng` a `ForcedDraws` of `point` that it must use up."""
-    rng = ForcedDraws(point)
-    out = fn(*args, rng)
-    rng.finish()
-    return out
+def _runs(radices, fn, *args):
+    """`fn(*args, rng)` at each point of the product of range(r) for r in
+    `radices`, in order, with `rng` a `ForcedDraws` of that point that the
+    call must use up."""
+    for point in itertools.product(*map(range, radices)):
+        rng = ForcedDraws(point)
+        out = fn(*args, rng)
+        rng.finish()
+        yield out
 
 
 class EnumerationTooLarge(ValueError):
@@ -125,33 +128,42 @@ def view_distance(secrets, radices, run, subsets) -> Fraction:
     _check_size(len(secrets) * states)
     dists = [[Counter() for _ in secrets] for _ in subsets]
     for s, secret in enumerate(secrets):
-        points = itertools.product(*map(range, radices))
-        while chunk := list(itertools.islice(points, 4096)):
-            payloads, publics = zip(*(_forced(point, run, secret) for point in chunk))
+        runs = _runs(radices, run, secret)
+        while chunk := list(itertools.islice(runs, 4096)):
+            payloads, publics = zip(*chunk)
             for d, subset in zip(dists, subsets):
                 d[s].update(zip(publics, *(map(itemgetter(i), payloads) for i in subset)))
     return max(_max_distance(d, states) for d in dists)
 
 
+def tag_pair_counts(family: HashFamilySpec) -> dict[tuple[int, int], Counter]:
+    """For each ordered pair (x1, x2) of distinct inputs, the count of keys
+    per tag pair (h(x1), h(x2)): every key drawn by `family.sample` on
+    forced draws (a-major), all tagged by one `tag_rows` call."""
+    q = 1 << family.domain_bits
+    _check_size(q * q * q)
+    keys = list(_runs([q, q], family.sample))
+    columns = list(zip(*family.tag_rows(keys, range(q), itertools.repeat([0] * q))))
+    return {(x1, x2): Counter(zip(columns[x1], columns[x2]))
+            for x1, x2 in itertools.permutations(range(q), 2)}
+
+
 def hash_pairs_uniform(family: HashFamilySpec) -> bool:
     """Whether every pair of distinct inputs is mapped onto each of the
-    4^l tag pairs by exactly 2^(2m-2l) members of the family."""
+    4^l tag pairs by exactly 2^(2m-2l) keys of the family."""
     m, ell = family.domain_bits, family.range_bits
-    for x1, x2 in itertools.permutations(range(1 << m), 2):
-        counts = Counter((family.tag(key, x1), family.tag(key, x2))
-                         for key in family.members())
-        if len(counts) != 4 ** ell or set(counts.values()) != {1 << (2 * (m - ell))}:
-            return False
-    return True
+    return all(len(counts) == 4 ** ell and set(counts.values()) == {1 << (2 * (m - ell))}
+               for counts in tag_pair_counts(family).values())
 
 
 def hash_offset_collision_max(family: HashFamilySpec) -> float:
-    """Worst exact Pr[c1 ^ h(x1) == c2 ^ h(x2)] over distinct (x, c) pairs."""
-    pairs = itertools.product(range(1 << family.domain_bits), range(1 << family.range_bits))
-    return max(
-        offset_collision_prob_exhaustive(family, x1, c1, x2, c2)
-        for (x1, c1), (x2, c2) in itertools.permutations(pairs, 2)
-    )
+    """Worst exact Pr[c1 ^ h(x1) == c2 ^ h(x2)] over distinct (x, c) pairs:
+    the most keys giving one y1 ^ y2 for some x1 != x2, over all keys.
+    Pairs with x1 == x2 differ in c and never collide."""
+    worst = max(sum(k for (y1, y2), k in counts.items() if y1 ^ y2 == offset)
+                for counts in tag_pair_counts(family).values()
+                for offset in range(1 << family.range_bits))
+    return worst / (1 << 2 * family.domain_bits)
 
 
 def shamir_privacy_distance(field: FieldSpec, t: int, n: int) -> Fraction:
@@ -173,7 +185,7 @@ def amd_failure_max(field: FieldSpec, d: int) -> Fraction:
     _check_size(q ** d * q ** (d + 2) * q)
     worst = Fraction(0)
     for msg in itertools.product(range(q), repeat=d):
-        codewords = [_forced((x,), amd_encode, spec, msg) for x in range(q)]
+        codewords = list(_runs([q], amd_encode, spec, msg))
         for delta in itertools.product(range(q), repeat=d + 2):
             if all(v == 0 for v in delta):
                 continue

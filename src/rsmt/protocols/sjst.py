@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from ..config import check_keys, read_ints
-from ..field import ints_below
+from ..field import MAX_BINARY_M, ints_below
 from ..hashing import HashFamilySpec
 from ..transport import RECEIVER_TO_SENDER, SENDER_TO_RECEIVER
 from .base import Protocol, ProtocolError
@@ -42,6 +42,9 @@ class SjstProtocol(Protocol):
             raise ProtocolError("need n >= 1 channels")
         if not 1 <= ell <= k:
             raise ProtocolError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
+        if k > MAX_BINARY_M:
+            raise ProtocolError(f"k={k} makes a {k}-bit hash domain, over the "
+                                f"{MAX_BINARY_M}-bit limit")
         self.n = n
         self.ell = ell
         self.k = k
@@ -101,7 +104,7 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
     """Flag malformed channels, commit hash offsets for the rest.
 
     The keys are drawn here, so their offsets skip the range check of
-    `HashFamilySpec.tag`: one field product per kept channel.
+    `HashFamilySpec.tag_rows`: one field product per kept channel.
     Returns (public payload (B, H), the kept {i: R'_i}, detected channels).
     """
     b = []
@@ -133,7 +136,7 @@ def sjst_round2_receiver(spec: SjstProtocol, payloads, rng: random.Random):
 def sjst_round3_sender(spec: SjstProtocol, keys: dict[int, tuple[int, int]], public, m: int):
     """Compare offsets, flag disagreements, mask the message.
 
-    Each public key is range-checked as `HashFamilySpec.tag` would, then
+    Each public key is range-checked as `HashFamilySpec.tag_rows` does, then
     hashes the sender's R_i with one field product.
     Returns (public payload (V, c), detected channels).
     """

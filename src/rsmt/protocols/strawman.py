@@ -12,11 +12,12 @@ of a random message makes the decoding ambiguous on purpose.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 
 from ..config import check_keys, read_int
-from ..field import FieldSpec, interpolate_at, ints_below
+from ..field import LAGRANGE_CACHE_SIZE, FieldSpec, interpolate_at, ints_below
 from ..sharing import SharingSpec, _share_rows
 from .base import OneRoundProtocol, ProtocolError
 
@@ -31,6 +32,11 @@ class StrawmanProtocol(OneRoundProtocol):
         t = (n + 1) // 2 - 1
         if t < 1:
             raise ProtocolError(f"n={n} leaves no sharing threshold")
+        # each decode interpolates every (t+1)-subset: past the cache, every one misses
+        subsets = math.comb(n, t + 1)
+        if subsets > LAGRANGE_CACHE_SIZE:
+            raise ProtocolError(f"n={n} makes a decode interpolate {subsets} subsets, over "
+                                f"the {LAGRANGE_CACHE_SIZE} point sets the Lagrange cache holds")
         self.n = n
         self.field = field
         self.t = t

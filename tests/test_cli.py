@@ -410,6 +410,31 @@ def test_refused_simulate_leaves_no_file_behind(tmp_path, capsys, monkeypatch, r
         ["cfg.json"] + (["r.csv"] if report == "existing" else []))
 
 
+@pytest.mark.parametrize("case", ["same-path-new", "same-path-existing", "symlink"])
+def test_report_and_dump_on_one_file_are_refused(tmp_path, capsys, monkeypatch, case):
+    # each open would truncate the other's output: the refusal comes before
+    # any work, keeps a file that was there and removes one it made
+    _refuse_work(monkeypatch)
+    out = tmp_path / "r.csv"
+    if case != "same-path-new":
+        out.write_text("an earlier report\n")
+    dump = out
+    if case == "symlink":
+        dump = tmp_path / "link.csv"
+        dump.symlink_to(out)
+    argv = ["simulate", "--config", write_config(tmp_path, P1_CONFIG), "--out", str(out),
+            "--dump-transcript", str(dump)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {out} and {dump} are the same file\n"
+    if case == "same-path-new":
+        assert not out.exists()
+    else:
+        assert out.read_text() == "an earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["cfg.json"] + {"same-path-new": [], "same-path-existing": ["r.csv"],
+                        "symlink": ["r.csv", "link.csv"]}[case])
+
+
 def test_simulate_dump_transcript_to_stdout(tmp_path, capsys, monkeypatch):
     # "-" is stdout for the dump as for the report: the transcript follows
     # the report there, and no file named "-" appears
@@ -498,9 +523,16 @@ P2_BONUS_5 = {"protocol": {"variant": "P2", "n": 4, "d": 1, "ell": 8,
                                    d=3)},
      "bad protocol config: d=3 elements of 16 bits make a 48-bit hash domain, over the "
      "32-bit limit"),
+    ("simulate", {"protocol": {"variant": "STRAWMAN", "n": 13,
+                               "field": {"kind": "binary", "m": 8}}},
+     "bad protocol config: n=13 makes a decode interpolate 1716 subsets, over the 1024 "
+     "point sets the Lagrange cache holds"),
+    ("simulate", {"protocol": {"variant": "SJST", "n": 3, "ell": 8, "k": 40}},
+     "bad protocol config: k=40 makes a 40-bit hash domain, over the 32-bit limit"),
 ], ids=["two-adversaries-bonus-5-bounds", "two-adversaries-bonus-5-simulate",
         "two-adversaries-bonus-5-sweep", "guess-lowers-payoff", "negative-bonus", "sweep-axis",
-        "poly-degree", "d-zero", "strawman-n2", "hash-domain-48-bits"])
+        "poly-degree", "d-zero", "strawman-n2", "hash-domain-48-bits", "strawman-n13",
+        "sjst-k-40"])
 def test_reachable_config_errors_exit_3(tmp_path, capsys, monkeypatch, command, change,
                                         message):
     _refuse_work(monkeypatch)

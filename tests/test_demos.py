@@ -1,8 +1,10 @@
 """Smoke test: every narrated demo runs to completion (they assert their
-own claims, e.g. that a corrupted share is corrected).  Guard: every
-definition under src/rsmt is named by the package, a demo or the benchmark."""
+own claims, e.g. that a corrupted share is corrected).  Guards: every
+definition under src/rsmt is named by the package, a demo or the benchmark,
+and the benchmark's trace targets that name no code are a pinned set."""
 
 import ast
+import importlib.util
 import re
 import runpy
 from collections import Counter
@@ -48,3 +50,25 @@ def test_every_definition_in_src_is_named_by_a_caller():
     words = Counter(re.findall(r"\w+", text))
     definitions = Counter(re.findall(r"\b(?:def|class) (\w+)", text))
     assert {name for name in defined if words[name] == definitions[name]} == set()
+
+
+# Trace targets of perfbench/tracing.py that name no code: each reads 0 in
+# the per-layer metrics until the benchmark drops or renames it.
+STALE_TRACE_TARGETS = {
+    "rsmt.game.play.trial_seed",
+    "rsmt.game.play.utilities_of",
+    "rsmt.hashing.HashFunction.evaluate",
+    "rsmt.hashing.offset_collision_prob_exhaustive",
+    "rsmt.sharing.rs_reconstruct_bruteforce",
+}
+
+
+def test_trace_targets_go_stale_only_on_the_pinned_list():
+    # a newly stale target fails, and so does a pinned one that names code again
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.SPAN_TARGETS + tracing.COUNT_TARGETS + tracing.BUILD_TARGETS
+    stale = {f"{module}.{name}" for module, name, _key in targets
+             if tracing._resolve(module, name) is None}
+    assert stale == STALE_TRACE_TARGETS

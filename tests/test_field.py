@@ -27,6 +27,7 @@ from rsmt.field import (
     poly_eval,
 )
 from rsmt.protocols import SjstProtocol
+from rsmt.protocols.base import ProtocolError
 
 GF7 = FieldSpec.prime(7)
 GF8 = FieldSpec.binary(3)  # x^3 + x + 1
@@ -118,7 +119,7 @@ def test_binary_without_default_poly_rejects_m_above_32_at_once():
     with _within(5, "FieldSpec.binary(64)"):
         with pytest.raises(FieldError):
             FieldSpec.binary(64)
-        with pytest.raises(FieldError):
+        with pytest.raises(ProtocolError, match="k=64 makes a 64-bit hash domain"):
             SjstProtocol(3, 8, 64)
 
 

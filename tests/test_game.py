@@ -359,6 +359,28 @@ def test_p3_delivers_under_every_catalog_attack_up_to_t_channels(case, seed):
 
 
 @st.composite
+def _p1_attacked(draw):
+    """P1 at 32 tag bits, so a tag collision has probability 2^-32, over n
+    and a 32-bit share, with one adversary owning 1..t channels."""
+    field, d = draw(st.sampled_from([(FieldSpec.binary(8), 4), (FieldSpec.binary(16), 2)]))
+    p1 = CissProtocol(P1, draw(st.integers(3, 9)), field, d, 32)
+    channels = draw(st.sets(st.integers(1, p1.n), min_size=1, max_size=p1.t))
+    return p1, CorruptionProfile({1: frozenset(channels)})
+
+
+@settings(max_examples=14, deadline=None, derandomize=True, database=None)
+@given(_p1_attacked(), st.integers(0, 2**32))
+def test_p1_delivers_under_every_catalog_attack_up_to_t_channels(case, seed):
+    # P1 keeps the share of every channel whose tags a majority accepts: at
+    # most t tampered channels cannot outvote the honest ones
+    p1, prof = case
+    table = witness_table(p1.message_space_size())
+    for entry in catalog_for(P1):
+        stats = run_cell(p1, prof, table, 12, seed, {1: entry.name})
+        assert stats.suc_rate == 1.0, entry.name
+
+
+@st.composite
 def _any_protocol(draw):
     """Every variant over its parameters: (n, field, d, l), or (n, k, l)
     for SJST."""

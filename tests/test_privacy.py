@@ -19,6 +19,7 @@ from rsmt.privacy import (
     _max_distance,
     amd_failure_max,
     ciss_view_distance,
+    hash_offset_collision_max,
     hash_pairs_uniform,
     rss_view_distance,
     shamir_privacy_distance,
@@ -137,15 +138,20 @@ def test_amd_check_raises_when_the_encoder_draws_fewer_than_forced(monkeypatch):
 
 
 class _NoSlopeFamily(HashFamilySpec):
-    """Only the a = 0 members: every input gets the same tag."""
+    """Draws a key as the family does, then drops a: every input gets the same tag."""
 
-    def members(self):
-        return ((0, b) for b in range(1 << self.domain_bits))
+    def sample(self, rng):
+        _a, b = super().sample(rng)
+        return 0, b
 
 
 def test_pair_uniformity_check_can_fail():
     assert hash_pairs_uniform(HashFamilySpec(3, 1))
     assert not hash_pairs_uniform(_NoSlopeFamily(3, 1))
+
+
+def test_offset_collision_check_can_fail():
+    assert hash_offset_collision_max(_NoSlopeFamily(3, 1)) == 1.0
 
 
 def test_rss_view_is_independent_of_message():

@@ -460,6 +460,15 @@ def test_strawman_prefers_max_agreement():
     assert strawman_receive(p, payloads) == m
 
 
+def test_strawman_n_is_bounded_by_the_subsets_one_decode_interpolates():
+    # C(12, 6) = 924 subsets fit the 1,024 Lagrange cache entries; C(13, 7) =
+    # 1,716 would miss it on every subset of every decode
+    assert StrawmanProtocol(12, GF256).t == 5
+    with pytest.raises(ProtocolError, match="n=13 makes a decode interpolate 1716 subsets, "
+                       "over the 1024 point sets the Lagrange cache holds"):
+        StrawmanProtocol(13, GF256)
+
+
 def _strawman_receive_by_polynomials(p, payloads):
     """Reference STRAWMAN decoder: interpolate every (t+1)-subset to its
     coefficients, Horner-evaluate them at all n points, keep the lex-first

@@ -26,6 +26,13 @@ def test_spec_validation():
         SjstProtocol(3, 0, 8)
 
 
+def test_a_key_wider_than_the_widest_binary_field_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="k=40 makes a 40-bit hash domain, over the "
+                       "32-bit limit"):
+        SjstProtocol(3, 8, 40)
+    assert SjstProtocol(3, 8, 32).family.domain_bits == 32
+
+
 def test_round1_key_widths_and_determinism():
     keys, payloads = sjst_round1_sender(SPEC, random.Random(1))
     assert set(payloads) == {1, 2, 3}
@@ -242,12 +249,16 @@ def test_rounds_2_and_3_hash_as_the_family_does(kl, n, seed, data):
         payloads[i] = (rng.getrandbits(ell), rng.getrandbits(k))
     public2, _, _ = sjst_round2_receiver(spec, payloads, random.Random(seed + 2))
     entries = public2[1]
+
+    def tag(key, x):  # the family's h_{a,b}(x), by `mul_int`
+        return (fam.field.mul_int(key[0], x) ^ key[1]) & ((1 << ell) - 1)
+
     for i, (a, b, offset) in enumerate(entries, 1):
         r, big_r = payloads[i]
-        assert offset == r ^ fam.tag((a, b), big_r)
+        assert offset == r ^ tag((a, b), big_r)
     _, detects = sjst_round3_sender(spec, keys, public2, 0)
     assert detects == [i for i, (r, big_r) in keys.items()
-                       if r ^ fam.tag(entries[i - 1][:2], big_r) != entries[i - 1][2]]
+                       if r ^ tag(entries[i - 1][:2], big_r) != entries[i - 1][2]]
     a, b, offset = entries[0]
     for bad in ((1 << k, b), (a, -1)):
         with pytest.raises(ValueError):
