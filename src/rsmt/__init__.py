@@ -24,14 +24,12 @@ from .transport import (
     EMPTY,
     RNG_STREAM,
     AdversaryStrategy,
-    AdversaryView,
     CorruptionProfile,
     Engine,
     SimulationFault,
     derive_rng,
     derive_streams,
     execute,
-    view_of,
 )
 
 __version__ = "0.1.0"

@@ -202,9 +202,10 @@ def _outputs(*paths):
     """The files `paths` name ("-" is stdout, None no file), opened before any work
     runs.  Each is first opened to append, so a path that cannot be written, or
     two paths of one file (one output would overwrite the other), is a
-    ConfigError that empties no file and removes the files this call made."""
+    ConfigError that empties no file and removes the files this call made (the
+    target of a dangling symlink, not the link)."""
     named = [p for p in paths if p not in (None, "-")]
-    new = [p for p in named if not os.path.exists(p)]
+    new = [os.path.realpath(p) for p in named if not os.path.exists(p)]
 
     def refuse(message: str) -> ConfigError:
         for made in filter(os.path.exists, new):

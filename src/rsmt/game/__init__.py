@@ -2,8 +2,8 @@ from .attacks import (
     CATALOG,
     AttackCatalogEntry,
     BlockChannels,
+    CatalogStrategy,
     PassiveGuess,
-    RandomGuessStrategy,
     Rewrite,
     SwapHalf,
     catalog_for,

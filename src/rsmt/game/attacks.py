@@ -1,13 +1,14 @@
 """Catalog of adversary strategies used for equilibrium falsification.
 
 Every strategy guesses a uniformly random message (perfect privacy makes any
-other guess rule pointless) and differs only in how it tampers.  What a
-deviation writes depends on the protocol's payload layout, so the rewrites
-are protocol methods (`substitute`, `frame_tags`, `frame_masks`,
-`widen_keys`) and each catalog entry names the method it calls: an attack
-applies to exactly the protocols that have it.  Strategies are stateless:
-all randomness comes from the rng stream the transport hands them, so one
-instance can be reused across trials.
+other guess rule pointless), which the utility table scores exactly, so the
+strategies differ only in how they tamper.  What a deviation writes depends
+on the protocol's payload layout, so the rewrites are protocol methods
+(`substitute`, `frame_tags`, `frame_masks`, `widen_keys`) and each catalog
+entry names the method it calls: an attack applies to exactly the protocols
+that have it.  Strategies are stateless: all randomness comes from the rng
+stream the transport hands them, so one instance can be reused across
+trials.
 """
 
 from __future__ import annotations
@@ -27,28 +28,25 @@ def _method(protocol: Protocol, name: str):
     return method
 
 
-class RandomGuessStrategy(AdversaryStrategy):
-    """Base: uniform final guess over the protocol's message space."""
+class CatalogStrategy(AdversaryStrategy):
+    """Base: a strategy against one protocol."""
 
     def __init__(self, protocol: Protocol):
         self.protocol = protocol
 
-    def final_guess(self, view, rng):
-        return self.protocol.sample_message(rng)
 
-
-class PassiveGuess(RandomGuessStrategy):
+class PassiveGuess(CatalogStrategy):
     """Observes, never tampers: the profile the equilibrium is measured at."""
 
 
-class BlockChannels(RandomGuessStrategy):
+class BlockChannels(CatalogStrategy):
     """Replaces every owned payload with the blocked-channel marker."""
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         return {c: EMPTY for c in own_payloads}
 
 
-class Rewrite(RandomGuessStrategy):
+class Rewrite(CatalogStrategy):
     """Rewrites the owned payloads (the lowest `limit` channels, or all) with
     the protocol method `hook`, e.g. `substitute` for fresh shares or
     `frame_tags` for random cross-tags.  Every protocol sends one channel
@@ -63,7 +61,7 @@ class Rewrite(RandomGuessStrategy):
         return {c: self.rewrite(own_payloads[c], rng) for c in sorted(own_payloads)[: self.limit]}
 
 
-class SwapHalf(RandomGuessStrategy):
+class SwapHalf(CatalogStrategy):
     """Runs the sender on a fresh uniform message and substitutes the owned
     channels with the simulated payloads, making the receiver's decode
     ambiguous between the real and the simulated sharing.  When n = 2t-1 the

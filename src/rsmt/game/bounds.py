@@ -86,12 +86,15 @@ def required_ell_p1(u1: float, u2: float, u4: float, n: int) -> int:
 
 
 def required_ell_p2(u1p: float, u2p: float, u3pp: float) -> int:
-    """Unanimous-threshold protocol: l >= log2((u1'-u3'')/(u2'-u3'')) - 1,
-    decided exactly as 2^(l+1) >= (u1'-u3'')/(u2'-u3'')."""
+    """Unanimous-threshold protocol: l >= log2((u1'-u3'')/(u2'-u3'')),
+    decided exactly as 2^l >= (u1'-u3'')/(u2'-u3'').  The paper prints this
+    bound with a "- 1", one bit short: a substituted share passes the one
+    honest tag check on it with probability exactly 2^-l, so substitution
+    pays while 2^l < (u1'-u3'')/(u2'-u3'')."""
     e1, e2, e3 = map(Fraction, (u1p, u2p, u3pp))
     if not (e1 >= e2 > e3):
         raise BoundError("need u1' >= u2' > u3''")
-    return max(1, _ceil_log2((e1 - e3) / (e2 - e3)) - 1)
+    return max(1, _ceil_log2((e1 - e3) / (e2 - e3)))
 
 
 def required_ell_p3(u_prime: tuple[float, float, float],

@@ -1,7 +1,9 @@
 """Monte-Carlo execution of the transmission game.
 
 A single play samples a uniform message, runs the protocol under a corruption
-profile and per-adversary strategies, and records its Outcome.  A run counts
+profile and per-adversary strategies, and records its Outcome: delivery and
+who was detected.  Every adversary's guess is uniform and scored exactly by
+the utility table, so no play draws one.  A run counts
 how many plays ended in each Outcome.  Its trials go in blocks of
 `BLOCK_TRIALS`: block b makes its streams once, from `block_seed(master_seed,
 b)`, and its trials draw from them in turn, so trial i is block i // B at
@@ -34,14 +36,11 @@ def block_seed(master_seed: int, block: int) -> int:
 
 def outcome_of(engine: Engine, profile: CorruptionProfile) -> Outcome:
     """How the execution that `engine` ran ended."""
-    m = engine.message
     events = engine.detect_events
     detected_channels = {ch for ch, _ in events} if events else None
-    ids = profile.adversary_ids
     return Outcome(
-        suc=int(engine.receiver_output == m),
-        guess=frozenset(j for j in ids if engine.adversary_outputs.get(j) == m),
-        detect=frozenset(j for j in ids if not profile.channels_of(j).isdisjoint(
+        suc=int(engine.receiver_output == engine.message),
+        detect=frozenset(j for j in profile.adversary_ids if not profile.channels_of(j).isdisjoint(
             detected_channels)) if events else frozenset(),
     )
 
@@ -81,7 +80,8 @@ class GameStats:
 
     @property
     def guess_rate(self) -> dict[int, float]:
-        return {j: self.rate(lambda o: j in o.guess) for j in self.ids}
+        """The exact rate of a uniform guess, 1/|M|, for each id."""
+        return dict.fromkeys(self.ids, 1 / self.table.message_space_size)
 
     @property
     def detect_rate(self) -> dict[int, float]:
@@ -93,8 +93,7 @@ class GameStats:
         n = self.trials
         out = {}
         for j in self.ids:
-            payoff = {o: self.table.payoff(int(j in o.guess), o.suc, int(j in o.detect),
-                                           others_detected=len(o.detect - {j}))
+            payoff = {o: self.table.payoff(o.suc, int(j in o.detect), len(o.detect - {j}))
                       for o in self.counts}
             mean = sum(c * payoff[o] for o, c in self.counts.items()) / n
             out[j] = mean, sum(c * (payoff[o] - mean) ** 2 for o, c in self.counts.items()) / n

@@ -1,11 +1,13 @@
 """Outcome and utility model for the transmission game.
 
-One game run produces, per adversary j, the bits (guess_j, detect_j) and the
-global bit suc.  A utility table assigns a base payoff, held as an exact
+One game run produces the global bit suc and, per adversary j, the bit
+detect_j.  A utility table assigns a base payoff, held as an exact
 `Fraction`, to each (guess, suc, detect_self) triple; in the multi-adversary
-model every *other* adversary that gets detected adds a fixed bonus.  The
-derived values u_1..u_4 are the exact expected payoffs at the uniform-guess
-rate 1/|M| for the four (suc, detect) combinations:
+model every *other* adversary that gets detected adds a fixed bonus.  Every
+adversary guesses m uniformly, which succeeds with probability exactly
+1/|M| whatever it saw, so `UtilityTable.payoff` scores the guess in
+expectation rather than drawing it.  The derived values u_1..u_4 are those
+payoffs for the four (suc, detect) combinations:
 
     u_1: suc=0, detect=0     u_2: suc=1, detect=0
     u_3: suc=0, detect=1     u_4: suc=1, detect=1
@@ -32,11 +34,9 @@ class UtilityError(ValueError):
 
 class Outcome(NamedTuple):
     """One trial's result: the suc bit and the ids of the adversaries that
-    guessed m and that were detected.  Hashable, so a run is a Counter of
-    outcomes."""
+    were detected.  Hashable, so a run is a Counter of outcomes."""
 
     suc: int
-    guess: frozenset[int]
     detect: frozenset[int]
 
 
@@ -60,8 +60,11 @@ class UtilityTable:
         if self.others_detected_bonus < 0:
             raise UtilityError("others-detected bonus must be >= 0")
 
-    def payoff(self, guess: int, suc: int, detect_self: int, others_detected: int = 0) -> Fraction:
-        return self.base[(guess, suc, detect_self)] + self.others_detected_bonus * others_detected
+    def payoff(self, suc: int, detect_self: int, others_detected: int = 0) -> Fraction:
+        """Expected payoff of a uniform guess, right with probability 1/|M|."""
+        hit = Fraction(1, self.message_space_size)
+        guessed, missed = self.base[(1, suc, detect_self)], self.base[(0, suc, detect_self)]
+        return hit * guessed + (1 - hit) * missed + self.others_detected_bonus * others_detected
 
     def validate_timid(self) -> None:
         """Raise naming the violated inequality unless the table is timid.  As
@@ -109,19 +112,13 @@ class UtilityTable:
 
 
 def derive_u_values(table: UtilityTable, lam: int = 1) -> dict[str, Fraction]:
-    """Expected payoffs at uniform-guess rate 1/|M| per (suc, detect) cell:
-    u1..u4, and u1pp..u4pp, which add bonus*(lam-1) (all others detected;
-    equal to u1..u4 at lam = 1).  The primed values (no other adversary
-    detected) are u1..u4 themselves.
+    """`table.payoff` per (suc, detect) cell: u1..u4 with no other adversary
+    detected (the primed values), and u1pp..u4pp with all lam - 1 others
+    detected (equal to u1..u4 at lam = 1).
     """
-    inv_m = Fraction(1, table.message_space_size)
-
-    def u(s, d):
-        return inv_m * table.base[(1, s, d)] + (1 - inv_m) * table.base[(0, s, d)]
-
-    plain = {"u1": u(0, 0), "u2": u(1, 0), "u3": u(0, 1), "u4": u(1, 1)}
-    extra = table.others_detected_bonus * (lam - 1)
-    return plain | {f"{k}pp": v + extra for k, v in plain.items()}
+    cells = {"u1": (0, 0), "u2": (1, 0), "u3": (0, 1), "u4": (1, 1)}
+    return ({k: table.payoff(s, d) for k, (s, d) in cells.items()}
+            | {f"{k}pp": table.payoff(s, d, lam - 1) for k, (s, d) in cells.items()})
 
 
 # Guess-indifferent witness table: derived u values are exactly (3, 2, 1, 0).

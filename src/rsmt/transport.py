@@ -8,9 +8,9 @@ replacements for them — and only them.  The public channel is observable by
 everyone and can never be altered, so the engine keeps one public history
 for all adversaries; detection declarations of a public-channel protocol
 join it where they are emitted.  The engine that ran an execution is its
-transcript: it keeps that history, and `view_of` derives an adversary's
-final view from it.  Everything is a pure function of (protocol config,
-message, corruption profile, strategy code, random streams).
+transcript: it keeps every round and that history.  Everything is a pure
+function of (protocol config, message, corruption profile, strategy code,
+random streams).
 
 Random streams, layout `RNG_STREAM`: `derive_streams(seed, ids)` makes one
 stream for the honest parties (profile sampler, message sampler, sender,
@@ -27,12 +27,12 @@ import functools
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
 from .sharing import FAIL
 
-RNG_STREAM = "v2"
+RNG_STREAM = "v3"
 # Trials that share one set of streams; fixed by the stream version.
 BLOCK_TRIALS = 256
 SENDER_TO_RECEIVER = "s->r"
@@ -123,19 +123,17 @@ class CorruptionProfile:
 
 
 class AdversaryStrategy:
-    """Callbacks a rational adversary implements.
+    """The callback a rational adversary implements.
 
     `observe_and_tamper` sees the current round's payloads on its own
     corrupted channels (rushing) plus the public history so far, and returns
-    replacements keyed by channel — a subset of its own channels only.
-    `final_guess` maps the adversary's full view to a guessed message.
+    replacements keyed by channel — a subset of its own channels only.  The
+    adversary's guess of the message is uniform and scored in expectation
+    (see `rsmt.game.utility`), so no callback makes it.
     """
 
     def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
         return {}
-
-    def final_guess(self, view, rng):
-        return None
 
 
 @dataclass
@@ -145,22 +143,6 @@ class RoundRecord:
     pre: dict[int, Any]
     post: dict[int, Any]
     public: Any = None
-
-
-@dataclass(eq=False)
-class AdversaryView:
-    """Exactly what one adversary learns: its channels, nothing else.  Its
-    `rounds` are cut from the transcript's records when first read."""
-
-    channels: frozenset[int]
-    public_history: list[tuple[int, Any]]
-    records: list[RoundRecord] = dc_field(repr=False)
-
-    @functools.cached_property
-    def rounds(self) -> list[tuple[int, str, dict[int, Any], dict[int, Any]]]:
-        own = sorted(self.channels)
-        return [(r.index, r.direction, {c: r.pre[c] for c in own}, {c: r.post[c] for c in own})
-                for r in self.records if r.pre]
 
 
 def _payload_json(p):
@@ -178,8 +160,8 @@ def _payload_json(p):
 class Engine:
     """Single-execution channel simulator handed to a protocol's run(), and
     the transcript of that execution: the rounds, detection events and
-    public history it records, plus the message, the receiver's output and
-    each adversary's final guess, which `execute` fills in."""
+    public history it records, plus the message and the receiver's output,
+    which `execute` fills in."""
 
     def __init__(self, n: int, profile: CorruptionProfile, strategies, streams: Streams,
                  uses_public: bool):
@@ -197,7 +179,6 @@ class Engine:
         self.public_history: list[tuple[int, Any]] = []
         self.message: Any = None
         self.receiver_output: Any = None
-        self.adversary_outputs: dict[int, Any] = {}
 
     def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
         """Deliver one round of channel payloads; returns post-tamper payloads."""
@@ -252,9 +233,6 @@ class Engine:
             ],
             "detect_events": [list(ev) for ev in self.detect_events],
             "receiver_output": _payload_json(self.receiver_output),
-            "adversary_outputs": {
-                str(j): _payload_json(g) for j, g in self.adversary_outputs.items()
-            },
             "message": _payload_json(self.message),
         }
 
@@ -278,13 +256,4 @@ def execute(protocol, m, profile: CorruptionProfile, strategies,
     engine = Engine(protocol.n, profile, strategies, streams, protocol.uses_public)
     engine.message = m
     engine.receiver_output = protocol.run(engine, m)
-    for j in profile.adversary_ids:
-        view = view_of(engine, profile, j)
-        engine.adversary_outputs[j] = strategies[j].final_guess(view, engine.adv_rngs[j])
     return engine
-
-
-def view_of(engine: Engine, profile: CorruptionProfile, j: int) -> AdversaryView:
-    """Adversary j's view of a finished execution: its own channels in every
-    round plus the whole public history, detection declarations included."""
-    return AdversaryView(profile.channels_of(j), list(engine.public_history), engine.rounds)

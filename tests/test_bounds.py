@@ -118,9 +118,10 @@ def test_p1_meets_formula():
 
 
 def test_p2_floors_at_one():
-    # log2(2/1) - 1 = 0, floored to the minimum of one tag bit
-    assert required_ell_p2(U1, U2, U3) == 1
-    assert required_ell_p2(3.0, 2.0, 1.8) == 2
+    # log2(1/1) = 0 when u1' = u2', floored to the minimum of one tag bit
+    assert required_ell_p2(U2, U2, U3) == 1
+    assert required_ell_p2(U1, U2, U3) == 1  # log2(2/1)
+    assert required_ell_p2(3.0, 2.0, 1.8) == 3  # 2^3 >= 1.2/0.2 = 6 > 2^2
     with pytest.raises(BoundError):
         required_ell_p2(U1, U3, U2)  # u2' <= u3''
 
@@ -185,7 +186,7 @@ def test_each_calculator_returns_the_least_ell_of_its_exact_inequality(u4, g3, g
     assert required_ell_p1(u1, u2, u4, n) == _least_ell(
         lambda ell: two ** (ell + 1) >= (n + 1) ** 2 * (e1 - e4) / (e2 - e4))
     assert required_ell_p2(u1, u2, u3) == _least_ell(
-        lambda ell: two ** (ell + 1) >= (e1 - e3) / (e2 - e3))
+        lambda ell: two ** ell >= (e1 - e3) / (e2 - e3))
     assert required_ell_rss(u1, u2, u3, d) == _least_ell(
         lambda ell: two ** ell >= (d + 1) * (e1 - e3) / (e2 - e3))
     for alpha in (None, (u2 - u4) / 3):

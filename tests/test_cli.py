@@ -41,7 +41,7 @@ WITNESS_BASE = witness_table().to_json()["base"]
 
 # The third header line of every bounds/simulate/sweep report.
 PROVENANCE = (f"# provenance rsmt={rsmt.__version__} python={platform.python_version()} "
-              f"rng_stream=v2")
+              f"rng_stream=v3")
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -196,7 +196,7 @@ def test_report_header_carries_provenance(tmp_path, command):
     out = tmp_path / "report.csv"
     main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert out.read_text().splitlines()[1:3] == ["# master_seed 11", PROVENANCE]
-    assert rsmt.RNG_STREAM == "v2"
+    assert rsmt.RNG_STREAM == "v3"
 
 
 def test_bounds_and_simulate_agree_for_several_adversaries(tmp_path, capsys):
@@ -390,14 +390,18 @@ def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypa
     assert err.startswith(f"config error: cannot write {bad}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("report", ["new", "existing"])
+@pytest.mark.parametrize("report", ["new", "existing", "dangling-link"])
 def test_refused_simulate_leaves_no_file_behind(tmp_path, capsys, monkeypatch, report):
     # the report path opens, the dump path does not: the refusal removes the
-    # report file it created and leaves one that was there as it was
+    # report file it created (through a dangling link, the link's target) and
+    # leaves one that was there as it was
     _refuse_work(monkeypatch)
     out = tmp_path / "r.csv"
     if report == "existing":
         out.write_text("an earlier report\n")
+    if report == "dangling-link":
+        out = tmp_path / "link.csv"
+        out.symlink_to(tmp_path / "target.csv")
     argv = ["simulate", "--config", write_config(tmp_path, P1_CONFIG), "--out", str(out),
             "--dump-transcript", str(tmp_path / "absent" / "t.json")]
     assert main(argv) == EXIT_CONFIG
@@ -407,7 +411,8 @@ def test_refused_simulate_leaves_no_file_behind(tmp_path, capsys, monkeypatch, r
     else:
         assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["cfg.json"] + (["r.csv"] if report == "existing" else []))
+        ["cfg.json"] + {"new": [], "existing": ["r.csv"], "dangling-link": ["link.csv"]}[report])
+    assert out.is_symlink() == (report == "dangling-link")
 
 
 @pytest.mark.parametrize("case", ["same-path-new", "same-path-existing", "symlink"])
@@ -478,7 +483,7 @@ def test_table_that_is_timid_but_not_strictly_timid(tmp_path, capsys):
 # (u1-u3)/(u2-u3) of its exact values lies just below 4, and mixing them at
 # 1/|M| = 1/3 in floats lands a few ulps off, past 4, one bit too many.
 P2_GF3_CONFIG = {
-    "protocol": {"variant": "P2", "n": 2, "d": 1, "ell": 1, "field": {"kind": "prime", "p": 3}},
+    "protocol": {"variant": "P2", "n": 2, "d": 1, "ell": 2, "field": {"kind": "prime", "p": 3}},
     "profile": {"assignments": {"1": [1]}},
     "utility": {"base": {"000": 3.7, "100": 3.7, "010": 3.1, "110": 3.1,
                          "001": 2.9, "101": 2.9, "011": 2.1, "111": 2.1}},
@@ -488,9 +493,27 @@ P2_GF3_CONFIG = {
 def test_bounds_are_decided_on_the_exact_u_values(tmp_path, capsys):
     assert main(["bounds", "--config", write_config(tmp_path, P2_GF3_CONFIG)]) == EXIT_OK
     rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[4:])
-    assert rows["unanimous-tag-bits"] == "single,1"
+    assert rows["unanimous-tag-bits"] == "single,2"
     assert rows["rss-field-bits"] == "d=1,3"
     assert check_tag_budget(ExperimentConfig(P2_GF3_CONFIG)) == []
+
+
+def test_p2_row_is_the_least_ell_at_which_substitution_does_not_pay(tmp_path, capsys):
+    # base (5, 2, 1, 0): a substituted share passes the honest tag check with
+    # probability 2^-l, so at l = 1 substitution pays while (5-1)/(2-1) = 4 >
+    # 2^1; the row asks for 2 bits, and one bit is refused
+    cfg = dict(P2_GF3_CONFIG, utility={"base": dict(WITNESS_BASE, **{"000": 5, "100": 5})},
+               attacks=["passive", "share-substitution"], trials=600, master_seed=3)
+    cfg["protocol"] = dict(cfg["protocol"], ell=1)
+    path = write_config(tmp_path, cfg)
+    assert main(["bounds", "--config", path]) == EXIT_OK
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[4:])
+    assert rows["unanimous-tag-bits"] == "single,2"
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: configured ell=1 below required 2 "
+                                       "(use --allow-underspec to probe anyway)\n")
+    # the analytic mean at l = 1 is 8/3 against the passive 2
+    assert main(["simulate", "--config", path, "--allow-underspec"]) == EXIT_FLAG
 
 
 # Two adversaries on P2 n=4 with the witness base and bonus 5: framing the
@@ -756,9 +779,9 @@ STRAWMAN_ROWS = f"""\
 protocol,adversary,attack,trials,mean,ci95,threshold,flag
 STRAWMAN,1,passive,50,0.400000,0.000000,0.400000,0
 STRAWMAN,1,block-channel,50,8.080000,1.064394,1.464394,1
-STRAWMAN,1,share-substitution,50,8.656000,0.923327,1.323327,1
+STRAWMAN,1,share-substitution,50,8.848000,0.864718,1.264718,1
 STRAWMAN,1,share-substitution-1,50,0.400000,0.000000,0.400000,0
-STRAWMAN,1,swap-half,50,7.696000,1.136461,1.536461,1
+STRAWMAN,1,swap-half,50,7.888000,1.102303,1.502303,1
 """
 P1_ROWS = f"""\
 # master_seed 3
@@ -769,7 +792,7 @@ P1,1,block-channel,60,0.000000,0.000000,2.000000,0
 P1,1,share-substitution,60,0.050000,0.097180,2.097180,0
 P1,1,share-substitution-1,60,0.033333,0.064787,2.064787,0
 P1,1,tag-framing,60,2.000000,0.000000,2.000000,0
-P1,1,mask-framing,60,0.050000,0.097180,2.097180,0
+P1,1,mask-framing,60,0.100000,0.136263,2.136263,0
 P1,1,swap-half,60,0.050000,0.097180,2.097180,0
 """
 SJST_SWEEP_CONFIG = {
@@ -787,10 +810,10 @@ SJST_SWEEP_ROWS = f"""\
 {PROVENANCE}
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 ell,2,passive,200,1.000000,0.000000,0.000000,2.000000
-ell,2,share-substitution,200,0.700000,0.700000,0.300000,0.900000
+ell,2,share-substitution,200,0.750000,0.750000,0.250000,0.750000
 ell,2,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 ell,4,passive,200,1.000000,0.000000,0.000000,2.000000
-ell,4,share-substitution,200,0.940000,0.940000,0.060000,0.180000
+ell,4,share-substitution,200,0.945000,0.945000,0.055000,0.165000
 ell,4,length-tamper,200,1.000000,1.000000,0.000000,0.000000
 """
 # Captured before sweep points became full configs: one sweep per axis kind
@@ -807,9 +830,9 @@ SJST_N_SWEEP_ROWS = f"""\
 {PROVENANCE}
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 n,3,passive,120,1.000000,0.000000,0.000000,2.000000
-n,3,share-substitution,120,0.875000,0.991667,0.008333,0.141667
+n,3,share-substitution,120,0.858333,1.000000,0.000000,0.141667
 n,5,passive,120,1.000000,0.000000,0.000000,2.000000
-n,5,share-substitution,120,0.866667,0.991667,0.008333,0.150000
+n,5,share-substitution,120,0.891667,1.000000,0.000000,0.108333
 """
 P1_TRIALS_SWEEP_ROWS = f"""\
 # master_seed 5
@@ -831,10 +854,10 @@ RSS_T_SWEEP_ROWS = f"""\
 axis,value,attack,trials,suc_rate,detect_rate,undetected_wrong_rate,utility_mean
 t,1,passive,100,1.000000,0.000000,0.000000,2.000000
 t,1,block-channel,100,0.000000,1.000000,0.000000,1.000000
-t,1,share-substitution,100,0.020000,0.940000,0.040000,1.100000
+t,1,share-substitution,100,0.010000,0.860000,0.130000,1.270000
 t,2,passive,100,1.000000,0.000000,0.000000,2.000000
 t,2,block-channel,100,0.000000,1.000000,0.000000,1.000000
-t,2,share-substitution,100,0.010000,0.900000,0.090000,1.190000
+t,2,share-substitution,100,0.010000,0.910000,0.080000,1.170000
 """
 
 

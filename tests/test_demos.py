@@ -1,7 +1,8 @@
 """Smoke test: every narrated demo runs to completion (they assert their
 own claims, e.g. that a corrupted share is corrected).  Guards: every
 definition under src/rsmt is named by the package, a demo or the benchmark,
-and the benchmark's trace targets that name no code are a pinned set."""
+and the benchmark's trace targets and strategy methods that name no code are
+pinned sets."""
 
 import ast
 import importlib.util
@@ -52,6 +53,14 @@ def test_every_definition_in_src_is_named_by_a_caller():
     assert {name for name in defined if words[name] == definitions[name]} == set()
 
 
+def _tracing():
+    """perfbench/tracing.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 # Trace targets of perfbench/tracing.py that name no code: each reads 0 in
 # the per-layer metrics until the benchmark drops or renames it.
 STALE_TRACE_TARGETS = {
@@ -65,10 +74,25 @@ STALE_TRACE_TARGETS = {
 
 def test_trace_targets_go_stale_only_on_the_pinned_list():
     # a newly stale target fails, and so does a pinned one that names code again
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     targets = tracing.SPAN_TARGETS + tracing.COUNT_TARGETS + tracing.BUILD_TARGETS
     stale = {f"{module}.{name}" for module, name, _key in targets
              if tracing._resolve(module, name) is None}
     assert stale == STALE_TRACE_TARGETS
+
+
+# Strategy methods of perfbench/tracing.py that no strategy class defines.
+STALE_STRATEGY_METHODS = {"final_guess"}
+
+
+def test_strategy_methods_go_stale_only_on_the_pinned_list():
+    # the benchmark wraps each method on every strategy class of its modules
+    # that defines it: one that none defines reads 0
+    tracing = _tracing()
+    base = importlib.import_module("rsmt.transport").AdversaryStrategy
+    classes = [cls for name in tracing.STRATEGY_MODULES
+               for cls in vars(importlib.import_module(name)).values()
+               if isinstance(cls, type) and issubclass(cls, base) and cls.__module__ == name]
+    stale = {method for method in tracing.STRATEGY_METHODS
+             if not any(callable(cls.__dict__.get(method)) for cls in classes)}
+    assert stale == STALE_STRATEGY_METHODS

@@ -107,7 +107,7 @@ def test_all_passive_yields_u_values():
     outcome, transcript = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)},
                                     derive_streams(123, (1,)))
     assert outcome.suc == 1 and outcome.detect == frozenset()
-    # utility is base(guess, 1, 0): 2.0 for the witness table either way
+    # utility is payoff(1, 0) = u2: 2.0 for the witness table
     assert GameStats(Counter({outcome: 1}), (1,), TABLE).utility_mean == {1: 2.0}
     # replaying the same seed reproduces everything
     o2, t2 = play_game(PROTO1, PROF, {1: PassiveGuess(PROTO1)}, derive_streams(123, (1,)))
@@ -115,14 +115,29 @@ def test_all_passive_yields_u_values():
     assert t2.to_json_str() == transcript.to_json_str()
 
 
-def test_random_guess_rate_near_uniform():
-    # tiny message space so the rate is measurable
+def test_guess_rate_is_exactly_uniform():
     p = StrawmanProtocol(4, FieldSpec.binary(4))
-    prof = CorruptionProfile({1: frozenset({1})})
-    stats = run_trials(p, prof, {1: PassiveGuess(p)}, witness_table(16), 5000, 3)
-    # Pr[guess] = 1/16 = 0.0625; 3 sigma ~ 0.0103
-    assert abs(stats.guess_rate[1] - 1 / 16) < 0.011
-    assert stats.suc_rate == 1.0
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
+    stats = run_trials(p, prof, {1: PassiveGuess(p), 2: SwapHalf(p)}, witness_table(16), 50, 3)
+    assert stats.guess_rate == {1: 1 / 16, 2: 1 / 16}
+
+
+def test_a_guess_sensitive_table_adds_exactly_one_over_m():
+    # base(1,s,d) = base(0,s,d) + 1: a uniform guess pays 1 with probability
+    # 1/|M|, in every outcome, so the mean rises by exactly 1/|M| and the
+    # spread of the utility does not change
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({3})})
+    strategies = {1: Rewrite(PROTO1, "substitute", limit=1), 2: PassiveGuess(PROTO1)}
+    witness = witness_table(PROTO1.message_space_size(), bonus=0.1)
+    sensitive = UtilityTable({(g, s, d): v + g for (g, s, d), v in witness.base.items()},
+                             PROTO1.message_space_size(), witness.others_detected_bonus)
+    counts = run_trials(PROTO1, prof, strategies, witness, 300, 8).counts
+    assert len(counts) > 1  # substitution is caught, and sometimes missed
+    plain, guessing = (GameStats(counts, (1, 2), table) for table in (witness, sensitive))
+    for j in (1, 2):
+        (mean, var), (mean_g, var_g) = plain._moments[j], guessing._moments[j]
+        assert (mean_g, var_g) == (mean + Fraction(1, PROTO1.message_space_size()), var)
+    assert guessing.utility_ci95 == plain.utility_ci95
 
 
 def test_passive_mean_equals_u2_exactly():
@@ -151,8 +166,7 @@ def test_multi_adversary_bonus_applied():
     outcome, _ = play_game(PROTO1, prof, strategies, derive_streams(17, (1, 2)))
     assert outcome.suc == 1 and outcome.detect == {1}
     stats = GameStats(Counter({outcome: 1}), (1, 2), table)
-    assert stats.utility_mean[2] == table.base[(int(2 in outcome.guess), 1, 0)] + 0.25
-    assert stats.utility_mean[1] == table.base[(int(1 in outcome.guess), 1, 1)]
+    assert stats.utility_mean == {1: WITNESS_BASE[(0, 1, 1)], 2: WITNESS_BASE[(0, 1, 0)] + 0.25}
 
 
 def test_detect_attribution_requires_tampering():
@@ -201,13 +215,13 @@ def random_pair_profile(rng):
 
 
 def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
-    """Utility mean and CI scored one play at a time, in exact arithmetic."""
+    """Utility mean and CI scored one play at a time with `table.payoff`, in
+    exact arithmetic."""
     samples = {j: [] for j in strategies}
     for outcome, _ in walk_trials(protocol, profile, strategies, trials, master_seed):
         for j, payoffs in samples.items():
             d = int(j in outcome.detect)
-            payoffs.append(Fraction(table.payoff(
-                int(j in outcome.guess), outcome.suc, d, len(outcome.detect) - d)))
+            payoffs.append(table.payoff(outcome.suc, d, len(outcome.detect) - d))
     mean = {j: float(statistics.mean(x)) for j, x in samples.items()}
     ci = {j: 1.96 * math.sqrt(statistics.pvariance(x) / trials) for j, x in samples.items()}
     return mean, ci
@@ -237,7 +251,7 @@ def test_counts_cover_every_trial_and_give_the_rates():
     assert stats.counts == Counter(outcomes)
     assert stats.suc_rate == sum(o.suc for o in outcomes) / trials
     for j in (1, 2):
-        assert stats.guess_rate[j] == sum(j in o.guess for o in outcomes) / trials
+        assert stats.guess_rate[j] == 1 / PROTO1.message_space_size()
         assert stats.detect_rate[j] == sum(j in o.detect for o in outcomes) / trials
 
 
@@ -248,9 +262,7 @@ _payoffs = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
 @given(st.tuples(_payoffs, _payoffs, _payoffs, _payoffs), st.integers(0, 2**32))
 def test_passive_cell_never_flags_against_passive_baseline(cells, seed):
     # Guess-indifferent, mostly non-dyadic payoffs over a 4-message space:
-    # a passive cell splits its trials between guessed and missed outcomes
-    # with the same payoff, and the split differs from the baseline's.  The
-    # two means must still tie exactly.
+    # the passive cell and the baseline must tie exactly.
     protocol = StrawmanProtocol(3, FieldSpec.binary(2))
     by_cell = dict(zip([(0, 0), (1, 0), (0, 1), (1, 1)], cells))
     table = UtilityTable(
@@ -380,6 +392,49 @@ def test_p1_delivers_under_every_catalog_attack_up_to_t_channels(case, seed):
         assert stats.suc_rate == 1.0, entry.name
 
 
+def _within_three_sigma(rate: float, bound: float, trials: int) -> bool:
+    """rate <= bound + 3 sigma of a Bernoulli(bound) mean over `trials`."""
+    p = min(bound, 1.0)
+    return rate <= bound + 3 * math.sqrt(p * (1 - p) / trials)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.data())
+def test_sjst_undetected_wrong_rate_stays_within_its_bound(n, ell, data):
+    # a substituted channel escapes its round-3 check only on an offset
+    # collision, so wrong and unflagged output has rate at most (n-1) 2^(1-l)
+    sjst = SjstProtocol(n, ell, 8)
+    prof = CorruptionProfile({1: frozenset(data.draw(
+        st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))})
+    trials = 500
+    stats = run_cell(sjst, prof, witness_table(sjst.message_space_size()), trials,
+                     data.draw(st.integers(0, 2**32)), {1: "share-substitution"})
+    rate = stats.rate(lambda o: not o.suc and 1 not in o.detect)
+    assert _within_three_sigma(rate, (n - 1) * 2.0 ** (1 - ell), trials)
+
+
+# (field, d) with d + 2 not a multiple of the characteristic, as the AMD code needs
+_RSS_FIELDS = [(FieldSpec.prime(p), d) for p in (5, 7) for d in (1, 2)] + [(FieldSpec.binary(4), 1)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_RSS_FIELDS), st.data())
+def test_rss_undetected_wrong_rate_stays_within_its_bound(field_d, data):
+    # substituting at most t shares adds an offset the AMD code misses with
+    # probability at most (d+1)/q
+    field, d = field_d
+    n = data.draw(st.integers(2, min(6, field.q - 1)))
+    t = data.draw(st.integers(1, n - 1))
+    rss = RssProtocol(RobustSharingSpec(AmdSpec(field, d), SharingSpec(t, n, field)))
+    prof = CorruptionProfile({1: frozenset(data.draw(
+        st.sets(st.integers(1, n), min_size=1, max_size=t)))})
+    trials = 500
+    stats = run_cell(rss, prof, witness_table(rss.message_space_size()), trials,
+                     data.draw(st.integers(0, 2**32)), {1: "share-substitution"})
+    rate = stats.rate(lambda o: not o.suc and 1 not in o.detect)
+    assert _within_three_sigma(rate, (d + 1) / field.q, trials)
+
+
 @st.composite
 def _any_protocol(draw):
     """Every variant over its parameters: (n, field, d, l), or (n, k, l)
@@ -498,20 +553,20 @@ def test_nash_flags_detection_free_protocol():
 P3_WIDE = CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16)
 P3_WIDE_PROFILE = CorruptionProfile({1: frozenset({1, 2, 3, 4}), 2: frozenset({5})},
                                     malicious_id=1)
-# (suc, guessing ids, detected ids) -> trials, per P3 catalog attack, at
+# (suc, detected ids) -> trials, per P3 catalog attack, at
 # 30 trials and master seed 2026; slot 2 stays passive on channel 5.
 P3_WIDE_GOLDEN = {
-    "passive": {(1, (), ()): 30},
-    "block-channel": {(1, (), (1,)): 30},
-    "share-substitution": {(1, (), (1,)): 30},
-    "share-substitution-1": {(1, (), (1,)): 30},
-    "tag-framing": {(1, (), ()): 30},
-    "mask-framing": {(1, (), (1,)): 30},
-    "swap-half": {(1, (), (1,)): 30},
+    "passive": {(1, ()): 30},
+    "block-channel": {(1, (1,)): 30},
+    "share-substitution": {(1, (1,)): 30},
+    "share-substitution-1": {(1, (1,)): 30},
+    "tag-framing": {(1, ()): 30},
+    "mask-framing": {(1, (1,)): 30},
+    "swap-half": {(1, (1,)): 30},
 }
 # SHA-256 over every transcript's JSON, attacks in catalog order: pins each
 # payload, draw and decode, not only the outcome cells.
-P3_WIDE_TRANSCRIPTS = "c07be1c8269b9f0ffb0202bd33e19fb99243f1a603d97a496aca0c9ff9df3131"
+P3_WIDE_TRANSCRIPTS = "5f95577183e8b2a3ea5ad8e27bb467a6898ccc248e02568e10d2c1706a8915d0"
 
 
 def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
@@ -523,8 +578,7 @@ def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
                            {1: entry.factory(P3_WIDE), 2: PassiveGuess(P3_WIDE)}, table, 30,
                            2026, on_transcript=lambda i, o, t: digest.update(
                                t.to_json_str().encode()))
-        got[entry.name] = {(o.suc, tuple(sorted(o.guess)), tuple(sorted(o.detect))): c
-                           for o, c in stats.counts.items()}
+        got[entry.name] = {(o.suc, tuple(sorted(o.detect))): c for o, c in stats.counts.items()}
     assert got == P3_WIDE_GOLDEN
     assert digest.hexdigest() == P3_WIDE_TRANSCRIPTS
 
@@ -533,40 +587,40 @@ def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
 
 
 SJST_SWEEP_PROFILE = CorruptionProfile({1: frozenset({1, 2})})
-# (n, attack) -> ((suc, guessing ids, detected ids) -> trials at 200 trials
-# and master seed 2026, SHA-256 of trial 0's transcript JSON), for SJST with
-# k = l = 8 under every SJST catalog attack.
+# (n, attack) -> ((suc, detected ids) -> trials at 200 trials and master
+# seed 2026, SHA-256 of trial 0's transcript JSON), for SJST with k = l = 8
+# under every SJST catalog attack.
 SJST_SWEEP_GOLDEN = {
-    (3, "passive"): ({(1, (), ()): 199, (1, (1,), ()): 1},
-                     "d79e0536b3f96c1d6607654970a6ccb744170408c57f316e916cb79337d64d00"),
-    (3, "block-channel"): ({(1, (), (1,)): 198, (1, (1,), (1,)): 2},
-                           "557e0d9b79ee0690767c8083b3ffab981128fb0c927ad738ff6df883afeea826"),
-    (3, "share-substitution"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
-                                "75e0dda14e3878b40ff47f58e2a4d502b08c7fb407959d00b6d73e767e563738"),
-    (3, "share-substitution-1"): ({(1, (), (1,)): 200},
-                                  "a612522cf9b867dc1e0163ac50c36643d36a05d0b3c9d21f7b82e27e65e3ac9d"),
-    (3, "length-tamper"): ({(1, (), (1,)): 200},
-                           "02e5edc2fe6626cb24879a883042a8942933a5d76a53f7f60a8c530b2b79be0e"),
-    (8, "passive"): ({(1, (), ()): 198, (1, (1,), ()): 2},
-                     "509ec699b5af6a4a4e3d25541230f1d44831ba48b139f3af64adc7c821dc2056"),
-    (8, "block-channel"): ({(1, (), (1,)): 199, (1, (1,), (1,)): 1},
-                           "0c7ec8b3b6f0d722ba27d7a33602df2d6a1117dd5c08dc8964c515769bc283d6"),
-    (8, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 198, (1, (1,), (1,)): 1},
-                                "6771eacb227e05b10d66f7747ec00925ec8612c5e8ccaddb7b103129e7f19432"),
-    (8, "share-substitution-1"): ({(0, (), ()): 1, (1, (), (1,)): 199},
-                                  "64ca5609820a3862e861a32f236ce3c0ed9617fb56c700f9f097c9475f9cec5a"),
-    (8, "length-tamper"): ({(1, (), (1,)): 200},
-                           "118b62db3453a5662839f1187e0b63c985ea8676013cd7cb6cd1bf78a33d516b"),
-    (16, "passive"): ({(1, (), ()): 198, (1, (1,), ()): 2},
-                      "b17710c9b46f31488c6550bc6448a39e69d5020cfa49a1f90c1f6d83c22d074d"),
-    (16, "block-channel"): ({(1, (), (1,)): 200},
-                            "15cb4b0bcd8ad41706a7183f47fb25f2e8275964968630ec06caacb85bb16e82"),
-    (16, "share-substitution"): ({(0, (), (1,)): 1, (1, (), (1,)): 199},
-                                 "8b49c75d077eebb088c254d431ad437216b68883935c30c14a66daf69fa0de24"),
-    (16, "share-substitution-1"): ({(1, (), (1,)): 200},
-                                   "c927e60b395226cc2cc89deab8f5b5725354ceddc8f4d81e687308d637fb020d"),
-    (16, "length-tamper"): ({(1, (), (1,)): 200},
-                            "e87f5359578881cd1f391e191c904c504cfb4470d4d4811ed53c809ca0b83d29"),
+    (3, "passive"): ({(1, ()): 200},
+                     "571dc186b5eb65faf66ae26999485450b668e3e8e16cf1396267b3270f74fe39"),
+    (3, "block-channel"): ({(1, (1,)): 200},
+                           "e990094d8c0be3d1285681ed4425148c22a9df0a3de349427069cac0fa5117e4"),
+    (3, "share-substitution"): ({(0, (1,)): 1, (1, (1,)): 199},
+                                "190a18a2311738ee6e6213ae048e021ea853287ff087cb3caea396fc86ea6d7d"),
+    (3, "share-substitution-1"): ({(0, ()): 1, (1, (1,)): 199},
+                                  "5e536e000cbd0191df3bce737f14276a0ef0992547198ce98893a45af1f10f67"),
+    (3, "length-tamper"): ({(1, (1,)): 200},
+                           "2760a296e1ce921f4506fb755a052ec6253347185dc1b39a62f3481fb1d1f776"),
+    (8, "passive"): ({(1, ()): 200},
+                     "ff910af1569b41c4213f13e0b7363f7dece85fca02326004543ad0fc16c86249"),
+    (8, "block-channel"): ({(1, (1,)): 200},
+                           "25233c061d5a85ccb736fb9498931e6badfa4b0312f0dcaf445c0350d8d3ea04"),
+    (8, "share-substitution"): ({(0, (1,)): 1, (1, (1,)): 199},
+                                "d23a3e9501adde6a6aa50fc7e4250bd09f2d6973d08287260f3f55b5266f10bc"),
+    (8, "share-substitution-1"): ({(0, ()): 1, (1, (1,)): 199},
+                                  "3ce73f5f44b0d790d763b27c11434892e4d2cd1c502306a26d1701eeb4e8552d"),
+    (8, "length-tamper"): ({(1, (1,)): 200},
+                           "06270de6c56a584d10aa7ef52ea131ca7664f4838ab0fb699f61157f3b98fb49"),
+    (16, "passive"): ({(1, ()): 200},
+                      "0fd333e59ad368abdb7f74dcc6fd6833a4f704b45c710545959e1af9b4a73414"),
+    (16, "block-channel"): ({(1, (1,)): 200},
+                            "6749f1dd9646c56b69446e133f224ac11e13a137883f374f4b5daf496d874a04"),
+    (16, "share-substitution"): ({(0, (1,)): 2, (1, (1,)): 198},
+                                 "ea90504ca6655041db654c6be4e6126f3161ea3d911eed45d892cc31255ac16f"),
+    (16, "share-substitution-1"): ({(0, ()): 1, (1, (1,)): 199},
+                                   "470bff7c631451ae142fb4c0c0b2ecf676e6d45c2798b7189c9171e36224ff29"),
+    (16, "length-tamper"): ({(1, (1,)): 200},
+                            "5af08d222e4239194b5278049da76fbc095a9ee1dcfdec8a2fc344a8970fa49b"),
 }
 
 
@@ -579,7 +633,7 @@ def test_sjst_sweep_fixed_seed_counts_and_first_transcript_are_golden(n):
         stats = run_trials(protocol, SJST_SWEEP_PROFILE, {1: entry.factory(protocol)}, table,
                            200, 2026, on_transcript=lambda i, o, t: first.append(t) if i == 0
                            else None)
-        counts = {(o.suc, tuple(sorted(o.guess)), tuple(sorted(o.detect))): c
+        counts = {(o.suc, tuple(sorted(o.detect))): c
                   for o, c in stats.counts.items()}
         digest = hashlib.sha256(first[0].to_json_str().encode()).hexdigest()
         assert (counts, digest) == SJST_SWEEP_GOLDEN[n, entry.name], entry.name

@@ -2,7 +2,6 @@ import copy
 import itertools
 import json
 import pickle
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,16 +23,10 @@ from rsmt.transport import (
     derive_rng,
     derive_streams,
     execute,
-    view_of,
 )
 
 GF256 = FieldSpec.binary(8)
 PROTO = CissProtocol(P1, 5, GF256, 1, 8)
-
-
-def _seen(view):
-    """What a view shows: views define no `==` of their own."""
-    return view.channels, view.rounds, view.public_history
 
 
 def test_empty_is_falsy_singleton():
@@ -48,7 +41,7 @@ def test_derive_rng_deterministic_and_label_separated():
     assert derive_rng(7, "adv-1").random() != derive_rng(8, "adv-1").random()
 
 
-# --- the random-stream layout (RNG_STREAM v2) -------------------------------
+# --- the random-stream layout (RNG_STREAM v3) -------------------------------
 
 
 STREAM_PROTOCOLS = {
@@ -89,10 +82,6 @@ class _DrawsAndRecords(AdversaryStrategy):
             return {}
         c = min(own_payloads)
         return {c: self.protocol.substitute(own_payloads[c], rng)}
-
-    def final_guess(self, view, rng):
-        self.rngs.append(rng)
-        return None
 
 
 @pytest.mark.parametrize("variant", sorted(STREAM_PROTOCOLS))
@@ -283,14 +272,24 @@ def test_uncorrupted_channels_deliver_verbatim():
         assert r.post[c] == r.pre[c]
 
 
-def test_view_of_matches_corruption():
+class _Records(AdversaryStrategy):
+    """Tampers with nothing and keeps what each call was shown."""
+
+    def __init__(self):
+        self.calls = []
+
+    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+        self.calls.append((round_index, direction, dict(own_payloads), public_history))
+        return {}
+
+
+def test_each_adversary_is_shown_only_its_own_channels():
     prof = CorruptionProfile({1: frozenset({3}), 2: frozenset()})
-    tr = execute(PROTO, (1,), prof, {1: AdversaryStrategy(), 2: AdversaryStrategy()}, 9)
-    v1 = view_of(tr, prof, 1)
-    assert [set(pre) for _, _, pre, _ in v1.rounds] == [{3}]
-    v2 = view_of(tr, prof, 2)
-    assert v2.rounds[0][2] == {}  # corrupts nothing: no channel payloads
-    assert v2.public_history == []  # no public channel in this protocol
+    strategies = {1: _Records(), 2: _Records()}
+    tr = execute(PROTO, (1,), prof, strategies, 9)
+    # one channel round; no public channel in this protocol
+    assert strategies[1].calls == [(0, "s->r", {3: tr.rounds[0].pre[3]}, [])]
+    assert strategies[2].calls == [(0, "s->r", {}, [])]  # corrupts nothing
 
 
 def test_public_channel_is_shared_and_detects_ride_it():
@@ -299,33 +298,42 @@ def test_public_channel_is_shared_and_detects_ride_it():
     tr = execute(sjst, 200, prof, {1: _Blocks()}, 4)
     # blocking channel 2 trips the length check: flagged and detected
     assert (2, 1) in tr.detect_events
-    v = view_of(tr, prof, 1)
-    assert any(p == ("DETECT", 2) for _, p in v.public_history)
+    # the DETECT for channel 2 follows round 1's flags and precedes round 2
+    assert [(i, p if p[0] == "DETECT" else "pub") for i, p in tr.public_history] == [
+        (1, "pub"), (1, ("DETECT", 2)), (2, "pub")
+    ]
     # flags round is public: B has the flag bit set for channel 2
-    b_flags = next(p for _, p in v.public_history if isinstance(p, tuple) and p[0] == (0, 1, 0))
+    b_flags = next(p for _, p in tr.public_history if isinstance(p, tuple) and p[0] == (0, 1, 0))
     assert b_flags[0][1] == 1
 
 
-class _BlocksAndKeepsView(_Blocks):
-    def __init__(self):
-        self.views = []
+class _PublicThenChannel:
+    """A public-channel protocol: a channel round, a public round, a DETECT of
+    channel 2, another public round, then a second channel round."""
 
-    def final_guess(self, view, rng):
-        self.views.append(view)
-        return None
+    n = 3
+    uses_public = True
+
+    def run(self, engine, m):
+        engine.send_round("s->r", {1: m, 2: m, 3: m})
+        engine.send_public("r->s", "flags")
+        engine.emit_detect(2)
+        engine.send_public("s->r", "opened")
+        return engine.send_round("s->r", {1: m, 2: m + 1, 3: m})[1]
 
 
-def test_final_view_is_view_of_with_detects_in_emission_order():
-    sjst = SjstProtocol(3, 4, 8)
-    prof = CorruptionProfile({1: frozenset({2})})
-    strat = _BlocksAndKeepsView()
-    tr = execute(sjst, 200, prof, {1: strat}, 4)
-    (seen,) = strat.views
-    assert _seen(seen) == _seen(view_of(tr, prof, 1))
-    # the DETECT for channel 2 follows round 1's flags and precedes round 2
-    assert [(i, p if p[0] == "DETECT" else "pub") for i, p in seen.public_history] == [
-        (1, "pub"), (1, ("DETECT", 2)), (2, "pub")
-    ]
+def test_strategies_see_the_public_history_with_detects_in_emission_order():
+    prof = CorruptionProfile({1: frozenset({1, 3}), 2: frozenset({2})})
+    strategies = {1: _Records(), 2: _Records()}
+    tr = execute(_PublicThenChannel(), 5, prof, strategies, 4)
+    history = [(1, "flags"), (1, ("DETECT", 2)), (2, "opened")]
+    assert tr.public_history == history
+    assert strategies[1].calls == [(0, "s->r", {1: 5, 3: 5}, []),
+                                   (3, "s->r", {1: 5, 3: 5}, history)]
+    assert strategies[2].calls == [(0, "s->r", {2: 5}, []), (3, "s->r", {2: 6}, history)]
+    # each call is handed its own copy of the history
+    shown = [strategies[1].calls[1][3], strategies[2].calls[1][3], tr.public_history]
+    assert len(set(map(id, shown))) == 3
 
 
 def test_public_send_requires_public_protocol():
@@ -357,6 +365,7 @@ def test_transcript_json_serializes_payload_kinds():
     prof = CorruptionProfile({1: frozenset({1})})
     tr = execute(PROTO, (3,), prof, {1: _Blocks()}, 6)
     blob = tr.to_json()
+    assert set(blob) == {"rounds", "detect_events", "receiver_output", "message"}
     assert blob["rounds"][0]["post"]["1"] == {"empty": True}
     assert blob["message"] == [3]
     assert isinstance(tr.to_json_str(), str)
@@ -394,37 +403,3 @@ def test_failed_delivery_transcript_serializes():
     tr = execute(p2, (5,), prof, {1: Rewrite(p2, "substitute")}, 3)
     assert tr.receiver_output is FAIL
     assert json.loads(tr.to_json_str())["receiver_output"] == {"fail": True}
-
-
-class _ReadsRounds(AdversaryStrategy):
-    def final_guess(self, view, rng):
-        assert [pre for _, _, pre, _ in view.rounds] != []
-        return rng.getrandbits(8)
-
-
-class _KeepsViewUnread(AdversaryStrategy):
-    def __init__(self):
-        self.views = []
-
-    def final_guess(self, view, rng):
-        self.views.append(view)
-        return rng.getrandbits(8)
-
-
-@pytest.mark.parametrize("protocol", [PROTO, SjstProtocol(4, 4, 8)])
-def test_views_are_cut_on_demand(protocol):
-    prof = CorruptionProfile({1: frozenset({3, 1}), 2: frozenset({2})})
-    m = protocol.sample_message(random.Random(1))
-    unread = _KeepsViewUnread()
-    tr = execute(protocol, m, prof, {1: unread, 2: _Blocks()}, 12)
-    read = execute(protocol, m, prof, {1: _ReadsRounds(), 2: _Blocks()}, 12)
-    # reading the rounds or not changes no guess and no transcript
-    assert tr.adversary_outputs[1] == read.adversary_outputs[1]
-    assert tr.to_json_str() == read.to_json_str()
-    # a view first read after execute returned equals view_of's
-    (view,) = unread.views
-    assert "rounds" not in vars(view)
-    assert _seen(view) == _seen(view_of(tr, prof, 1))
-    assert view.rounds == [(r.index, r.direction, {1: r.pre[1], 3: r.pre[3]},
-                            {1: r.post[1], 3: r.post[3]}) for r in tr.rounds if r.pre]
-    assert _seen(view) != _seen(view_of(tr, prof, 2))
