@@ -24,7 +24,7 @@ profile = CorruptionProfile({1: frozenset({1, 2})})
 # preferred to delivery, but being detected is worse than anything.
 table = witness_table(protocol.message_space_size())
 
-# --- the passive baseline ----------------------------------------------------
+# --- the all-passive profile: the baseline of every catalog row --------------
 stats = run_cell(protocol, profile, table, 2000, 1)
 print(f"passive: utility {stats.utility_mean[1]:.3f}, "
       f"delivery {stats.suc_rate:.3f}, detection {stats.detect_rate[1]:.3f}")

@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .config import ConfigError, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
-from .game.nash import CSV_COLUMNS, cell_seed, nash_catalog_check
+from .game.nash import CSV_COLUMNS, nash_catalog_check, passive_seed
 from .game.play import run_cell
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
 from .game.attacks import catalog_for
@@ -149,6 +149,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # non-UTF-8, an over-long int, deep nesting
+        raise ConfigError(f"config {path} cannot be read: {exc}") from exc
     read_object(obj, "config")
     if getattr(overrides, "seed", None) is not None:
         obj["master_seed"] = overrides.seed
@@ -255,9 +257,9 @@ def cmd_simulate(config: ExperimentConfig, out: str, dump_transcript: str | None
         lines = _report_header(config) + [",".join(CSV_COLUMNS)]
         fh.write("\n".join(lines + [",".join(r.as_csv_fields()) for r in rows]) + "\n")
         if dump is not None:
-            # the passive baseline's first trial, which the report scored
+            # the first trial of the run behind the report's `passive` rows
             run_cell(config.protocol, config.profile, config.table, 1,
-                     cell_seed(config.master_seed, 0, "baseline"),
+                     passive_seed(config.master_seed, config.profile),
                      on_transcript=lambda _i, _o, engine: dump.write(engine.to_json_str() + "\n"))
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK
 

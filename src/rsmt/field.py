@@ -96,7 +96,7 @@ def _gf2_poly_mod(a: int, b: int) -> int:
 
 def _gf2_irreducible(poly: int, m: int) -> bool:
     """Trial division by every GF(2) polynomial of degree 1..m//2."""
-    if poly.bit_length() - 1 != m:
+    if poly < 0 or poly.bit_length() - 1 != m:
         return False
     for deg in range(1, m // 2 + 1):
         for low in range(1 << deg):

@@ -2,9 +2,9 @@
 
 For each adversary slot and each applicable catalog attack, estimate the
 deviating adversary's utility while everyone else stays passive, and flag any
-estimate that exceeds the all-passive baseline beyond the combined confidence
-intervals.  This falsifies, never proves: a clean report says "no violation
-found among these attacks and trials".
+estimate above the one all-passive run's, which is every slot's `passive` row,
+beyond the combined confidence intervals.  This falsifies, never proves: a
+clean report says "no violation found among these attacks and trials".
 """
 
 from __future__ import annotations
@@ -46,32 +46,28 @@ CSV_COLUMNS = ["protocol", "adversary", "attack", "trials", "mean", "ci95", "thr
 
 
 def cell_seed(master_seed: int, j: int, attack: str) -> int:
-    """Master seed of adversary j's run under `attack`; (0, "baseline") is
-    the all-passive baseline's."""
+    """Master seed of adversary j's run under `attack`."""
     digest = hashlib.sha256(f"{master_seed}:nash:{j}:{attack}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def passive_seed(master_seed: int, profile) -> int:
+    """Master seed of the one all-passive run: the first adversary's `passive` row."""
+    return cell_seed(master_seed, profile.adversary_ids[0], "passive")
 
 
 def nash_catalog_check(protocol, profile, table: UtilityTable, trials: int,
                        master_seed: int, attack_names=None) -> list[ReportRow]:
     entries = catalog_for(protocol.variant, attack_names)
-    baseline = run_cell(protocol, profile, table, trials, cell_seed(master_seed, 0, "baseline"))
+    passive = run_cell(protocol, profile, table, trials, passive_seed(master_seed, profile))
     rows = []
     for j in profile.adversary_ids:
-        base_mean = baseline.utility_mean[j]
-        base_ci = baseline.utility_ci95[j]
         for entry in entries:
-            stats = run_cell(protocol, profile, table, trials,
-                             cell_seed(master_seed, j, entry.name), {j: entry.name})
-            threshold = base_mean + math.hypot(base_ci, stats.utility_ci95[j])
-            rows.append(ReportRow(
-                protocol=protocol.variant,
-                adversary=j,
-                attack=entry.name,
-                trials=trials,
-                mean=stats.utility_mean[j],
-                ci95=stats.utility_ci95[j],
-                threshold=threshold,
-                flag=stats.utility_mean[j] > threshold,
-            ))
+            stats = passive if entry.name == "passive" else run_cell(
+                protocol, profile, table, trials, cell_seed(master_seed, j, entry.name),
+                {j: entry.name})
+            mean, ci95 = stats.utility_mean[j], stats.utility_ci95[j]
+            threshold = passive.utility_mean[j] + math.hypot(passive.utility_ci95[j], ci95)
+            rows.append(ReportRow(protocol.variant, j, entry.name, trials, mean=mean, ci95=ci95,
+                                  threshold=threshold, flag=mean > threshold))
     return rows

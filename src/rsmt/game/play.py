@@ -137,7 +137,7 @@ def run_cell(protocol, profile: CorruptionProfile, table: UtilityTable, trials: 
              master_seed: int, deviations=None, on_transcript=None) -> GameStats:
     """`run_trials` on one cell of the equilibrium test: adversary j plays
     the catalog attack named `deviations[j]` and every other adversary of
-    `profile` is passive (no `deviations`: the all-passive baseline).  A
+    `profile` is passive (no `deviations`: the all-passive run).  A
     name that does not apply to the protocol is `catalog_for`'s ValueError."""
     names = dict.fromkeys(profile.adversary_ids, "passive")
     for j, name in (deviations or {}).items():

@@ -32,9 +32,12 @@ class StrawmanProtocol(OneRoundProtocol):
         t = (n + 1) // 2 - 1
         if t < 1:
             raise ProtocolError(f"n={n} leaves no sharing threshold")
-        # each decode interpolates every (t+1)-subset: past the cache, every one misses
-        subsets = math.comb(n, t + 1)
-        if subsets > LAGRANGE_CACHE_SIZE:
+        # each decode interpolates every (t+1)-subset: past the cache, every one
+        # misses.  There are C(n, t+1) >= 2^n / (n+1) of them, over the cache from
+        # n = 2 * its bit length on, so a larger n is refused without counting them.
+        small = n < 2 * LAGRANGE_CACHE_SIZE.bit_length()
+        subsets = math.comb(n, t + 1) if small else f"C({n}, {t + 1})"
+        if not small or subsets > LAGRANGE_CACHE_SIZE:
             raise ProtocolError(f"n={n} makes a decode interpolate {subsets} subsets, over "
                                 f"the {LAGRANGE_CACHE_SIZE} point sets the Lagrange cache holds")
         self.n = n

@@ -1,8 +1,10 @@
+import contextlib
+import io
 import json
 import platform
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rsmt
@@ -20,13 +22,15 @@ from rsmt.cli import (
     profile_from_json,
     protocol_from_json,
 )
-from rsmt.field import FieldSpec
-from rsmt.game.nash import CSV_COLUMNS, cell_seed
+from rsmt.field import DEFAULT_BINARY_POLYS, FieldSpec
+from rsmt.game.nash import CSV_COLUMNS, passive_seed
 from rsmt.game.play import run_cell
 from rsmt.game.utility import witness_table
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
+
+from in_time import in_time
 
 
 P1_CONFIG = {
@@ -289,10 +293,10 @@ def test_simulate_dump_transcript(tmp_path):
           "--dump-transcript", str(dump)])
     blob = json.loads(dump.read_text())
     assert "rounds" in blob and "message" in blob
-    # the dumped trial is one the report scored: the passive baseline's first
+    # the dumped trial is one the report scored: the `passive` row's first
     cfg = ExperimentConfig(P1_CONFIG)
     scored = []
-    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, cell_seed(cfg.master_seed, 0, "baseline"),
+    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, passive_seed(cfg.master_seed, cfg.profile),
              on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
     assert dump.read_text() == scored[0] + "\n"
 
@@ -452,7 +456,7 @@ def test_simulate_dump_transcript_to_stdout(tmp_path, capsys, monkeypatch):
     alone = capsys.readouterr().out
     cfg = ExperimentConfig(P1_CONFIG)
     scored = []
-    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, cell_seed(cfg.master_seed, 0, "baseline"),
+    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, passive_seed(cfg.master_seed, cfg.profile),
              on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
     assert report == alone + scored[0] + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
@@ -623,6 +627,114 @@ def test_integral_values_are_read_as_ints():
     cfg = ExperimentConfig(dict(P1_CONFIG, trials=20.0,
                                 protocol=dict(P1_CONFIG["protocol"], n=5.0, ell="8")))
     assert cfg.trials == 20 and cfg.protocol.n == 5 and cfg.protocol.ell == 8
+
+
+# --- every protocol config builds or is a named error, in time ---------------
+
+# Counts and primes: valid small values often enough that many configs
+# build, around them negative, huge and composite ones.
+_COUNT = st.one_of(st.integers(1, 12), st.integers(-2, 40), st.integers(41, 10**7))
+_PRIME_P = st.one_of(st.sampled_from([2, 3, 5, 7, 11, 251, 65537, 2**61 - 1]),
+                     st.integers(-10**6, 10**6), st.integers(2**80, 2**90))
+# A config of each variant that builds; a drawn config replaces some of its values.
+_BUILDS = {
+    "SJST": {"n": 3, "ell": 4, "k": 8},
+    "RSS": {"n": 3, "t": 1, "d": 1, "field": {"kind": "prime", "p": 251}},
+    "STRAWMAN": {"n": 4, "field": {"kind": "binary", "m": 4}},
+    **{variant: {"n": n, "d": 1, "ell": 4, "field": {"kind": "binary", "m": 8}}
+       for variant, n in (("P1", 5), ("P2", 4), ("P3", 7))},
+}
+
+
+@st.composite
+def _fields(draw):
+    if draw(st.booleans()):
+        return {"kind": "prime", "p": draw(_PRIME_P)}
+    m = draw(st.one_of(st.integers(1, 16), st.integers(-2, 40)))
+    poly = draw(st.one_of(st.none(), st.integers(-2**41, 2**41), st.sampled_from(
+        [DEFAULT_BINARY_POLYS.get(m, 0x3), -DEFAULT_BINARY_POLYS.get(m, 0x3)])))
+    if poly is None:
+        return {"kind": "binary", "m": m}
+    return {"kind": "binary", "m": m, "poly": draw(st.sampled_from([poly, hex(poly)]))}
+
+
+@st.composite
+def _protocol_configs(draw):
+    variant = draw(st.sampled_from(sorted(_BUILDS)))
+    return {"variant": variant, **{
+        key: value if draw(st.booleans()) else draw(_fields() if key == "field" else _COUNT)
+        for key, value in _BUILDS[variant].items()}}
+
+
+def _build(obj):
+    """What `protocol_from_json` makes of `obj`: ("refused", message, whether
+    the error is the package's own), or ("built", whether the protocol's field
+    multiplies and inverts its largest element inside the field)."""
+    try:
+        protocol = protocol_from_json(obj)
+    except ConfigError as exc:
+        cause = exc.__cause__
+        return "refused", str(exc), cause is None or type(cause).__module__.startswith("rsmt.")
+    f = getattr(protocol, "field", None)
+    if f is None:
+        return "built", True
+    top = f.q - 1
+    return "built", f.mul_int(top, top) in range(f.q) and f.mul_int(top, f.inv_int(top)) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_protocol_configs())
+@example({"variant": "P1", "n": 5, "d": 1, "ell": 2,
+          "field": {"kind": "binary", "m": 2, "poly": -4}})
+@example({"variant": "STRAWMAN", "n": 4, "field": {"kind": "binary", "m": 8, "poly": "-0x11b"}})
+@example({"variant": "STRAWMAN", "n": 3, "field": {"kind": "binary", "m": 2, "poly": -7}})
+@example({"variant": "STRAWMAN", "n": 10**5, "field": {"kind": "binary", "m": 4}})
+@example({"variant": "STRAWMAN", "n": 10**7, "field": {"kind": "binary", "m": 4}})
+def test_every_protocol_config_builds_or_is_a_named_config_error(obj):
+    # A hang, a bare Python error and a field whose products leave it all fail.
+    # Pinned: negative polys once looped (-4, -0x11b) or built a broken GF(4)
+    # (-7); STRAWMAN once counted C(n, t+1) first, 10^5 failing to print it
+    # and 10^7 running for minutes.
+    result = in_time(lambda: _build(obj), limit=5)
+    if result[0] == "refused":
+        assert result[2], f"{obj} is refused with an unnamed error: {result[1]}"
+    else:
+        assert result[1], f"{obj} builds a field whose arithmetic leaves it"
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ({"variant": "STRAWMAN", "n": 4, "field": {"kind": "binary", "m": 8, "poly": "-0x11b"}},
+     "poly -0x11b is not irreducible of degree 8"),
+    ({"variant": "STRAWMAN", "n": 10**7, "field": {"kind": "binary", "m": 4}},
+     "n=10000000 makes a decode interpolate C(10000000, 5000000) subsets, over the 1024 "
+     "point sets the Lagrange cache holds"),
+], ids=["negative-poly", "strawman-n-1e7"])
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_configs_that_once_hung_exit_3_in_time(tmp_path, command, protocol, message):
+    path = write_config(tmp_path, dict(P1_CONFIG, protocol=protocol))
+    code, err = in_time(lambda: _exit_and_stderr([command, "--config", path]), limit=5)
+    assert (code, err) == (EXIT_CONFIG, f"config error: bad protocol config: {message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"trials": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    (b'{"trials": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["5000-digit-literal", "not-utf-8", "nested-100000-deep"])
+def test_config_json_cannot_read_is_a_config_error_naming_the_file(tmp_path, capsys, content,
+                                                                    message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {path} cannot be read: ") and message in err
 
 
 RSS_PROTOCOL = {"variant": "RSS", "n": 3, "t": 1, "d": 1, "field": {"kind": "prime", "p": 251}}

@@ -99,6 +99,15 @@ def test_binary_rejects_reducible_poly():
         FieldSpec("binary", m=3, poly=0b1111)  # x^3+x^2+x+1 = (x+1)(x^2+1)
 
 
+@pytest.mark.parametrize("m, poly", [(2, -4), (8, -0x11B), (2, -7)])
+def test_binary_refuses_a_negative_poly_by_name(m, poly):
+    # A negative mask is no GF(2) polynomial: -4 and -0x11b once looped in the
+    # trial division, and -7 built a GF(4) whose mul_int(3, 3) was -4.
+    with _within(2, f"FieldSpec.binary({m}, {poly:#x})"):
+        with pytest.raises(FieldError, match=f"poly {poly:#x} is not irreducible of degree {m}"):
+            FieldSpec.binary(m, poly)
+
+
 def test_binary_rejects_large_m():
     with pytest.raises(FieldError):
         FieldSpec.binary(33)

@@ -26,6 +26,7 @@ from rsmt.game import (
     block_seed,
     catalog_for,
     derive_u_values,
+    nash,
     nash_catalog_check,
     play_game,
     run_cell,
@@ -260,9 +261,10 @@ _payoffs = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.tuples(_payoffs, _payoffs, _payoffs, _payoffs), st.integers(0, 2**32))
-def test_passive_cell_never_flags_against_passive_baseline(cells, seed):
+def test_passive_row_reads_the_exact_passive_value_and_zero_ci95(cells, seed):
     # Guess-indifferent, mostly non-dyadic payoffs over a 4-message space:
-    # the passive cell and the baseline must tie exactly.
+    # every passive trial delivers undetected, so the `passive` row reads
+    # base(1, 0) exactly, with ci95 0, and does not flag.
     protocol = StrawmanProtocol(3, FieldSpec.binary(2))
     by_cell = dict(zip([(0, 0), (1, 0), (0, 1), (1, 1)], cells))
     table = UtilityTable(
@@ -510,6 +512,29 @@ def test_nash_report_shape_and_passive_rows():
     assert passive_row.mean == pytest.approx(2.0)
     assert not passive_row.flag
     assert all(len(r.as_csv_fields()) == 8 for r in rows)
+
+
+@pytest.mark.parametrize("assignments, attacks, calls", [
+    ({1: {1, 2}}, None, 7),
+    ({1: {1, 2}, 2: {3}}, None, 13),
+    ({1: {1, 2}}, ["share-substitution"], 2),
+], ids=["p1-catalog", "p1-two-adversaries", "p1-one-attack"])
+def test_nash_runs_the_all_passive_profile_once(monkeypatch, assignments, attacks, calls):
+    # One all-passive run is the baseline and every id's `passive` row; it is
+    # run when `attacks` omits `passive` too, on the first id's `passive` seed.
+    made = []
+
+    def counting(protocol, profile, table, trials, master_seed, deviations=None):
+        made.append((master_seed, deviations))
+        return run_cell(protocol, profile, table, trials, master_seed, deviations)
+
+    monkeypatch.setattr(nash, "run_cell", counting)
+    prof = CorruptionProfile({j: frozenset(chans) for j, chans in assignments.items()})
+    rows = nash_catalog_check(PROTO1, prof, TABLE, 20, 9, attack_names=attacks)
+    assert len(made) == calls
+    assert [seed for seed, deviations in made if not deviations] == [
+        nash.passive_seed(9, prof)] == [nash.cell_seed(9, 1, "passive")]
+    assert len(rows) == len(prof.adversary_ids) * len(catalog_for("P1", attacks))
 
 
 def test_run_cell_plays_the_named_deviation_against_passive_others():

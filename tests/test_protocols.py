@@ -467,6 +467,11 @@ def test_strawman_n_is_bounded_by_the_subsets_one_decode_interpolates():
     with pytest.raises(ProtocolError, match="n=13 makes a decode interpolate 1716 subsets, "
                        "over the 1024 point sets the Lagrange cache holds"):
         StrawmanProtocol(13, GF256)
+    # from n = 22 on, C(n, t+1) >= 2^n / (n+1) is over the cache: refused uncounted
+    with pytest.raises(ProtocolError, match="n=21 makes a decode interpolate 352716 subsets"):
+        StrawmanProtocol(21, GF256)
+    with pytest.raises(ProtocolError, match=r"n=22 makes a decode interpolate C\(22, 11\) "):
+        StrawmanProtocol(22, GF256)
 
 
 def _strawman_receive_by_polynomials(p, payloads):
