@@ -106,6 +106,7 @@ def _gf2_irreducible(poly: int, m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=MAX_BINARY_M)  # searched once per degree FieldSpec.binary takes
 def smallest_irreducible_poly(m: int) -> int:
     """Lexicographically smallest irreducible polynomial of degree m."""
     # one exists for every degree, so the search always ends

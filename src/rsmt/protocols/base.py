@@ -12,7 +12,9 @@ provisions the protocol) with `budget_problem`.  `OneRoundProtocol` is the
 base of RSS, P1/P2/P3 and STRAWMAN: the sender's `encode` fills one
 sender-to-receiver round and the receiver's `decode` returns the output and
 the channels it detects.  Messages and payloads are judged by the one
-wire-value rule, `rsmt.field.ints_below`.
+wire-value rule, `rsmt.field.ints_below`, which a receiver tests only on the
+channels whose delivered payload is not the very object `encode` built: the
+sender's immutable payloads pass their own receiver's rule.
 """
 
 from __future__ import annotations
@@ -87,13 +89,15 @@ class OneRoundProtocol(Protocol):
         """The sender's payload for every channel."""
         raise NotImplementedError
 
-    def decode(self, payloads) -> tuple[Any, list[int]]:
-        """(message or FAIL, channels declared detected)."""
+    def decode(self, payloads, replaced) -> tuple[Any, list[int]]:
+        """(message or FAIL, channels declared detected), testing the rule on
+        the channels in `replaced`: every channel, unless the caller sent them."""
         raise NotImplementedError
 
     def run(self, engine, m):
-        delivered = engine.send_round(SENDER_TO_RECEIVER, self.encode(m, engine.honest_rng))
-        output, detects = self.decode(delivered)
+        sent = self.encode(m, engine.honest_rng)
+        delivered = engine.send_round(SENDER_TO_RECEIVER, sent)
+        output, detects = self.decode(delivered, [i for i in sent if delivered[i] is not sent[i]])
         for i in detects:
             engine.emit_detect(i)
         return output

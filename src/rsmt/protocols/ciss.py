@@ -9,6 +9,8 @@ of the threshold sharing is preserved exactly.
 
 Sender and receiver each build the tag matrix in one `tag_rows` call; the
 receiver compares it with the sent tags to build per-channel mismatch lists L_i.
+Only a replaced payload is tested against the wire-value rule, and read as
+all zeros if malformed: the sender draws every part of its own in range.
 The three variants differ in threshold and in how the lists drive the output:
 
   MINORITY ("P1", threshold floor((n-1)/2)): if a strict majority of lists
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, repeat
+from itertools import compress, repeat
+from operator import mul, ne
 
 from ..config import check_keys, read_ints
 from ..field import MAX_BINARY_M, FieldSpec, ints_below
@@ -89,18 +92,17 @@ class CissProtocol(OneRoundProtocol):
         self.sharing = SharingSpec(t=t, n=n, field=field)
         self.family = HashFamilySpec(domain_bits, ell)
 
-    def serialize_share(self, share: tuple[int, ...]) -> int:
-        bits = self.field.elem_bits
-        acc = 0
-        for v in reversed(share):
-            acc = acc << bits | v
-        return acc
+    def serialize_shares(self, shares) -> list[int]:
+        """The hash input of each share: its elements packed into one int,
+        element k at bit k * elem_bits."""
+        weights = [1 << k * self.field.elem_bits for k in range(self.d)]
+        return [sum(map(mul, share, weights)) for share in shares]
 
     def encode(self, m, rng: random.Random) -> dict[int, tuple]:
         return ciss_sender_encode(self, m, rng)
 
-    def decode(self, payloads):
-        return ciss_receiver_decode(self, payloads)
+    def decode(self, payloads, replaced):
+        return ciss_receiver_decode(self, payloads, replaced)
 
     def substitute(self, payload, rng: random.Random):
         _share, key, tags, masks = payload
@@ -150,7 +152,7 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
         draws.insert(i * (n + 1), 0)
     square = list(zip(*[iter(draws)] * n))  # row i: r_{i,.}
     columns = list(zip(*square))  # column i: r_{.,i}
-    rows = spec.family.tag_rows(keys, list(map(spec.serialize_share, shares)), square)
+    rows = spec.family.tag_rows(keys, spec.serialize_shares(shares), square)
     payloads = {}
     for i, row in enumerate(rows):
         del row[i]
@@ -158,18 +160,14 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
     return payloads
 
 
-def _parse_all(spec: CissProtocol, payloads) -> dict[int, tuple]:
-    """Every channel's payload, a malformed one read as all zeros, like a
-    zero-substituted one.  `_well_formed` tests the whole round first; only
-    if that fails is each payload tested on its own, once."""
-    n = spec.n
-    round_ = [payloads[i] for i in range(1, n + 1)]
+def _parse_all(spec: CissProtocol, payloads, replaced) -> dict[int, tuple]:
+    """Every channel's payload, where each channel in `replaced` is tested
+    once and read as all zeros if malformed, like a zero-substituted one;
+    the other payloads are the sender's and are read as they are."""
     limits, lengths = _shapes(spec)
-    if _well_formed(round_, limits, lengths):
-        return dict(zip(range(1, n + 1), round_))
     zero = tuple((0,) * length for length in lengths)
-    return {i: p if _well_formed_payload(p, limits, lengths) else zero
-            for i, p in enumerate(round_, 1)}
+    return {**payloads, **{i: zero for i in replaced
+                           if not _well_formed_payload(payloads[i], limits, lengths)}}
 
 
 def _shapes(spec: CissProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,19 +177,8 @@ def _shapes(spec: CissProtocol) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _well_formed_payload(p, limits, lengths) -> bool:
-    """Whether the one payload p passes `_well_formed`."""
+    """Whether p is a 4-tuple whose parts pass `ints_below` at their `_shapes`."""
     return type(p) is tuple and len(p) == 4 and all(map(ints_below, p, limits, lengths))
-
-
-def _well_formed(round_, limits, lengths) -> bool:
-    """Whether the sequence `round_` is non-empty and each of its payloads
-    is a 4-tuple whose parts pass `ints_below` with the `_shapes` limits and
-    lengths; tested a part at a time across the sequence."""
-    if set(map(type, round_)) != {tuple} or set(map(len, round_)) != {4}:
-        return False
-    return all(set(map(type, part)) == {tuple} and set(map(len, part)) == {length}
-               and ints_below(tuple(chain.from_iterable(part)), limit, length * len(part))
-               for part, limit, length in zip(zip(*round_), limits, lengths))
 
 
 def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tuple]:
@@ -205,7 +192,7 @@ def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tu
     n = spec.n
     channels = range(1, n + 1)
     payloads = [parsed[j] for j in channels]
-    serialized = [spec.serialize_share(p[0]) for p in payloads]
+    serialized = spec.serialize_shares([p[0] for p in payloads])
     rows = zip(*[p[MASKS][:j] + (0,) + p[MASKS][j:] for j, p in enumerate(payloads)])
     tagged = spec.family.tag_rows([p[1] for p in payloads], serialized, rows)
     lists = {}
@@ -213,7 +200,7 @@ def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tu
         del expected[i - 1]
         sent = p[TAGS]
         lists[i] = () if tuple(expected) == sent else tuple(
-            j for j, e, t in zip((*range(1, i), *range(i + 1, n + 1)), expected, sent) if e != t)
+            compress((*range(1, i), *range(i + 1, n + 1)), map(ne, expected, sent)))
     return lists
 
 
@@ -230,9 +217,9 @@ def _reconstruct_plain(spec: CissProtocol, parsed, channels):
     )
 
 
-def ciss_receiver_decode(spec: CissProtocol, payloads):
-    """Returns (message or FAIL, detected channel list)."""
-    parsed = _parse_all(spec, payloads)
+def ciss_receiver_decode(spec: CissProtocol, payloads, replaced):
+    """(message or FAIL, detected channel list), testing only `replaced`."""
+    parsed = _parse_all(spec, payloads, replaced)
     lists = mismatch_lists(spec, parsed)
     if spec.variant == P2:
         union = {k for i, bad in lists.items() for j in bad for k in (i, j)}

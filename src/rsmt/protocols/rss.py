@@ -15,7 +15,11 @@ from ..config import check_keys, read_ints
 from ..field import FieldSpec, ints_below
 from ..sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingSpec, robust_reconstruct,
                        robust_share)
-from .base import OneRoundProtocol
+from .base import OneRoundProtocol, ProtocolError
+
+# Cap on d * bits(q), checked before q^d is computed: report headers print q^d,
+# and q^d < 2^(d * bits(q)) <= 2^14,000 < 10^4,300, the digits Python prints.
+MAX_MESSAGE_BITS = 14_000
 
 
 class RssProtocol(OneRoundProtocol):
@@ -27,6 +31,10 @@ class RssProtocol(OneRoundProtocol):
     __slots__ = ("n", "field", "d", "sharing")
 
     def __init__(self, sharing: RobustSharingSpec):
+        bits = sharing.amd.d * sharing.inner.field.q.bit_length()
+        if bits > MAX_MESSAGE_BITS:
+            raise ProtocolError(f"d={sharing.amd.d} elements of {sharing.inner.field} make a "
+                                f"{bits}-bit message, over the {MAX_MESSAGE_BITS}-bit limit")
         self.sharing = sharing
         self.n = sharing.inner.n
         self.field = sharing.inner.field
@@ -35,8 +43,8 @@ class RssProtocol(OneRoundProtocol):
     def encode(self, m, rng: random.Random) -> dict[int, tuple[int, ...]]:
         return rss_send(self, m, rng)
 
-    def decode(self, payloads):
-        return rss_receive(self, payloads)
+    def decode(self, payloads, replaced):
+        return rss_receive(self, payloads, replaced)
 
     def substitute(self, payload, rng: random.Random) -> tuple[int, ...]:
         return tuple(rng.randrange(self.field.q) for _ in range(self.sharing.share_len))
@@ -70,18 +78,13 @@ def rss_send(spec: RssProtocol, m, rng: random.Random) -> dict[int, tuple[int, .
     return robust_share(spec.sharing, m, rng)
 
 
-def rss_receive(spec: RssProtocol, payloads):
-    """Reconstruct from all n shares; FAIL detects at every channel."""
-    f = spec.field
+def rss_receive(spec: RssProtocol, payloads, replaced):
+    """Reconstruct from all n shares, testing only `replaced` against the
+    wire-value rule; FAIL detects at every channel."""
     width = spec.sharing.share_len
-    parsed = {}
-    for i in range(1, spec.n + 1):
-        p = payloads[i]
-        if not ints_below(p, f.q, width):
-            # blocked or malformed share: undecodable, treat as detection
-            return FAIL, list(range(1, spec.n + 1))
-        parsed[i] = p
-    out = robust_reconstruct(spec.sharing, parsed)
-    if out is FAIL:
-        return FAIL, list(range(1, spec.n + 1))
-    return out, []
+    # a blocked or malformed share is undecodable: treat it as detection
+    if all(ints_below(payloads[i], spec.field.q, width) for i in replaced):
+        out = robust_reconstruct(spec.sharing, payloads)
+        if out is not FAIL:
+            return out, []
+    return FAIL, list(range(1, spec.n + 1))

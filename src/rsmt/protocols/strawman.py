@@ -48,8 +48,8 @@ class StrawmanProtocol(OneRoundProtocol):
     def encode(self, m, rng: random.Random) -> dict[int, int]:
         return strawman_send(self, m, rng)
 
-    def decode(self, payloads):
-        return strawman_receive(self, payloads), []
+    def decode(self, payloads, replaced):
+        return strawman_receive(self, payloads, replaced), []
 
     def substitute(self, payload, rng: random.Random) -> int:
         return rng.randrange(self.field.q)
@@ -68,11 +68,15 @@ def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, in
     return dict(zip(range(1, spec.n + 1), _share_rows(spec.sharing, m, rng)[0]))
 
 
-def strawman_receive(spec: StrawmanProtocol, payloads) -> tuple[int]:
+def strawman_receive(spec: StrawmanProtocol, payloads, replaced) -> tuple[int]:
+    """The decoded message; a share in `replaced` outside the wire-value rule reads as 0."""
     f = spec.field
     xs = range(1, spec.n + 1)
     at = (0, *xs)  # the secret, then every channel's point
-    ys = [v if ints_below((v,), f.q, 1) else 0 for v in map(payloads.__getitem__, xs)]
+    ys = list(map(payloads.__getitem__, xs))
+    for i in replaced:
+        if not ints_below((ys[i - 1],), f.q, 1):
+            ys[i - 1] = 0
     candidates = (interpolate_at(f, subset, [ys[i - 1] for i in subset], at)
                   for subset in itertools.combinations(xs, spec.t + 1))
     # maximal agreement with the shares; `max` keeps the lex-first subset on a tie

@@ -629,7 +629,7 @@ def test_integral_values_are_read_as_ints():
     assert cfg.trials == 20 and cfg.protocol.n == 5 and cfg.protocol.ell == 8
 
 
-# --- every protocol config builds or is a named error, in time ---------------
+# --- every config builds or is a named error, in time ------------------------
 
 # Counts and primes: valid small values often enough that many configs
 # build, around them negative, huge and composite ones.
@@ -667,34 +667,59 @@ def _protocol_configs(draw):
 
 
 def _build(obj):
-    """What `protocol_from_json` makes of `obj`: ("refused", message, whether
+    """What `ExperimentConfig` makes of `obj`: ("refused", message, whether
     the error is the package's own), or ("built", whether the protocol's field
-    multiplies and inverts its largest element inside the field)."""
+    multiplies and inverts its largest element inside the field).  A built
+    config's resolved JSON, which every report header writes, must serialize."""
     try:
-        protocol = protocol_from_json(obj)
+        cfg = ExperimentConfig(obj)
     except ConfigError as exc:
         cause = exc.__cause__
         return "refused", str(exc), cause is None or type(cause).__module__.startswith("rsmt.")
-    f = getattr(protocol, "field", None)
+    json.dumps(cfg.resolved_json())
+    f = getattr(cfg.protocol, "field", None)
     if f is None:
         return "built", True
     top = f.q - 1
     return "built", f.mul_int(top, top) in range(f.q) and f.mul_int(top, f.inv_int(top)) == 1
 
 
+def _one_on_1(protocol: dict) -> dict:
+    """A config of `protocol` with one adversary, on channel 1."""
+    return {"protocol": protocol, "profile": {"assignments": {"1": [1]}}}
+
+
+@st.composite
+def _experiment_configs(draw):
+    """A drawn protocol config with one adversary on channel 1, and sometimes
+    a drawn trial count."""
+    obj = _one_on_1(draw(_protocol_configs()))
+    if draw(st.booleans()):
+        obj["trials"] = draw(_COUNT)
+    return obj
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_protocol_configs())
-@example({"variant": "P1", "n": 5, "d": 1, "ell": 2,
-          "field": {"kind": "binary", "m": 2, "poly": -4}})
-@example({"variant": "STRAWMAN", "n": 4, "field": {"kind": "binary", "m": 8, "poly": "-0x11b"}})
-@example({"variant": "STRAWMAN", "n": 3, "field": {"kind": "binary", "m": 2, "poly": -7}})
-@example({"variant": "STRAWMAN", "n": 10**5, "field": {"kind": "binary", "m": 4}})
-@example({"variant": "STRAWMAN", "n": 10**7, "field": {"kind": "binary", "m": 4}})
+@given(_experiment_configs())
+@example(_one_on_1({"variant": "P1", "n": 5, "d": 1, "ell": 2,
+                    "field": {"kind": "binary", "m": 2, "poly": -4}}))
+@example(_one_on_1({"variant": "STRAWMAN", "n": 4,
+                    "field": {"kind": "binary", "m": 8, "poly": "-0x11b"}}))
+@example(_one_on_1({"variant": "STRAWMAN", "n": 3,
+                    "field": {"kind": "binary", "m": 2, "poly": -7}}))
+@example(_one_on_1({"variant": "STRAWMAN", "n": 10**5, "field": {"kind": "binary", "m": 4}}))
+@example(_one_on_1({"variant": "STRAWMAN", "n": 10**7, "field": {"kind": "binary", "m": 4}}))
+@example(_one_on_1({"variant": "RSS", **_BUILDS["RSS"], "d": 10**5}))
+@example(_one_on_1({"variant": "RSS", **_BUILDS["RSS"], "d": 10**7}))
+@example(_one_on_1({"variant": "RSS", **_BUILDS["RSS"], "d": 229,
+                    "field": {"kind": "prime", "p": 2**61 - 1}}))
 def test_every_protocol_config_builds_or_is_a_named_config_error(obj):
     # A hang, a bare Python error and a field whose products leave it all fail.
     # Pinned: negative polys once looped (-4, -0x11b) or built a broken GF(4)
     # (-7); STRAWMAN once counted C(n, t+1) first, 10^5 failing to print it
-    # and 10^7 running for minutes.
+    # and 10^7 running for minutes; RSS once computed q^d first, d = 10^5
+    # failing to print it and d = 10^7 running for minutes.  The largest d
+    # at a 61-bit q, 229 elements (13,969 bits), builds.
     result = in_time(lambda: _build(obj), limit=5)
     if result[0] == "refused":
         assert result[2], f"{obj} is refused with an unnamed error: {result[1]}"
@@ -715,7 +740,11 @@ def _exit_and_stderr(argv):
     ({"variant": "STRAWMAN", "n": 10**7, "field": {"kind": "binary", "m": 4}},
      "n=10000000 makes a decode interpolate C(10000000, 5000000) subsets, over the 1024 "
      "point sets the Lagrange cache holds"),
-], ids=["negative-poly", "strawman-n-1e7"])
+    ({"variant": "RSS", **_BUILDS["RSS"], "d": 10**5},
+     "d=100000 elements of GF(251) make a 800000-bit message, over the 14000-bit limit"),
+    ({"variant": "RSS", **_BUILDS["RSS"], "d": 10**7},
+     "d=10000000 elements of GF(251) make a 80000000-bit message, over the 14000-bit limit"),
+], ids=["negative-poly", "strawman-n-1e7", "rss-d-1e5", "rss-d-1e7"])
 @pytest.mark.parametrize("command", ["bounds", "simulate"])
 def test_configs_that_once_hung_exit_3_in_time(tmp_path, command, protocol, message):
     path = write_config(tmp_path, dict(P1_CONFIG, protocol=protocol))

@@ -132,6 +132,22 @@ def test_binary_without_default_poly_rejects_m_above_32_at_once():
             SjstProtocol(3, 8, 64)
 
 
+def test_binary_without_a_poly_searches_once_per_degree(monkeypatch):
+    # m = 24 has no default poly, and every search starts at x^24 + 1
+    test, first = rsmt.field._gf2_irreducible, (1 << 24) | 1
+    searches = []
+
+    def counted(poly, m):
+        searches.append(poly == first)
+        return test(poly, m)
+
+    monkeypatch.setattr(rsmt.field, "_gf2_irreducible", counted)
+    rsmt.field.smallest_irreducible_poly.cache_clear()
+    specs = [FieldSpec.binary(24) for _ in range(3)]
+    assert sum(searches) == 1
+    assert specs[0] is specs[1] is specs[2]
+
+
 def test_default_polys_are_irreducible():
     for m in DEFAULT_BINARY_POLYS:
         spec = FieldSpec.binary(m)

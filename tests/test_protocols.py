@@ -5,7 +5,7 @@ import random
 from operator import attrgetter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from rsmt.field import MAX_BINARY_M, FieldSpec, interpolate, ints_below, poly_eval
@@ -27,10 +27,17 @@ from rsmt.protocols import (
 )
 from rsmt.protocols.base import ProtocolError
 from rsmt.protocols import ciss
-from rsmt.protocols.ciss import P1, P2, P3, _parse_all
+from rsmt.game.attacks import catalog_for
+from rsmt.protocols.ciss import P1, P2, P3, _parse_all, slot
 from rsmt.sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingError, SharingSpec,
                           shamir_reconstruct, shamir_share)
 from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
+
+def every(proto) -> range:
+    """Every channel of `proto`: what a receiver given payloads it did not
+    send itself tests against the wire-value rule."""
+    return range(1, proto.n + 1)
+
 
 GF7 = FieldSpec.prime(7)
 GF256 = FieldSpec.binary(8)
@@ -48,7 +55,7 @@ def test_rss_roundtrip():
     rng = random.Random(0)
     for _ in range(100):
         m = RSS.sample_message(rng)
-        out, detects = rss_receive(RSS, rss_send(RSS, m, rng))
+        out, detects = rss_receive(RSS, rss_send(RSS, m, rng), every(RSS))
         assert out == m and detects == []
 
 
@@ -62,7 +69,7 @@ def test_rss_single_tamper_detects_at_all_channels():
         vec = list(payloads[2])
         vec[0] = (vec[0] + 1 + rng.randrange(6)) % 7
         payloads[2] = tuple(vec)
-        out, detects = rss_receive(RSS, payloads)
+        out, detects = rss_receive(RSS, payloads, every(RSS))
         if out is FAIL:
             fails += 1
             assert detects == [1, 2, 3]  # no localization
@@ -76,8 +83,18 @@ def test_rss_blocked_channel_fails():
     rng = random.Random(2)
     payloads = rss_send(RSS, (4,), rng)
     payloads[1] = EMPTY
-    out, detects = rss_receive(RSS, payloads)
+    out, detects = rss_receive(RSS, payloads, every(RSS))
     assert out is FAIL and detects == [1, 2, 3]
+
+
+def test_rss_message_bits_stay_below_what_a_report_header_can_print():
+    def rss(d):
+        return RssProtocol(RobustSharingSpec(AmdSpec(GF7, d), SharingSpec(t=1, n=3, field=GF7)))
+
+    assert len(str(rss(4666).message_space_size())) < 4300  # 13,998 bits
+    with pytest.raises(ProtocolError, match=r"d=4668 elements of GF\(7\) make a 14004-bit "
+                       "message, over the 14000-bit limit"):
+        rss(4668)
 
 
 def test_rss_message_validation():
@@ -136,7 +153,7 @@ def test_encode_structure_and_tag_oracle():
     rng = random.Random(3)
     payloads = ciss_sender_encode(PROTO1, (99,), rng)
     assert set(payloads) == {1, 2, 3, 4, 5}
-    parsed = _parse_all(PROTO1, payloads)
+    parsed = _parse_all(PROTO1, payloads, every(PROTO1))
     assert parsed == payloads  # well-formed payloads are read as they are
     # every cross check passes when untampered
     for i, bad in mismatch_lists(PROTO1, parsed).items():
@@ -146,7 +163,7 @@ def test_encode_structure_and_tag_oracle():
     # (others 1, 2, 4, 5)
     # with h_{a,b}(x) = low 8 bits of a*x + b over GF(2^8)
     (_, (a, b), tags1, _), (share3, _, _, masks3) = parsed[1], parsed[3]
-    h = GF256.mul_int(a, PROTO1.serialize_share(share3)) ^ b
+    h = GF256.mul_int(a, PROTO1.serialize_shares([share3])[0]) ^ b
     assert tags1[1] == h ^ masks3[0]
 
 
@@ -157,7 +174,7 @@ def test_parse_reads_malformed_payloads_as_zeros():
     for bad in (EMPTY, (share, (a, b), tags), (share, (True, b), tags, masks),
                 (share, (a, b), tags[:3], masks), (share, (a, b), tags, (256,) * 4),
                 ((256,), (a, b), tags, masks)):
-        parsed = _parse_all(PROTO1, {**payloads, 1: bad})
+        parsed = _parse_all(PROTO1, {**payloads, 1: bad}, every(PROTO1))
         assert parsed[1] == zero
         assert parsed[2] == payloads[2]
     wide = 1 << 8  # one bit too wide for the 8-bit keys, tags and masks
@@ -181,7 +198,7 @@ def test_parse_reads_malformed_payloads_as_zeros():
                 (share, (a, b), tags, masks[:3]),
                 (share, (a, b), tags, (1.0, *masks[1:])),
                 (share, (a, b), tags, (None, *masks[1:]))):
-        parsed = _parse_all(PROTO1, {**payloads, 1: bad})
+        parsed = _parse_all(PROTO1, {**payloads, 1: bad}, every(PROTO1))
         assert parsed[1] == zero, bad
         assert parsed[2] == payloads[2]
 
@@ -195,7 +212,7 @@ def test_parse_reads_int_subclass_values_as_zeros():
     share, (a, b), tags, masks = payloads[1]
     sub = ((_Int(share[0]),), (_Int(a), b), (*tags[:3], _Int(tags[3])),
            tuple(map(_Int, masks)))
-    parsed = _parse_all(PROTO1, {**payloads, 1: sub})
+    parsed = _parse_all(PROTO1, {**payloads, 1: sub}, every(PROTO1))
     assert parsed[1] == ((0,), (0, 0), (0,) * 4, (0,) * 4)
     assert parsed[2] == payloads[2]
 
@@ -252,40 +269,33 @@ def test_parse_all_equals_the_per_channel_test(proto, kinds, seed):
     got = {i: _garble(kind, p, wide) for (i, p), kind in zip(payloads.items(), kinds)}
     n = proto.n
     zero = ((0,), (0, 0), (0,) * (n - 1), (0,) * (n - 1))
-    assert _parse_all(proto, got) == {i: p if _well_formed_channel(proto, p) else zero
-                                      for i, p in got.items()}
+    assert _parse_all(proto, got, every(proto)) == {
+        i: p if _well_formed_channel(proto, p) else zero for i, p in got.items()}
 
 
-def test_parse_all_tests_the_round_once_then_each_payload_at_most_once(monkeypatch):
+def test_parse_all_tests_each_listed_payload_once_and_no_other(monkeypatch):
     proto = CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16)
     payloads = ciss_sender_encode(proto, (7,), random.Random(1))
-    calls = []
-
-    def counted(name):
-        test = getattr(ciss, name)
-        monkeypatch.setattr(ciss, name, lambda *args: calls.append(name) or test(*args))
-
-    counted("_well_formed")
-    counted("_well_formed_payload")
+    tested = []
+    test = ciss._well_formed_payload
+    monkeypatch.setattr(ciss, "_well_formed_payload",
+                        lambda p, *shape: tested.append(p) or test(p, *shape))
     zero = ((0,), (0, 0), (0,) * 15, (0,) * 15)
-    wide = proto.family.field.q
-    rounds = [(payloads, payloads)]
-    for bad in ([3], [2, 15], [1, 2, 3, 4]):
-        got = {**payloads, **{i: _garble("wide", payloads[i], wide) for i in bad}}
-        rounds.append((got, {**payloads, **{i: zero for i in bad}}))
-    blocked = {**payloads, **{i: EMPTY for i in range(1, 5)}}
-    rounds.append((blocked, {**payloads, **{i: zero for i in range(1, 5)}}))
-    for got, want in rounds:
-        calls.clear()
-        assert _parse_all(proto, got) == want
-        assert calls[0] == "_well_formed" and calls.count("_well_formed") == 1
-        # a clean round is read on the whole-round test alone
-        assert calls.count("_well_formed_payload") == (0 if got is payloads else 16)
+    malformed = {2: _garble("wide", payloads[2], proto.family.field.q), 4: EMPTY,
+                 15: _garble("short", payloads[15], None)}
+    got = {**payloads, **malformed}
+    for listed in ([], [3], [2, 15], [1, 2, 4, 15], every(proto)):
+        tested.clear()
+        parsed = _parse_all(proto, got, listed)
+        assert list(map(id, tested)) == [id(got[i]) for i in listed]
+        # a listed malformed payload is read as zeros, an unlisted one as it is
+        assert parsed == {i: zero if i in malformed and i in listed else p
+                          for i, p in got.items()}
 
 
 def test_serialize_share_packs_elements():
     spec = CissProtocol(P1, 3, GF256, 2, 8)
-    assert spec.serialize_share((0xAB, 0xCD)) == 0xCDAB
+    assert spec.serialize_shares([(0xAB, 0xCD), (1, 0), (0, 1)]) == [0xCDAB, 1, 0x100]
 
 
 @pytest.mark.parametrize("proto", [PROTO1, PROTO2, PROTO3])
@@ -293,7 +303,7 @@ def test_list_protocol_roundtrip(proto):
     rng = random.Random(4)
     for _ in range(50):
         m = proto.sample_message(rng)
-        out, detects = ciss_receiver_decode(proto, ciss_sender_encode(proto, m, rng))
+        out, detects = ciss_receiver_decode(proto, ciss_sender_encode(proto, m, rng), every(proto))
         assert out == m and detects == []
 
 
@@ -309,7 +319,7 @@ def test_p1_single_share_tamper_detected_and_corrected():
         payloads = ciss_sender_encode(PROTO1, m, rng)
         share, h, tags, masks = payloads[3]
         payloads[3] = (((share[0] + 1 + rng.randrange(255)) % 256,), h, tags, masks)
-        out, detects = ciss_receiver_decode(PROTO1, payloads)
+        out, detects = ciss_receiver_decode(PROTO1, payloads, every(PROTO1))
         if out == m and detects == [3]:
             hits += 1
     # The analytical rate is >= 1 - (n+1)^2 * 2^-(ell+1) at the configured ell;
@@ -332,7 +342,7 @@ def test_p1_framing_minority_cannot_implicate_honest():
                 tuple(rng.getrandbits(8) for _ in tags),
                 tuple(rng.getrandbits(8) for _ in masks),
             )
-        out, detects = ciss_receiver_decode(PROTO1, payloads)
+        out, detects = ciss_receiver_decode(PROTO1, payloads, every(PROTO1))
         # a rare mask collision can break the majority and force FAIL, but an
         # honest channel must never be implicated, and any delivered message
         # is the right one
@@ -351,7 +361,7 @@ def test_p1_no_majority_fails():
         flipped = list(tags)
         flipped[(c - 1) % 4] ^= 1  # each channel accuses a different peer
         payloads[c] = (share, h, tuple(flipped), masks)
-    out, detects = ciss_receiver_decode(PROTO1, payloads)
+    out, detects = ciss_receiver_decode(PROTO1, payloads, every(PROTO1))
     assert out is FAIL and detects == []
 
 
@@ -360,7 +370,7 @@ def test_p1_malformed_payload_behaves_like_zero_substitution():
     m = PROTO1.sample_message(rng)
     payloads = ciss_sender_encode(PROTO1, m, rng)
     payloads[2] = EMPTY
-    out, detects = ciss_receiver_decode(PROTO1, payloads)
+    out, detects = ciss_receiver_decode(PROTO1, payloads, every(PROTO1))
     assert out == m
     assert 2 in detects
 
@@ -376,7 +386,7 @@ def test_p2_tag_tamper_self_incriminates():
     flipped = list(tags)
     flipped[0] ^= 1  # breaks the check of pair (1, 2)
     payloads[1] = (share, h, tuple(flipped), masks)
-    out, detects = ciss_receiver_decode(PROTO2, payloads)
+    out, detects = ciss_receiver_decode(PROTO2, payloads, every(PROTO2))
     assert out is FAIL
     assert detects == [1, 2]
 
@@ -390,7 +400,7 @@ def test_p2_share_tamper_detected_with_hash_probability():
         payloads = ciss_sender_encode(PROTO2, m, rng)
         share, h, tags, masks = payloads[2]
         payloads[2] = (((share[0] + 1 + rng.randrange(255)) % 256,), h, tags, masks)
-        out, detects = ciss_receiver_decode(PROTO2, payloads)
+        out, detects = ciss_receiver_decode(PROTO2, payloads, every(PROTO2))
         if out is FAIL and 2 in detects:
             caught += 1
     # per honest checking channel the miss rate is ~2^-8
@@ -408,7 +418,7 @@ def test_p3_corrects_up_to_capacity():
         for c in (1, 5):  # t* = 2 = floor((7-1)/3) corruptions
             share, h, tags, masks = payloads[c]
             payloads[c] = ((rng.randrange(256),), h, tags, masks)
-        out, detects = ciss_receiver_decode(PROTO3, payloads)
+        out, detects = ciss_receiver_decode(PROTO3, payloads, every(PROTO3))
         assert out == m
 
 
@@ -424,7 +434,7 @@ def test_p3_beyond_capacity_can_fail():
         for c in (1, 2, 3):
             share, h, tags, masks = payloads[c]
             payloads[c] = ((rng.randrange(256),), h, tags, masks)
-        out, detects = ciss_receiver_decode(PROTO3, payloads)
+        out, detects = ciss_receiver_decode(PROTO3, payloads, every(PROTO3))
         outcomes.add("fail" if out is FAIL else ("ok" if out == m else "wrong"))
     assert "fail" in outcomes  # the give-up branch is exercised
 
@@ -448,7 +458,7 @@ def test_strawman_roundtrip_and_threshold():
     rng = random.Random(13)
     for _ in range(100):
         m = p.sample_message(rng)
-        assert strawman_receive(p, strawman_send(p, m, rng)) == m
+        assert strawman_receive(p, strawman_send(p, m, rng), every(p)) == m
 
 
 def test_strawman_prefers_max_agreement():
@@ -457,7 +467,7 @@ def test_strawman_prefers_max_agreement():
     m = (7,)
     payloads = strawman_send(p, m, rng)
     payloads[4] = (payloads[4] + 1) % 16  # one bad share, three consistent
-    assert strawman_receive(p, payloads) == m
+    assert strawman_receive(p, payloads, every(p)) == m
 
 
 def test_strawman_n_is_bounded_by_the_subsets_one_decode_interpolates():
@@ -518,7 +528,7 @@ def _strawman_rounds(draw):
 @example((StrawmanProtocol(4, FieldSpec.binary(4)), {1: 3, 2: 5, 3: 9, 4: 12}))
 def test_strawman_receive_equals_the_subset_polynomial_decoder(case):
     p, payloads = case
-    assert strawman_receive(p, payloads) == _strawman_receive_by_polynomials(p, payloads)
+    assert strawman_receive(p, payloads, every(p)) == _strawman_receive_by_polynomials(p, payloads)
 
 
 # --- copying -------------------------------------------------------------------
@@ -612,15 +622,147 @@ def test_every_receiver_reads_a_value_outside_the_rule_as_malformed(proto, kind,
         public, kept, detects = sjst_round2_receiver(proto, bad, random.Random(seed))
         assert public[0][c - 1] == 1 and c in detects and c not in kept
     elif proto.variant == "RSS":
-        assert rss_receive(proto, bad) == (FAIL, list(range(1, proto.n + 1)))
+        assert rss_receive(proto, bad, every(proto)) == (FAIL, list(range(1, proto.n + 1)))
     elif proto.variant == "STRAWMAN":
-        assert strawman_receive(proto, bad) == strawman_receive(proto, {**payloads, c: 0})
+        assert strawman_receive(proto, bad, every(proto)) == strawman_receive(
+            proto, {**payloads, c: 0}, every(proto))
     else:
         zero = ((0,) * proto.d, (0, 0), (0,) * (proto.n - 1), (0,) * (proto.n - 1))
-        assert _parse_all(proto, bad) == {**payloads, c: zero}
+        assert _parse_all(proto, bad, every(proto)) == {**payloads, c: zero}
     # the sharing layer takes the value for no element of a field of that size
     sharing = SharingSpec(t=1, n=3, field=FieldSpec.binary(limit.bit_length() - 1))
     with pytest.raises(SharingError):
         shamir_share(sharing, value, rng)
     with pytest.raises(SharingError):
         shamir_reconstruct(sharing, {1: value, 2: 0})
+
+
+# --- the rule on the replaced channels only -------------------------------------
+
+
+def _passes_rule(proto, p) -> bool:
+    """The receiver's wire-value rule on one channel's payload, element by element."""
+    if proto.variant == "RSS":
+        return _exact_ints_below(p, proto.field.q, proto.sharing.share_len)
+    if proto.variant == "STRAWMAN":
+        return _exact_ints_below((p,), proto.field.q, 1)
+    return _well_formed_channel(proto, p)
+
+
+@st.composite
+def _one_round_protocols(draw):
+    """A P1/P2/P3, RSS or STRAWMAN configuration its constructor accepts."""
+    variant = draw(st.sampled_from([P1, P2, P3, "RSS", "STRAWMAN"]))
+    field = draw(st.sampled_from([FieldSpec.prime(3), GF7, FieldSpec.prime(251),
+                                  FieldSpec.prime(65521), FieldSpec.prime(2 ** 61 - 1), GF16,
+                                  GF256, FieldSpec.binary(8, 0x11D), FieldSpec.binary(16)]))
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    try:
+        if variant == "STRAWMAN":
+            return StrawmanProtocol(n, field)
+        if variant == "RSS":
+            sharing = SharingSpec(t=draw(st.integers(1, n - 1)), n=n, field=field)
+            return RssProtocol(RobustSharingSpec(AmdSpec(field, d), sharing))
+        return CissProtocol(variant, n, field, d, draw(st.integers(1, d * field.elem_bits)))
+    except (ProtocolError, SharingError):
+        reject()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(proto=_one_round_protocols(), seed=st.integers(0, 2 ** 32))
+def test_every_sender_payload_passes_its_own_receivers_rule(proto, seed):
+    rng = random.Random(seed)
+    m = proto.sample_message(rng)
+    payloads = proto.encode(m, rng)
+    assert all(_passes_rule(proto, p) for p in payloads.values())
+    # so a receiver that tests none of them reads the round as one that tests all
+    assert proto.decode(payloads, []) == proto.decode(payloads, every(proto)) == (m, [])
+
+
+# A payload spoiled one way at the value at `path` (a `_positions` entry).
+_SPOILS = {
+    "empty": lambda p, path, limit: EMPTY,
+    "list": lambda p, path, limit: list(p) if type(p) is tuple else [p],
+    "short": lambda p, path, limit: p[:-1] if type(p) is tuple else (),
+    "long": lambda p, path, limit: (*p, 0) if type(p) is tuple else (p, 0),
+    "bool": lambda p, path, limit: _replace(p, path, True),
+    "int-subclass": lambda p, path, limit: _replace(p, path, _Int(_at(p, path))),
+    "negative": lambda p, path, limit: _replace(p, path, -1),
+    "out-of-range": lambda p, path, limit: _replace(p, path, _at(p, path) | limit),
+}
+
+
+class _Spoil(AdversaryStrategy):
+    """Spoils each channel of `spoils`: channel -> (kind, (path, limit))."""
+
+    def __init__(self, spoils):
+        self.spoils = spoils
+
+    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+        return {c: _SPOILS[kind](own_payloads[c], *where)
+                for c, (kind, where) in self.spoils.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(proto=st.sampled_from([PROTO1, PROTO2, PROTO3, CissProtocol(P1, 5, GF16, 2, 2),
+                              CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16), RSS,
+                              RULE_PROTOCOLS[4], StrawmanProtocol(4, GF16),
+                              StrawmanProtocol(5, GF7)]),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_decoding_the_replaced_channels_equals_decoding_every_channel(proto, seed, data):
+    owned = data.draw(st.sets(st.integers(1, proto.n), min_size=1), label="owned")
+    attacks = {e.name: e.factory for e in catalog_for(proto.variant)}
+    attack = data.draw(st.sampled_from([*attacks, "malformed"]), label="attack")
+    if attack == "malformed":
+        spoil = st.tuples(st.sampled_from(sorted(_SPOILS)), st.sampled_from(_positions(proto)))
+        spoils = data.draw(st.dictionaries(st.sampled_from(sorted(owned)), spoil), label="spoils")
+        strategy = _Spoil(spoils)
+    else:
+        strategy = attacks[attack](proto)
+    m = proto.sample_message(random.Random(seed))
+    tr = execute(proto, m, CorruptionProfile({1: frozenset(owned)}), {1: strategy}, seed)
+    (round_,) = tr.rounds
+    replaced = [c for c, p in round_.post.items() if p is not round_.pre[c]]
+    assert set(replaced) <= owned
+    if attack == "passive":
+        assert replaced == []
+    if attack == "malformed":
+        assert replaced == sorted(spoils)
+    run = (tr.receiver_output, [c for c, _ in tr.detect_events])
+    assert run == proto.decode(round_.post, replaced) == proto.decode(round_.post, every(proto))
+
+
+def _mismatch_lists_by_pairs(proto, parsed) -> dict[int, tuple]:
+    """L_i, one pair at a time: j is in L_i when channel i's tag of s_j is not
+    h_i(s_j) masked by r_{i,j}, which rides on channel j."""
+    f, low, bits = proto.family.field, (1 << proto.ell) - 1, proto.field.elem_bits
+    lists = {}
+    for i in range(1, proto.n + 1):
+        _, (a, b), tags, _ = parsed[i]
+        lists[i] = ()
+        for j in range(1, proto.n + 1):
+            if j == i:
+                continue
+            share, _, _, masks = parsed[j]
+            x = sum(v << k * bits for k, v in enumerate(share))
+            if tags[slot(i, j)] != (f.mul_int(a, x) ^ b) & low ^ masks[slot(j, i)]:
+                lists[i] += (j,)
+    return lists
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(proto=st.sampled_from([PROTO1, PROTO2, PROTO3, CissProtocol(P2, 4, GF256, 1, 1),
+                              CissProtocol(P1, 5, GF16, 2, 2),
+                              CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16),
+                              CissProtocol(P2, 3, FieldSpec.prime(65521), 2, 3)]),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_mismatch_lists_equal_the_per_pair_check(proto, seed, data):
+    rng = random.Random(seed)
+    payloads = ciss_sender_encode(proto, proto.sample_message(rng), rng)
+    rewrites = {"share": proto.substitute, "tags": proto.frame_tags, "masks": proto.frame_masks,
+                "key": lambda p, rng: (p[0], proto.family.sample(rng), *p[2:])}
+    for c in data.draw(st.sets(st.integers(1, proto.n)), label="tampered"):
+        for part in data.draw(st.sets(st.sampled_from(sorted(rewrites)), min_size=1),
+                              label=f"parts of {c}"):
+            payloads[c] = rewrites[part](payloads[c], rng)
+    assert mismatch_lists(proto, payloads) == _mismatch_lists_by_pairs(proto, payloads)
