@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .config import ConfigError, read_int, read_number, read_object
+from .config import ConfigError, check_keys, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, nash_catalog_check, passive_seed
 from .game.play import run_cell
@@ -51,9 +51,12 @@ def protocol_from_json(obj: dict):
 
 def profile_from_json(obj: dict) -> CorruptionProfile:
     try:
+        check_keys(obj, "profile", "assignments", "malicious_id")
         assignments = {}
         for j, chans in read_object(obj["assignments"], "assignments").items():
             j = read_int(j, "adversary id")
+            if j in assignments:
+                raise ConfigError(f"adversary id {j} has two assignments")
             if not isinstance(chans, list):
                 raise ConfigError(f"adversary {j} channels must be a JSON list, got {chans!r}")
             assignments[j] = frozenset(read_int(c, "channel") for c in chans)
@@ -86,6 +89,8 @@ class ExperimentConfig:
                  "master_seed", "alpha", "sweep")
 
     def __init__(self, obj: dict):
+        check_keys(obj, "config", "protocol", "profile", "utility", "attacks", "trials",
+                   "master_seed", "alpha", "sweep")
         self.raw = obj
         self.protocol = protocol_from_json(obj.get("protocol") or {})
         self.profile = profile_from_json(obj.get("profile") or {"assignments": {}})
@@ -121,6 +126,8 @@ class ExperimentConfig:
         alpha = obj.get("alpha")
         self.alpha = None if alpha is None else read_number(alpha, "alpha")
         self.sweep = obj.get("sweep")
+        if isinstance(self.sweep, dict):
+            check_keys(self.sweep, "sweep", "axis", "values")
 
     def resolved_json(self) -> dict:
         return {

@@ -42,7 +42,7 @@ class PassiveGuess(CatalogStrategy):
 class BlockChannels(CatalogStrategy):
     """Replaces every owned payload with the blocked-channel marker."""
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         return {c: EMPTY for c in own_payloads}
 
 
@@ -57,7 +57,7 @@ class Rewrite(CatalogStrategy):
         self.rewrite = _method(protocol, hook)
         self.limit = limit
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         return {c: self.rewrite(own_payloads[c], rng) for c in sorted(own_payloads)[: self.limit]}
 
 
@@ -72,7 +72,7 @@ class SwapHalf(CatalogStrategy):
         super().__init__(protocol)
         self.encode = _method(protocol, "encode")
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         p = self.protocol
         fake = self.encode(p.sample_message(rng), rng)
         out = {c: fake[c] for c in own_payloads}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .attacks import catalog_for
 from .play import run_cell
@@ -30,19 +30,12 @@ class ReportRow:
     flag: bool
 
     def as_csv_fields(self) -> list[str]:
-        return [
-            self.protocol,
-            str(self.adversary),
-            self.attack,
-            str(self.trials),
-            f"{self.mean:.6f}",
-            f"{self.ci95:.6f}",
-            f"{self.threshold:.6f}",
-            "1" if self.flag else "0",
-        ]
+        return [self.protocol, str(self.adversary), self.attack, str(self.trials),
+                *(f"{v:.6f}" for v in (self.mean, self.ci95, self.threshold)),
+                "1" if self.flag else "0"]
 
 
-CSV_COLUMNS = ["protocol", "adversary", "attack", "trials", "mean", "ci95", "threshold", "flag"]
+CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def cell_seed(master_seed: int, j: int, attack: str) -> int:

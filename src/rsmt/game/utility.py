@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from ..config import read_int, read_number, read_object
+from ..config import check_keys, read_int, read_number, read_object
 
 
 class UtilityError(ValueError):
@@ -101,6 +101,7 @@ class UtilityTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "UtilityTable":
+        check_keys(obj, "utility", "base", "message_space_size", "others_detected_bonus")
         base = {tuple(int(ch) for ch in key): read_number(v, f"base {key}")
                 for key, v in read_object(obj["base"], "base").items()}
         return cls(

@@ -1,8 +1,10 @@
 """Common protocol interface.
 
 A protocol instance is a fixed configuration (n, field, lengths, thresholds).
-`run` drives one execution through a transport engine; everything else is a
-pure helper so rounds can be unit-tested without a transport.  Behaviour the
+`run` drives one execution through a transport engine: the one channel round
+(`engine.send_round`, sender to receiver) first, then any public rounds;
+everything else is a pure helper so rounds can be unit-tested without a
+transport.  Behaviour the
 game layer and the CLI need per protocol is a hook here, not type dispatch at
 the call site: `from_json`, the inverse of `to_json`; the payload rewrites
 an adversary can apply to its own channels (`substitute` here, and on the
@@ -23,7 +25,6 @@ import random
 from typing import Any
 
 from ..field import ints_below
-from ..transport import SENDER_TO_RECEIVER
 
 
 class ProtocolError(ValueError):
@@ -35,7 +36,6 @@ class Protocol:
 
     variant: str
     n: int
-    uses_public: bool
     bound: str | None = None  # requirement-table row; None: nothing to provision
 
     def message_space_size(self) -> int:
@@ -72,8 +72,6 @@ class Protocol:
 class OneRoundProtocol(Protocol):
     """One sender-to-receiver round carrying a d-vector over `field`."""
 
-    uses_public = False
-
     def message_space_size(self) -> int:
         return self.field.q ** self.d
 
@@ -96,7 +94,7 @@ class OneRoundProtocol(Protocol):
 
     def run(self, engine, m):
         sent = self.encode(m, engine.honest_rng)
-        delivered = engine.send_round(SENDER_TO_RECEIVER, sent)
+        delivered = engine.send_round(sent)
         output, detects = self.decode(delivered, [i for i in sent if delivered[i] is not sent[i]])
         for i in detects:
             engine.emit_detect(i)

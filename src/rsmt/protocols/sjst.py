@@ -32,7 +32,6 @@ class SjstProtocol(Protocol):
     """Configuration: n channels, l tag bits, k key/message bits."""
 
     variant = "SJST"
-    uses_public = True
     bound = "pd-tag-bits"
 
     __slots__ = ("n", "ell", "k", "family")
@@ -60,7 +59,7 @@ class SjstProtocol(Protocol):
         if not ints_below((m,), 1 << self.k, 1):
             raise ProtocolError(f"message must be a {self.k}-bit integer")
         keys, payloads = sjst_round1_sender(self, engine.honest_rng)
-        delivered = engine.send_round(SENDER_TO_RECEIVER, payloads)
+        delivered = engine.send_round(payloads)
         pub2, kept, detects2 = sjst_round2_receiver(self, delivered, engine.honest_rng)
         engine.send_public(RECEIVER_TO_SENDER, pub2)
         for i in detects2:

@@ -1,16 +1,16 @@
 """Deterministic simulator of n parallel point-to-point channels plus an
-optional authenticated public channel.
+authenticated public channel.
 
-The engine owns round sequencing and adversary interposition: within a round
-the honest party's payloads are fixed first, then every adversary (ascending
-id) gets a rushing look at its own corrupted channels and may return
-replacements for them — and only them.  The public channel is observable by
-everyone and can never be altered, so the engine keeps one public history
-for all adversaries; detection declarations of a public-channel protocol
-join it where they are emitted.  The engine that ran an execution is its
-transcript: it keeps every round and that history.  Everything is a pure
-function of (protocol config, message, corruption profile, strategy code,
-random streams).
+Every protocol opens with one channel round, sender to receiver, and sends
+nothing else over the channels; any later rounds are public.  The engine
+owns adversary interposition in that round: the sender's payloads are fixed
+first, then every adversary (ascending id) gets a rushing look at its own
+corrupted channels and may return replacements for them — and only them.
+The public channel can never be altered, so a public round or a detection
+declaration is recorded and delivered verbatim.  The engine that ran an
+execution is its transcript: it keeps every round and detection.
+Everything is a pure function of (protocol config, message, corruption
+profile, strategy code, random streams).
 
 Random streams, layout `RNG_STREAM`: `derive_streams(seed, ids)` makes one
 stream for the honest parties (profile sampler, message sampler, sender,
@@ -125,14 +125,14 @@ class CorruptionProfile:
 class AdversaryStrategy:
     """The callback a rational adversary implements.
 
-    `observe_and_tamper` sees the current round's payloads on its own
-    corrupted channels (rushing) plus the public history so far, and returns
-    replacements keyed by channel — a subset of its own channels only.  The
-    adversary's guess of the message is uniform and scored in expectation
-    (see `rsmt.game.utility`), so no callback makes it.
+    `observe_and_tamper` sees the channel round's payloads on its own
+    corrupted channels (rushing) and returns replacements keyed by channel —
+    a subset of its own channels only.  The adversary's guess of the message
+    is uniform and scored in expectation (see `rsmt.game.utility`), so no
+    callback makes it.
     """
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         return {}
 
 
@@ -159,12 +159,11 @@ def _payload_json(p):
 
 class Engine:
     """Single-execution channel simulator handed to a protocol's run(), and
-    the transcript of that execution: the rounds, detection events and
-    public history it records, plus the message and the receiver's output,
-    which `execute` fills in."""
+    the transcript of that execution: the rounds and detection events it
+    records, plus the message and the receiver's output, which `execute`
+    fills in."""
 
-    def __init__(self, n: int, profile: CorruptionProfile, strategies, streams: Streams,
-                 uses_public: bool):
+    def __init__(self, n: int, profile: CorruptionProfile, strategies, streams: Streams):
         profile.validate_for(n)
         missing = [j for j in profile.adversary_ids if j not in strategies]
         if missing:
@@ -172,52 +171,40 @@ class Engine:
         self.n = n
         self.profile = profile
         self.strategies = dict(strategies)
-        self.uses_public = uses_public
         self.honest_rng, self.adv_rngs = streams
         self.rounds: list[RoundRecord] = []
         self.detect_events: list[tuple[int, int]] = []
-        self.public_history: list[tuple[int, Any]] = []
         self.message: Any = None
         self.receiver_output: Any = None
 
-    def send_round(self, direction: str, payloads: Mapping[int, Any]) -> dict[int, Any]:
-        """Deliver one round of channel payloads; returns post-tamper payloads."""
+    def send_round(self, payloads: Mapping[int, Any]) -> dict[int, Any]:
+        """Deliver the channel round, sender to receiver, which must be the
+        execution's first round; returns post-tamper payloads."""
+        if self.rounds:
+            raise SimulationFault("a channel round must be the execution's first round")
         if payloads.keys() != _channel_set(self.n):
             raise SimulationFault("round must carry exactly one payload per channel")
-        idx = len(self.rounds)
         pre = dict(payloads)
         post = dict(pre)
         for j in self.profile.adversary_ids:
             own_pre = {c: pre[c] for c in self.profile.sorted_channels[j]}
-            replacements = self.strategies[j].observe_and_tamper(
-                idx, direction, own_pre, list(self.public_history), self.adv_rngs[j]
-            ) or {}
+            replacements = self.strategies[j].observe_and_tamper(own_pre, self.adv_rngs[j]) or {}
             if replacements and not own_pre.keys() >= set(replacements):
                 raise SimulationFault(f"adversary {j} wrote to non-owned channels "
                                       f"{sorted(set(replacements).difference(own_pre))}")
             post.update(replacements)
-        self.rounds.append(RoundRecord(idx, direction, pre, post))
+        self.rounds.append(RoundRecord(0, SENDER_TO_RECEIVER, pre, post))
         return post
 
     def send_public(self, direction: str, payload: Any) -> Any:
         """Authenticated broadcast: delivered verbatim, seen by everyone."""
-        if not self.uses_public:
-            raise SimulationFault("protocol has no public channel")
-        idx = len(self.rounds)
-        self.public_history.append((idx, payload))
-        self.rounds.append(RoundRecord(idx, direction, {}, {}, public=payload))
+        self.rounds.append(RoundRecord(len(self.rounds), direction, {}, {}, public=payload))
         return payload
 
     def emit_detect(self, channel: int) -> None:
         if not 1 <= channel <= self.n:
             raise SimulationFault(f"DETECT references nonexistent channel {channel}")
-        round_idx = max(0, len(self.rounds) - 1)
-        event = (channel, round_idx)
-        self.detect_events.append(event)
-        if self.uses_public:
-            # Detection declarations ride the authenticated channel, so every
-            # adversary learns about them.
-            self.public_history.append((round_idx, ("DETECT", channel)))
+        self.detect_events.append((channel, max(0, len(self.rounds) - 1)))
 
     def to_json(self) -> dict:
         return {
@@ -253,7 +240,7 @@ def execute(protocol, m, profile: CorruptionProfile, strategies,
     ran, which is the execution's transcript."""
     if not isinstance(streams, Streams):
         streams = derive_streams(streams, profile.adversary_ids)
-    engine = Engine(protocol.n, profile, strategies, streams, protocol.uses_public)
+    engine = Engine(protocol.n, profile, strategies, streams)
     engine.message = m
     engine.receiver_output = protocol.run(engine, m)
     return engine

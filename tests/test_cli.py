@@ -568,6 +568,35 @@ def test_reachable_config_errors_exit_3(tmp_path, capsys, monkeypatch, command, 
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command, change, message", [
+    ("bounds", {"trails": 7}, "config does not read 'trails'"),
+    ("simulate", {"profile": {"assignments": {"1": [1, 2]}, "malicous_id": 1}},
+     "bad corruption profile: profile does not read 'malicous_id'"),
+    ("bounds", {"utility": {"base": WITNESS_BASE, "others_detectd_bonus": 5}},
+     "bad utility table: utility does not read 'others_detectd_bonus'"),
+    ("sweep", {"sweep": {"axis": "ell", "values": [8], "step": 1}},
+     "sweep does not read 'step'"),
+], ids=["config", "profile", "utility", "sweep"])
+def test_a_key_no_reader_reads_exits_3_and_is_named(tmp_path, capsys, monkeypatch, command,
+                                                    change, message):
+    # each would otherwise run on a default: 1,000 trials, bonus 0, no malicious id
+    _refuse_work(monkeypatch)
+    assert main([command, "--config", write_config(tmp_path, dict(P1_CONFIG, **change))]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("second", ["0x1", " 1"])
+def test_two_assignment_keys_of_one_adversary_id_are_refused(tmp_path, capsys, second):
+    with pytest.raises(ConfigError, match=r"^bad corruption profile: adversary id 1 has two "
+                                          r"assignments$"):
+        profile_from_json({"assignments": {"1": [1, 2], second: [3]}})
+    path = write_config(tmp_path, dict(P1_CONFIG, profile={"assignments": {"1": [1, 2],
+                                                                           second: [3]}}))
+    assert main(["bounds", "--config", path]) == EXIT_CONFIG
+    assert "adversary id 1 has two assignments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--seed", "1"],
     ["verify", "--trials", "10"],

@@ -698,7 +698,7 @@ class _Spoil(AdversaryStrategy):
     def __init__(self, spoils):
         self.spoils = spoils
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         return {c: _SPOILS[kind](own_payloads[c], *where)
                 for c, (kind, where) in self.spoils.items()}
 

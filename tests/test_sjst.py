@@ -197,9 +197,7 @@ class _SubstituteKeys(AdversaryStrategy):
     def __init__(self, channels):
         self.channels = channels
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
-        if round_index != 0:
-            return {}
+    def observe_and_tamper(self, own_payloads, rng):
         return {
             c: (rng.getrandbits(SPEC.ell), rng.getrandbits(SPEC.k))
             for c in self.channels if c in own_payloads

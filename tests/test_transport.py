@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import rsmt.transport
 from rsmt.field import FieldSpec
-from rsmt.game import Rewrite, play_game, run_trials, witness_table
-from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
+from rsmt.game import Rewrite, catalog_for, play_game, run_trials, witness_table
+from rsmt.protocols import VARIANTS, CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.protocols.ciss import P1, P2, P3
 from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import (
@@ -76,9 +77,9 @@ class _DrawsAndRecords(AdversaryStrategy):
         self.protocol = protocol
         self.rngs = []
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         self.rngs.append(rng)
-        if round_index or not own_payloads:
+        if not own_payloads:
             return {}
         c = min(own_payloads)
         return {c: self.protocol.substitute(own_payloads[c], rng)}
@@ -105,7 +106,7 @@ def test_a_block_derives_one_honest_stream_and_one_per_adversary(monkeypatch, va
 class _DrawsNothingVisible(AdversaryStrategy):
     """Draws from its own stream and tampers with nothing."""
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         rng.getrandbits(64)
         return {}
 
@@ -223,7 +224,7 @@ def test_same_seed_identical_transcripts():
 
 
 class _WritesElsewhere(AdversaryStrategy):
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         return {5: EMPTY}  # channel 5 is not owned
 
 
@@ -246,7 +247,7 @@ class _SeesHonest(AdversaryStrategy):
     def __init__(self):
         self.seen = []
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         self.seen.append(dict(own_payloads))
         return {}
 
@@ -259,7 +260,7 @@ def test_rushing_adversary_sees_pretamper_payloads():
 
 
 class _Blocks(AdversaryStrategy):
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         return {c: EMPTY for c in own_payloads}
 
 
@@ -278,8 +279,8 @@ class _Records(AdversaryStrategy):
     def __init__(self):
         self.calls = []
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
-        self.calls.append((round_index, direction, dict(own_payloads), public_history))
+    def observe_and_tamper(self, own_payloads, rng):
+        self.calls.append(dict(own_payloads))
         return {}
 
 
@@ -287,72 +288,83 @@ def test_each_adversary_is_shown_only_its_own_channels():
     prof = CorruptionProfile({1: frozenset({3}), 2: frozenset()})
     strategies = {1: _Records(), 2: _Records()}
     tr = execute(PROTO, (1,), prof, strategies, 9)
-    # one channel round; no public channel in this protocol
-    assert strategies[1].calls == [(0, "s->r", {3: tr.rounds[0].pre[3]}, [])]
-    assert strategies[2].calls == [(0, "s->r", {}, [])]  # corrupts nothing
+    # one channel round, shown once to each adversary
+    assert strategies[1].calls == [{3: tr.rounds[0].pre[3]}]
+    assert strategies[2].calls == [{}]  # corrupts nothing
 
 
 def test_public_channel_is_shared_and_detects_ride_it():
     sjst = SjstProtocol(3, 4, 8)
     prof = CorruptionProfile({1: frozenset({2})})
     tr = execute(sjst, 200, prof, {1: _Blocks()}, 4)
-    # blocking channel 2 trips the length check: flagged and detected
-    assert (2, 1) in tr.detect_events
+    # blocking channel 2 trips the length check: flagged and detected, and
     # the DETECT for channel 2 follows round 1's flags and precedes round 2
-    assert [(i, p if p[0] == "DETECT" else "pub") for i, p in tr.public_history] == [
-        (1, "pub"), (1, ("DETECT", 2)), (2, "pub")
+    assert [(r.index, r.direction) for r in tr.rounds if r.public is not None] == [
+        (1, "r->s"), (2, "s->r")
     ]
+    assert tr.detect_events == [(2, 1)]
     # flags round is public: B has the flag bit set for channel 2
-    b_flags = next(p for _, p in tr.public_history if isinstance(p, tuple) and p[0] == (0, 1, 0))
-    assert b_flags[0][1] == 1
+    assert tr.rounds[1].public[0] == (0, 1, 0)
 
 
 class _PublicThenChannel:
-    """A public-channel protocol: a channel round, a public round, a DETECT of
+    """A protocol that sends a channel round, a public round, a DETECT of
     channel 2, another public round, then a second channel round."""
 
     n = 3
-    uses_public = True
 
     def run(self, engine, m):
-        engine.send_round("s->r", {1: m, 2: m, 3: m})
+        engine.send_round({1: m, 2: m, 3: m})
         engine.send_public("r->s", "flags")
         engine.emit_detect(2)
         engine.send_public("s->r", "opened")
-        return engine.send_round("s->r", {1: m, 2: m + 1, 3: m})[1]
+        return engine.send_round({1: m, 2: m + 1, 3: m})[1]
 
 
-def test_strategies_see_the_public_history_with_detects_in_emission_order():
+def test_a_second_channel_round_is_a_simulation_fault():
     prof = CorruptionProfile({1: frozenset({1, 3}), 2: frozenset({2})})
     strategies = {1: _Records(), 2: _Records()}
-    tr = execute(_PublicThenChannel(), 5, prof, strategies, 4)
-    history = [(1, "flags"), (1, ("DETECT", 2)), (2, "opened")]
-    assert tr.public_history == history
-    assert strategies[1].calls == [(0, "s->r", {1: 5, 3: 5}, []),
-                                   (3, "s->r", {1: 5, 3: 5}, history)]
-    assert strategies[2].calls == [(0, "s->r", {2: 5}, []), (3, "s->r", {2: 6}, history)]
-    # each call is handed its own copy of the history
-    shown = [strategies[1].calls[1][3], strategies[2].calls[1][3], tr.public_history]
-    assert len(set(map(id, shown))) == 3
+    with pytest.raises(SimulationFault,
+                       match=r"^a channel round must be the execution's first round$"):
+        execute(_PublicThenChannel(), 5, prof, strategies, 4)
+    # only the first channel round reached the adversaries
+    assert strategies[1].calls == [{1: 5, 3: 5}]
+    assert strategies[2].calls == [{2: 5}]
 
 
-def test_public_send_requires_public_protocol():
+def test_a_detect_of_a_nonexistent_channel_is_a_simulation_fault():
     prof = CorruptionProfile({1: frozenset({1})})
-    eng = Engine(3, prof, {1: AdversaryStrategy()}, derive_streams(1, (1,)), uses_public=False)
-    with pytest.raises(SimulationFault):
-        eng.send_public("s->r", (1, 2))
-    with pytest.raises(SimulationFault):
+    eng = Engine(3, prof, {1: AdversaryStrategy()}, derive_streams(1, (1,)))
+    with pytest.raises(SimulationFault, match=r"^DETECT references nonexistent channel 9$"):
         eng.emit_detect(9)
+
+
+@pytest.mark.parametrize("variant", sorted(STREAM_PROTOCOLS))
+def test_every_protocol_tampers_only_in_its_first_round(variant):
+    # the strategy callback is shown one round, so every protocol must send
+    # its channel payloads in round 0, sender to receiver, and nothing but
+    # public rounds after it
+    assert {type(p) for p in STREAM_PROTOCOLS.values()} == set(VARIANTS.values())
+    protocol = STREAM_PROTOCOLS[variant]
+    prof = CorruptionProfile({1: frozenset({1}), 2: frozenset({2})})
+    for entry in catalog_for(protocol.variant):
+        for seed in range(3):
+            m = protocol.sample_message(random.Random(seed))
+            strategies = {1: entry.factory(protocol), 2: AdversaryStrategy()}
+            first, *rest = execute(protocol, m, prof, strategies, seed).rounds
+            assert (first.index, first.direction, first.public) == (0, "s->r", None)
+            assert first.pre.keys() == first.post.keys() == set(range(1, protocol.n + 1))
+            assert [r.index for r in rest] == list(range(1, len(rest) + 1))
+            assert all(r.pre == r.post == {} and r.public is not None for r in rest)
 
 
 class _DropsChannel:
     """A protocol whose one round leaves out its last channel."""
 
     n = 3
-    uses_public = False
 
     def run(self, engine, m):
-        return engine.send_round("s->r", {1: m, 2: m})
+        return engine.send_round({1: m, 2: m})
 
 
 def test_a_round_without_every_channel_is_a_simulation_fault():
@@ -381,7 +393,7 @@ class _SendsValue(AdversaryStrategy):
     def __init__(self, value):
         self.value = value
 
-    def observe_and_tamper(self, round_index, direction, own_payloads, public_history, rng):
+    def observe_and_tamper(self, own_payloads, rng):
         share, key, tags, masks = own_payloads[1]
         return {1: (share, key, tags, (self.value, *masks[1:]))}
 
