@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY = 4
+SWEEP_SHAPE = "sweep requires {'axis': ..., 'values': [...]} in config"
 
 
 def protocol_from_json(obj: dict):
@@ -59,7 +60,11 @@ def profile_from_json(obj: dict) -> CorruptionProfile:
                 raise ConfigError(f"adversary id {j} has two assignments")
             if not isinstance(chans, list):
                 raise ConfigError(f"adversary {j} channels must be a JSON list, got {chans!r}")
-            assignments[j] = frozenset(read_int(c, "channel") for c in chans)
+            channels = [read_int(c, "channel") for c in chans]
+            assignments[j] = frozenset(channels)
+            if len(assignments[j]) < len(channels):
+                twice = next(c for c in channels if channels.count(c) > 1)
+                raise ConfigError(f"adversary {j} lists channel {twice} twice")
         malicious = obj.get("malicious_id")
         return CorruptionProfile(
             assignments, None if malicious is None else read_int(malicious, "malicious_id")
@@ -80,6 +85,21 @@ def attacks_from_json(names, variant: str) -> list[str] | None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return names
+
+
+def sweep_from_json(sweep) -> dict | None:
+    """`sweep` (None: no sweep) if it has a known axis and a non-empty value list."""
+    if sweep is None:
+        return None
+    if isinstance(sweep, dict):
+        check_keys(sweep, "sweep", "axis", "values")
+    if not isinstance(sweep, dict) or not sweep.get("axis") or not sweep.get("values"):
+        raise ConfigError(SWEEP_SHAPE)
+    if not isinstance(sweep["values"], list):
+        raise ConfigError(f"sweep values must be a list, got {sweep['values']!r}")
+    if sweep["axis"] not in ("ell", "n", "t", "trials"):
+        raise ConfigError(f"unknown sweep axis {sweep['axis']!r}")
+    return sweep
 
 
 class ExperimentConfig:
@@ -125,18 +145,14 @@ class ExperimentConfig:
         self.master_seed = read_int(obj.get("master_seed", 0), "master_seed")
         alpha = obj.get("alpha")
         self.alpha = None if alpha is None else read_number(alpha, "alpha")
-        self.sweep = obj.get("sweep")
-        if isinstance(self.sweep, dict):
-            check_keys(self.sweep, "sweep", "axis", "values")
+        self.sweep = sweep_from_json(obj.get("sweep"))
 
     def resolved_json(self) -> dict:
         return {
             "protocol": self.protocol.to_json(),
             "profile": {
-                "assignments": {
-                    str(j): sorted(self.profile.channels_of(j))
-                    for j in self.profile.adversary_ids
-                },
+                "assignments": {str(j): sorted(self.profile.assignments[j])
+                                for j in self.profile.adversary_ids},
                 "malicious_id": self.profile.malicious_id,
             },
             "utility": self.table.to_json(),
@@ -169,7 +185,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
 def _requirements(config: ExperimentConfig) -> dict[str, tuple[str, object]]:
     ids = config.profile.adversary_ids
     lam = max(1, len(ids))
-    ts = sorted({len(config.profile.channels_of(j)) for j in ids} - {0}) or [1]
+    ts = sorted({len(chs) for chs in config.profile.assignments.values()} - {0}) or [1]
     p = config.protocol
     return requirement_table(derive_u_values(config.table, lam=lam), lam, p.n,
                              getattr(p, "d", 1), ts, alpha=config.alpha)
@@ -286,15 +302,9 @@ def cmd_verify(out: str) -> int:
 
 
 def cmd_sweep(config: ExperimentConfig, out: str) -> int:
-    sweep = config.sweep
-    if not isinstance(sweep, dict) or not sweep.get("axis") or not sweep.get("values"):
-        raise ConfigError("sweep requires {'axis': ..., 'values': [...]} in config")
-    axis = sweep["axis"]
-    values = sweep["values"]
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep values must be a list, got {values!r}")
-    if axis not in ("ell", "n", "t", "trials"):
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+    if config.sweep is None:
+        raise ConfigError(SWEEP_SHAPE)
+    axis, values = config.sweep["axis"], config.sweep["values"]
     first = _adversary_ids(config, "sweep")[0]
     attack_names = config.attacks or ["share-substitution"]
     raw = config.raw

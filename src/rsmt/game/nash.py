@@ -9,10 +9,10 @@ clean report says "no violation found among these attacks and trials".
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 
+from ..transport import derive_seed
 from .attacks import catalog_for
 from .play import run_cell
 from .utility import UtilityTable
@@ -39,9 +39,8 @@ CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def cell_seed(master_seed: int, j: int, attack: str) -> int:
-    """Master seed of adversary j's run under `attack`."""
-    digest = hashlib.sha256(f"{master_seed}:nash:{j}:{attack}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    """Master seed of adversary j's run under `attack`: the digest's top 64 bits."""
+    return derive_seed(master_seed, "nash", j, attack) >> 192
 
 
 def passive_seed(master_seed: int, profile) -> int:
@@ -51,7 +50,11 @@ def passive_seed(master_seed: int, profile) -> int:
 
 def nash_catalog_check(protocol, profile, table: UtilityTable, trials: int,
                        master_seed: int, attack_names=None) -> list[ReportRow]:
+    if not profile.adversary_ids:
+        raise ValueError("nash_catalog_check needs at least one adversary in the profile")
     entries = catalog_for(protocol.variant, attack_names)
+    if not entries:
+        raise ValueError("nash_catalog_check needs at least one attack; attack_names is empty")
     passive = run_cell(protocol, profile, table, trials, passive_seed(master_seed, profile))
     rows = []
     for j in profile.adversary_ids:

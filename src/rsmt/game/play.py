@@ -17,30 +17,28 @@ computed exactly.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ..transport import BLOCK_TRIALS, CorruptionProfile, Engine, Streams, derive_streams, execute
+from ..transport import BLOCK_TRIALS, Engine, Streams, derive_seed, derive_streams, execute
 from .attacks import catalog_for
 from .utility import Outcome, UtilityTable
 
 
 def block_seed(master_seed: int, block: int) -> int:
-    digest = hashlib.sha256(f"{master_seed}:block:{block}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return derive_seed(master_seed, "block", block) >> 192  # the digest's top 64 bits
 
 
-def outcome_of(engine: Engine, profile: CorruptionProfile) -> Outcome:
+def outcome_of(engine: Engine) -> Outcome:
     """How the execution that `engine` ran ended."""
-    events = engine.detect_events
+    profile, events = engine.profile, engine.detect_events
     detected_channels = {ch for ch, _ in events} if events else None
     return Outcome(
         suc=int(engine.receiver_output == engine.message),
-        detect=frozenset(j for j in profile.adversary_ids if not profile.channels_of(j).isdisjoint(
+        detect=frozenset(j for j in profile.adversary_ids if not profile.assignments[j].isdisjoint(
             detected_channels)) if events else frozenset(),
     )
 
@@ -54,7 +52,7 @@ def play_game(protocol, profile, strategies, streams: Streams):
     resolved = profile(honest) if callable(profile) else profile
     m = protocol.sample_message(honest)
     engine = execute(protocol, m, resolved, strategies, streams)
-    return outcome_of(engine, resolved), engine
+    return outcome_of(engine), engine
 
 
 @dataclass

@@ -94,9 +94,9 @@ class UtilityTable:
 
     def to_json(self) -> dict:
         return {
-            "base": {f"{g}{s}{d}": float(v) for (g, s, d), v in sorted(self.base.items())},
+            "base": {f"{g}{s}{d}": _json_number(v) for (g, s, d), v in sorted(self.base.items())},
             "message_space_size": self.message_space_size,
-            "others_detected_bonus": float(self.others_detected_bonus),
+            "others_detected_bonus": _json_number(self.others_detected_bonus),
         }
 
     @classmethod
@@ -110,6 +110,11 @@ class UtilityTable:
             others_detected_bonus=read_number(obj.get("others_detected_bonus", 0),
                                               "others_detected_bonus"),
         )
+
+
+def _json_number(v: Fraction) -> float | int:
+    """`float(v)`, or the integer v where a float cannot hold it exactly: it reads back as v."""
+    return int(v) if v.denominator == 1 and float(v) != v else float(v)
 
 
 def derive_u_values(table: UtilityTable, lam: int = 1) -> dict[str, Fraction]:

@@ -36,24 +36,29 @@ class ThresholdError(SharingError):
     pass
 
 
-class _Fail:
-    """Singleton failure symbol returned by detecting reconstructors."""
+class Marker:
+    """A symbol outside every value domain, one object per name: falsy,
+    printed as its name, and the same object after pickle or copy."""
 
-    _instance = None
+    _made: dict[str, Marker] = {}
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __new__(cls, name: str):
+        if name not in cls._made:
+            marker = cls._made[name] = super().__new__(cls)
+            marker.name = name
+        return cls._made[name]
+
+    def __reduce__(self):
+        return Marker, (self.name,)
 
     def __repr__(self):
-        return "FAIL"
+        return self.name
 
     def __bool__(self):
         return False
 
 
-FAIL = _Fail()
+FAIL = Marker("FAIL")  # returned by detecting reconstructors
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ receiver), `derive_rng(seed, "honest")`, then one per adversary id j,
 `derive_rng(seed, f"adv-{j}")`, so no strategy holds the honest stream.  A
 game run makes them once per block of `BLOCK_TRIALS` trials (see
 `rsmt.game.play`), and each execution draws on from where the previous one
-stopped; `execute` given a seed makes them for that one execution.
+stopped.  Every seed and stream derives from `derive_seed`, the one hash.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
-from .sharing import FAIL
+from .sharing import Marker
 
 RNG_STREAM = "v3"
 # Trials that share one set of streams; fixed by the stream version.
@@ -43,34 +43,19 @@ class SimulationFault(RuntimeError):
     """A strategy or protocol broke the simulation contract."""
 
 
-class _Empty:
-    """Distinguished payload standing for a blocked channel.
-
-    Protocols treat it like any other malformed payload (length mismatch /
-    tamper signal); it is falsy so `if payload:` reads naturally.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EMPTY"
-
-    def __bool__(self):
-        return False
+# The payload of a blocked channel.  Protocols treat it like any other
+# malformed payload (length mismatch / tamper signal).
+EMPTY = Marker("EMPTY")
 
 
-EMPTY = _Empty()
+def derive_seed(*parts) -> int:
+    """The SHA-256 digest of the parts joined by ":", as an integer."""
+    return int.from_bytes(hashlib.sha256(":".join(map(str, parts)).encode()).digest(), "big")
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
     """Independent, reproducible rng stream for one party."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(derive_seed(seed, label))
 
 
 class Streams(NamedTuple):
@@ -88,8 +73,8 @@ def derive_streams(seed: int, adversary_ids) -> Streams:
 
 @dataclass(frozen=True)
 class CorruptionProfile:
-    """Disjoint channel ownership per adversary id 1..lambda; the sorted ids
-    and channels and the channel span, read every round, are computed once."""
+    """Disjoint channel ownership per adversary id 1..lambda; its sorted ids,
+    channels and channel span, read in the channel round, are computed once."""
 
     assignments: Mapping[int, frozenset[int]]
     malicious_id: int | None = None
@@ -118,9 +103,6 @@ class CorruptionProfile:
             if bad:
                 raise ValueError(f"adversary {j} corrupts nonexistent channels {bad}")
 
-    def channels_of(self, j: int) -> frozenset[int]:
-        return self.assignments[j]
-
 
 class AdversaryStrategy:
     """The callback a rational adversary implements.
@@ -146,10 +128,8 @@ class RoundRecord:
 
 
 def _payload_json(p):
-    if p is EMPTY:
-        return {"empty": True}
-    if p is FAIL:
-        return {"fail": True}
+    if isinstance(p, Marker):  # EMPTY, FAIL
+        return {p.name.lower(): True}
     if p is None or isinstance(p, str) or type(p) in (int, bool):
         return p
     if isinstance(p, (list, tuple)):
@@ -232,14 +212,10 @@ def _channel_set(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-def execute(protocol, m, profile: CorruptionProfile, strategies,
-            streams: Streams | int) -> Engine:
+def execute(protocol, m, profile: CorruptionProfile, strategies, streams: Streams) -> Engine:
     """Run `protocol` on message m under the given corruption and strategies,
-    drawing from `streams`; an int is a master seed, whose streams for the
-    profile's adversaries `derive_streams` makes.  Returns the engine that
-    ran, which is the execution's transcript."""
-    if not isinstance(streams, Streams):
-        streams = derive_streams(streams, profile.adversary_ids)
+    drawing from `streams`.  Returns the engine that ran, which is the
+    execution's transcript."""
     engine = Engine(protocol.n, profile, strategies, streams)
     engine.message = m
     engine.receiver_output = protocol.run(engine, m)

@@ -597,6 +597,35 @@ def test_two_assignment_keys_of_one_adversary_id_are_refused(tmp_path, capsys, s
     assert "adversary id 1 has two assignments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channels", [[1, "0x1"], [1, 1], [2, 1, 1.0]])
+def test_a_channel_listed_twice_is_refused(tmp_path, capsys, channels):
+    # before, the duplicate merged silently into the set {1}
+    with pytest.raises(ConfigError, match=r"^bad corruption profile: adversary 1 lists channel 1 "
+                                          r"twice$"):
+        profile_from_json({"assignments": {"1": channels}})
+    path = write_config(tmp_path, dict(P1_CONFIG, profile={"assignments": {"1": channels}}))
+    assert main(["bounds", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: bad corruption profile: adversary 1 lists "
+                                       "channel 1 twice\n")
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
+@pytest.mark.parametrize("sweep, message", [
+    (5, "sweep requires {'axis': ..., 'values': [...]} in config"),
+    (["ell"], "sweep requires {'axis': ..., 'values': [...]} in config"),
+    ({"axis": "ell", "values": []}, "sweep requires {'axis': ..., 'values': [...]} in config"),
+    ({"axis": "ell", "values": 16}, "sweep values must be a list, got 16"),
+    ({"axis": "k", "values": [8]}, "unknown sweep axis 'k'"),
+], ids=["int", "list", "no-values", "values-int", "axis-k"])
+def test_a_malformed_sweep_is_refused_by_every_command(tmp_path, capsys, monkeypatch, command,
+                                                       sweep, message):
+    # before, only `rsmt sweep` read the sweep, and the others exited 0
+    _refuse_work(monkeypatch)
+    path = write_config(tmp_path, dict(P1_CONFIG, sweep=sweep))
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--seed", "1"],
     ["verify", "--trials", "10"],
@@ -1031,16 +1060,21 @@ t,2,share-substitution,100,0.010000,0.910000,0.080000,1.170000
 """
 
 
-@pytest.mark.parametrize("argv, config, code, rows", [
-    (["simulate", "--seed", "2", "--trials", "50"], STRAWMAN_CONFIG, EXIT_FLAG, STRAWMAN_ROWS),
-    (["simulate", "--seed", "3", "--trials", "60"], P1_CONFIG, EXIT_OK, P1_ROWS),
-    (["sweep", "--seed", "1"], SJST_SWEEP_CONFIG, EXIT_OK, SJST_SWEEP_ROWS),
-    (["sweep", "--seed", "4"], SJST_N_SWEEP_CONFIG, EXIT_OK, SJST_N_SWEEP_ROWS),
-    (["sweep", "--seed", "5"], dict(P1_CONFIG, sweep={"axis": "trials", "values": [30, 80]}),
-     EXIT_OK, P1_TRIALS_SWEEP_ROWS),
-    (["sweep", "--seed", "6"], RSS_T_SWEEP_CONFIG, EXIT_OK, RSS_T_SWEEP_ROWS),
-], ids=["simulate-strawman", "simulate-p1", "sweep-sjst", "sweep-sjst-n", "sweep-p1-trials",
-        "sweep-rss-t"])
+GOLDEN_REPORTS = {
+    "simulate-strawman": (["simulate", "--seed", "2", "--trials", "50"], STRAWMAN_CONFIG,
+                          EXIT_FLAG, STRAWMAN_ROWS),
+    "simulate-p1": (["simulate", "--seed", "3", "--trials", "60"], P1_CONFIG, EXIT_OK, P1_ROWS),
+    "sweep-sjst": (["sweep", "--seed", "1"], SJST_SWEEP_CONFIG, EXIT_OK, SJST_SWEEP_ROWS),
+    "sweep-sjst-n": (["sweep", "--seed", "4"], SJST_N_SWEEP_CONFIG, EXIT_OK, SJST_N_SWEEP_ROWS),
+    "sweep-p1-trials": (["sweep", "--seed", "5"],
+                        dict(P1_CONFIG, sweep={"axis": "trials", "values": [30, 80]}),
+                        EXIT_OK, P1_TRIALS_SWEEP_ROWS),
+    "sweep-rss-t": (["sweep", "--seed", "6"], RSS_T_SWEEP_CONFIG, EXIT_OK, RSS_T_SWEEP_ROWS),
+}
+
+
+@pytest.mark.parametrize("argv, config, code, rows", GOLDEN_REPORTS.values(),
+                         ids=GOLDEN_REPORTS.keys())
 def test_fixed_seed_report_is_golden(tmp_path, argv, config, code, rows):
     out = tmp_path / "report.csv"
     path = write_config(tmp_path, config)
@@ -1048,3 +1082,20 @@ def test_fixed_seed_report_is_golden(tmp_path, argv, config, code, rows):
     header, body = out.read_text().split("\n", 1)
     assert header.startswith("# config ")
     assert body == rows
+
+
+# Base payoffs 10^17 + 3, + 2, + 1 and + 0, which no float tells apart.
+BIG_INT_BASE = {f"{g}{s}{d}": 10**17 + 3 - s - 2 * d for g in (0, 1) for s in (0, 1) for d in (0, 1)}
+
+
+@pytest.mark.parametrize("argv, config", [
+    *((argv, config) for argv, config, _, _ in GOLDEN_REPORTS.values()),
+    (["bounds"], dict(P1_CONFIG, utility={"base": BIG_INT_BASE})),
+], ids=[*GOLDEN_REPORTS, "bounds-big-int-payoffs"])
+def test_a_reports_config_line_given_back_reproduces_the_report(tmp_path, argv, config):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    code = main(argv + ["--config", write_config(tmp_path, config), "--out", str(first)])
+    header = first.read_text().split("\n", 1)[0]
+    path = write_config(tmp_path, json.loads(header.removeprefix("# config ")), "again.json")
+    assert main(argv + ["--config", path, "--out", str(again)]) == code
+    assert again.read_text() == first.read_text()

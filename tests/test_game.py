@@ -315,6 +315,21 @@ def test_every_bad_attack_name_is_a_value_error(names, message):
         nash_catalog_check(PROTO1, PROF, TABLE, 1, 0, attack_names=names)
 
 
+@pytest.mark.parametrize("profile, names, message", [
+    (CorruptionProfile({}), None, "needs at least one adversary in the profile"),
+    (PROF, [], "needs at least one attack; attack_names is empty"),
+], ids=["no-adversary", "no-attack"])
+def test_nash_check_names_a_run_with_no_adversary_or_no_attack(monkeypatch, profile, names,
+                                                               message):
+    # before: an IndexError from `passive_seed`, and a passive run with no rows
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(nash, "run_cell", no_cell)
+    with pytest.raises(ValueError, match=f"^nash_catalog_check {message}$"):
+        nash_catalog_check(PROTO1, profile, TABLE, 1, 0, attack_names=names)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Rewrite(SjstProtocol(3, 4, 8), "frame_tags"),
     lambda: Rewrite(SjstProtocol(3, 4, 8), "frame_masks"),
@@ -498,7 +513,7 @@ def test_swap_half_blocks_last_channel_when_odd():
     from rsmt.transport import execute, EMPTY
 
     m = p.sample_message(random.Random(0))
-    tr = execute(p, m, prof, {1: SwapHalf(p)}, 4)
+    tr = execute(p, m, prof, {1: SwapHalf(p)}, derive_streams(4, prof.adversary_ids))
     assert tr.rounds[0].post[5] is EMPTY
 
 

@@ -31,7 +31,7 @@ from rsmt.game.attacks import catalog_for
 from rsmt.protocols.ciss import P1, P2, P3, _parse_all, slot
 from rsmt.sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingError, SharingSpec,
                           shamir_reconstruct, shamir_share)
-from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
+from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, derive_streams, execute
 
 def every(proto) -> range:
     """Every channel of `proto`: what a receiver given payloads it did not
@@ -444,7 +444,8 @@ def test_engine_passive_correctness(proto):
     prof = CorruptionProfile({1: frozenset({1})})
     for seed in range(30):
         m = proto.sample_message(random.Random(seed))
-        tr = execute(proto, m, prof, {1: AdversaryStrategy()}, seed)
+        tr = execute(proto, m, prof, {1: AdversaryStrategy()},
+                     derive_streams(seed, prof.adversary_ids))
         assert tr.receiver_output == m
         assert tr.detect_events == []
 
@@ -720,7 +721,8 @@ def test_decoding_the_replaced_channels_equals_decoding_every_channel(proto, see
     else:
         strategy = attacks[attack](proto)
     m = proto.sample_message(random.Random(seed))
-    tr = execute(proto, m, CorruptionProfile({1: frozenset(owned)}), {1: strategy}, seed)
+    prof = CorruptionProfile({1: frozenset(owned)})
+    tr = execute(proto, m, prof, {1: strategy}, derive_streams(seed, prof.adversary_ids))
     (round_,) = tr.rounds
     replaced = [c for c, p in round_.post.items() if p is not round_.pre[c]]
     assert set(replaced) <= owned

@@ -42,7 +42,7 @@ GF16 = FieldSpec.binary(4)
 def test_fail_is_falsy_singleton():
     assert not FAIL
     assert repr(FAIL) == "FAIL"
-    assert FAIL is type(FAIL)()
+    assert FAIL is type(FAIL)("FAIL")
 
 
 def test_spec_validation():

@@ -12,7 +12,7 @@ from rsmt.protocols import (
     sjst_round3_sender,
 )
 from rsmt.protocols.base import ProtocolError
-from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, execute
+from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, derive_streams, execute
 
 SPEC = SjstProtocol(3, 4, 8)
 
@@ -213,7 +213,7 @@ def test_end_to_end_undetected_wrong_rate_bounded():
     trials = 3000
     for seed in range(trials):
         m = random.Random(seed).getrandbits(8)
-        tr = execute(SPEC, m, prof, {1: strat}, seed)
+        tr = execute(SPEC, m, prof, {1: strat}, derive_streams(seed, prof.adversary_ids))
         if tr.receiver_output != m:
             wrong += 1
     expected = 1 - (1 - 2**-4) ** 2
@@ -229,7 +229,7 @@ def test_message_space_and_sampling():
     assert all(0 <= v < 256 for v in vals)
     with pytest.raises(ProtocolError):
         prof = CorruptionProfile({1: frozenset()})
-        execute(SPEC, 256, prof, {1: AdversaryStrategy()}, 0)
+        execute(SPEC, 256, prof, {1: AdversaryStrategy()}, derive_streams(0, prof.adversary_ids))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -33,7 +33,17 @@ PROTO = CissProtocol(P1, 5, GF256, 1, 8)
 def test_empty_is_falsy_singleton():
     assert not EMPTY
     assert repr(EMPTY) == "EMPTY"
-    assert EMPTY is type(EMPTY)()
+    assert EMPTY is type(EMPTY)("EMPTY")
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("marker,name", [(FAIL, "FAIL"), (EMPTY, "EMPTY")], ids=["FAIL", "EMPTY"])
+def test_a_marker_is_falsy_prints_its_name_and_survives_pickle_and_copy(marker, name, clone):
+    assert not marker
+    assert repr(marker) == str(marker) == name
+    assert clone(marker) is marker
+    assert clone({"payload": marker})["payload"] is marker
 
 
 def test_derive_rng_deterministic_and_label_separated():
@@ -208,7 +218,7 @@ def test_profile_survives_pickle_and_deepcopy(clone):
 def test_passive_execution_delivers_message():
     prof = CorruptionProfile({1: frozenset({1, 2})})
     m = (123,)
-    tr = execute(PROTO, m, prof, {1: AdversaryStrategy()}, 5)
+    tr = execute(PROTO, m, prof, {1: AdversaryStrategy()}, derive_streams(5, prof.adversary_ids))
     assert tr.receiver_output == m
     assert tr.detect_events == []
     assert tr.message == m
@@ -216,10 +226,13 @@ def test_passive_execution_delivers_message():
 
 def test_same_seed_identical_transcripts():
     prof = CorruptionProfile({1: frozenset({1, 2})})
-    a = execute(PROTO, (9,), prof, {1: AdversaryStrategy()}, 77)
-    b = execute(PROTO, (9,), prof, {1: AdversaryStrategy()}, 77)
+    a = execute(PROTO, (9,), prof, {1: AdversaryStrategy()},
+                derive_streams(77, prof.adversary_ids))
+    b = execute(PROTO, (9,), prof, {1: AdversaryStrategy()},
+                derive_streams(77, prof.adversary_ids))
     assert a.to_json_str() == b.to_json_str()
-    c = execute(PROTO, (9,), prof, {1: AdversaryStrategy()}, 78)
+    c = execute(PROTO, (9,), prof, {1: AdversaryStrategy()},
+                derive_streams(78, prof.adversary_ids))
     assert a.to_json_str() != c.to_json_str()
 
 
@@ -232,13 +245,13 @@ def test_writing_non_owned_channel_faults():
     prof = CorruptionProfile({1: frozenset({1, 2})})
     with pytest.raises(SimulationFault,
                        match=r"^adversary 1 wrote to non-owned channels \[5\]$"):
-        execute(PROTO, (0,), prof, {1: _WritesElsewhere()}, 1)
+        execute(PROTO, (0,), prof, {1: _WritesElsewhere()}, derive_streams(1, prof.adversary_ids))
 
 
 def test_missing_strategy_faults():
     prof = CorruptionProfile({1: frozenset({1}), 3: frozenset({3}), 2: frozenset({2})})
     with pytest.raises(SimulationFault, match=r"^no strategy for adversary ids \[2, 3\]$"):
-        execute(PROTO, (0,), prof, {1: AdversaryStrategy()}, 1)
+        execute(PROTO, (0,), prof, {1: AdversaryStrategy()}, derive_streams(1, prof.adversary_ids))
 
 
 class _SeesHonest(AdversaryStrategy):
@@ -255,7 +268,7 @@ class _SeesHonest(AdversaryStrategy):
 def test_rushing_adversary_sees_pretamper_payloads():
     prof = CorruptionProfile({1: frozenset({2, 4})})
     strat = _SeesHonest()
-    tr = execute(PROTO, (55,), prof, {1: strat}, 3)
+    tr = execute(PROTO, (55,), prof, {1: strat}, derive_streams(3, prof.adversary_ids))
     assert strat.seen[0] == {c: tr.rounds[0].pre[c] for c in (2, 4)}
 
 
@@ -266,7 +279,7 @@ class _Blocks(AdversaryStrategy):
 
 def test_uncorrupted_channels_deliver_verbatim():
     prof = CorruptionProfile({1: frozenset({1})})
-    tr = execute(PROTO, (8,), prof, {1: _Blocks()}, 2)
+    tr = execute(PROTO, (8,), prof, {1: _Blocks()}, derive_streams(2, prof.adversary_ids))
     r = tr.rounds[0]
     assert r.post[1] is EMPTY
     for c in range(2, 6):
@@ -287,7 +300,7 @@ class _Records(AdversaryStrategy):
 def test_each_adversary_is_shown_only_its_own_channels():
     prof = CorruptionProfile({1: frozenset({3}), 2: frozenset()})
     strategies = {1: _Records(), 2: _Records()}
-    tr = execute(PROTO, (1,), prof, strategies, 9)
+    tr = execute(PROTO, (1,), prof, strategies, derive_streams(9, prof.adversary_ids))
     # one channel round, shown once to each adversary
     assert strategies[1].calls == [{3: tr.rounds[0].pre[3]}]
     assert strategies[2].calls == [{}]  # corrupts nothing
@@ -296,7 +309,7 @@ def test_each_adversary_is_shown_only_its_own_channels():
 def test_public_channel_is_shared_and_detects_ride_it():
     sjst = SjstProtocol(3, 4, 8)
     prof = CorruptionProfile({1: frozenset({2})})
-    tr = execute(sjst, 200, prof, {1: _Blocks()}, 4)
+    tr = execute(sjst, 200, prof, {1: _Blocks()}, derive_streams(4, prof.adversary_ids))
     # blocking channel 2 trips the length check: flagged and detected, and
     # the DETECT for channel 2 follows round 1's flags and precedes round 2
     assert [(r.index, r.direction) for r in tr.rounds if r.public is not None] == [
@@ -326,7 +339,7 @@ def test_a_second_channel_round_is_a_simulation_fault():
     strategies = {1: _Records(), 2: _Records()}
     with pytest.raises(SimulationFault,
                        match=r"^a channel round must be the execution's first round$"):
-        execute(_PublicThenChannel(), 5, prof, strategies, 4)
+        execute(_PublicThenChannel(), 5, prof, strategies, derive_streams(4, prof.adversary_ids))
     # only the first channel round reached the adversaries
     assert strategies[1].calls == [{1: 5, 3: 5}]
     assert strategies[2].calls == [{2: 5}]
@@ -351,7 +364,8 @@ def test_every_protocol_tampers_only_in_its_first_round(variant):
         for seed in range(3):
             m = protocol.sample_message(random.Random(seed))
             strategies = {1: entry.factory(protocol), 2: AdversaryStrategy()}
-            first, *rest = execute(protocol, m, prof, strategies, seed).rounds
+            first, *rest = execute(protocol, m, prof, strategies,
+                                   derive_streams(seed, prof.adversary_ids)).rounds
             assert (first.index, first.direction, first.public) == (0, "s->r", None)
             assert first.pre.keys() == first.post.keys() == set(range(1, protocol.n + 1))
             assert [r.index for r in rest] == list(range(1, len(rest) + 1))
@@ -370,12 +384,13 @@ class _DropsChannel:
 def test_a_round_without_every_channel_is_a_simulation_fault():
     prof = CorruptionProfile({1: frozenset({1})})
     with pytest.raises(SimulationFault, match="exactly one payload per channel"):
-        execute(_DropsChannel(), 1, prof, {1: AdversaryStrategy()}, 0)
+        execute(_DropsChannel(), 1, prof, {1: AdversaryStrategy()},
+                derive_streams(0, prof.adversary_ids))
 
 
 def test_transcript_json_serializes_payload_kinds():
     prof = CorruptionProfile({1: frozenset({1})})
-    tr = execute(PROTO, (3,), prof, {1: _Blocks()}, 6)
+    tr = execute(PROTO, (3,), prof, {1: _Blocks()}, derive_streams(6, prof.adversary_ids))
     blob = tr.to_json()
     assert set(blob) == {"rounds", "detect_events", "receiver_output", "message"}
     assert blob["rounds"][0]["post"]["1"] == {"empty": True}
@@ -403,15 +418,17 @@ def test_transcript_refuses_a_value_that_is_not_a_wire_value(value):
     # the receiver reads the payload as malformed, so the transcript must not
     # show the value as a valid int either
     prof = CorruptionProfile({1: frozenset({1})})
-    tr = execute(PROTO, (3,), prof, {1: _SendsValue(value)}, 6)
+    tr = execute(PROTO, (3,), prof, {1: _SendsValue(value)}, derive_streams(6, prof.adversary_ids))
     with pytest.raises(SimulationFault, match="is not serializable"):
         tr.to_json()
-    assert execute(PROTO, (3,), prof, {1: _SendsValue(3)}, 6).to_json()["message"] == [3]
+    assert execute(PROTO, (3,), prof, {1: _SendsValue(3)},
+                   derive_streams(6, prof.adversary_ids)).to_json()["message"] == [3]
 
 
 def test_failed_delivery_transcript_serializes():
     p2 = CissProtocol(P2, 4, GF256, 1, 8)
     prof = CorruptionProfile({1: frozenset({1})})
-    tr = execute(p2, (5,), prof, {1: Rewrite(p2, "substitute")}, 3)
+    tr = execute(p2, (5,), prof, {1: Rewrite(p2, "substitute")},
+                 derive_streams(3, prof.adversary_ids))
     assert tr.receiver_output is FAIL
     assert json.loads(tr.to_json_str())["receiver_output"] == {"fail": True}
