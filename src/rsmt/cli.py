@@ -60,6 +60,8 @@ def profile_from_json(obj: dict) -> CorruptionProfile:
                 raise ConfigError(f"adversary id {j} has two assignments")
             if not isinstance(chans, list):
                 raise ConfigError(f"adversary {j} channels must be a JSON list, got {chans!r}")
+            if not chans:
+                raise ConfigError(f"adversary {j} owns no channel")
             channels = [read_int(c, "channel") for c in chans]
             assignments[j] = frozenset(channels)
             if len(assignments[j]) < len(channels):
@@ -130,14 +132,18 @@ class ExperimentConfig:
             if self.table.message_space_size != size:
                 raise ConfigError(f"message_space_size {self.table.message_space_size} differs "
                                   f"from the protocol's {size}")
-        lam = len(self.profile.adversary_ids)
         try:
-            if lam >= 2:
-                self.table.validate_multi(lam)
-            else:
-                self.table.validate_timid()
+            self.table.validate(len(self.profile.adversary_ids))
         except UtilityError as exc:
             raise ConfigError(f"utility table not admissible: {exc}") from exc
+        base, private = self.table.base, self.protocol.privacy_threshold
+        if any(base[(1, s, d)] != base[(0, s, d)] for s in (0, 1) for d in (0, 1)):
+            for j in self.profile.adversary_ids:
+                if (held := len(self.profile.assignments[j])) > private:
+                    raise ConfigError(
+                        f"utility table pays for the guess, which is scored at 1/|M|, but adversary "
+                        f"{j} holds {held} channels, over {self.protocol.variant}'s privacy "
+                        f"threshold {private}")
         self.attacks = attacks_from_json(obj.get("attacks"), self.protocol.variant)
         self.trials = read_int(obj.get("trials", 1000), "trials")
         if self.trials < 1:
@@ -185,24 +191,22 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
 def _requirements(config: ExperimentConfig) -> dict[str, tuple[str, object]]:
     ids = config.profile.adversary_ids
     lam = max(1, len(ids))
-    ts = sorted({len(chs) for chs in config.profile.assignments.values()} - {0}) or [1]
+    ts = sorted({len(chs) for chs in config.profile.assignments.values()}) or [1]
     p = config.protocol
     return requirement_table(derive_u_values(config.table, lam=lam), lam, p.n,
                              getattr(p, "d", 1), ts, alpha=config.alpha)
 
 
-def check_tag_budget(config: ExperimentConfig) -> list[str]:
-    """Compare the configuration against the requirement-table row its
-    protocol names.  Returns a list of violation messages (empty when
-    adequately provisioned)."""
+def check_tag_budget(config: ExperimentConfig) -> str | None:
+    """Why the configuration misses the requirement-table row its protocol
+    names, or None when it is adequately provisioned."""
     p = config.protocol
     if p.bound is None:
-        return []
+        return None
     _, need = _requirements(config)[p.bound]
     if isinstance(need, BoundError):
-        return [f"bound calculator inapplicable: {need}"]
-    problem = p.budget_problem(need)
-    return [] if problem is None else [problem]
+        return f"bound calculator inapplicable: {need}"
+    return p.budget_problem(need)
 
 
 def _adversary_ids(config: ExperimentConfig, command: str) -> tuple[int, ...]:
@@ -266,11 +270,10 @@ def cmd_bounds(config: ExperimentConfig, out: str) -> int:
 def cmd_simulate(config: ExperimentConfig, out: str, dump_transcript: str | None,
                  allow_underspec: bool) -> int:
     _adversary_ids(config, "simulate")
-    problems = check_tag_budget(config)
-    if problems and not allow_underspec:
-        for msg in problems:
-            print(f"config error: {msg} (use --allow-underspec to probe anyway)",
-                  file=sys.stderr)
+    problem = check_tag_budget(config)
+    if problem is not None and not allow_underspec:
+        print(f"config error: {problem} (use --allow-underspec to probe anyway)",
+              file=sys.stderr)
         return EXIT_CONFIG
     with _outputs(out, dump_transcript) as (fh, dump):
         rows = nash_catalog_check(

@@ -15,7 +15,6 @@ from .bounds import (
     required_ell_p2,
     required_ell_p3,
     required_ell_pd,
-    required_ell_pd_multi,
     required_ell_rss,
     requirement_table,
 )

@@ -107,7 +107,8 @@ CATALOG: tuple[AttackCatalogEntry, ...] = (
 
 def catalog_for(variant: str, names: Sequence[str] | None = None):
     """The catalog entries that apply to `variant`, optionally only `names`,
-    each of which must name a catalog attack that applies (else ValueError)."""
+    each of which must name, once, a catalog attack that applies (else
+    ValueError)."""
     entries = [e for e in CATALOG if hasattr(VARIANTS[variant], e.needs)]
     if names is None:
         return entries
@@ -117,4 +118,6 @@ def catalog_for(variant: str, names: Sequence[str] | None = None):
             known = name in [e.name for e in CATALOG]
             raise ValueError(f"attack {name!r} does not apply to {variant}" if known
                              else f"unknown attack {name!r}")
+        if names.count(name) > 1:
+            raise ValueError(f"attack {name!r} listed twice")
     return [e for e in entries if e.name in names]

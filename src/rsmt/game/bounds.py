@@ -48,15 +48,6 @@ def required_ell_pd(u1: float, u2: float, u3: float, u4: float, t: int,
     return max(1, term1, term2)
 
 
-def required_ell_pd_multi(u1p: float, u2p: float, u3p: float, u4p: float,
-                          ts: list[int], alpha: float | None = None) -> int:
-    """Multi-adversary form: the same formula with primed values, maximized
-    over every adversary's corruption budget."""
-    if not ts:
-        raise BoundError("need at least one corruption budget")
-    return max(required_ell_pd(u1p, u2p, u3p, u4p, t, alpha=alpha) for t in ts)
-
-
 def required_delta_rss(u1: float, u2: float, u3: float) -> Fraction:
     """Maximal detection-failure probability for the robust-sharing protocol
     against a strictly timid adversary: delta <= (u2-u3)/(u1-u3), exactly."""
@@ -112,8 +103,9 @@ def requirement_table(u: dict[str, Fraction], lam: int, n: int, d: int, ts: list
     the calculator's result, or the BoundError it raised (inputs "-").
 
     `u` is `derive_u_values(table, lam)` and `ts` holds each adversary's
-    corruption budget.  The primed values equal the plain ones; with lam = 1
-    the double-primed ones do too."""
+    corruption budget, at least one; the pd row is the largest over them, as
+    `required_ell_pd` is not monotone in t.  The primed values equal the
+    plain ones; with lam = 1 the double-primed ones do too."""
     u1, u2, u3, u4 = (u[f"u{i}"] for i in range(1, 5))
     u1pp, u2pp, u3pp, u4pp = (u[f"u{i}pp"] for i in range(1, 5))
     rows: dict[str, tuple[str, object]] = {}
@@ -126,7 +118,7 @@ def requirement_table(u: dict[str, Fraction], lam: int, n: int, d: int, ts: list
 
     g1, g2, g3, g4 = (f"{float(x):g}" for x in (u1, u2, u3, u4))
     row("pd-tag-bits", f"u=({g1};{g2};{g3};{g4}) t={';'.join(map(str, ts))} alpha={alpha}",
-        required_ell_pd_multi, u1, u2, u3, u4, ts, alpha)
+        lambda: max(required_ell_pd(u1, u2, u3, u4, t, alpha) for t in ts))
     row("rss-delta", f"u=({g1};{g2};{g3})", required_delta_rss, u1, u2, u3)
     row("rss-field-bits", f"d={d}", required_ell_rss, u1, u2, u3, d)
     row("minority-tag-bits", f"n={n}", required_ell_p1, u1, u2, u4, n)

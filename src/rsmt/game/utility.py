@@ -66,9 +66,11 @@ class UtilityTable:
         guessed, missed = self.base[(1, suc, detect_self)], self.base[(0, suc, detect_self)]
         return hit * guessed + (1 - hit) * missed + self.others_detected_bonus * others_detected
 
-    def validate_timid(self) -> None:
-        """Raise naming the violated inequality unless the table is timid.  As
-        0 < 1/|M| < 1, these imply u1 > max(u2, u3) and min(u2, u3) > u4."""
+    def validate(self, lam: int = 1) -> None:
+        """Raise naming the violated inequality unless the table is timid
+        and, for lam >= 2 adversaries, has a positive bonus and u1' >
+        max(u2', u3'').  As 0 < 1/|M| < 1, the timid base checks imply
+        u1 > max(u2, u3) and min(u2, u3) > u4."""
         b = self.base
         for s in (0, 1):
             for d in (0, 1):
@@ -81,11 +83,8 @@ class UtilityTable:
             for s in (0, 1):
                 if not b[(g, s, 0)] > b[(g, s, 1)]:
                     raise UtilityError(f"base({g},{s},0) <= base({g},{s},1): detection must cost strictly")
-
-    def validate_multi(self, lam: int) -> None:
-        self.validate_timid()
         if lam < 2:
-            raise UtilityError("multi-adversary model needs lam >= 2")
+            return
         if not self.others_detected_bonus > 0:
             raise UtilityError("multi-adversary model needs a positive bonus")
         u = derive_u_values(self, lam=lam)

@@ -28,7 +28,7 @@ class RssProtocol(OneRoundProtocol):
     variant = "RSS"
     bound = "rss-delta"
 
-    __slots__ = ("n", "field", "d", "sharing")
+    __slots__ = ("n", "t", "field", "d", "sharing")
 
     def __init__(self, sharing: RobustSharingSpec):
         bits = sharing.amd.d * sharing.inner.field.q.bit_length()
@@ -37,6 +37,7 @@ class RssProtocol(OneRoundProtocol):
                                 f"{bits}-bit message, over the {MAX_MESSAGE_BITS}-bit limit")
         self.sharing = sharing
         self.n = sharing.inner.n
+        self.t = sharing.inner.t
         self.field = sharing.inner.field
         self.d = sharing.amd.d
 
@@ -60,7 +61,7 @@ class RssProtocol(OneRoundProtocol):
         return {
             "variant": "RSS",
             "n": self.n,
-            "t": self.sharing.inner.t,
+            "t": self.t,
             "d": self.d,
             "field": self.field.to_json(),
         }

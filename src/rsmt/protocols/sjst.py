@@ -49,6 +49,12 @@ class SjstProtocol(Protocol):
         self.k = k
         self.family = HashFamilySpec(k, ell)
 
+    @property
+    def privacy_threshold(self) -> int:
+        """The one-time pad over the kept R_i needs one channel the
+        adversary does not see."""
+        return self.n - 1
+
     def message_space_size(self) -> int:
         return 1 << self.k
 

@@ -13,7 +13,6 @@ from rsmt.game.bounds import (
     required_ell_p2,
     required_ell_p3,
     required_ell_pd,
-    required_ell_pd_multi,
     required_ell_rss,
     requirement_table,
 )
@@ -66,11 +65,13 @@ def test_pd_rejects_degenerate_tables():
 
 
 def test_pd_multi_maximizes_over_budgets():
-    assert required_ell_pd_multi(U1, U2, U3, U4, [1, 2, 3]) == required_ell_pd(
-        U1, U2, U3, U4, 3
-    )
-    with pytest.raises(BoundError):
-        required_ell_pd_multi(U1, U2, U3, U4, [])
+    u = derive_u_values(witness_table(256))
+    ells = {t: required_ell_pd(U1, U2, U3, U4, t) for t in (1, 2, 3)}
+    assert ells[3] > ells[1]
+    for ts in ([1, 2, 3], [3, 1], [2]):
+        inputs, value = requirement_table(u, 1, 5, 1, ts)["pd-tag-bits"]
+        assert value == max(ells[t] for t in ts)
+        assert f"t={';'.join(map(str, ts))} " in inputs
 
 
 # --- robust-sharing bound ----------------------------------------------------
@@ -207,7 +208,7 @@ _step = st.integers(-2, 20)
 def _tables(draw):
     """(base table in tenths, |M|, bonus in tenths): each (suc, detect) cell is
     a guess-0 payoff plus a guess increment, drawn near the timid order so
-    that both verdicts of `validate_timid` occur."""
+    that both verdicts of `validate` occur at every lam."""
     low = draw(st.integers(0, 20))
     at0 = {(1, 1): low, (0, 1): low + draw(_step), (1, 0): low + draw(_step)}
     at0[(0, 0)] = max(at0.values()) + draw(_step)
@@ -242,19 +243,22 @@ def test_exact_tables_validate_and_bound_on_their_fraction_values(drawn, lam, n,
     timid = (all(base[(1, s, d)] >= base[(0, s, d)] for s, d in cells)
              and all(base[(g, 0, d)] > base[(g, 1, d)] for g, d in cells)
              and all(base[(g, s, 0)] > base[(g, s, 1)] for g, s in cells))
+    u, derived = _exact_u(base, size, bonus, lam), derive_u_values(table, lam)
+    assert derived == u
     try:
-        table.validate_timid()
+        table.validate(lam)
         accepted = True
     except UtilityError:
         accepted = False
-    assert accepted == timid
-    u, derived = _exact_u(base, size, bonus, lam), derive_u_values(table, lam)
-    assert derived == u
-    if accepted:  # what the base-table checks imply for the derived values
+    admissible = lam < 2 or (Fraction(bonus) > 0 and u["u1"] > max(u["u2"], u["u3pp"]))
+    assert accepted == (timid and admissible)
+    if timid:  # what the base-table checks imply for the derived values
         assert u["u1"] > max(u["u2"], u["u3"]) and min(u["u2"], u["u3"]) > u["u4"]
     rows = requirement_table(derived, lam, n, d, ts)
+    pd = [_outcome(required_ell_pd, u["u1"], u["u2"], u["u3"], u["u4"], t) for t in ts]
+    errors = [e for e in pd if isinstance(e, str)]
     expected = {
-        "pd-tag-bits": _outcome(required_ell_pd_multi, u["u1"], u["u2"], u["u3"], u["u4"], ts),
+        "pd-tag-bits": errors[0] if errors else max(pd),
         "rss-delta": _outcome(required_delta_rss, u["u1"], u["u2"], u["u3"]),
         "rss-field-bits": _outcome(required_ell_rss, u["u1"], u["u2"], u["u3"], d),
         "minority-tag-bits": _outcome(required_ell_p1, u["u1"], u["u2"], u["u4"], n),

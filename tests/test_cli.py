@@ -29,6 +29,7 @@ from rsmt.game.utility import witness_table
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
+from rsmt.transport import CorruptionProfile
 
 from in_time import in_time
 
@@ -147,9 +148,9 @@ def test_experiment_config_rejects_no_trials(tmp_path, trials):
 
 def test_check_tag_budget_flags_short_tags():
     cfg = ExperimentConfig(P1_CONFIG)
-    assert check_tag_budget(cfg) == []  # ell=8 >= required 5
+    assert check_tag_budget(cfg) is None  # ell=8 >= required 5
     short = dict(P1_CONFIG, protocol=dict(P1_CONFIG["protocol"], ell=3))
-    assert check_tag_budget(ExperimentConfig(short))
+    assert check_tag_budget(ExperimentConfig(short)) == "configured ell=3 below required 5"
 
 
 # --- subcommands end to end --------------------------------------------------
@@ -164,16 +165,15 @@ def test_check_tag_budget_flags_short_tags():
 ])
 def test_check_tag_budget_reads_each_protocols_row(protocol):
     cfg = {"protocol": protocol, "profile": {"assignments": {"1": [1]}}}
-    assert check_tag_budget(ExperimentConfig(cfg)) == []
+    assert check_tag_budget(ExperimentConfig(cfg)) is None
 
 
 def test_check_tag_budget_flags_weak_robust_sharing():
     cfg = {"protocol": {"variant": "RSS", "n": 3, "t": 1, "d": 2,
                         "field": {"kind": "prime", "p": 5}},
            "profile": {"assignments": {"1": [1]}}}
-    assert check_tag_budget(ExperimentConfig(cfg)) == [
+    assert check_tag_budget(ExperimentConfig(cfg)) == \
         "sharing failure rate 0.6000 above bound 0.5000"
-    ]
 
 
 def test_bounds_reports_frozen_values(tmp_path, capsys):
@@ -221,11 +221,9 @@ def test_bounds_and_simulate_agree_for_several_adversaries(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     required = int(next(ln for ln in lines if ln.startswith("pd-tag-bits,")).rsplit(",", 1)[1])
     assert required == 9
-    assert check_tag_budget(ExperimentConfig(cfg)) == [
-        f"configured ell=6 below required {required}"
-    ]
+    assert check_tag_budget(ExperimentConfig(cfg)) == f"configured ell=6 below required {required}"
     enough = dict(cfg, protocol=dict(cfg["protocol"], ell=required))
-    assert check_tag_budget(ExperimentConfig(enough)) == []
+    assert check_tag_budget(ExperimentConfig(enough)) is None
 
 
 def test_simulate_passive_equilibrium_exit_zero(tmp_path):
@@ -499,7 +497,7 @@ def test_bounds_are_decided_on_the_exact_u_values(tmp_path, capsys):
     rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[4:])
     assert rows["unanimous-tag-bits"] == "single,2"
     assert rows["rss-field-bits"] == "d=1,3"
-    assert check_tag_budget(ExperimentConfig(P2_GF3_CONFIG)) == []
+    assert check_tag_budget(ExperimentConfig(P2_GF3_CONFIG)) is None
 
 
 def test_p2_row_is_the_least_ell_at_which_substitution_does_not_pay(tmp_path, capsys):
@@ -566,6 +564,55 @@ def test_reachable_config_errors_exit_3(tmp_path, capsys, monkeypatch, command, 
     assert main([command, "--config", write_config(tmp_path, dict(P1_CONFIG, **change))]) \
         == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# base(1, s, d) = base(0, s, d) + 1: a right guess pays one more
+GUESS_BASE = {key: value + int(key[0]) for key, value in WITNESS_BASE.items()}
+STRAWMAN_N4 = {"variant": "STRAWMAN", "n": 4, "field": {"kind": "binary", "m": 4}}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
+@pytest.mark.parametrize("change, message", [
+    ({"attacks": ["passive", "passive", "block-channel"]}, "attack 'passive' listed twice"),
+    ({"profile": {"assignments": {"1": []}}},
+     "bad corruption profile: adversary 1 owns no channel"),
+    ({"profile": {"assignments": {"1": [1], "2": []}}},
+     "bad corruption profile: adversary 2 owns no channel"),
+    ({"protocol": STRAWMAN_N4, "utility": {"base": GUESS_BASE}},
+     "utility table pays for the guess, which is scored at 1/|M|, but adversary 1 holds 2 "
+     "channels, over STRAWMAN's privacy threshold 1"),
+    ({"profile": {"assignments": {"1": [1, 2, 3]}}, "utility": {"base": GUESS_BASE}},
+     "utility table pays for the guess, which is scored at 1/|M|, but adversary 1 holds 3 "
+     "channels, over P1's privacy threshold 2"),
+], ids=["attack-twice", "no-channel", "second-owns-no-channel", "strawman-guess-over-t",
+        "p1-guess-over-t"])
+def test_configs_the_game_cannot_score_exit_3(tmp_path, capsys, monkeypatch, command, change,
+                                              message):
+    _refuse_work(monkeypatch)
+    cfg = dict(P1_CONFIG, sweep={"axis": "trials", "values": [20]}, **change)
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_the_privacy_guard_passes_coalitions_it_keeps_private_and_indifferent_tables():
+    # at most t channels, or a table that ignores the guess (STRAWMAN_CONFIG,
+    # whose golden report below is unchanged), are scored exactly
+    for protocol, channels in [(STRAWMAN_N4, [1]), (P1_CONFIG["protocol"], [1, 2]),
+                               ({"variant": "SJST", "n": 3, "ell": 8, "k": 8}, [1, 2])]:
+        ExperimentConfig({"protocol": protocol, "profile": {"assignments": {"1": channels}},
+                          "utility": {"base": GUESS_BASE}})
+    ExperimentConfig(STRAWMAN_CONFIG)
+    with pytest.raises(ConfigError, match="over SJST's privacy threshold 2$"):
+        ExperimentConfig({"protocol": {"variant": "SJST", "n": 3, "ell": 8, "k": 8},
+                          "profile": {"assignments": {"1": [1, 2, 3]}},
+                          "utility": {"base": GUESS_BASE}})
+
+
+def test_only_the_config_reader_refuses_an_adversary_without_channels():
+    with pytest.raises(ConfigError, match=r"^bad corruption profile: adversary 2 owns no "
+                                          r"channel$"):
+        profile_from_json({"assignments": {"1": [1], "2": []}})
+    assert CorruptionProfile({1: frozenset({1}), 2: frozenset()}).adversary_ids == (1, 2)
 
 
 @pytest.mark.parametrize("command, change, message", [

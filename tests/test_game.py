@@ -48,7 +48,7 @@ PROF = CorruptionProfile({1: frozenset({1, 2})})
 def test_witness_table_derives_3210():
     u = derive_u_values(TABLE)
     assert (u["u1"], u["u2"], u["u3"], u["u4"]) == (3.0, 2.0, 1.0, 0.0)
-    TABLE.validate_timid()  # and u2 > u3: strictly timid
+    TABLE.validate()  # and u2 > u3: strictly timid
 
 
 def test_guess_dependent_table_mixes_at_uniform_rate():
@@ -64,12 +64,12 @@ def test_table_validation_names_violations():
     bad[(0, 1, 0)] = 5.0  # success pays more than failure
     bad[(1, 1, 0)] = 5.0
     with pytest.raises(UtilityError, match="strictly more"):
-        UtilityTable(base=bad, message_space_size=4).validate_timid()
+        UtilityTable(base=bad, message_space_size=4).validate()
     bad2 = dict(WITNESS_BASE)
     bad2[(0, 0, 1)] = 4.0  # detection pays
     bad2[(1, 0, 1)] = 4.0
     with pytest.raises(UtilityError):
-        UtilityTable(base=bad2, message_space_size=4).validate_timid()
+        UtilityTable(base=bad2, message_space_size=4).validate()
     with pytest.raises(UtilityError):
         UtilityTable(base=WITNESS_BASE, message_space_size=1)
     with pytest.raises(UtilityError):
@@ -85,14 +85,13 @@ def test_multi_adversary_double_primed_values():
     single = derive_u_values(table)
     assert set(single) == set(u)
     assert all(single[f"u{i}pp"] == single[f"u{i}"] == u[f"u{i}"] for i in range(1, 5))
-    table.validate_multi(3)
-    with pytest.raises(UtilityError, match="needs lam >= 2"):
-        table.validate_multi(1)
-    with pytest.raises(UtilityError):
-        witness_table(16).validate_multi(3)  # bonus must be positive
-    with pytest.raises(UtilityError):
+    table.validate(3)
+    witness_table(16).validate()  # one adversary: no bonus needed
+    with pytest.raises(UtilityError, match="positive bonus"):
+        witness_table(16).validate(3)
+    with pytest.raises(UtilityError, match=r"u1' <= max\(u2', u3''\)"):
         # a bonus so large that all-others-detected beats undetected failure
-        witness_table(16, bonus=1.0).validate_multi(3)
+        witness_table(16, bonus=1.0).validate(3)
 
 
 def test_table_json_roundtrip():
@@ -306,6 +305,7 @@ def test_catalog_selection():
     (["passive", "length-tamper"], "attack 'length-tamper' does not apply to P1"),
     (["no-such-attack"], "unknown attack 'no-such-attack'"),
     ([["passive"]], r"unknown attack \['passive'\]"),
+    (["passive", "passive", "block-channel"], "attack 'passive' listed twice"),
 ])
 def test_every_bad_attack_name_is_a_value_error(names, message):
     # the rule the config reader applies, enforced by the catalog itself

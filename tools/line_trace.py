@@ -29,8 +29,6 @@ DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider",
 
 # (file under src/rsmt, stripped source line) -> why no test needs to reach it
 ALLOWED = {
-    ("protocols/base.py", "raise NotImplementedError"):
-        "interface stubs of `Protocol`: every protocol overrides them",
     ("cli.py", "sys.exit(main())"):
         "runs only as `python -m rsmt.cli`; the tests call `main` in-process",
 }
