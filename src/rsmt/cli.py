@@ -25,9 +25,9 @@ from . import __version__
 from .config import ConfigError, check_keys, read_int, read_number, read_object
 from .game.bounds import BoundError, requirement_table
 from .game.nash import CSV_COLUMNS, nash_catalog_check, passive_seed
-from .game.play import run_cell
+from .game.play import plays, run_cell
 from .game.utility import UtilityError, UtilityTable, derive_u_values, witness_table
-from .game.attacks import catalog_for
+from .game.attacks import PassiveGuess, catalog_for
 from .privacy import CHECKS
 from .protocols import VARIANTS
 from .transport import RNG_STREAM, CorruptionProfile
@@ -193,8 +193,8 @@ def _requirements(config: ExperimentConfig) -> dict[str, tuple[str, object]]:
     lam = max(1, len(ids))
     ts = sorted({len(chs) for chs in config.profile.assignments.values()}) or [1]
     p = config.protocol
-    return requirement_table(derive_u_values(config.table, lam=lam), lam, p.n,
-                             getattr(p, "d", 1), ts, alpha=config.alpha)
+    return requirement_table(derive_u_values(config.table, lam=lam), lam, p.n, p.d, ts,
+                             alpha=config.alpha)
 
 
 def check_tag_budget(config: ExperimentConfig) -> str | None:
@@ -283,10 +283,11 @@ def cmd_simulate(config: ExperimentConfig, out: str, dump_transcript: str | None
         lines = _report_header(config) + [",".join(CSV_COLUMNS)]
         fh.write("\n".join(lines + [",".join(r.as_csv_fields()) for r in rows]) + "\n")
         if dump is not None:
-            # the first trial of the run behind the report's `passive` rows
-            run_cell(config.protocol, config.profile, config.table, 1,
-                     passive_seed(config.master_seed, config.profile),
-                     on_transcript=lambda _i, _o, engine: dump.write(engine.to_json_str() + "\n"))
+            # the first play of the run behind the report's `passive` rows
+            p, ids = config.protocol, config.profile.adversary_ids
+            _, engine = next(plays(p, config.profile, {j: PassiveGuess(p) for j in ids},
+                                   passive_seed(config.master_seed, config.profile)))
+            dump.write(engine.to_json_str() + "\n")
     return EXIT_FLAG if any(r.flag for r in rows) else EXIT_OK
 
 

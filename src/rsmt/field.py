@@ -120,7 +120,7 @@ class FieldSpec:
     returns the same object, so multiplication tables are built only once.
     """
 
-    __slots__ = ("kind", "p", "m", "poly", "q", "char", "_exp", "_log")
+    __slots__ = ("kind", "p", "m", "poly", "q", "_exp", "_log")
 
     def __new__(cls, kind: str, p: int = 0, m: int = 0, poly: int = 0):
         key = (kind, p, m, poly)
@@ -136,7 +136,6 @@ class FieldSpec:
             self.m = 0
             self.poly = 0
             self.q = p
-            self.char = p
             self._exp = None
             self._log = None
         elif kind == "binary":
@@ -148,7 +147,6 @@ class FieldSpec:
             self.m = m
             self.poly = poly
             self.q = 1 << m
-            self.char = 2
             if m <= _TABLE_MAX_M:
                 self._build_tables()
             else:

@@ -24,6 +24,7 @@ from .play import (
     block_seed,
     outcome_of,
     play_game,
+    plays,
     run_cell,
     run_trials,
 )

@@ -103,9 +103,10 @@ def requirement_table(u: dict[str, Fraction], lam: int, n: int, d: int, ts: list
     the calculator's result, or the BoundError it raised (inputs "-").
 
     `u` is `derive_u_values(table, lam)` and `ts` holds each adversary's
-    corruption budget, at least one; the pd row is the largest over them, as
-    `required_ell_pd` is not monotone in t.  The primed values equal the
-    plain ones; with lam = 1 the double-primed ones do too."""
+    corruption budget, at least one.  The pd row is the largest
+    `required_ell_pd` over k = 1..max(ts), since an adversary with t channels
+    can substitute on any k <= t of them.  The primed values equal the plain
+    ones; with lam = 1 the double-primed ones do too."""
     u1, u2, u3, u4 = (u[f"u{i}"] for i in range(1, 5))
     u1pp, u2pp, u3pp, u4pp = (u[f"u{i}pp"] for i in range(1, 5))
     rows: dict[str, tuple[str, object]] = {}
@@ -118,7 +119,7 @@ def requirement_table(u: dict[str, Fraction], lam: int, n: int, d: int, ts: list
 
     g1, g2, g3, g4 = (f"{float(x):g}" for x in (u1, u2, u3, u4))
     row("pd-tag-bits", f"u=({g1};{g2};{g3};{g4}) t={';'.join(map(str, ts))} alpha={alpha}",
-        lambda: max(required_ell_pd(u1, u2, u3, u4, t, alpha) for t in ts))
+        lambda: max(required_ell_pd(u1, u2, u3, u4, k, alpha) for k in range(1, max(ts) + 1)))
     row("rss-delta", f"u=({g1};{g2};{g3})", required_delta_rss, u1, u2, u3)
     row("rss-field-bits", f"d={d}", required_ell_rss, u1, u2, u3, d)
     row("minority-tag-bits", f"n={n}", required_ell_p1, u1, u2, u4, n)

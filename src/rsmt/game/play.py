@@ -3,10 +3,10 @@
 A single play samples a uniform message, runs the protocol under a corruption
 profile and per-adversary strategies, and records its Outcome: delivery and
 who was detected.  Every adversary's guess is uniform and scored exactly by
-the utility table, so no play draws one.  A run counts
-how many plays ended in each Outcome.  Its trials go in blocks of
+the utility table, so no play draws one.  A run is the iterator `plays`, and
+`run_trials` counts how its first T plays ended.  Its plays go in blocks of
 `BLOCK_TRIALS`: block b makes its streams once, from `block_seed(master_seed,
-b)`, and its trials draw from them in turn, so trial i is block i // B at
+b)`, and its plays draw from them in turn, so trial i is block i // B at
 offset i % B and replaying it re-runs the up to B - 1 trials before it in its
 block.  Results are reproducible from (config, master_seed) alone, a run's
 first T trials are those of any longer run, and the counts of trial ranges
@@ -17,13 +17,15 @@ computed exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ..transport import BLOCK_TRIALS, Engine, Streams, derive_seed, derive_streams, execute
+from ..transport import (BLOCK_TRIALS, CorruptionProfile, Engine, Streams, derive_seed,
+                         derive_streams, execute)
 from .attacks import catalog_for
 from .utility import Outcome, UtilityTable
 
@@ -43,16 +45,23 @@ def outcome_of(engine: Engine) -> Outcome:
     )
 
 
-def play_game(protocol, profile, strategies, streams: Streams):
-    """One play: returns (Outcome, the engine that ran it).  A profile may be
-    fixed or a callable sampling one per trial (attacks that pick a uniformly
-    random corrupted subset); it, the message, the sender and the receiver
-    draw in that order from the honest stream of `streams`."""
-    honest = streams.honest
-    resolved = profile(honest) if callable(profile) else profile
-    m = protocol.sample_message(honest)
-    engine = execute(protocol, m, resolved, strategies, streams)
+def play_game(protocol, profile: CorruptionProfile, strategies, streams: Streams):
+    """One play: (Outcome, the engine that ran it).  The message, the sender
+    and the receiver draw in that order from `streams.honest`."""
+    engine = execute(protocol, protocol.sample_message(streams.honest), profile, strategies,
+                     streams)
     return outcome_of(engine), engine
+
+
+def plays(protocol, profile: CorruptionProfile, strategies, master_seed: int):
+    """Every play of a run in order, as `play_game` returns it: block b makes
+    its streams once, from `block_seed(master_seed, b)`, one per id of
+    `strategies`, and its `BLOCK_TRIALS` plays draw from them in turn."""
+    ids = tuple(sorted(strategies))
+    for block in itertools.count():
+        streams = derive_streams(block_seed(master_seed, block), ids)
+        for _ in range(BLOCK_TRIALS):
+            yield play_game(protocol, profile, strategies, streams)
 
 
 @dataclass
@@ -107,32 +116,20 @@ class GameStats:
                 for j, (_, var) in self._moments.items()}
 
 
-def run_trials(protocol, profile, strategies, table: UtilityTable, trials: int,
-               master_seed: int, on_transcript=None) -> GameStats:
-    """Count the outcomes of independent plays, block by block.
-
-    `strategies` maps each adversary id to its strategy; statistics are
-    reported for those ids, and each block makes one stream per id.
-    `on_transcript(index, outcome, engine)` hands each play's engine, its
-    transcript, to callers that dump those of interest (e.g. failed
-    deliveries) without rerunning.
-    """
+def run_trials(protocol, profile: CorruptionProfile, strategies, table: UtilityTable,
+               trials: int, master_seed: int) -> GameStats:
+    """The outcome counts of the first `trials` plays of a run.  `strategies`
+    maps each adversary id to its strategy; statistics are reported for
+    those ids."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ids = tuple(sorted(strategies))
-    counts = Counter()
-    for start in range(0, trials, BLOCK_TRIALS):
-        streams = derive_streams(block_seed(master_seed, start // BLOCK_TRIALS), ids)
-        for idx in range(start, min(trials, start + BLOCK_TRIALS)):
-            outcome, engine = play_game(protocol, profile, strategies, streams)
-            counts[outcome] += 1
-            if on_transcript is not None:
-                on_transcript(idx, outcome, engine)
-    return GameStats(counts, ids, table)
+    run = plays(protocol, profile, strategies, master_seed)
+    counts = Counter(outcome for outcome, _ in itertools.islice(run, trials))
+    return GameStats(counts, tuple(sorted(strategies)), table)
 
 
 def run_cell(protocol, profile: CorruptionProfile, table: UtilityTable, trials: int,
-             master_seed: int, deviations=None, on_transcript=None) -> GameStats:
+             master_seed: int, deviations=None) -> GameStats:
     """`run_trials` on one cell of the equilibrium test: adversary j plays
     the catalog attack named `deviations[j]` and every other adversary of
     `profile` is passive (no `deviations`: the all-passive run).  A
@@ -144,4 +141,4 @@ def run_cell(protocol, profile: CorruptionProfile, table: UtilityTable, trials: 
         names[j] = name
     strategies = {j: catalog_for(protocol.variant, [name])[0].factory(protocol)
                   for j, name in names.items()}
-    return run_trials(protocol, profile, strategies, table, trials, master_seed, on_transcript)
+    return run_trials(protocol, profile, strategies, table, trials, master_seed)

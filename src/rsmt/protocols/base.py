@@ -45,6 +45,7 @@ class Protocol:
     """
 
     bound: str | None = None  # requirement-table row; None: nothing to provision
+    d = 1  # message length in field elements; SJST's k-bit message counts as one
 
     def budget_problem(self, need) -> str | None:
         """Why the configured tag length misses the required one, or None."""

@@ -24,7 +24,6 @@ from .base import OneRoundProtocol, ProtocolError
 
 class StrawmanProtocol(OneRoundProtocol):
     variant = "STRAWMAN"
-    d = 1
 
     __slots__ = ("n", "field", "t", "sharing")
 

@@ -233,9 +233,9 @@ class AmdSpec:
     def __post_init__(self):
         if self.d < 1:
             raise SharingError("d must be >= 1")
-        if (self.d + 2) % self.field.char == 0:
+        if (self.d + 2) % self.field.p == 0:
             raise SharingError(
-                f"d+2={self.d + 2} divisible by field characteristic {self.field.char}"
+                f"d+2={self.d + 2} divisible by field characteristic {self.field.p}"
             )
 
     @property

@@ -13,11 +13,11 @@ Everything is a pure function of (protocol config, message, corruption
 profile, strategy code, random streams).
 
 Random streams, layout `RNG_STREAM`: `derive_streams(seed, ids)` makes one
-stream for the honest parties (profile sampler, message sampler, sender,
-receiver), `derive_rng(seed, "honest")`, then one per adversary id j,
+stream for the honest parties (message sampler, sender, receiver),
+`derive_rng(seed, "honest")`, then one per adversary id j,
 `derive_rng(seed, f"adv-{j}")`, so no strategy holds the honest stream.  A
 game run makes them once per block of `BLOCK_TRIALS` trials (see
-`rsmt.game.play`), and each execution draws on from where the previous one
+`rsmt.game.plays`), and each execution draws on from where the previous one
 stopped.  Every seed and stream derives from `derive_seed`, the one hash.
 """
 

@@ -4,18 +4,22 @@ Every statistical check states its bound and uses a 3-sigma binomial
 tolerance at the stated trial count; enumeration checks are exact.
 """
 
+import itertools
 import math
 import random
+from collections import Counter
 
 from rsmt.field import FieldSpec
 from rsmt.game import (
+    GameStats,
+    PassiveGuess,
     SwapHalf,
     UtilityTable,
     catalog_for,
     derive_u_values,
     nash_catalog_check,
+    plays,
     run_cell,
-    run_trials,
     witness_table,
 )
 from rsmt.game.bounds import (
@@ -36,6 +40,7 @@ from rsmt.sharing import (
 )
 from rsmt.transport import CorruptionProfile
 
+from block_walk import walk_trials
 from rs_oracle import rs_reconstruct_bruteforce
 
 
@@ -172,15 +177,15 @@ def test_08_no_detection_protocol_is_exploitable():
         return CorruptionProfile({1: frozenset(rng.sample(range(1, 5), 2))})
 
     trials = 100_000
-    stats = run_trials(proto, profile_factory, {1: SwapHalf(proto)},
-                       table, trials, 808)
+    outcomes = walk_trials(proto, profile_factory, {1: SwapHalf(proto)}, trials, 808)
+    stats = GameStats(Counter(o for o, _ in outcomes), (1,), table)
     suc_limit = 0.5 * (1 + 1 / 16) + three_sigma(0.5 * (1 + 1 / 16), trials)
     ok_suc = stats.suc_rate <= suc_limit
     gain = stats.utility_mean[1] - u["u2"]
     ok_util = gain > stats.utility_ci95[1]
     report(8, "no-detection-exploitability", ok_suc and ok_util,
            f"suc {stats.suc_rate:.4f} <= {suc_limit:.4f}; "
-           f"utility {stats.utility_mean[1]:.3f} beats u2={u['u2']} "
+           f"utility {stats.utility_mean[1]:.3f} beats u2={float(u['u2'])} "
            f"by {gain:.3f} > ci {stats.utility_ci95[1]:.3f}")
 
 
@@ -205,22 +210,20 @@ def test_11_robust_mixed_model_reliability(tmp_path):
     profile = CorruptionProfile(
         {1: frozenset({1, 2}), 2: frozenset({3})}, malicious_id=1
     )
-    table = witness_table(proto.message_space_size())
     attacks = catalog_for(P3)
     per_attack = 100_000 // len(attacks)
     total = failures = 0
     dump = tmp_path / "failed_transcripts.jsonl"
     with dump.open("w") as fh:
         for entry in attacks:
-            def dump_failed(idx, outcome, transcript, _fh=fh, _a=entry.name):
+            strategies = {1: entry.factory(proto), 2: PassiveGuess(proto)}
+            run = plays(proto, profile, strategies, 1100 + attacks.index(entry))
+            for outcome, engine in itertools.islice(run, per_attack):
                 if not outcome.suc:
-                    _fh.write(f'{{"attack":"{_a}","transcript":'
-                              + transcript.to_json_str() + "}\n")
-
-            stats = run_cell(proto, profile, table, per_attack, 1100 + attacks.index(entry),
-                             {1: entry.name}, on_transcript=dump_failed)
+                    failures += 1
+                    fh.write(f'{{"attack":"{entry.name}","transcript":'
+                             + engine.to_json_str() + "}\n")
             total += per_attack
-            failures += sum(c for o, c in stats.counts.items() if not o.suc)
     rate = 1.0 - failures / total
     report(11, "robust-mixed-model-reliability", rate >= 0.999,
            f"delivery rate {rate:.5f} >= 0.999 over {total} trials "

@@ -70,8 +70,37 @@ def test_pd_multi_maximizes_over_budgets():
     assert ells[3] > ells[1]
     for ts in ([1, 2, 3], [3, 1], [2]):
         inputs, value = requirement_table(u, 1, 5, 1, ts)["pd-tag-bits"]
-        assert value == max(ells[t] for t in ts)
+        assert value == max(ells[k] for k in range(1, max(ts) + 1))
         assert f"t={';'.join(map(str, ts))} " in inputs
+
+
+def _pd_row(u1, u2, u3, u4, t):
+    u = {"u1": u1, "u2": u2, "u3": u3, "u4": u4}
+    return requirement_table(u | {f"{k}pp": v for k, v in u.items()}, 1, 5, 1, [t])[
+        "pd-tag-bits"][1]
+
+
+_tenths = st.integers(1, 200).map(lambda k: Fraction(k, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-50, 50).map(lambda k: Fraction(k, 10)), _tenths, _tenths,
+       st.integers(1, 2000).map(lambda k: Fraction(k, 10)), st.integers(1, 5), st.data())
+def test_pd_row_is_monotone_and_no_substitution_on_k_channels_pays(u4, g2, g3, g1, t, data):
+    # a timid table: u1 > max(u2, u3) and min(u2, u3) > u4
+    u2, u3 = u4 + g2, u4 + g3
+    u1 = max(u2, u3) + g1
+    base = {(g, s, d): {(0, 0): u1, (1, 0): u2, (0, 1): u3, (1, 1): u4}[(s, d)]
+            for g in (0, 1) for s in (0, 1) for d in (0, 1)}
+    UtilityTable(base, 2).validate()
+    ell = _pd_row(u1, u2, u3, u4, t)
+    assert ell <= _pd_row(u1, u2, u3, u4, t + 1)
+    # SJST's exact value of substituting on k of the t channels: each
+    # substitution goes unseen with probability p = 2^-l; all unseen pays
+    # u1, all caught u4, and a mix u3
+    k = data.draw(st.integers(1, t))
+    p = Fraction(1, 2 ** ell)
+    assert p ** k * u1 + (1 - p ** k - (1 - p) ** k) * u3 + (1 - p) ** k * u4 <= u2
 
 
 # --- robust-sharing bound ----------------------------------------------------
@@ -255,7 +284,8 @@ def test_exact_tables_validate_and_bound_on_their_fraction_values(drawn, lam, n,
     if timid:  # what the base-table checks imply for the derived values
         assert u["u1"] > max(u["u2"], u["u3"]) and min(u["u2"], u["u3"]) > u["u4"]
     rows = requirement_table(derived, lam, n, d, ts)
-    pd = [_outcome(required_ell_pd, u["u1"], u["u2"], u["u3"], u["u4"], t) for t in ts]
+    pd = [_outcome(required_ell_pd, u["u1"], u["u2"], u["u3"], u["u4"], k)
+          for k in range(1, max(ts) + 1)]
     errors = [e for e in pd if isinstance(e, str)]
     expected = {
         "pd-tag-bits": errors[0] if errors else max(pd),

@@ -23,8 +23,9 @@ from rsmt.cli import (
     protocol_from_json,
 )
 from rsmt.field import DEFAULT_BINARY_POLYS, FieldSpec
+from rsmt.game.attacks import PassiveGuess
 from rsmt.game.nash import CSV_COLUMNS, passive_seed
-from rsmt.game.play import run_cell
+from rsmt.game.play import plays
 from rsmt.game.utility import witness_table
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
@@ -106,7 +107,7 @@ def protocols(draw):
         return StrawmanProtocol(draw(st.integers(3, top)), field)
     if variant == "RSS":
         n = draw(st.integers(2, top))
-        d = draw(st.integers(1, 3).filter(lambda d: (d + 2) % field.char))
+        d = draw(st.integers(1, 3).filter(lambda d: (d + 2) % field.p))
         sharing = SharingSpec(t=draw(st.integers(1, n - 1)), n=n, field=field)
         return RssProtocol(RobustSharingSpec(AmdSpec(field, d), sharing))
     n = draw(st.integers({"P1": 3, "P2": 2, "P3": 4}[variant], top))
@@ -284,6 +285,14 @@ def test_simulate_flags_exploitable_strawman(tmp_path):
                  str(tmp_path / "x.csv")]) == EXIT_FLAG
 
 
+def _first_passive_play(cfg):
+    """The JSON transcript of the first play of the run behind the report's `passive` rows."""
+    p = cfg.protocol
+    run = plays(p, cfg.profile, {j: PassiveGuess(p) for j in cfg.profile.adversary_ids},
+                passive_seed(cfg.master_seed, cfg.profile))
+    return next(run)[1].to_json_str()
+
+
 def test_simulate_dump_transcript(tmp_path):
     path = write_config(tmp_path, P1_CONFIG)
     dump = tmp_path / "transcript.json"
@@ -292,11 +301,8 @@ def test_simulate_dump_transcript(tmp_path):
     blob = json.loads(dump.read_text())
     assert "rounds" in blob and "message" in blob
     # the dumped trial is one the report scored: the `passive` row's first
-    cfg = ExperimentConfig(P1_CONFIG)
-    scored = []
-    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, passive_seed(cfg.master_seed, cfg.profile),
-             on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
-    assert dump.read_text() == scored[0] + "\n"
+    first = _first_passive_play(ExperimentConfig(P1_CONFIG))
+    assert dump.read_text() == first + "\n"
 
 
 def test_sweep_requires_axis(tmp_path):
@@ -367,7 +373,7 @@ def _refuse_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_work)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_work)
     monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_work)
     monkeypatch.setattr(rsmt.cli, "CHECKS", (Check("no-work", 0, no_work),))
 
@@ -452,11 +458,8 @@ def test_simulate_dump_transcript_to_stdout(tmp_path, capsys, monkeypatch):
     report = capsys.readouterr().out
     assert main(["simulate", "--config", path, "--trials", "5"]) == EXIT_OK
     alone = capsys.readouterr().out
-    cfg = ExperimentConfig(P1_CONFIG)
-    scored = []
-    run_cell(cfg.protocol, cfg.profile, cfg.table, 1, passive_seed(cfg.master_seed, cfg.profile),
-             on_transcript=lambda i, outcome, tr: scored.append(tr.to_json_str()))
-    assert report == alone + scored[0] + "\n"
+    first = _first_passive_play(ExperimentConfig(P1_CONFIG))
+    assert report == alone + first + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -516,6 +519,36 @@ def test_p2_row_is_the_least_ell_at_which_substitution_does_not_pay(tmp_path, ca
                                        "(use --allow-underspec to probe anyway)\n")
     # the analytic mean at l = 1 is 8/3 against the passive 2
     assert main(["simulate", "--config", path, "--allow-underspec"]) == EXIT_FLAG
+
+
+# SJST n=3 with one adversary on two channels and u = (40, 2, 1, 0): a
+# substitution on one channel goes unseen with probability 2^-l and pays u1
+# = 40, so the pd row must hold against k = 1 as well as k = t = 2.
+SJST_U1_40 = {"protocol": {"variant": "SJST", "n": 3, "ell": 4, "k": 8},
+              "profile": {"assignments": {"1": [1, 2]}},
+              "utility": {"base": dict(WITNESS_BASE, **{"000": 40, "100": 40})},
+              "master_seed": 1}
+
+
+def test_pd_row_holds_against_a_substitution_on_fewer_channels_than_owned(tmp_path, capsys):
+    path = write_config(tmp_path, SJST_U1_40)
+    assert main(["bounds", "--config", path]) == EXIT_OK
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[4:])
+    assert rows["pd-tag-bits"] == "u=(40;2;1;0) t=2 alpha=None,7"
+    assert main(["simulate", "--config", path, "--trials", "200"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: configured ell=4 below required 7 "
+                                       "(use --allow-underspec to probe anyway)\n")
+    # required_ell_pd at t = 2 alone asks for 4 bits: there a one-channel
+    # substitution beats passive
+    assert main(["simulate", "--config", path, "--trials", "5000",
+                 "--allow-underspec"]) == EXIT_FLAG
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[4:]]
+    assert [r[2] for r in rows if r[-1] == "1"] == ["share-substitution-1"]
+    at_row = dict(SJST_U1_40, protocol=dict(SJST_U1_40["protocol"], ell=7))
+    assert main(["simulate", "--config", write_config(tmp_path, at_row, "row.json"),
+                 "--trials", "2000"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[4:]]
+    assert [r[2] for r in rows if r[-1] == "1"] == []
 
 
 # Two adversaries on P2 n=4 with the witness base and bonus 5: framing the
@@ -889,7 +922,7 @@ def test_keys_the_protocol_does_not_read_fail_before_any_trial(
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
     path = write_config(tmp_path, dict(P1_CONFIG, **change))
     assert main([command, "--config", path]) == EXIT_CONFIG
@@ -916,7 +949,7 @@ def test_config_of_the_wrong_shape_names_the_field(tmp_path, capsys, monkeypatch
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     assert main([command, "--config", write_config(tmp_path, config)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
@@ -934,7 +967,7 @@ def test_attacks_are_read_strictly(tmp_path, capsys, monkeypatch, command, attac
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
     cfg = dict(P1_CONFIG, attacks=attacks, sweep={"axis": "ell", "values": [8]})
     assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -944,9 +977,9 @@ def test_attacks_are_read_strictly(tmp_path, capsys, monkeypatch, command, attac
 
 def test_sweep_without_adversaries_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     def no_trials(*args, **kwargs):
-        raise AssertionError("run_trials called")
+        raise AssertionError("plays called")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     cfg = dict(P1_CONFIG, profile={"assignments": {}},
                sweep={"axis": "ell", "values": [8]})
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -957,7 +990,7 @@ def test_simulate_without_adversaries_fails_before_any_trial(tmp_path, capsys, m
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     monkeypatch.setattr(rsmt.cli, "nash_catalog_check", no_trials)
     out = tmp_path / "report.csv"
     cfg = dict(P1_CONFIG, profile={"assignments": {}})
@@ -989,7 +1022,7 @@ def test_every_sweep_point_is_checked_as_a_full_config_before_any_trial(
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     path = write_config(tmp_path, dict(P1_CONFIG, **change))
     assert main(["sweep", "--config", path]) == EXIT_CONFIG
     assert capsys.readouterr().err == message + "\n"
@@ -1000,7 +1033,7 @@ def test_channel_outside_one_to_n_is_a_config_error(tmp_path, capsys, monkeypatc
     def no_trials(*args, **kwargs):
         raise AssertionError("trials ran")
 
-    monkeypatch.setattr(rsmt.game.play, "run_trials", no_trials)
+    monkeypatch.setattr(rsmt.game.play, "plays", no_trials)
     cfg = dict(P1_CONFIG, profile={"assignments": {"1": [9]}},
                sweep={"axis": "ell", "values": [8]})
     assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG

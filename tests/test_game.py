@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -29,6 +30,7 @@ from rsmt.game import (
     nash,
     nash_catalog_check,
     play_game,
+    plays,
     run_cell,
     run_trials,
     witness_table,
@@ -210,10 +212,6 @@ STRAWMAN_TABLE = UtilityTable(
 )
 
 
-def random_pair_profile(rng):
-    return CorruptionProfile({1: frozenset(rng.sample(range(1, 5), 2))})
-
-
 def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
     """Utility mean and CI scored one play at a time with `table.payoff`, in
     exact arithmetic."""
@@ -231,8 +229,9 @@ def per_trial_oracle(protocol, profile, strategies, table, trials, master_seed):
     (PROTO1, CorruptionProfile({1: frozenset({1}), 2: frozenset({3})}),
      {1: Rewrite(PROTO1, "substitute"), 2: PassiveGuess(PROTO1)},
      witness_table(PROTO1.message_space_size(), bonus=0.1)),
-    (STRAWMAN, random_pair_profile, {1: SwapHalf(STRAWMAN)}, STRAWMAN_TABLE),
-], ids=["p1-two-adversaries-bonus-0.1", "strawman-callable-profile"])
+    (STRAWMAN, CorruptionProfile({1: frozenset({2, 4})}), {1: SwapHalf(STRAWMAN)},
+     STRAWMAN_TABLE),
+], ids=["p1-two-adversaries-bonus-0.1", "strawman-fixed-pair"])
 def test_statistics_equal_exact_per_trial_oracle(protocol, profile, strategies, table):
     trials = BLOCK_TRIALS + 144  # a full block and part of the next
     stats = run_trials(protocol, profile, strategies, table, trials, 31)
@@ -467,7 +466,7 @@ def _any_protocol(draw):
         return StrawmanProtocol(n, field)
     d = draw(st.integers(1, 3))
     if variant == "RSS":
-        d = d if (d + 2) % field.char else d + 1
+        d = d if (d + 2) % field.p else d + 1
         return RssProtocol(RobustSharingSpec(AmdSpec(field, d),
                                              SharingSpec(draw(st.integers(1, n - 1)), n, field)))
     return CissProtocol(variant, n, field, d, draw(st.integers(1, min(6, d * field.elem_bits))))
@@ -478,11 +477,9 @@ def _any_protocol(draw):
 def test_passive_runs_deliver_and_flag_nothing(protocol, data):
     channels = data.draw(st.sets(st.integers(1, protocol.n), min_size=1))
     prof = CorruptionProfile({1: frozenset(channels)})
-    detects = []
-    stats = run_cell(protocol, prof, witness_table(protocol.message_space_size()), 8,
-                     data.draw(st.integers(0, 2**32)),
-                     on_transcript=lambda _i, _o, engine: detects.extend(engine.detect_events))
-    assert stats.suc_rate == 1.0 and detects == []
+    run = plays(protocol, prof, {1: PassiveGuess(protocol)}, data.draw(st.integers(0, 2**32)))
+    for outcome, engine in itertools.islice(run, 8):
+        assert outcome.suc and engine.detect_events == []
 
 
 def test_length_tamper_always_detected():
@@ -614,11 +611,13 @@ def test_p3_wide_fixed_seed_counts_and_transcripts_are_golden():
     digest = hashlib.sha256()
     got = {}
     for entry in catalog_for(P3):
-        stats = run_trials(P3_WIDE, P3_WIDE_PROFILE,
-                           {1: entry.factory(P3_WIDE), 2: PassiveGuess(P3_WIDE)}, table, 30,
-                           2026, on_transcript=lambda i, o, t: digest.update(
-                               t.to_json_str().encode()))
-        got[entry.name] = {(o.suc, tuple(sorted(o.detect))): c for o, c in stats.counts.items()}
+        strategies = {1: entry.factory(P3_WIDE), 2: PassiveGuess(P3_WIDE)}
+        run = list(itertools.islice(plays(P3_WIDE, P3_WIDE_PROFILE, strategies, 2026), 30))
+        for _, engine in run:
+            digest.update(engine.to_json_str().encode())
+        counts = Counter(o for o, _ in run)
+        assert run_trials(P3_WIDE, P3_WIDE_PROFILE, strategies, table, 30, 2026).counts == counts
+        got[entry.name] = {(o.suc, tuple(sorted(o.detect))): c for o, c in counts.items()}
     assert got == P3_WIDE_GOLDEN
     assert digest.hexdigest() == P3_WIDE_TRANSCRIPTS
 
@@ -669,11 +668,11 @@ def test_sjst_sweep_fixed_seed_counts_and_first_transcript_are_golden(n):
     protocol = SjstProtocol(n, 8, 8)
     table = witness_table(protocol.message_space_size())
     for entry in catalog_for("SJST"):
-        first = []
-        stats = run_trials(protocol, SJST_SWEEP_PROFILE, {1: entry.factory(protocol)}, table,
-                           200, 2026, on_transcript=lambda i, o, t: first.append(t) if i == 0
-                           else None)
-        counts = {(o.suc, tuple(sorted(o.detect))): c
-                  for o, c in stats.counts.items()}
-        digest = hashlib.sha256(first[0].to_json_str().encode()).hexdigest()
+        strategies = {1: entry.factory(protocol)}
+        run = list(itertools.islice(plays(protocol, SJST_SWEEP_PROFILE, strategies, 2026), 200))
+        outcomes = Counter(o for o, _ in run)
+        assert run_trials(protocol, SJST_SWEEP_PROFILE, strategies, table, 200,
+                          2026).counts == outcomes
+        counts = {(o.suc, tuple(sorted(o.detect))): c for o, c in outcomes.items()}
+        digest = hashlib.sha256(run[0][1].to_json_str().encode()).hexdigest()
         assert (counts, digest) == SJST_SWEEP_GOLDEN[n, entry.name], entry.name

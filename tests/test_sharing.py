@@ -279,7 +279,7 @@ def test_shamir_share_evaluates_the_drawn_polynomial(kind, data):
 @given(data=st.data())
 def test_robust_share_evaluates_each_coordinate_polynomial(kind, data):
     f = data.draw(_SHARE_FIELDS[kind])
-    d = data.draw(st.integers(1, 3).filter(lambda d: (d + 2) % f.char))
+    d = data.draw(st.integers(1, 3).filter(lambda d: (d + 2) % f.p))
     spec, tape = data.draw(_share_tape(st.just(f), d + 2))
     amd = AmdSpec(f, d)
     message = tuple(data.draw(st.lists(st.integers(0, f.q - 1), min_size=d, max_size=d)))
