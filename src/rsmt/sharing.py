@@ -11,17 +11,23 @@ an n-share sharing sits at evaluation point i.  Three layers:
     which rejects any tampered reconstruction except with probability (d+1)/q.
 All randomness is drawn with `rng.randrange(q)`: first the AMD x, then each
 sharing polynomial's t coefficients in coordinate order.  A secret's n
-shares are a row, one pass per coefficient over the cached powers i^j of the
-points.  A value is checked once, at the public entry point that takes it
-(`shamir_share`, `amd_encode`, a protocol's `check_message`).
+shares are a row: over GF(p) one pass per coefficient over the cached powers
+i^j of the points; over GF(2^m), where a row is GF(2)-linear in the bits of
+the secret and its coefficients, the xor of one cached table entry per byte
+of them, each entry a whole row packed into one int, unpacked once.  A value
+is checked once, at the public entry point that takes it (`shamir_share`,
+`amd_encode`, a protocol's `check_message`).
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, xor
 from typing import Mapping, Sequence
 
 from .field import (FieldSpec, interpolate, interpolate_at, interpolate_at_zero, ints_below,
@@ -70,6 +76,8 @@ class SharingSpec:
     field: FieldSpec
 
     def __post_init__(self):
+        if type(self.t) is not int or type(self.n) is not int:
+            raise SharingError(f"t and n must be ints, got t={self.t!r}, n={self.n!r}")
         if not 0 < self.t < self.n:
             raise SharingError(f"need 0 < t < n, got t={self.t}, n={self.n}")
         if self.n > self.field.q - 1:
@@ -82,11 +90,39 @@ class SharingSpec:
 
     @cached_property
     def powers(self) -> tuple[tuple[int, ...], ...]:
-        """Row j-1 holds i^j for the points i = 1..n, j = 1..t; as logs on
-        table fields."""
-        f, log = self.field, self.field._log
-        rows = ([f.pow_int(i, j) for i in range(1, self.n + 1)] for j in range(1, self.t + 1))
-        return tuple(tuple(row if log is None else map(log.__getitem__, row)) for row in rows)
+        """Row j-1 holds i^j for the points i = 1..n, j = 1..t."""
+        f = self.field
+        return tuple(tuple(f.pow_int(i, j) for i in range(1, self.n + 1))
+                     for j in range(1, self.t + 1))
+
+    @cached_property
+    def byte_tables(self) -> tuple[list[list[int]], str, int]:
+        """On GF(2^m): (tables, code, size).  A row of n field values packs
+        into one int of `size` bytes, value i in lane i-1 of a native-order
+        `array` of typecode `code`.  The shares of a secret s with
+        coefficients r_1..r_t are GF(2)-linear in the bits of the int
+        c = s | r_1 << m | ... | r_t << tm: bit b of c adds the basis row
+        2^(b mod m) * i^(b // m), and tables[k][v] packs the xor of the basis
+        rows of the bits set in v << 8k.  Each basis row is the one before
+        times x, lane-wise; xor never carries across lanes.  The tables hold
+        32 (t+1) m rows: about 210 KB at GF(2^16), n=16, t=5."""
+        f, n, m = self.field, self.n, self.field.m
+        code = next(c for c in "BHIL" if array(c).itemsize * 8 >= m)
+
+        def pack(row) -> int:
+            return int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+
+        top, low = pack([1 << m - 1] * n), f.poly ^ f.q  # x^m = low
+        tables = []
+        for j, row in enumerate(([1] * n, *self.powers)):
+            basis = pack(row)
+            for b in range(j * m, (j + 1) * m):
+                if b % 8 == 0:
+                    tables.append([0])
+                tables[-1] += [entry ^ basis for entry in tables[-1]]
+                carry = basis & top
+                basis = (basis ^ carry) << 1 ^ (carry >> m - 1) * low
+        return tables, code, n * array(code).itemsize
 
 
 def _check_values(f: FieldSpec, values, what: str) -> None:
@@ -109,25 +145,35 @@ def shamir_share(spec: SharingSpec, secret: int, rng: random.Random) -> dict[int
 
 def _share_rows(spec: SharingSpec, secrets, rng: random.Random) -> list[list[int]]:
     """Each checked secret's n shares as a row, its r_1..r_t drawn in that
-    order: one pass over the row per coefficient, adding r_j * i^j."""
-    # Not through `mul_row`: a call per drawn coefficient measured `rsmt
-    # verify` at 2.18-2.34 s against 2.07-2.12 s with this loop, and a call
-    # per polynomial 2.53-2.57 s (2-vCPU Xeon, Python 3.11.7).
-    f, q = spec.field, spec.field.q
-    prime, exp, log = f.kind == "prime", f._exp, f._log
+    order: over GF(p) one pass over the row per coefficient, adding r_j *
+    i^j; over GF(2^m) one `byte_tables` entry per byte of the secret and its
+    coefficients, xored into a packed row."""
+    # Byte tables, not a pass per coefficient over field products: the rows
+    # of a call, draws included, measured 4.4-4.7 against 5.2-5.7 us at GF(4),
+    # n=3, t=2, three secrets, 4.0-4.2 against 11.5-12.4 us at GF(2^16),
+    # n=16, t=5, and 3.7-4.3 against 91-129 us at GF(2^20) (timeit min,
+    # 2-vCPU Xeon, Python 3.11.7).  GF(p) keeps its pass: packed prime lanes
+    # would hold unreduced sums up to (t * bytes + 1) * p, wider than every
+    # `array` typecode for p near the 3.3e24 limit.
+    f, q, t = spec.field, spec.field.q, spec.t
+    if f.kind == "prime":
+        rows = []
+        for secret in secrets:
+            row = [secret] * spec.n
+            for powers in spec.powers:
+                r = rng.randrange(q)
+                row = [(a + r * x) % q for a, x in zip(row, powers)]
+            rows.append(row)
+        return rows
+    tables, code, size = spec.byte_tables
+    shifts, width = range(f.m, (t + 1) * f.m, f.m), len(tables)
     rows = []
     for secret in secrets:
-        row = [secret] * spec.n
-        for powers in spec.powers:
-            r = rng.randrange(q)
-            if prime:
-                row = [(a + r * x) % q for a, x in zip(row, powers)]
-            elif exp is None:
-                row = [a ^ f.mul_int(r, x) for a, x in zip(row, powers)]
-            elif r:
-                lr = log[r]
-                row = [a ^ exp[lr + x] for a, x in zip(row, powers)]
-        rows.append(row)
+        coeffs = secret  # secret | r_1 << m | ... | r_t << tm
+        for shift in shifts:
+            coeffs |= rng.randrange(q) << shift
+        acc = reduce(xor, map(getitem, tables, coeffs.to_bytes(width, "little")))
+        rows.append(array(code, acc.to_bytes(size, sys.byteorder)).tolist())
     return rows
 
 
@@ -231,8 +277,8 @@ class AmdSpec:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise SharingError("d must be >= 1")
+        if type(self.d) is not int or self.d < 1:
+            raise SharingError(f"d must be an int >= 1, got {self.d!r}")
         if (self.d + 2) % self.field.p == 0:
             raise SharingError(
                 f"d+2={self.d + 2} divisible by field characteristic {self.field.p}"

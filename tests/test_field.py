@@ -421,16 +421,16 @@ def _table_reads(node, scope=()):
         yield from _table_reads(child, scope)
 
 
-def test_only_field_and_three_kept_fast_paths_read_the_tables():
+def test_only_field_and_tag_rows_read_the_tables():
     # Whether and how a field keeps log/exp tables is `rsmt.field`'s choice;
-    # these three fast paths measured too slow through `mul_row` (see their
-    # comments), and anything else goes through the field's operations.
+    # `tag_rows` measured too slow through `mul_row` (see its comment), and
+    # anything else, the sharing layer's byte tables included, goes through
+    # the field's operations.
     root = Path(rsmt.__file__).parent
     reads = {(str(path.relative_to(root)), scope)
              for path in sorted(root.rglob("*.py")) if path != root / "field.py"
              for scope in _table_reads(ast.parse(path.read_text()))}
-    assert reads == {("sharing.py", "SharingSpec.powers"), ("sharing.py", "_share_rows"),
-                     ("hashing.py", "HashFamilySpec.tag_rows")}
+    assert reads == {("hashing.py", "HashFamilySpec.tag_rows")}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

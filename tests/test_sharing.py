@@ -52,6 +52,12 @@ def test_spec_validation():
         SharingSpec(t=0, n=3, field=GF7)
     with pytest.raises(SharingError):
         SharingSpec(t=1, n=7, field=GF7)  # only 6 nonzero points
+    with pytest.raises(SharingError):
+        SharingSpec(t=1, n=2, field=FieldSpec.binary(1))  # GF(2) has one nonzero point
+    # refused before any table is sized from them (t=True shared at threshold 1)
+    for t, n in [(True, 3), (1.0, 3), (1, 3.0), (1, True), ("1", 3)]:
+        with pytest.raises(SharingError, match="t and n must be ints"):
+            SharingSpec(t=t, n=n, field=GF16)
 
 
 @pytest.mark.parametrize("f, n", [(GF7, 3), (GF7, 6), (GF16, 15), (FieldSpec.binary(8), 16)])
@@ -241,8 +247,8 @@ def test_sharing_entry_points_reject_a_bad_element_before_drawing(bad):
             robust_share(wide, secret, ForcedDraws(()))
 
 
-# One field per branch of the row-wise sharing: prime, log/exp tables, and
-# shift-and-reduce (m > 16).
+# Prime fields, and binary fields with log/exp tables (m <= 16) and with
+# shift-and-reduce products (m > 16).
 _SHARE_FIELDS = {
     "prime": st.sampled_from([GF5, GF7, FieldSpec.prime(13), FieldSpec.prime(65537)]),
     "table": st.sampled_from([FieldSpec.binary(2), GF16, FieldSpec.binary(8),
@@ -252,10 +258,10 @@ _SHARE_FIELDS = {
 
 
 @st.composite
-def _share_tape(draw, fields, width):
+def _share_tape(draw, fields, width, max_n=8):
     """(spec, tape of t coefficients for each of `width` secrets)."""
     f = draw(fields)
-    n = draw(st.integers(2, min(8, f.q - 1)))
+    n = draw(st.integers(2, min(max_n, f.q - 1)))
     t = draw(st.integers(1, n - 1))
     tape = draw(st.lists(st.integers(0, f.q - 1), min_size=width * t, max_size=width * t))
     return SharingSpec(t=t, n=n, field=f), tape
@@ -292,6 +298,66 @@ def test_robust_share_evaluates_each_coordinate_polynomial(kind, data):
     polys = [[c, *tape[k * t:(k + 1) * t]] for k, c in enumerate(codeword)]
     assert shares == {i: tuple(poly_eval(f, poly, i) for poly in polys)
                       for i in range(1, spec.n + 1)}
+
+
+def _assert_rows_evaluate(spec, secret, message, x, tape):
+    """`shamir_share` of `secret` with coefficients tape[:t], and
+    `robust_share` of `message` with AMD x and then the whole tape, equal
+    per-point `poly_eval` of the drawn polynomials and use up their draws."""
+    f, t, points = spec.field, spec.t, range(1, spec.n + 1)
+    rng = ForcedDraws(tape[:t])
+    assert shamir_share(spec, secret, rng) == {
+        i: poly_eval(f, [secret, *tape[:t]], i) for i in points}
+    rng.finish()
+    amd = AmdSpec(f, len(message))
+    rng = ForcedDraws([x, *tape])
+    shares = robust_share(RobustSharingSpec(amd, spec), message, rng)
+    rng.finish()
+    polys = [[c, *tape[k * t:(k + 1) * t]]
+             for k, c in enumerate(amd_encode(amd, message, ForcedDraws([x])))]
+    assert shares == {i: tuple(poly_eval(f, poly, i) for poly in polys) for i in points}
+
+
+# Every binary field that admits a sharing (GF(2) has one nonzero point), so
+# every lane width and every split of the coefficients into table bytes, with
+# up to 31 lanes.
+@pytest.mark.parametrize("m", range(2, 33))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_binary_share_rows_evaluate_the_drawn_polynomials(m, data):
+    f = FieldSpec.binary(m)
+    d = data.draw(st.sampled_from([1, 3]), label="d")  # d + 2 odd
+    spec, tape = data.draw(_share_tape(st.just(f), d + 2, max_n=31))
+    element = st.integers(0, f.q - 1)
+    _assert_rows_evaluate(spec, data.draw(element), data.draw(st.tuples(*[element] * d)),
+                          data.draw(element), tape)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 15, 16, 17, 24, 25, 32])
+def test_binary_share_rows_at_byte_boundaries_and_widest_n(m):
+    f = FieldSpec.binary(m)
+    n = min(31, f.q - 1)
+    rng = random.Random(m)
+    for t in (1, n // 2, n - 1):
+        # all-ones draws set every bit of every table byte; zeros set none
+        for draw in (lambda: f.q - 1, lambda: 0, lambda: rng.randrange(f.q)):
+            tape = [draw() for _ in range(3 * t)]
+            _assert_rows_evaluate(SharingSpec(t=t, n=n, field=f), draw(), (draw(),), draw(), tape)
+
+
+def test_share_tables_are_built_once_per_spec(monkeypatch):
+    calls = []
+    pow_int = FieldSpec.pow_int
+    monkeypatch.setattr(FieldSpec, "pow_int",
+                        lambda self, a, e: calls.append((a, e)) or pow_int(self, a, e))
+    spec = SharingSpec(t=5, n=16, field=FieldSpec.binary(20))
+    wide = RobustSharingSpec(AmdSpec(spec.field, 1), spec)
+    shamir_share(spec, 3, random.Random(1))
+    assert len(calls) == 5 * 16  # the powers i^j that the tables pack
+    tables = spec.byte_tables
+    shamir_share(spec, 4, random.Random(2))
+    robust_share(wide, (5,), random.Random(3))
+    assert len(calls) == 5 * 16 and spec.byte_tables is tables
 
 
 @pytest.mark.parametrize("n", [13, 16, 31])
@@ -408,6 +474,9 @@ def test_amd_spec_validation():
         AmdSpec(GF7, 0)
     with pytest.raises(SharingError):
         AmdSpec(GF5, 3)  # d+2 = 5 vanishes in characteristic 5
+    for d in (True, 1.0, "1"):  # d=True had delta 1/8 over GF(2^4)
+        with pytest.raises(SharingError, match="d must be an int"):
+            AmdSpec(GF16, d)
 
 
 def test_amd_delta_values():
