@@ -74,10 +74,13 @@ class OneRoundProtocol(Protocol):
     def sample_message(self, rng: random.Random) -> tuple[int, ...]:
         return tuple(rng.randrange(self.field.q) for _ in range(self.d))
 
-    def check_message(self, m) -> None:
-        """Raise ProtocolError unless m is a d-vector over the field."""
-        if not ints_below(tuple(m) if hasattr(m, "__iter__") else m, self.field.q, self.d):
+    def check_message(self, m) -> tuple[int, ...]:
+        """m as a tuple, the value a sender encodes; ProtocolError unless m
+        is a tuple or list forming a d-vector over the field."""
+        v = tuple(m) if type(m) is list else m
+        if not ints_below(v, self.field.q, self.d):
             raise ProtocolError(f"message must be a {self.d}-vector over {self.field}")
+        return v
 
     def run(self, engine, m):
         sent = self.encode(m, engine.honest_rng)

@@ -9,6 +9,8 @@ of the threshold sharing is preserved exactly.
 
 Sender and receiver each build the tag matrix in one `tag_rows` call; the
 receiver compares it with the sent tags to build per-channel mismatch lists L_i.
+A round in which no payload was replaced is the sender's own: its lists are
+empty, and the receiver computes no tag for it.
 Only a replaced payload is tested against the wire-value rule, and read as
 all zeros if malformed: the sender draws every part of its own in range.
 The three variants differ in threshold and in how the lists drive the output:
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import mul, ne
 
@@ -142,9 +145,8 @@ def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, t
     into an n x n square, r_{i,j} at row i and column j; channel i's tags
     are row i of the tag matrix xor row i of the square, and its masks are
     column i of the square, each without the undrawn diagonal."""
-    spec.check_message(m)
     n = spec.n
-    shares = list(zip(*_share_rows(spec.sharing, m, rng)))
+    shares = list(zip(*_share_rows(spec.sharing, spec.check_message(m), rng)))
     keys = [spec.family.sample(rng) for _ in range(n)]
     # r_{i,j} for i != j, drawn i-major; the undrawn diagonal holds 0
     draws = list(map(rng.getrandbits, repeat(spec.ell, n * (n - 1))))
@@ -181,27 +183,37 @@ def _well_formed_payload(p, limits, lengths) -> bool:
     return type(p) is tuple and len(p) == 4 and all(map(ints_below, p, limits, lengths))
 
 
-def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple]) -> dict[int, tuple]:
+def mismatch_lists(spec: CissProtocol, parsed: dict[int, tuple], replaced) -> dict[int, tuple]:
     """L_i = channels whose share fails channel i's tag check.
 
     T_{i,j} comes from channel i, while s_j and the mask r_{i,j} come from
     channel j, so forging a check on an honest pair needs a hash collision.
     With the diagonal put back, channel j's masks are column j of the
-    sender's mask square, so the rows r_{i,.} are their transpose.
+    sender's mask square, so the rows r_{i,.} are their transpose.  A round
+    with nothing in `replaced` is the sender's own, whose tags all check:
+    its lists are empty and no tag is computed.
     """
     n = spec.n
     channels = range(1, n + 1)
+    if not replaced:
+        return dict.fromkeys(channels, ())
     payloads = [parsed[j] for j in channels]
     serialized = spec.serialize_shares([p[0] for p in payloads])
     rows = zip(*[p[MASKS][:j] + (0,) + p[MASKS][j:] for j, p in enumerate(payloads)])
     tagged = spec.family.tag_rows([p[1] for p in payloads], serialized, rows)
     lists = {}
-    for i, p, expected in zip(channels, payloads, tagged):
+    for i, p, expected, others in zip(channels, payloads, tagged, _others(n)):
         del expected[i - 1]
         sent = p[TAGS]
         lists[i] = () if tuple(expected) == sent else tuple(
-            compress((*range(1, i), *range(i + 1, n + 1)), map(ne, expected, sent)))
+            compress(others, map(ne, expected, sent)))
     return lists
+
+
+@lru_cache(maxsize=32)
+def _others(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry i - 1 lists the channels j != i in ascending order."""
+    return tuple((*range(1, i), *range(i + 1, n + 1)) for i in range(1, n + 1))
 
 
 def _majority_list(spec: CissProtocol, lists: dict[int, tuple]):
@@ -220,7 +232,7 @@ def _reconstruct_plain(spec: CissProtocol, parsed, channels):
 def ciss_receiver_decode(spec: CissProtocol, payloads, replaced):
     """(message or FAIL, detected channel list), testing only `replaced`."""
     parsed = _parse_all(spec, payloads, replaced)
-    lists = mismatch_lists(spec, parsed)
+    lists = mismatch_lists(spec, parsed, replaced)
     if spec.variant == P2:
         union = {k for i, bad in lists.items() for j in bad for k in (i, j)}
         if union:

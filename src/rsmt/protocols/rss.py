@@ -75,8 +75,7 @@ class RssProtocol(OneRoundProtocol):
 
 
 def rss_send(spec: RssProtocol, m, rng: random.Random) -> dict[int, tuple[int, ...]]:
-    spec.check_message(m)
-    return robust_share(spec.sharing, m, rng)
+    return robust_share(spec.sharing, spec.check_message(m), rng)
 
 
 def rss_receive(spec: RssProtocol, payloads, replaced):

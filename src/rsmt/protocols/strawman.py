@@ -63,8 +63,8 @@ class StrawmanProtocol(OneRoundProtocol):
 
 
 def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, int]:
-    spec.check_message(m)
-    return dict(zip(range(1, spec.n + 1), _share_rows(spec.sharing, m, rng)[0]))
+    shares = _share_rows(spec.sharing, spec.check_message(m), rng)[0]
+    return dict(zip(range(1, spec.n + 1), shares))
 
 
 def strawman_receive(spec: StrawmanProtocol, payloads, replaced) -> tuple[int]:

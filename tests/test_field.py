@@ -423,14 +423,15 @@ def _table_reads(node, scope=()):
 
 def test_only_field_and_tag_rows_read_the_tables():
     # Whether and how a field keeps log/exp tables is `rsmt.field`'s choice;
-    # `tag_rows` measured too slow through `mul_row` (see its comment), and
-    # anything else, the sharing layer's byte tables included, goes through
-    # the field's operations.
+    # `tag_rows` looks up its logs and `_tag_table` builds the hash family's
+    # tag table from the exp table (see `tag_rows`' comment), and anything
+    # else, the sharing layer's byte tables included, goes through the
+    # field's operations.
     root = Path(rsmt.__file__).parent
     reads = {(str(path.relative_to(root)), scope)
              for path in sorted(root.rglob("*.py")) if path != root / "field.py"
              for scope in _table_reads(ast.parse(path.read_text()))}
-    assert reads == {("hashing.py", "HashFamilySpec.tag_rows")}
+    assert reads == {("hashing.py", "HashFamilySpec.tag_rows"), ("hashing.py", "_tag_table")}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

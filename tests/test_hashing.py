@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmt.field import _LIST_MAX_M, _TABLE_MAX_M, FieldSpec
-from rsmt.hashing import HashFamilySpec
+from rsmt.hashing import HashFamilySpec, _tag_table
 from rsmt.privacy import EnumerationTooLarge, _runs, hash_offset_collision_max
 
 FAM3 = HashFamilySpec(3, 3)
@@ -181,7 +182,8 @@ def _family_keys_inputs(draw, tables):
     """A family whose field keeps its log/exp tables as `tables` says, keys,
     a row of inputs and a row of masks per key, with zeros likely."""
     m = draw(st.integers(*_TABLES[tables]))
-    fam = HashFamilySpec(m, draw(st.integers(1, m)))
+    # l = m (no bit dropped) half the time
+    fam = HashFamilySpec(m, draw(st.one_of(st.just(m), st.integers(1, m))))
     elem = st.one_of(st.just(0), st.integers(0, (1 << m) - 1))
     keys = draw(st.lists(st.tuples(elem, elem), max_size=6))
     xs = draw(st.lists(elem, max_size=12))
@@ -197,6 +199,8 @@ def test_tag_rows_equal_tag_per_entry(tables, data):
     fam, keys, xs, masks = data.draw(_family_keys_inputs(tables))
     exp = fam.field._exp
     assert type(exp) is {"list": list, "array": array, "untabled": type(None)}[tables]
+    if exp is not None:
+        assert type(_tag_table(fam.field, fam.range_bits)) is type(exp)
     assert fam.tag_rows(keys, xs, masks) == [[_oracle(fam, key, x) ^ r for x, r in zip(xs, rs)]
                                              for key, rs in zip(keys, masks)]
 
@@ -212,3 +216,41 @@ def test_tag_rows_and_tag_reject_out_of_range(tables, data, which, negative):
         _tag(fam, (a, b), x)
     with pytest.raises(ValueError):
         fam.tag_rows([*keys, (a, b)], [*xs, x], [*masks, [0] * (len(xs) + 1)])
+
+
+def test_tag_table_is_low_bits_of_exp_then_a_zero_block():
+    for m, ell in ((3, 3), (8, 5), (12, 12), (13, 13), (14, 9), (16, 16), (16, 8), (16, 1)):
+        f = FieldSpec.binary(m)
+        z = 2 * (f.q - 1)
+        assert len(f._exp) == z
+        assert list(_tag_table(f, ell)) == [v & (1 << ell) - 1 for v in f._exp] + [0] * (z + 1)
+
+
+def test_tag_table_is_built_at_first_use_once_per_field_and_length():
+    from rsmt.protocols import CissProtocol
+
+    _tag_table.cache_clear()
+    proto = CissProtocol("P3", 16, FieldSpec.binary(16), 1, 16)
+    fam = HashFamilySpec(16, 16)
+    assert _tag_table.cache_info().currsize == 0  # not when a family is made
+    payloads = proto.encode((7,), random.Random(0))
+    assert _tag_table.cache_info().misses == 1
+    assert proto.decode(payloads, range(1, 17)) == ((7,), [])
+    fam.tag_rows([(3, 4)], [5], [[0]])  # another family of the same field and l
+    assert _tag_table.cache_info()[:2] == (2, 1)  # (hits, misses)
+    HashFamilySpec(16, 8).tag_rows([(3, 4)], [5], [[0]])
+    assert _tag_table.cache_info()[:2] == (2, 2)
+
+
+@pytest.mark.parametrize("ell", [16, 9, 8, 1])
+def test_tag_table_at_gf_2_16_is_built_in_under_2_mb(ell):
+    # through a list of 2(q - 1) ints the build would peak near 5 MB
+    f = FieldSpec.binary(16)
+    _tag_table.cache_clear()
+    tracemalloc.start()
+    try:
+        tab = _tag_table(f, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(tab) is array and peak < 2_000_000

@@ -9,6 +9,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from rsmt.field import MAX_BINARY_M, FieldSpec, interpolate, ints_below, poly_eval
+from rsmt.hashing import HashFamilySpec
 from rsmt.privacy import ForcedDraws
 from rsmt.protocols import (
     CissProtocol,
@@ -104,12 +105,24 @@ def test_rss_message_validation():
         rss_send(RSS, (1, 2), random.Random(0))
 
 
+# Each made fresh per case, so no case sees an iterator another consumed; an
+# iterator, dict or set would otherwise be read as its elements or keys.
+_NOT_SEQUENCES = {"5": lambda: 5, "None": lambda: None, "2.5": lambda: 2.5,
+                  "iter([5])": lambda: iter([5]), "{5: 0}": lambda: {5: 0}, "{5}": lambda: {5}}
+
+
 @pytest.mark.parametrize("proto", [StrawmanProtocol(3, FieldSpec.binary(4)), RSS,
                                    PROTO1, PROTO2, PROTO3], ids=attrgetter("variant"))
-@pytest.mark.parametrize("m", [5, None, 2.5], ids=repr)
-def test_encode_rejects_a_message_that_is_not_a_sequence(proto, m):
+@pytest.mark.parametrize("make", list(_NOT_SEQUENCES.values()), ids=list(_NOT_SEQUENCES))
+def test_encode_rejects_a_message_that_is_not_a_sequence(proto, make):
     with pytest.raises(ProtocolError, match="message must be a 1-vector"):
-        proto.encode(m, random.Random(0))
+        proto.encode(make(), random.Random(0))
+
+
+@pytest.mark.parametrize("proto", [StrawmanProtocol(3, FieldSpec.binary(4)), RSS,
+                                   PROTO1, PROTO2, PROTO3], ids=attrgetter("variant"))
+def test_encode_takes_a_list_as_the_tuple_it_checked(proto):
+    assert proto.encode([5], random.Random(0)) == proto.encode((5,), random.Random(0))
 
 
 @pytest.mark.parametrize("bad", [True, False, -1, 256, 2.0], ids=repr)
@@ -156,7 +169,7 @@ def test_encode_structure_and_tag_oracle():
     parsed = _parse_all(PROTO1, payloads, every(PROTO1))
     assert parsed == payloads  # well-formed payloads are read as they are
     # every cross check passes when untampered
-    for i, bad in mismatch_lists(PROTO1, parsed).items():
+    for i, bad in mismatch_lists(PROTO1, parsed, every(PROTO1)).items():
         assert bad == ()
     # independent recomputation of one tag: T_{1,3} is entry 1 of channel 1's
     # tags (others 2, 3, 4, 5), its mask r_{1,3} entry 0 of channel 3's masks
@@ -671,6 +684,10 @@ def _one_round_protocols(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(proto=_one_round_protocols(), seed=st.integers(0, 2 ** 32))
+@example(proto=CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16), seed=1)
+@example(proto=CissProtocol(P1, 5, FieldSpec.prime(65521), 2, 32), seed=2)
+@example(proto=RssProtocol(RobustSharingSpec(AmdSpec(GF7, 2), SharingSpec(t=1, n=3, field=GF7))),
+         seed=3)
 def test_every_sender_payload_passes_its_own_receivers_rule(proto, seed):
     rng = random.Random(seed)
     m = proto.sample_message(rng)
@@ -763,8 +780,28 @@ def test_mismatch_lists_equal_the_per_pair_check(proto, seed, data):
     payloads = ciss_sender_encode(proto, proto.sample_message(rng), rng)
     rewrites = {"share": proto.substitute, "tags": proto.frame_tags, "masks": proto.frame_masks,
                 "key": lambda p, rng: (p[0], proto.family.sample(rng), *p[2:])}
-    for c in data.draw(st.sets(st.integers(1, proto.n)), label="tampered"):
+    tampered = data.draw(st.sets(st.integers(1, proto.n)), label="tampered")
+    for c in tampered:
         for part in data.draw(st.sets(st.sampled_from(sorted(rewrites)), min_size=1),
                               label=f"parts of {c}"):
             payloads[c] = rewrites[part](payloads[c], rng)
-    assert mismatch_lists(proto, payloads) == _mismatch_lists_by_pairs(proto, payloads)
+    # the tampered set, empty included, is what a receiver is told was replaced
+    assert mismatch_lists(proto, payloads, tampered) == _mismatch_lists_by_pairs(proto, payloads)
+
+
+@pytest.mark.parametrize("proto", [PROTO1, PROTO2, PROTO3,
+                                   CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16),
+                                   CissProtocol(P1, 5, FieldSpec.prime(65521), 2, 32)],
+                         ids=["P1", "P2", "P3", "P3-n16", "P1-GF65521-d2"])
+def test_a_round_with_nothing_replaced_computes_no_tag(proto, monkeypatch):
+    m = proto.sample_message(random.Random(4))
+    payloads = ciss_sender_encode(proto, m, random.Random(5))
+
+    def refuse(*args):
+        raise AssertionError("tag_rows called on an untouched round")
+
+    monkeypatch.setattr(HashFamilySpec, "tag_rows", refuse)
+    assert mismatch_lists(proto, payloads, []) == dict.fromkeys(every(proto), ())
+    assert proto.decode(payloads, []) == (m, [])
+    with pytest.raises(AssertionError, match="untouched round"):
+        mismatch_lists(proto, payloads, [1])
