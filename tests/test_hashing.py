@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rsmt.field import _LIST_MAX_M, _TABLE_MAX_M, FieldSpec
 from rsmt.hashing import HashFamilySpec, _tag_table
 from rsmt.privacy import EnumerationTooLarge, _runs, hash_offset_collision_max
+from rsmt.protocols import CissProtocol
 
 FAM3 = HashFamilySpec(3, 3)
 
@@ -227,8 +228,6 @@ def test_tag_table_is_low_bits_of_exp_then_a_zero_block():
 
 
 def test_tag_table_is_built_at_first_use_once_per_field_and_length():
-    from rsmt.protocols import CissProtocol
-
     _tag_table.cache_clear()
     proto = CissProtocol("P3", 16, FieldSpec.binary(16), 1, 16)
     fam = HashFamilySpec(16, 16)
