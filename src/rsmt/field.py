@@ -6,9 +6,11 @@ A prime p must lie below 3.3e24, where Miller-Rabin decides it exactly.
 Binary fields use a fixed table of default irreducible polynomials so that
 canonical integer encodings are reproducible across runs and implementations.
 For m <= 16 one loop precomputes a log/exp table pair from the first
-generator it finds (lists up to m = 12, compact `array('H')` above), making
-multiplication two lookups; larger m (up to 32) falls back to
-shift-and-reduce, chosen here in each operation, never by the caller.
+generator it finds: log 0 is z = 2(q - 1) and exp holds the q - 1 powers
+twice, then z + 1 zeros, so exp[log a + log b] is a * b for every a and b and
+no table product tests for zero.  Lists up to m = 12; above, an `array('H')`
+exp and an `array('I')` log, 512 + 256 KB at GF(2^16).  Larger m (up to 32)
+falls back to shift-and-reduce, chosen in each operation, never by the caller.
 `mul_row` computes a*x + y along a row of x and y in one comprehension
 for every kind of field; `interpolate` sums the cached Lagrange basis rows
 of a point set, one `mul_row` per point, and `interpolate_at` (through the
@@ -123,7 +125,7 @@ class FieldSpec:
     __slots__ = ("kind", "p", "m", "poly", "q", "_exp", "_log")
 
     def __new__(cls, kind: str, p: int = 0, m: int = 0, poly: int = 0):
-        key = (kind, p, m, poly)
+        key = (kind, p) if kind == "prime" else (kind, m, poly)
         cached = _spec_cache.get(key)
         if cached is not None:
             return cached
@@ -182,15 +184,15 @@ class FieldSpec:
         """Log/exp tables of the first generator among x (multiplied by a
         shift), 3, 4, ...: one whose powers return to 1 before q - 1 steps
         overwrites log[1] (x, of order 51 under 0x11B, does)."""
-        size, poly = self.q, self.poly
-        # Lists up to GF(2^_LIST_MAX_M), where they measured faster; above, array('H'):
-        # 384 KB at GF(2^16), against about 5.5 MB of int objects in lists.
-        zeros = ((lambda k: [0] * k) if self.m <= _LIST_MAX_M
-                 else (lambda k: array("H", bytes(2 * k))))
+        size, poly, n = self.q, self.poly, self.q - 1
+        # Lists up to GF(2^_LIST_MAX_M), where they measured faster; above,
+        # arrays: 768 KB at GF(2^16), against about 6.8 MB as lists.
+        zeros = ((lambda code, k: [0] * k) if self.m <= _LIST_MAX_M
+                 else (lambda code, k: array(code, [0]) * k))
         for g in itertools.count(2):
-            exp, log = zeros(size - 1), zeros(size)
+            exp, log = zeros("H", 4 * n + 1), zeros("I", size)
             x = 1
-            for i in range(size - 1):
+            for i in range(n):
                 exp[i] = x
                 log[x] = i
                 if g == 2:
@@ -200,8 +202,9 @@ class FieldSpec:
                 else:
                     x = self._clmul_reduce(x, g)
             if log[1] == 0:
-                self._exp = exp + exp
-                self._log = log
+                exp[n:2 * n] = exp[:n]
+                log[0] = 2 * n
+                self._exp, self._log = exp, log
                 return
 
     def _clmul_reduce(self, a: int, b: int) -> int:
@@ -230,8 +233,6 @@ class FieldSpec:
     def mul_int(self, a: int, b: int) -> int:
         if self.kind == "prime":
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
         return self._clmul_reduce(a, b)
@@ -239,8 +240,6 @@ class FieldSpec:
     def mul_row(self, a: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
         """[a * x + y for x, y in zip(xs, ys)] as a new list: a row of
         multiply-adds in one comprehension for every kind of field."""
-        if a == 0:
-            return list(ys)
         if self.kind == "prime":
             p = self.p
             return [(a * x + y) % p for x, y in zip(xs, ys)]
@@ -248,9 +247,8 @@ class FieldSpec:
         if exp is None:
             clmul = self._clmul_reduce
             return [clmul(a, x) ^ y for x, y in zip(xs, ys)]
-        log = self._log
-        la = log[a]
-        return [(exp[la + log[x]] if x else 0) ^ y for x, y in zip(xs, ys)]
+        log, la = self._log, self._log[a]
+        return [exp[la + log[x]] ^ y for x, y in zip(xs, ys)]
 
     def inv_int(self, a: int) -> int:
         if a == 0:
@@ -313,14 +311,14 @@ def poly_eval(spec: FieldSpec, coeffs: Sequence[int], x: int) -> int:
             acc = (acc * x + c) % p
         return acc
     exp, log = spec._exp, spec._log
-    if exp is None or x == 0:
-        mul, add = spec.mul_int, spec.add_int
+    if exp is None:
+        mul = spec._clmul_reduce
         for c in reversed(coeffs):
-            acc = add(mul(acc, x), c)
+            acc = mul(acc, x) ^ c
         return acc
     lx = log[x]
     for c in reversed(coeffs):
-        acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        acc = exp[log[acc] + lx] ^ c
     return acc
 
 

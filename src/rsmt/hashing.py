@@ -6,19 +6,19 @@ truncating both outputs to l bits leaves every tag pair with exactly
 2^(2m-2l) preimages: the family is exactly 2^(-2l)-pairwise independent,
 comfortably inside the 2^(1-2l) budget the protocol bounds assume.
 `tag_rows` is the family's one evaluator: it gives a one-round protocol's
-masked n x n tag matrix, or `rsmt verify`'s tags of every key, in one call.
-On fields with log/exp tables (m <= 16) each entry is one lookup in the
-family's tag table and two xors; the table, low_l of the field's exp table
-followed by a zero block that "log 0" indexes into, is built at the first
-call for each (field, l), never when a family is made.
+masked n x n tag matrix, or `rsmt verify`'s tags of every key, in one call
+(SJST, hashing one input per key, inlines the product in rounds 2 and 3).
+On fields with log/exp tables (m <= 16) each entry is one lookup in the tag
+table and two xors, with no branch: the field's log of 0 indexes the zero
+block of its exp table.  The tag table is the exp table itself at l = m,
+otherwise the exp table masked to l bits, built at the first call for each
+(field, l), never when a family is made.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import sys
-from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -62,33 +62,24 @@ class HashFamilySpec:
             mul = f.mul_int
             return [[(mul(a, x) ^ b) & lm ^ r for x, r in zip(xs, rs)]
                     for (a, b), rs in zip(keys, masks)]
-        # One `_tag_table` lookup per entry, with z standing for log 0, not a
-        # branch per entry and per key on a zero input or key: at n=16,
-        # GF(2^16), l=16 the matrix measured 38.5-39.0 us against 44.8-46.5
-        # us, and at n=7, GF(2^8), l=6 9.3-9.6 us against 9.7-12.0 us
-        # (timeit min of three runs, 2-vCPU Xeon, Python 3.11.7).
-        tab, z = _tag_table(f, self.range_bits), 2 * (f.q - 1)
-        lxs = [log[x] if x else z for x in xs]
+        # One lookup per entry, not a branch per entry and per key on a zero
+        # input or key: at n=16, GF(2^16), l=16 the matrix measured 38.5-39.0 us
+        # against 44.8-46.5 us, and at n=7, GF(2^8), l=6 9.3-9.6 us against
+        # 9.7-12.0 us (timeit min of three runs, 2-vCPU Xeon, Python 3.11.7).
+        tab = _tag_table(f, self.range_bits)
+        lxs = [log[x] for x in xs]
         return [[tab[la + lx] ^ b ^ r for lx, r in zip(lxs, rs)]
-                for la, b, rs in zip([log[a] if a else z for a, _ in keys],
-                                     [b & lm for _, b in keys], masks)]
+                for la, b, rs in zip([log[a] for a, _ in keys], [b & lm for _, b in keys], masks)]
 
 
 @lru_cache(maxsize=32)  # a run tags with a few (field, l) pairs
 def _tag_table(f: FieldSpec, ell: int):
-    """low_l(exp[k]) for k < z = 2(q - 1), then z + 1 zeros.  With z as the
-    log of 0, entry log a + log x is low_l(a * x) for every a and x, because
-    a sum with a z term lands in the zero block.  Built like the field's
-    tables: a list up to GF(2^12); above, a zeroed array of the exp table's
-    type whose byte planes are filled with the masked ones of the exp table,
-    in C and with no list of 2(q - 1) ints."""
-    exp, lm, z = f._exp, (1 << ell) - 1, 2 * (f.q - 1)
-    if type(exp) is list:
-        return [v & lm for v in exp] + [0] * (z + 1)
-    size = exp.itemsize
-    tab = array(exp.typecode, [0]) * (2 * z + 1)
-    planes, raw = memoryview(tab).cast("B"), memoryview(exp).cast("B")
-    for k, byte_mask in enumerate(lm.to_bytes(size, sys.byteorder)):
-        mask = bytes(v & byte_mask for v in range(256))
-        planes[k:size * z:size] = raw[k::size].tobytes().translate(mask)
+    """The field's exp table masked to l bits, so entry log a + log x is
+    low_l(a * x) for every a and x: at l = m the exp table itself, else a
+    copy of its type filled with no list of ints."""
+    exp = f._exp
+    if ell == f.m:
+        return exp
+    tab = exp[:0]
+    tab.extend(map(((1 << ell) - 1).__and__, exp))
     return tab

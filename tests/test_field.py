@@ -28,6 +28,7 @@ from rsmt.field import (
 )
 from rsmt.protocols import SjstProtocol
 from rsmt.protocols.base import ProtocolError
+from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 
 GF7 = FieldSpec.prime(7)
 GF8 = FieldSpec.binary(3)  # x^3 + x + 1
@@ -165,6 +166,14 @@ def test_specs_are_interned():
     assert FieldSpec.binary(3) is GF8
 
 
+def test_a_field_is_interned_on_the_parameters_that_name_it():
+    # a parameter that its kind does not read is no part of the field
+    assert FieldSpec("binary", p=5, m=8, poly=0x11B) is FieldSpec.binary(8)
+    assert FieldSpec("prime", p=5, m=3) is FieldSpec.prime(5)
+    RobustSharingSpec(AmdSpec(FieldSpec("binary", p=2, m=8, poly=0x11B), 1),
+                      SharingSpec(1, 3, FieldSpec.binary(8)))
+
+
 def test_add_examples():
     assert GF7.add_int(5, 4) == 2
     assert GF8.add_int(0b101, 0b011) == 0b110
@@ -237,6 +246,80 @@ def test_tables_agree_with_shift_and_reduce(m):
         assert spec.mul_int(a, b) == spec._clmul_reduce(a, b)
         if a:
             assert spec._clmul_reduce(a, spec.inv_int(a)) == 1
+
+
+@pytest.mark.parametrize("m", range(1, _TABLE_MAX_M + 1))
+def test_tables_hold_the_powers_twice_then_a_zero_block_that_log_0_indexes(m):
+    spec = FieldSpec.binary(m)
+    exp, log, n = spec._exp, spec._log, spec.q - 1
+    assert len(exp) == 4 * n + 1 and len(log) == spec.q
+    assert log[0] == 2 * n
+    assert sorted(exp[:n]) == list(range(1, spec.q))  # each nonzero element once
+    assert all(log[exp[i]] == i for i in range(n))
+    assert exp[n:2 * n] == exp[:n]
+    assert not any(exp[2 * n:])
+    if m <= _LIST_MAX_M:
+        assert type(exp) is type(log) is list
+    else:  # log 0 = 2(q - 1) takes 17 bits at GF(2^16)
+        assert (type(exp), exp.typecode, type(log), log.typecode) == (array, "H", array, "I")
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_mul_int_equals_shift_and_reduce_on_every_pair(m):
+    spec = FieldSpec.binary(m)
+    clmul = spec._clmul_reduce
+    assert all(spec.mul_int(a, b) == clmul(a, b) for a in range(spec.q) for b in range(spec.q))
+
+
+@pytest.mark.parametrize("m", range(1, _TABLE_MAX_M + 1))
+def test_mul_int_by_zero_is_zero_on_either_side(m):
+    spec = FieldSpec.binary(m)
+    clmul = spec._clmul_reduce
+    assert all(spec.mul_int(0, b) == spec.mul_int(b, 0) == clmul(0, b) == clmul(b, 0) == 0
+               for b in range(spec.q))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 12, 13, 16, 17])
+def test_mul_row_with_zero_factors_equals_shift_and_reduce(m):
+    spec, rng = FieldSpec.binary(m), random.Random(m)
+    xs = [0, 1, spec.q - 1, 0, *(rng.randrange(spec.q) for _ in range(20)), 0]
+    ys = [rng.randrange(spec.q) for _ in xs]
+    for a in (0, 1, spec.q - 1, rng.randrange(1, spec.q)):
+        assert spec.mul_row(a, xs, ys) == [spec._clmul_reduce(a, x) ^ y for x, y in zip(xs, ys)]
+    assert spec.mul_row(0, xs, tuple(ys)) == ys
+    row = spec.mul_row(0, xs, ys)
+    assert row == ys and row is not ys  # a new list, even when a = 0
+
+
+def _shift_and_reduce_mul(m: int, poly: int, a: int, b: int) -> int:
+    """a * b in GF(2^m) bit by bit: the product of poly_eval's oracle."""
+    acc = 0
+    for i in range(m):
+        if b >> i & 1:
+            acc ^= a
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    return acc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3, 8, 12, 13, 16, 17]), st.data())
+def test_poly_eval_equals_a_shift_and_reduce_horner(m, data):
+    spec = FieldSpec.binary(m)
+    elem = st.one_of(st.just(0), st.integers(0, spec.q - 1))
+    x = data.draw(elem)
+    # From the top coefficient down, each step takes a drawn coefficient
+    # (zero likely) or, at None, the one that cancels the accumulator, so the
+    # next step multiplies a zero accumulator by x.
+    coeffs, acc = [], 0
+    for c in data.draw(st.lists(st.one_of(elem, st.none()), max_size=10)):
+        product = _shift_and_reduce_mul(m, spec.poly, acc, x)
+        coeffs.append(product if c is None else c)
+        acc = product ^ coeffs[-1]
+    coeffs.reverse()
+    assert poly_eval(spec, coeffs, x) == acc
+    assert poly_eval(spec, coeffs, 0) == (coeffs[0] if coeffs else 0)
 
 
 @pytest.mark.parametrize("clone", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy],
@@ -422,11 +505,11 @@ def _table_reads(node, scope=()):
 
 
 def test_only_field_and_tag_rows_read_the_tables():
-    # Whether and how a field keeps log/exp tables is `rsmt.field`'s choice;
-    # `tag_rows` looks up its logs and `_tag_table` builds the hash family's
-    # tag table from the exp table (see `tag_rows`' comment), and anything
-    # else, the sharing layer's byte tables included, goes through the
-    # field's operations.
+    # Whether and how a field keeps log/exp tables, and the log of 0 that
+    # indexes exp's zero block, is `rsmt.field`'s choice; `tag_rows` looks up
+    # its logs and `_tag_table` only masks the field's exp table (see
+    # `tag_rows`' comment), and anything else, the sharing layer's byte
+    # tables included, goes through the field's operations.
     root = Path(rsmt.__file__).parent
     reads = {(str(path.relative_to(root)), scope)
              for path in sorted(root.rglob("*.py")) if path != root / "field.py"

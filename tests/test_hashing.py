@@ -219,12 +219,14 @@ def test_tag_rows_and_tag_reject_out_of_range(tables, data, which, negative):
         fam.tag_rows([*keys, (a, b)], [*xs, x], [*masks, [0] * (len(xs) + 1)])
 
 
-def test_tag_table_is_low_bits_of_exp_then_a_zero_block():
-    for m, ell in ((3, 3), (8, 5), (12, 12), (13, 13), (14, 9), (16, 16), (16, 8), (16, 1)):
+def test_tag_table_is_the_exp_table_masked_to_l_bits():
+    for m, ell in ((3, 3), (8, 5), (12, 12), (12, 7), (13, 13), (14, 9), (16, 16), (16, 8),
+                   (16, 1)):
         f = FieldSpec.binary(m)
-        z = 2 * (f.q - 1)
-        assert len(f._exp) == z
-        assert list(_tag_table(f, ell)) == [v & (1 << ell) - 1 for v in f._exp] + [0] * (z + 1)
+        tab = _tag_table(f, ell)
+        assert type(tab) is type(f._exp)
+        assert list(tab) == [v & (1 << ell) - 1 for v in f._exp]
+        assert (tab is f._exp) == (ell == m)  # no bit dropped: the exp table itself
 
 
 def test_tag_table_is_built_at_first_use_once_per_field_and_length():
@@ -243,7 +245,8 @@ def test_tag_table_is_built_at_first_use_once_per_field_and_length():
 
 @pytest.mark.parametrize("ell", [16, 9, 8, 1])
 def test_tag_table_at_gf_2_16_is_built_in_under_2_mb(ell):
-    # through a list of 2(q - 1) ints the build would peak near 5 MB
+    # through a list of 4(q - 1) + 1 ints the build would peak near 2.8 MB at
+    # l = 8 and 4.9 MB at l = 9; at l = 16 it builds nothing
     f = FieldSpec.binary(16)
     _tag_table.cache_clear()
     tracemalloc.start()
