@@ -44,11 +44,6 @@ def read_object(value, name: str) -> dict:
     return value
 
 
-def read_ints(obj: dict, *names: str) -> list[int]:
-    """`read_int` of each named value; KeyError if one is missing."""
-    return [read_int(obj[name], name) for name in names]
-
-
 def check_keys(obj: dict, owner: str, *known: str) -> None:
     """ConfigError for any key of `obj` outside `known`, so a misspelt or
     inapplicable setting is never silently ignored."""

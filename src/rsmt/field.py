@@ -125,6 +125,8 @@ class FieldSpec:
     __slots__ = ("kind", "p", "m", "poly", "q", "_exp", "_log")
 
     def __new__(cls, kind: str, p: int = 0, m: int = 0, poly: int = 0):
+        if not _JUST_INT.issuperset(map(type, (p, m, poly))):
+            raise FieldError(f"p, m and poly must be ints, got p={p!r}, m={m!r}, poly={poly!r}")
         key = (kind, p) if kind == "prime" else (kind, m, poly)
         cached = _spec_cache.get(key)
         if cached is not None:
@@ -172,6 +174,8 @@ class FieldSpec:
 
     @classmethod
     def binary(cls, m: int, poly: int | None = None) -> "FieldSpec":
+        if type(m) is not int:  # before the lookup; the constructor checks a poly
+            raise FieldError(f"m must be an int, got {m!r}")
         if not 1 <= m <= MAX_BINARY_M:
             raise FieldError(f"extension degree m={m} out of range 1..{MAX_BINARY_M}")
         if poly is None:

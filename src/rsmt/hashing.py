@@ -35,11 +35,11 @@ class HashFamilySpec:
     field: FieldSpec = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if {type(self.domain_bits), type(self.range_bits)} != {int}:
+            raise ValueError(f"need int sizes, got l={self.range_bits!r}, m={self.domain_bits!r}")
         if not 1 <= self.range_bits <= self.domain_bits:
-            raise ValueError(
-                f"need 1 <= range_bits <= domain_bits, "
-                f"got l={self.range_bits}, m={self.domain_bits}"
-            )
+            raise ValueError(f"need 1 <= range_bits <= domain_bits, "
+                             f"got l={self.range_bits}, m={self.domain_bits}")
         object.__setattr__(self, "field", FieldSpec.binary(self.domain_bits))
 
     def sample(self, rng: random.Random) -> tuple[int, int]:

@@ -39,6 +39,8 @@ from .sharing import (
     shamir_share,
 )
 
+MAX_STATES = 5_000_000  # the most states one check may enumerate
+
 
 class ForcedDraws:
     """Stand-in for `random.Random` that serves each `randrange(stop)` and
@@ -82,9 +84,9 @@ class EnumerationTooLarge(ValueError):
     pass
 
 
-def _check_size(size: int, limit: int = 5_000_000) -> None:
-    if size > limit:
-        raise EnumerationTooLarge(f"enumeration of {size} states exceeds limit {limit}")
+def _check_size(size: int) -> None:
+    if size > MAX_STATES:
+        raise EnumerationTooLarge(f"enumeration of {size} states exceeds limit {MAX_STATES}")
 
 
 def _max_distance(dists: list[Counter], total: int) -> Fraction:
@@ -102,11 +104,13 @@ def _max_distance(dists: list[Counter], total: int) -> Fraction:
                default=Fraction(0))
 
 
-def _channels(subset, n: int) -> list[int]:
-    """`subset` sorted, or ValueError naming a channel outside 1..n."""
+def _channels(subset, n: int, t: int) -> list[int]:
+    """`subset` sorted; ValueError on a channel outside 1..n or over t channels."""
     for c in subset:
         if not 1 <= c <= n:
             raise ValueError(f"channel {c} outside 1..{n}")
+    if len(subset) > t:
+        raise ValueError("corrupted set exceeds the sharing threshold")
     return sorted(subset)
 
 
@@ -202,9 +206,7 @@ def rss_view_distance(spec: RobustSharingSpec, *corrupted) -> Fraction:
     """Exact worst-case view distance over the corrupted subsets, enumerating
     the full encoding randomness (AMD x, then every sharing coefficient)."""
     inner = spec.inner
-    corrupted = [_channels(c, inner.n) for c in corrupted]
-    if any(len(c) > inner.t for c in corrupted):
-        raise ValueError("corrupted set exceeds the sharing threshold")
+    corrupted = [_channels(c, inner.n, inner.t) for c in corrupted]
     q = inner.field.q
     return view_distance(itertools.product(range(q), repeat=spec.amd.d),
                          [q] * (1 + spec.share_len * inner.t),
@@ -228,9 +230,7 @@ def ciss_view_distance(spec: CissProtocol, corrupted: frozenset[int]) -> Fractio
     The size guard counts every state, the masks included.
     """
     n, ell = spec.n, spec.ell
-    c_set = _channels(corrupted, n)
-    if len(c_set) > spec.t:
-        raise ValueError("corrupted set exceeds the sharing threshold")
+    c_set = _channels(corrupted, n, spec.t)
     radices = [spec.field.q] * (spec.d * spec.t)
     for i in range(1, n + 1):
         radices += [1 << spec.family.domain_bits if i in c_set else 1] * 2

@@ -4,27 +4,33 @@ A protocol instance is a fixed configuration (n, field, lengths, thresholds).
 `run` drives one execution through a transport engine: the one channel round
 (`engine.send_round`, sender to receiver) first, then any public rounds;
 everything else is a pure helper so rounds can be unit-tested without a
-transport.  Behaviour the game layer and the CLI need per protocol is a
-method, not type dispatch at the call site: `from_json`, the inverse of
-`to_json`; the payload rewrites an adversary can apply to its own channels
-(`substitute` on every protocol, `frame_tags`/`frame_masks` and `widen_keys`
-where the payload layout allows them); and `bound` (the
-`game.bounds.requirement_table` row that provisions the protocol) with
-`budget_problem`.  A method exists only on the classes that implement it, so
-`hasattr` tells which attacks apply.  `OneRoundProtocol` is the base of RSS,
-P1/P2/P3 and STRAWMAN: the sender's `encode` fills one sender-to-receiver
-round and the receiver's `decode` returns the output and the channels it
-detects.  Messages and payloads are judged by the one wire-value rule,
-`rsmt.field.ints_below`, which a receiver tests only on the channels whose
-delivered payload is not the very object `encode` built: the sender's
-immutable payloads pass their own receiver's rule.
+transport.  A protocol is a dataclass of its config keys; `Protocol` holds
+the one `to_json`, its inverse `from_json`, and a `__post_init__` that
+refuses a count that is not an exact int.  Per-protocol behaviour is a
+method, not type dispatch at the call site: the payload rewrites an
+adversary can apply to its own channels (`substitute` on every protocol,
+`frame_tags`/`frame_masks` and `widen_keys` where the payload layout allows
+them); and `bound` (the `game.bounds.requirement_table` row that provisions
+the protocol) with `budget_problem`.  A method exists only on the classes
+that implement it, so `hasattr` tells which attacks apply.
+`OneRoundProtocol` is the base of RSS, P1/P2/P3 and STRAWMAN: the sender's
+`encode` fills one sender-to-receiver round and the receiver's `decode`
+returns the output and the channels it detects.  Messages and payloads are
+judged by the one wire-value rule, `rsmt.field.ints_below`, which a receiver
+tests only on the channels whose delivered payload is not the very object
+`encode` built: the sender's immutable payloads pass their own receiver's
+rule.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
-from ..field import ints_below
+from ..config import check_keys, read_int
+from ..field import FieldSpec, ints_below
+
+_TYPES = {"variant": str, "field": FieldSpec}  # any other config key is a count: an int
 
 
 class ProtocolError(ValueError):
@@ -37,15 +43,39 @@ class Protocol:
     Every protocol has `variant` (its config name), `n` (its channel count),
     `privacy_threshold` (the most channels whose joint view is independent
     of the message), `message_space_size()`, `sample_message(rng)`,
-    `run(engine, m)` (the receiver's output, or FAIL), `substitute(payload,
+    `run(engine, m)` (the receiver's output, or FAIL) and `substitute(payload,
     rng)` (the payload with its share-bearing part replaced by fresh uniform
-    values, the rest kept), `to_json()` and the classmethod `from_json(obj)`,
-    its inverse, which raises ConfigError on a key it does not read or a
-    non-integer count.
+    values, the rest kept).
     """
 
     bound: str | None = None  # requirement-table row; None: nothing to provision
     d = 1  # message length in field elements; SJST's k-bit message counts as one
+
+    def __post_init__(self):
+        """ProtocolError naming a config key whose value is not of its exact type."""
+        for key in self._keys():
+            value, want = getattr(self, key), _TYPES.get(key, int)
+            if type(value) is not want:
+                raise ProtocolError(f"{key} must be of type {want.__name__}, got {value!r}")
+
+    @classmethod
+    def _keys(cls) -> list[str]:
+        """The config keys in field order, `field` last: as JSON holds them."""
+        return sorted((f.name for f in fields(cls)), key="field".__eq__)
+
+    def to_json(self) -> dict:
+        obj = {"variant": self.variant}
+        for key in self._keys():
+            obj[key] = self.field.to_json() if key == "field" else getattr(self, key)
+        return obj
+
+    @classmethod
+    def from_json(cls, obj: dict) -> Protocol:
+        """ConfigError on a key it does not read or a bad value; KeyError on a missing key."""
+        check_keys(obj, obj["variant"], "variant", *cls._keys())
+        return cls(**{key: FieldSpec.from_json(obj[key]) if key == "field" else
+                      obj[key] if key == "variant" else read_int(obj[key], key)
+                      for key in cls._keys()})
 
     def budget_problem(self, need) -> str | None:
         """Why the configured tag length misses the required one, or None."""

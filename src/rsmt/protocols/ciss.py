@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import mul, ne
 
-from ..config import check_keys, read_ints
 from ..field import MAX_BINARY_M, FieldSpec, ints_below
 from ..hashing import HashFamilySpec
 from ..sharing import FAIL, SharingSpec, _share_rows, rs_reconstruct, shamir_reconstruct
@@ -64,35 +64,36 @@ def slot(i: int, j: int) -> int:
     return j - 1 - (j > i)
 
 
+@dataclass(eq=False)
 class CissProtocol(OneRoundProtocol):
     """Shared configuration of the three list-checking variants."""
 
     __slots__ = ("variant", "n", "field", "d", "ell", "t", "sharing", "family", "bound")
+    variant: str
+    n: int
+    field: FieldSpec
+    d: int
+    ell: int
 
-    def __init__(self, variant: str, n: int, field: FieldSpec, d: int, ell: int):
+    def __post_init__(self):
+        super().__post_init__()
+        variant, n, d, ell, bits = self.variant, self.n, self.d, self.ell, self.field.elem_bits
         if variant not in _VARIANTS:
             raise ProtocolError(f"unknown variant {variant!r}")
         threshold, self.bound = _VARIANTS[variant]
-        t = threshold(n)
+        self.t = t = threshold(n)
         if t < 1:
             raise ProtocolError(f"{variant} with n={n} leaves no tolerable corruption")
         if d < 1:
             raise ProtocolError("message length d must be >= 1")
-        domain_bits = d * field.elem_bits
+        domain_bits = d * bits
         if domain_bits > MAX_BINARY_M:
-            raise ProtocolError(f"d={d} elements of {field.elem_bits} bits make a "
+            raise ProtocolError(f"d={d} elements of {bits} bits make a "
                                 f"{domain_bits}-bit hash domain, over the {MAX_BINARY_M}-bit limit")
         if not 1 <= ell <= domain_bits:
-            raise ProtocolError(
-                f"need 1 <= ell <= {domain_bits} (serialized share width), got {ell}"
-            )
-        self.variant = variant
-        self.n = n
-        self.field = field
-        self.d = d
-        self.ell = ell
-        self.t = t
-        self.sharing = SharingSpec(t=t, n=n, field=field)
+            raise ProtocolError(f"need 1 <= ell <= {domain_bits} (serialized share width), "
+                                f"got {ell}")
+        self.sharing = SharingSpec(t=t, n=n, field=self.field)
         self.family = HashFamilySpec(domain_bits, ell)
 
     def serialize_shares(self, shares) -> list[int]:
@@ -123,21 +124,6 @@ class CissProtocol(OneRoundProtocol):
     def _randomize(self, payload, k: int, rng: random.Random):
         fresh = tuple(rng.getrandbits(self.ell) for _ in payload[k])
         return (*payload[:k], fresh, *payload[k + 1:])
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "d": self.d,
-            "ell": self.ell,
-            "field": self.field.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CissProtocol":
-        check_keys(obj, obj["variant"], "variant", "n", "d", "ell", "field")
-        n, d, ell = read_ints(obj, "n", "d", "ell")
-        return cls(obj["variant"], n, FieldSpec.from_json(obj["field"]), d, ell)
 
 
 def ciss_sender_encode(spec: CissProtocol, m, rng: random.Random) -> dict[int, tuple]:

@@ -10,8 +10,8 @@ cannot localize it.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from ..config import check_keys, read_ints
 from ..field import FieldSpec, ints_below
 from ..sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingSpec, robust_reconstruct,
                        robust_share)
@@ -22,24 +22,27 @@ from .base import OneRoundProtocol, ProtocolError
 MAX_MESSAGE_BITS = 14_000
 
 
+@dataclass(eq=False)
 class RssProtocol(OneRoundProtocol):
     """Messages are d-vectors over the field; share i is a (d+2)-vector."""
 
     variant = "RSS"
     bound = "rss-delta"
 
-    __slots__ = ("n", "t", "field", "d", "sharing")
+    __slots__ = ("n", "t", "d", "field", "sharing")
+    n: int
+    t: int
+    d: int
+    field: FieldSpec
 
-    def __init__(self, sharing: RobustSharingSpec):
-        bits = sharing.amd.d * sharing.inner.field.q.bit_length()
+    def __post_init__(self):
+        super().__post_init__()
+        f, d = self.field, self.d
+        self.sharing = RobustSharingSpec(AmdSpec(f, d), SharingSpec(t=self.t, n=self.n, field=f))
+        bits = d * f.q.bit_length()
         if bits > MAX_MESSAGE_BITS:
-            raise ProtocolError(f"d={sharing.amd.d} elements of {sharing.inner.field} make a "
+            raise ProtocolError(f"d={d} elements of {f} make a "
                                 f"{bits}-bit message, over the {MAX_MESSAGE_BITS}-bit limit")
-        self.sharing = sharing
-        self.n = sharing.inner.n
-        self.t = sharing.inner.t
-        self.field = sharing.inner.field
-        self.d = sharing.amd.d
 
     def encode(self, m, rng: random.Random) -> dict[int, tuple[int, ...]]:
         return rss_send(self, m, rng)
@@ -56,22 +59,6 @@ class RssProtocol(OneRoundProtocol):
             return (f"sharing failure rate {float(self.sharing.delta):.4f} above bound "
                     f"{float(need):.4f}")
         return None
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "RSS",
-            "n": self.n,
-            "t": self.t,
-            "d": self.d,
-            "field": self.field.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RssProtocol":
-        check_keys(obj, "RSS", "variant", "n", "t", "d", "field")
-        n, t, d = read_ints(obj, "n", "t", "d")
-        field = FieldSpec.from_json(obj["field"])
-        return cls(RobustSharingSpec(AmdSpec(field, d), SharingSpec(t=t, n=n, field=field)))
 
 
 def rss_send(spec: RssProtocol, m, rng: random.Random) -> dict[int, tuple[int, ...]]:

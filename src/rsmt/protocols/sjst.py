@@ -20,14 +20,15 @@ probability at most (n-1) * 2^(1-l).
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from ..config import check_keys, read_ints
 from ..field import MAX_BINARY_M, ints_below
 from ..hashing import HashFamilySpec
 from ..transport import RECEIVER_TO_SENDER, SENDER_TO_RECEIVER
 from .base import Protocol, ProtocolError
 
 
+@dataclass(eq=False)
 class SjstProtocol(Protocol):
     """Configuration: n channels, l tag bits, k key/message bits."""
 
@@ -35,19 +36,20 @@ class SjstProtocol(Protocol):
     bound = "pd-tag-bits"
 
     __slots__ = ("n", "ell", "k", "family")
+    n: int
+    ell: int
+    k: int
 
-    def __init__(self, n: int, ell: int, k: int):
-        if n < 1:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n < 1:
             raise ProtocolError("need n >= 1 channels")
-        if not 1 <= ell <= k:
-            raise ProtocolError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
-        if k > MAX_BINARY_M:
-            raise ProtocolError(f"k={k} makes a {k}-bit hash domain, over the "
+        if not 1 <= self.ell <= self.k:
+            raise ProtocolError(f"need 1 <= ell <= k, got ell={self.ell}, k={self.k}")
+        if self.k > MAX_BINARY_M:
+            raise ProtocolError(f"k={self.k} makes a {self.k}-bit hash domain, over the "
                                 f"{MAX_BINARY_M}-bit limit")
-        self.n = n
-        self.ell = ell
-        self.k = k
-        self.family = HashFamilySpec(k, ell)
+        self.family = HashFamilySpec(self.k, self.ell)
 
     @property
     def privacy_threshold(self) -> int:
@@ -84,14 +86,6 @@ class SjstProtocol(Protocol):
         which the receiver's length check flags."""
         return ((1 << self.ell) | rng.getrandbits(self.ell),
                 (1 << self.k) | rng.getrandbits(self.k))
-
-    def to_json(self) -> dict:
-        return {"variant": "SJST", "n": self.n, "ell": self.ell, "k": self.k}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SjstProtocol":
-        check_keys(obj, "SJST", "variant", "n", "ell", "k")
-        return cls(*read_ints(obj, "n", "ell", "k"))
 
 
 def sjst_round1_sender(spec: SjstProtocol, rng: random.Random):

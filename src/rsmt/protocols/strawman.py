@@ -15,34 +15,35 @@ import itertools
 import math
 import operator
 import random
+from dataclasses import dataclass
 
-from ..config import check_keys, read_int
 from ..field import LAGRANGE_CACHE_SIZE, FieldSpec, interpolate_at, ints_below
 from ..sharing import SharingSpec, _share_rows
 from .base import OneRoundProtocol, ProtocolError
 
 
+@dataclass(eq=False)
 class StrawmanProtocol(OneRoundProtocol):
     variant = "STRAWMAN"
 
     __slots__ = ("n", "field", "t", "sharing")
+    n: int
+    field: FieldSpec
 
-    def __init__(self, n: int, field: FieldSpec):
-        t = (n + 1) // 2 - 1
+    def __post_init__(self):
+        super().__post_init__()
+        self.t = t = (self.n + 1) // 2 - 1
         if t < 1:
-            raise ProtocolError(f"n={n} leaves no sharing threshold")
+            raise ProtocolError(f"n={self.n} leaves no sharing threshold")
         # each decode interpolates every (t+1)-subset: past the cache, every one
         # misses.  There are C(n, t+1) >= 2^n / (n+1) of them, over the cache from
         # n = 2 * its bit length on, so a larger n is refused without counting them.
-        small = n < 2 * LAGRANGE_CACHE_SIZE.bit_length()
-        subsets = math.comb(n, t + 1) if small else f"C({n}, {t + 1})"
+        small = self.n < 2 * LAGRANGE_CACHE_SIZE.bit_length()
+        subsets = math.comb(self.n, t + 1) if small else f"C({self.n}, {t + 1})"
         if not small or subsets > LAGRANGE_CACHE_SIZE:
-            raise ProtocolError(f"n={n} makes a decode interpolate {subsets} subsets, over "
+            raise ProtocolError(f"n={self.n} makes a decode interpolate {subsets} subsets, over "
                                 f"the {LAGRANGE_CACHE_SIZE} point sets the Lagrange cache holds")
-        self.n = n
-        self.field = field
-        self.t = t
-        self.sharing = SharingSpec(t=t, n=n, field=field)
+        self.sharing = SharingSpec(t=t, n=self.n, field=self.field)
 
     def encode(self, m, rng: random.Random) -> dict[int, int]:
         return strawman_send(self, m, rng)
@@ -52,14 +53,6 @@ class StrawmanProtocol(OneRoundProtocol):
 
     def substitute(self, payload, rng: random.Random) -> int:
         return rng.randrange(self.field.q)
-
-    def to_json(self) -> dict:
-        return {"variant": "STRAWMAN", "n": self.n, "field": self.field.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StrawmanProtocol":
-        check_keys(obj, "STRAWMAN", "variant", "n", "field")
-        return cls(read_int(obj["n"], "n"), FieldSpec.from_json(obj["field"]))
 
 
 def strawman_send(spec: StrawmanProtocol, m, rng: random.Random) -> dict[int, int]:

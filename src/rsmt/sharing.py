@@ -25,6 +25,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import getitem, xor
@@ -42,23 +43,17 @@ class ThresholdError(SharingError):
     pass
 
 
-class Marker:
-    """A symbol outside every value domain, one object per name: falsy,
-    printed as its name, and the same object after pickle or copy."""
+class Marker(Enum):
+    """A symbol outside every value domain: falsy and printed as its name;
+    `Enum` keeps one object per name through pickle and copy."""
 
-    _made: dict[str, Marker] = {}
-
-    def __new__(cls, name: str):
-        if name not in cls._made:
-            marker = cls._made[name] = super().__new__(cls)
-            marker.name = name
-        return cls._made[name]
-
-    def __reduce__(self):
-        return Marker, (self.name,)
+    FAIL = "FAIL"
+    EMPTY = "EMPTY"
 
     def __repr__(self):
         return self.name
+
+    __str__ = __repr__
 
     def __bool__(self):
         return False

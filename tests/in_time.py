@@ -4,6 +4,8 @@ its test instead of blocking the run."""
 
 import multiprocessing
 
+import pytest
+
 _FORK = multiprocessing.get_context("fork")
 
 
@@ -16,7 +18,7 @@ def in_time(call, limit: float):
     def child():
         try:
             send.send((True, call()))
-        except Exception as exc:  # reported to the parent, which fails the test
+        except (Exception, pytest.fail.Exception) as exc:  # the parent fails the test
             send.send((False, f"{type(exc).__name__}: {exc}"))
 
     proc = _FORK.Process(target=child, daemon=True)

@@ -31,13 +31,7 @@ from rsmt.game.bounds import (
 from rsmt.privacy import CHECKS
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.protocols.ciss import P1, P2, P3
-from rsmt.sharing import (
-    AmdSpec,
-    RobustSharingSpec,
-    SharingSpec,
-    rs_reconstruct,
-    shamir_share,
-)
+from rsmt.sharing import SharingSpec, rs_reconstruct, shamir_share
 from rsmt.transport import CorruptionProfile
 
 from block_walk import walk_trials
@@ -134,8 +128,7 @@ def test_07_equilibrium_catalog_zero_flags():
     configs = [
         ("SJST", SjstProtocol(3, 2, 8), CorruptionProfile({1: frozenset({1, 2})})),
         ("RSS",
-         RssProtocol(RobustSharingSpec(AmdSpec(gf251, 1),
-                                       SharingSpec(t=1, n=3, field=gf251))),
+         RssProtocol(3, 1, 1, gf251),
          CorruptionProfile({1: frozenset({1})})),
         ("P1", CissProtocol(P1, 5, gf256, 1, 5),
          CorruptionProfile({1: frozenset({1, 2})})),

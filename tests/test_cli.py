@@ -29,7 +29,6 @@ from rsmt.game.play import plays
 from rsmt.game.utility import witness_table
 from rsmt.privacy import Check
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
-from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import CorruptionProfile
 
 from in_time import in_time
@@ -108,8 +107,7 @@ def protocols(draw):
     if variant == "RSS":
         n = draw(st.integers(2, top))
         d = draw(st.integers(1, 3).filter(lambda d: (d + 2) % field.p))
-        sharing = SharingSpec(t=draw(st.integers(1, n - 1)), n=n, field=field)
-        return RssProtocol(RobustSharingSpec(AmdSpec(field, d), sharing))
+        return RssProtocol(n, draw(st.integers(1, n - 1)), d, field)
     n = draw(st.integers({"P1": 3, "P2": 2, "P3": 4}[variant], top))
     d = draw(st.integers(1, 2))
     return CissProtocol(variant, n, field, d, draw(st.integers(1, d * field.elem_bits)))

@@ -2,9 +2,7 @@ import ast
 import copy
 import pickle
 import random
-import signal
 from array import array
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -30,23 +28,10 @@ from rsmt.protocols import SjstProtocol
 from rsmt.protocols.base import ProtocolError
 from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 
+from in_time import in_time
+
 GF7 = FieldSpec.prime(7)
 GF8 = FieldSpec.binary(3)  # x^3 + x + 1
-
-
-@contextmanager
-def _within(seconds: int, what: str):
-    """Run the block under an alarm that turns a hang into a failure."""
-    def hang(signum, frame):
-        raise TimeoutError(f"{what} did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_prime_requires_prime():
@@ -79,7 +64,7 @@ def test_is_prime_equals_trial_division(n):
 
 
 def test_prime_decides_large_p_at_once():
-    with _within(1, "FieldSpec.prime on p near 2^61"):
+    def decide():
         for p in (2**61 - 1, 10**18 + 3):
             assert FieldSpec.prime(p).q == p
         # 10^18 + 1 = (10^6 + 1)(10^12 - 10^6 + 1); the other is a strong
@@ -87,6 +72,8 @@ def test_prime_decides_large_p_at_once():
         for p in (10**18 + 1, 399165290221 * 798330580441):
             with pytest.raises(FieldError):
                 FieldSpec.prime(p)
+
+    in_time(decide, limit=1)
 
 
 def test_prime_refuses_p_at_or_above_the_limit_of_the_test():
@@ -100,13 +87,45 @@ def test_binary_rejects_reducible_poly():
         FieldSpec("binary", m=3, poly=0b1111)  # x^3+x^2+x+1 = (x+1)(x^2+1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: FieldSpec.prime(7.0), "p, m and poly must be ints, got p=7.0, m=0, poly=0"),
+    (lambda: FieldSpec.prime(True), "p, m and poly must be ints, got p=True, m=0, poly=0"),
+    (lambda: FieldSpec.binary(True), "m must be an int, got True"),
+    (lambda: FieldSpec.binary(20.5), "m must be an int, got 20.5"),
+    (lambda: FieldSpec.binary(8, 283.0), "p, m and poly must be ints, got p=0, m=8, poly=283.0"),
+    (lambda: FieldSpec("binary", m=8.0, poly=0x11B),
+     "p, m and poly must be ints, got p=0, m=8.0, poly=283"),
+], ids=["prime-float", "prime-bool", "binary-bool", "binary-fraction", "poly-float",
+        "constructor-float"])
+def test_field_parameters_must_be_exact_ints(call, message):
+    # In a child: without the check, a field interned under 7.0 or True
+    # stands in for GF(7) or GF(2) for the rest of the process.
+    def refuse():
+        with pytest.raises(FieldError) as refused:
+            call()
+        assert str(refused.value) == message
+        assert type(FieldSpec.prime(7).p) is type(FieldSpec.binary(1).m) is int
+
+    in_time(refuse, limit=5)
+
+
+def test_a_str_field_parameter_is_refused_before_any_cache():
+    # In this process: a str cannot reach the field cache, check or no check.
+    with pytest.raises(FieldError, match="^p, m and poly must be ints, got p='7'"):
+        FieldSpec.prime("7")
+    with pytest.raises(FieldError, match="^m must be an int, got '8'$"):
+        FieldSpec.binary("8")
+
+
 @pytest.mark.parametrize("m, poly", [(2, -4), (8, -0x11B), (2, -7)])
 def test_binary_refuses_a_negative_poly_by_name(m, poly):
     # A negative mask is no GF(2) polynomial: -4 and -0x11b once looped in the
     # trial division, and -7 built a GF(4) whose mul_int(3, 3) was -4.
-    with _within(2, f"FieldSpec.binary({m}, {poly:#x})"):
+    def refuse():
         with pytest.raises(FieldError, match=f"poly {poly:#x} is not irreducible of degree {m}"):
             FieldSpec.binary(m, poly)
+
+    in_time(refuse, limit=2)
 
 
 def test_binary_rejects_large_m():
@@ -126,11 +145,13 @@ def test_field_constructor_names_an_unknown_kind():
 def test_binary_without_default_poly_rejects_m_above_32_at_once():
     # The range check must run before the irreducible-polynomial search,
     # which for m = 64 would not finish.
-    with _within(5, "FieldSpec.binary(64)"):
+    def refuse():
         with pytest.raises(FieldError):
             FieldSpec.binary(64)
         with pytest.raises(ProtocolError, match="k=64 makes a 64-bit hash domain"):
             SjstProtocol(3, 8, 64)
+
+    in_time(refuse, limit=5)
 
 
 def test_binary_without_a_poly_searches_once_per_degree(monkeypatch):

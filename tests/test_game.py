@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from rsmt.field import FieldSpec
 from rsmt.protocols import CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.protocols.ciss import P1, P2, P3
-from rsmt.sharing import AmdSpec, RobustSharingSpec, SharingSpec
 from rsmt.transport import BLOCK_TRIALS, CorruptionProfile, derive_streams
 from rsmt.game import (
     BlockChannels,
@@ -186,9 +185,7 @@ def test_detect_attribution_requires_tampering():
 def test_rss_detection_is_global():
     # robust sharing detects without localizing: when the tamperer trips the
     # check, every channel (and hence every adversary) is flagged
-    rss = RssProtocol(
-        RobustSharingSpec(AmdSpec(GF256, 1), SharingSpec(t=2, n=5, field=GF256))
-    )
+    rss = RssProtocol(5, 2, 1, GF256)
     prof = CorruptionProfile({1: frozenset({1, 2}), 2: frozenset({3})})
     strategies = {1: Rewrite(rss, "substitute"), 2: PassiveGuess(rss)}
     flagged_both = 0
@@ -441,7 +438,7 @@ def test_rss_undetected_wrong_rate_stays_within_its_bound(field_d, data):
     field, d = field_d
     n = data.draw(st.integers(2, min(6, field.q - 1)))
     t = data.draw(st.integers(1, n - 1))
-    rss = RssProtocol(RobustSharingSpec(AmdSpec(field, d), SharingSpec(t, n, field)))
+    rss = RssProtocol(n, t, d, field)
     prof = CorruptionProfile({1: frozenset(data.draw(
         st.sets(st.integers(1, n), min_size=1, max_size=t)))})
     trials = 500
@@ -467,8 +464,7 @@ def _any_protocol(draw):
     d = draw(st.integers(1, 3))
     if variant == "RSS":
         d = d if (d + 2) % field.p else d + 1
-        return RssProtocol(RobustSharingSpec(AmdSpec(field, d),
-                                             SharingSpec(draw(st.integers(1, n - 1)), n, field)))
+        return RssProtocol(n, draw(st.integers(1, n - 1)), d, field)
     return CissProtocol(variant, n, field, d, draw(st.integers(1, min(6, d * field.elem_bits))))
 
 

@@ -14,6 +14,8 @@ from rsmt.hashing import HashFamilySpec, _tag_table
 from rsmt.privacy import EnumerationTooLarge, _runs, hash_offset_collision_max
 from rsmt.protocols import CissProtocol
 
+from in_time import in_time
+
 FAM3 = HashFamilySpec(3, 3)
 
 
@@ -28,6 +30,23 @@ def test_range_must_fit_domain():
         HashFamilySpec(3, 4)
     with pytest.raises(ValueError):
         HashFamilySpec(3, 0)
+
+
+@pytest.mark.parametrize("domain_bits, range_bits", [(3, True), (True, 1), (3.0, 2), (3, "2")])
+def test_family_sizes_must_be_exact_ints(domain_bits, range_bits):
+    # In a child: without the check, a bool or float size reaches the field
+    # cache and can replace a field there for the rest of the process.
+    def refuse():
+        with pytest.raises(ValueError, match="need int sizes"):
+            HashFamilySpec(domain_bits, range_bits)
+
+    in_time(refuse, limit=5)
+
+
+def test_a_str_family_size_is_refused():
+    # In this process: a str cannot reach the field cache, check or no check.
+    with pytest.raises(ValueError, match="need int sizes, got l='2', m=3"):
+        HashFamilySpec(3, "2")
 
 
 def test_sample_deterministic_by_seed():

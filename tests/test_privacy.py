@@ -327,7 +327,7 @@ def sjst_view_distance(spec: SjstProtocol, corrupted: frozenset[int]) -> Fractio
     forced rng over every sender key and receiver hash key; tractable only
     for n=2 with tiny l = k."""
     n, ell, k = spec.n, spec.ell, spec.k
-    corrupted = _channels(corrupted, n)
+    corrupted = _channels(corrupted, n, n)  # SJST allows n - 1, checked below
     if len(corrupted) >= n:
         raise ValueError("corrupted set must leave at least one honest channel")
 

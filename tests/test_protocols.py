@@ -30,9 +30,11 @@ from rsmt.protocols.base import ProtocolError
 from rsmt.protocols import ciss
 from rsmt.game.attacks import catalog_for
 from rsmt.protocols.ciss import P1, P2, P3, _parse_all, slot
-from rsmt.sharing import (FAIL, AmdSpec, RobustSharingSpec, SharingError, SharingSpec,
-                          shamir_reconstruct, shamir_share)
+from rsmt.sharing import FAIL, SharingError, SharingSpec, shamir_reconstruct, shamir_share
 from rsmt.transport import EMPTY, AdversaryStrategy, CorruptionProfile, derive_streams, execute
+
+from in_time import in_time
+
 
 def every(proto) -> range:
     """Every channel of `proto`: what a receiver given payloads it did not
@@ -43,7 +45,7 @@ def every(proto) -> range:
 GF7 = FieldSpec.prime(7)
 GF256 = FieldSpec.binary(8)
 
-RSS = RssProtocol(RobustSharingSpec(AmdSpec(GF7, 1), SharingSpec(t=1, n=3, field=GF7)))
+RSS = RssProtocol(3, 1, 1, GF7)
 PROTO1 = CissProtocol(P1, 5, GF256, 1, 8)
 PROTO2 = CissProtocol(P2, 4, GF256, 1, 8)
 PROTO3 = CissProtocol(P3, 7, GF256, 1, 8)
@@ -90,7 +92,7 @@ def test_rss_blocked_channel_fails():
 
 def test_rss_message_bits_stay_below_what_a_report_header_can_print():
     def rss(d):
-        return RssProtocol(RobustSharingSpec(AmdSpec(GF7, d), SharingSpec(t=1, n=3, field=GF7)))
+        return RssProtocol(3, 1, d, GF7)
 
     assert len(str(rss(4666).message_space_size())) < 4300  # 13,998 bits
     with pytest.raises(ProtocolError, match=r"d=4668 elements of GF\(7\) make a 14004-bit "
@@ -571,13 +573,43 @@ def test_protocols_survive_pickle_and_deepcopy(proto, clone):
         assert twin.encode(m, random.Random(5)) == proto.encode(m, random.Random(5))
 
 
+# Each protocol's config keys in positional order, with a value that builds.
+CONFIG_KEYS = {
+    SjstProtocol: {"n": 3, "ell": 4, "k": 8},
+    CissProtocol: {"variant": P1, "n": 5, "field": GF256, "d": 1, "ell": 5},
+    RssProtocol: {"n": 3, "t": 1, "d": 1, "field": GF7},
+    StrawmanProtocol: {"n": 4, "field": FieldSpec.binary(4)},
+}
+BAD_CONFIGS = [(cls, key, bad) for cls, keys in CONFIG_KEYS.items() for key, good in keys.items()
+               if key != "variant"
+               for bad in ([7] if key == "field" else [True, float(good), str(good)])]
+
+
+@pytest.mark.parametrize("cls, key, bad", BAD_CONFIGS,
+                         ids=[f"{cls.__name__}-{key}-{bad!r}" for cls, key, bad in BAD_CONFIGS])
+def test_a_count_must_be_an_exact_int_and_field_a_field_spec(cls, key, bad):
+    # In a child: without the check, a bool or float count reaches the field
+    # cache and can replace a field there for the rest of the process.
+    def refuse():
+        with pytest.raises(ProtocolError, match=f"^{key} must be "):
+            cls(*dict(CONFIG_KEYS[cls], **{key: bad}).values())
+
+    in_time(refuse, limit=5)
+
+
+def test_a_str_count_is_refused_by_name():
+    # In this process: a str cannot reach the field cache, check or no check.
+    with pytest.raises(ProtocolError, match="^n must be of type int, got '3'$"):
+        SjstProtocol("3", 4, 8)
+
+
 # --- the wire-value rule, on every receiver -------------------------------------
 
 
 GF16 = FieldSpec.binary(4)
 RULE_PROTOCOLS = [
     SjstProtocol(3, 4, 8), PROTO1, CissProtocol(P2, 4, GF16, 2, 5), PROTO3,
-    RssProtocol(RobustSharingSpec(AmdSpec(GF16, 1), SharingSpec(t=1, n=3, field=GF16))),
+    RssProtocol(3, 1, 1, GF16),
     StrawmanProtocol(3, GF16),
 ]
 
@@ -675,8 +707,7 @@ def _one_round_protocols(draw):
         if variant == "STRAWMAN":
             return StrawmanProtocol(n, field)
         if variant == "RSS":
-            sharing = SharingSpec(t=draw(st.integers(1, n - 1)), n=n, field=field)
-            return RssProtocol(RobustSharingSpec(AmdSpec(field, d), sharing))
+            return RssProtocol(n, draw(st.integers(1, n - 1)), d, field)
         return CissProtocol(variant, n, field, d, draw(st.integers(1, d * field.elem_bits)))
     except (ProtocolError, SharingError):
         reject()
@@ -686,8 +717,7 @@ def _one_round_protocols(draw):
 @given(proto=_one_round_protocols(), seed=st.integers(0, 2 ** 32))
 @example(proto=CissProtocol(P3, 16, FieldSpec.binary(16), 1, 16), seed=1)
 @example(proto=CissProtocol(P1, 5, FieldSpec.prime(65521), 2, 32), seed=2)
-@example(proto=RssProtocol(RobustSharingSpec(AmdSpec(GF7, 2), SharingSpec(t=1, n=3, field=GF7))),
-         seed=3)
+@example(proto=RssProtocol(3, 1, 2, GF7), seed=3)
 def test_every_sender_payload_passes_its_own_receivers_rule(proto, seed):
     rng = random.Random(seed)
     m = proto.sample_message(rng)

@@ -14,7 +14,7 @@ from rsmt.field import FieldSpec
 from rsmt.game import Rewrite, catalog_for, play_game, plays, run_trials, witness_table
 from rsmt.protocols import VARIANTS, CissProtocol, RssProtocol, SjstProtocol, StrawmanProtocol
 from rsmt.protocols.ciss import P1, P2, P3
-from rsmt.sharing import FAIL, AmdSpec, RobustSharingSpec, SharingSpec
+from rsmt.sharing import FAIL, Marker
 from rsmt.transport import (
     BLOCK_TRIALS,
     EMPTY,
@@ -47,6 +47,12 @@ def test_a_marker_is_falsy_prints_its_name_and_survives_pickle_and_copy(marker, 
     assert clone({"payload": marker})["payload"] is marker
 
 
+def test_there_are_two_markers_and_no_third():
+    assert list(Marker) == [FAIL, EMPTY]
+    with pytest.raises(ValueError):
+        Marker("nope")
+
+
 def test_derive_rng_deterministic_and_label_separated():
     assert derive_rng(7, "sender").random() == derive_rng(7, "sender").random()
     assert derive_rng(7, "sender").random() != derive_rng(7, "receiver").random()
@@ -60,8 +66,7 @@ STREAM_PROTOCOLS = {
     "SJST": SjstProtocol(3, 4, 8),
     "P1": PROTO,
     "P3": CissProtocol(P3, 7, GF256, 1, 8),
-    "RSS": RssProtocol(RobustSharingSpec(AmdSpec(FieldSpec.prime(7), 1),
-                                         SharingSpec(t=1, n=3, field=FieldSpec.prime(7)))),
+    "RSS": RssProtocol(3, 1, 1, FieldSpec.prime(7)),
     "STRAWMAN": StrawmanProtocol(4, FieldSpec.binary(4)),
 }
 
